@@ -56,7 +56,6 @@ from .tangent import (
     TangentVector,
     apply_derivation,
     bundle_member,
-    differential,
     eval_bundle_function,
     is_tangent,
     jacobian,
@@ -94,7 +93,6 @@ __all__ = [
     "common_pivot_exists",
     "constant",
     "default_adjacency_radius",
-    "differential",
     "eval_bundle_function",
     "frame_at",
     "frame_smoothness_check",

@@ -1,4 +1,4 @@
-"""Command-line interface.
+"""Command-line interface: a thin shell over the library.
 
 Commands::
 
@@ -7,9 +7,15 @@ Commands::
     subcart frame     FILE --point CSV [--radius R] [--out PATH]
     subcart verify    FILE [--radius R] [--epsilon E] [--out PATH]
 
+Options are parsed here; all analysis is left to the library
+(``classify_point``, ``stratify``, ``verify_local_triviality`` and
+``anchored_frame``).
+
 Exit codes: 0 when every verdict passes, 1 when any verdict fails, 2 on
-input errors (unreadable or malformed files, non-member points, frame
-evaluation outside its rank-constant neighborhood).
+input errors: unreadable or malformed files, non-member points, a
+negative ``--radius`` or ``--epsilon``, a ``frame`` anchor that the
+regular/singular rule labels singular, and frame evaluation outside its
+rank-constant neighborhood.
 
 Reports are JSON with rational-string coordinates and are byte-identical
 across runs on identical inputs: term order, grid order, and pivot choice
@@ -27,16 +33,8 @@ from pathlib import Path
 from . import frames
 from .errors import SubcartError
 from .poly import parse_rational
-from .space import SpacePresentation, load_space, sample
-from .stratify import (
-    PointRecord,
-    classify,
-    default_adjacency_radius,
-    structural_dim,
-    stratify,
-    sup_distance,
-)
-from .tangent import _require_member
+from .space import SpacePresentation, load_space
+from .stratify import StratificationReport, classify_point, stratify
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -52,6 +50,11 @@ def _parse_point(text: str, ambient_dim: int) -> tuple[Fraction, ...]:
     return tuple(parse_rational(p) for p in parts)
 
 
+def _rational_option(args, name: str) -> Fraction | None:
+    value = getattr(args, name, None)
+    return parse_rational(value) if value else None
+
+
 def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2) + "\n"
     if out:
@@ -60,36 +63,23 @@ def _emit(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _radius_arg(value: str | None, points) -> Fraction:
-    if value is not None:
-        return parse_rational(value)
-    return default_adjacency_radius(points)
-
-
 def _cmd_classify(args) -> int:
     space = load_space(args.file)
     point = _parse_point(args.point, space.ambient_dim)
-    _require_member(space, point)
-    points = sample(space)
-    radius = _radius_arg(args.radius, points)
-    neighbors = [q for q in points if sup_distance(point, q) <= radius]
-    label = classify(space, point, neighbors)
-    record = PointRecord(point, structural_dim(space, point), label)
+    record = classify_point(space, point, _rational_option(args, "radius"))
     _emit(record.to_json(), args.out)
     return EXIT_PASS
 
 
 def _cmd_stratify(args) -> int:
-    space = load_space(args.file)
-    report = _build_report(space, args)
+    _, report = _build_report(args)
     _emit(report.to_json(), args.out)
     _summary(report)
     return EXIT_PASS if report.all_pass() else EXIT_FAIL
 
 
 def _cmd_verify(args) -> int:
-    space = load_space(args.file)
-    report = _build_report(space, args)
+    space, report = _build_report(args)
     triviality = frames.verify_local_triviality(space, report)
     payload = {
         "space": report.space_name,
@@ -98,11 +88,7 @@ def _cmd_verify(args) -> int:
             triviality.name: triviality.to_json(),
         },
         "params": {"radius": str(report.radius), "epsilon": str(report.epsilon)},
-        "counts": {
-            "records": len(report.records),
-            "regular": sum(1 for r in report.records if r.label == "regular"),
-            "singular": sum(1 for r in report.records if r.label == "singular"),
-        },
+        "counts": _counts(report),
         "caveats": list(report.caveats),
     }
     _emit(payload, args.out)
@@ -111,73 +97,50 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_frame(args) -> int:
-    space = load_space(args.file)
+    space, report = _build_report(args)
     anchor = _parse_point(args.point, space.ambient_dim)
-    _require_member(space, anchor)
-    report = _build_report(space, args)
-    records = report.records
-    anchor_record = next(
-        (i for i, r in enumerate(records) if r.point == anchor), None
-    )
-    anchor_dim = structural_dim(space, anchor)
-    neighbors = [
-        q
-        for q in (r.point for r in records if r.label == "regular")
-        if q != anchor
-        and sup_distance(q, anchor) < report.radius
-        and structural_dim(space, q) == anchor_dim
-    ]
-    if anchor_record is not None and records[anchor_record].label == "singular":
-        raise SubcartError(
-            f"cannot anchor a frame at the singular point {args.point!r}"
-        )
-    frame = frames.frame_at(space, anchor)
-    evaluations = []
-    for q in neighbors:
-        if not frames.common_pivot_exists(space, anchor, q):
-            raise SubcartError(
-                f"tangent bundle is not trivializable between the anchor and "
-                f"{[str(c) for c in q]}: no common pivot chart exists"
-            )
-        if not frame.pivot_valid_at(q):
-            continue
-        basis = frame.evaluate(q)
-        evaluations.append(
-            {
-                "point": [str(c) for c in q],
-                "basis": [[str(c) for c in v] for v in basis],
-            }
-        )
+    frame, evaluations = frames.anchored_frame(space, report, anchor)
     payload = {
         "anchor": [str(c) for c in frame.anchor],
         "pivots": [c + 1 for c in frame.pivot_columns],
         "free": [c + 1 for c in frame.free_columns],
-        "evaluations": evaluations,
+        "evaluations": [
+            {
+                "point": [str(c) for c in at.point],
+                "basis": [[str(c) for c in v] for v in basis],
+            }
+            for at, basis in evaluations
+        ],
     }
     _emit(payload, args.out)
     return EXIT_PASS
 
 
-def _build_report(space: SpacePresentation, args):
-    radius = parse_rational(args.radius) if args.radius else None
-    epsilon = (
-        parse_rational(args.epsilon)
-        if getattr(args, "epsilon", None)
-        else None
+def _build_report(args) -> tuple[SpacePresentation, StratificationReport]:
+    space = load_space(args.file)
+    return space, stratify(
+        space,
+        radius=_rational_option(args, "radius"),
+        epsilon=_rational_option(args, "epsilon"),
     )
-    return stratify(space, radius=radius, epsilon=epsilon)
 
 
-def _summary(report, *extra) -> None:
-    verdicts = list(report.verdicts) + list(extra)
-    counts = (
-        f"records: {len(report.records)} "
-        f"(regular {sum(1 for r in report.records if r.label == 'regular')}, "
-        f"singular {sum(1 for r in report.records if r.label == 'singular')})"
-    )
-    lines = [counts] + [
-        f"{v.name}: {'pass' if v.passed else 'FAIL'}" for v in verdicts
+def _counts(report: StratificationReport) -> dict:
+    labels = [r.label for r in report.records]
+    return {
+        "records": len(labels),
+        "regular": labels.count("regular"),
+        "singular": labels.count("singular"),
+    }
+
+
+def _summary(report: StratificationReport, *extra) -> None:
+    c = _counts(report)
+    lines = [
+        f"records: {c['records']} (regular {c['regular']}, singular {c['singular']})"
     ]
+    for v in report.verdicts + extra:
+        lines.append(f"{v.name}: {'pass' if v.passed else 'FAIL'}")
     print("\n".join(lines), file=sys.stderr)
 
 
@@ -206,13 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_epsilon:
             p.add_argument("--epsilon", help="density radius (rational string)")
         p.add_argument("--out", help="write the JSON report to this path")
-        p.add_argument(
-            "--seed",
-            type=int,
-            default=0,
-            help="reserved for randomized sampling extensions; "
-            "current pipelines are deterministic",
-        )
         p.set_defaults(func=func)
     return parser
 

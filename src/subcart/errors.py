@@ -39,5 +39,5 @@ class NoSampleSourceError(SubcartError):
 
 
 class FrameEvaluationError(SubcartError):
-    """Rank or pivot pattern changed: the point is outside the frame's
-    rank-constant neighborhood."""
+    """Rank or pivot pattern changed, or no chart covers a pair of points:
+    the point is outside the frame's rank-constant neighborhood."""

@@ -11,6 +11,11 @@ evaluation is an error, never a silent re-pivot: re-pivoting would
 destroy smoothness of the sections and mask the rank boundary that local
 triviality is local with respect to.
 
+The frozen pivots are valid at a point iff they are one of its charts
+(``tangent.PointAnalysis``).  ``frame_evaluations``, shared by
+``verify_local_triviality`` and the CLI ``frame`` command, reads charts
+and Jacobians from the report's analyses instead of recomputing them.
+
 The bump function is the single non-rational evaluation in the package
 (the standard exp(-1/t) smooth step on the sup-norm radial variable) and
 is quarantined here; gluing multiplies by the exact dyadic value of the
@@ -21,18 +26,17 @@ radius.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .errors import DimensionMismatchError, FrameEvaluationError
+from .errors import DimensionMismatchError, FrameEvaluationError, SubcartError
 from .poly import Point, format_point
 from .space import Sampler, SpacePresentation
-from .stratify import StratificationReport, Verdict, sup_distance
-from .tangent import _require_member, jacobian
+from .stratify import StratificationReport, Verdict, label_in_sample, sup_distance
+from .tangent import PointAnalysis, analyse, jacobian
 
 Basis = tuple[tuple[Fraction, ...], ...]
 
@@ -51,17 +55,9 @@ class FrameSection:
         return len(self.free_columns)
 
     def pivot_valid_at(self, point: Sequence[Fraction]) -> bool:
-        """True iff the frozen pivot pattern is usable at this member point:
+        """True iff the frozen pivot pattern is one of the point's charts:
         rank is unchanged and the pivot submatrix has full rank."""
-        J = jacobian(self.space, point)
-        if linalg.rank(J) != len(self.pivot_columns):
-            return False
-        if not self.pivot_columns:
-            return True
-        return (
-            linalg.rank(linalg.submatrix_columns(J, self.pivot_columns))
-            == len(self.pivot_columns)
-        )
+        return self.pivot_columns in analyse(self.space, point).charts
 
     def evaluate(self, point: Sequence[Fraction]) -> Basis:
         """Exact frame vectors at a member point, identity on free columns.
@@ -70,7 +66,6 @@ class FrameSection:
         pattern differs from the anchor: the point lies outside the
         rank-constant neighborhood this frame trivializes.
         """
-        point = _require_member(self.space, point)
         J = jacobian(self.space, point)
         basis = linalg.solve_with_pivots(
             J, self.space.ambient_dim, self.pivot_columns
@@ -84,21 +79,18 @@ class FrameSection:
         return tuple(basis)
 
 
+def _frame(space: SpacePresentation, anchor: PointAnalysis) -> FrameSection:
+    free = tuple(c for c in range(space.ambient_dim) if c not in anchor.pivots)
+    return FrameSection(space, anchor.point, anchor.pivots, free)
+
+
 def frame_at(space: SpacePresentation, point: Sequence[Fraction]) -> FrameSection:
     """Build the frame at a member point (caller asserts regularity).
 
     Pivot columns come from the exact RREF of the Jacobian with the
     leftmost-pivot rule, so the construction is deterministic.
     """
-    point = _require_member(space, point)
-    _, pivots = linalg.rref(jacobian(space, point))
-    free = tuple(c for c in range(space.ambient_dim) if c not in pivots)
-    return FrameSection(
-        space=space,
-        anchor=point,
-        pivot_columns=tuple(pivots),
-        free_columns=free,
-    )
+    return _frame(space, analyse(space, point))
 
 
 def common_pivot_exists(
@@ -112,19 +104,7 @@ def common_pivot_exists(
     cross no shared chart exists; across the pivot-chart boundary of the
     cone one always does.
     """
-    Ja, Jb = jacobian(space, a), jacobian(space, b)
-    r = linalg.rank(Ja)
-    if linalg.rank(Jb) != r:
-        return False
-    if r == 0:
-        return True
-    for columns in itertools.combinations(range(space.ambient_dim), r):
-        if (
-            linalg.rank(linalg.submatrix_columns(Ja, columns)) == r
-            and linalg.rank(linalg.submatrix_columns(Jb, columns)) == r
-        ):
-            return True
-    return False
+    return analyse(space, a).shares_chart(analyse(space, b))
 
 
 # -- bump functions -----------------------------------------------------------
@@ -263,15 +243,61 @@ def triviality_targets(
     pairs of the coordinate cross sit exactly at the radius and are
     thereby excluded.
     """
-    anchor = report.records[anchor_index]
+    return _targets(report, report.analyses[anchor_index])
+
+
+def _targets(report: StratificationReport, anchor: PointAnalysis) -> list[int]:
     return [
         j
         for j, r in enumerate(report.records)
-        if j != anchor_index
+        if r.point != anchor.point
         and r.label == "regular"
         and r.dim == anchor.dim
         and sup_distance(r.point, anchor.point) < report.radius
     ]
+
+
+def frame_evaluations(
+    space: SpacePresentation, report: StratificationReport, anchor: PointAnalysis
+) -> tuple[FrameSection, list[tuple[PointAnalysis, Basis]]]:
+    """The frame anchored at a point and its exact vectors at each of the
+    anchor's triviality targets where its frozen pivots are a chart.
+
+    Raises FrameEvaluationError at the first target that shares no chart
+    with the anchor: no single trivialization covers the pair.
+    """
+    frame = _frame(space, anchor)
+    evaluations = []
+    for j in _targets(report, anchor):
+        other = report.analyses[j]
+        if not anchor.shares_chart(other):
+            raise FrameEvaluationError(
+                f"no common pivot chart covers {format_point(anchor.point)} "
+                f"and {format_point(other.point)}: the bundle is not "
+                f"trivializable over this neighborhood"
+            )
+        if frame.pivot_columns in other.charts:  # else another chart covers it
+            basis = linalg.solve_with_pivots(
+                other.jacobian, space.ambient_dim, frame.pivot_columns
+            )
+            evaluations.append((other, tuple(basis)))
+    return frame, evaluations
+
+
+def anchored_frame(
+    space: SpacePresentation, report: StratificationReport, point: Sequence[Fraction]
+) -> tuple[FrameSection, list[tuple[PointAnalysis, Basis]]]:
+    """``frame_evaluations`` at any member point, sample point or not.
+
+    Raises SubcartError when the point is labelled singular against the
+    report's samples, by the same rule that labels the records.
+    """
+    anchor = analyse(space, point)
+    if label_in_sample(anchor, report.analyses, report.radius) == "singular":
+        raise SubcartError(
+            f"cannot anchor a frame at the singular point {format_point(anchor.point)}"
+        )
+    return frame_evaluations(space, report, anchor)
 
 
 def verify_local_triviality(
@@ -279,40 +305,24 @@ def verify_local_triviality(
 ) -> Verdict:
     """Sampled local triviality of the tangent bundle over the regular part.
 
-    For every regular record: the anchored frame must build; wherever its
-    frozen pivot pattern is valid at a same-stratum neighbor, the exact
-    evaluation must return dimension-many vectors that annihilate the
-    Jacobian with the identity pattern on free columns (checked, not
-    assumed); and every same-stratum neighbor pair must admit at least one
-    common pivot chart, the pairwise witness that one trivialization
-    covers both points.  The coordinate-cross branches fail the last check
-    when sampled across the removed origin.
+    For every regular record: every same-stratum neighbor must share at
+    least one pivot chart with it, the pairwise witness that one
+    trivialization covers both points; and wherever the anchored frame's
+    frozen pivots are a chart of the neighbor, the exact evaluation must
+    return dimension-many vectors that annihilate the neighbor's Jacobian
+    with the identity pattern on free columns (checked, not assumed).  The
+    coordinate-cross branches fail the chart check when sampled across the
+    removed origin.
     """
     checked = 0
-    for i, record in enumerate(report.records):
+    for record, anchor in zip(report.records, report.analyses):
         if record.label != "regular":
             continue
-        frame = frame_at(space, record.point)
-        if frame.dimension != record.dim:
-            return Verdict(
-                "local_triviality",
-                False,
-                f"frame at {format_point(record.point)} has dimension "
-                f"{frame.dimension}, record says {record.dim}",
-            )
-        for j in triviality_targets(report, i):
-            other = report.records[j]
-            if not common_pivot_exists(space, record.point, other.point):
-                return Verdict(
-                    "local_triviality",
-                    False,
-                    f"no common pivot chart covers {format_point(record.point)} "
-                    f"and {format_point(other.point)}: the bundle is not "
-                    f"trivializable over this neighborhood",
-                )
-            if not frame.pivot_valid_at(other.point):
-                continue  # covered by another chart; the pair check passed
-            vectors = frame.evaluate(other.point)
+        try:
+            frame, evaluations = frame_evaluations(space, report, anchor)
+        except FrameEvaluationError as exc:
+            return Verdict("local_triviality", False, str(exc))
+        for other, vectors in evaluations:
             checked += 1
             if len(vectors) != record.dim:
                 return Verdict(
@@ -322,9 +332,8 @@ def verify_local_triviality(
                     f"{len(vectors)} vectors at {format_point(other.point)}, "
                     f"expected {record.dim}",
                 )
-            J = jacobian(space, other.point)
             for v in vectors:
-                if any(x != 0 for x in linalg.matrix_vector(J, v)):
+                if any(x != 0 for x in linalg.matrix_vector(other.jacobian, v)):
                     return Verdict(
                         "local_triviality",
                         False,

@@ -1,5 +1,5 @@
-"""Exact rational linear algebra: reduced row echelon form, ranks, and
-pivot-normalized null-space bases.
+"""Exact rational linear algebra: reduced row echelon form, ranks, pivot
+charts, and pivot-normalized null-space bases.
 
 Matrices are sequences of equal-length rows of Fractions.  Everything here
 is deterministic: pivots are chosen by the leftmost-column rule, breaking
@@ -9,6 +9,7 @@ identical outputs.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Sequence
 
@@ -52,65 +53,53 @@ def rank(matrix: Matrix) -> int:
     return len(rref(matrix)[1])
 
 
-def kernel_basis(matrix: Matrix, ncols: int) -> list[Vector]:
-    """Pivot-normalized basis of the null space.
-
-    One basis vector per free column (ascending), each carrying a 1 in its
-    own free column and 0 in every other free column, so the free-column
-    submatrix of the basis is the identity.
-    """
-    if not matrix:
-        return [
-            tuple(Fraction(1) if i == f else Fraction(0) for i in range(ncols))
-            for f in range(ncols)
-        ]
-    reduced, pivots = rref(matrix)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for row, p in zip(reduced, pivots):
-            v[p] = -row[f]
-        basis.append(tuple(v))
-    return basis
-
-
 def submatrix_columns(matrix: Matrix, columns: Sequence[int]) -> list[list[Fraction]]:
     return [[row[c] for c in columns] for row in matrix]
 
 
+def _chart_rref(
+    matrix: Matrix, ncols: int, columns: Sequence[int]
+) -> list[list[Fraction]] | None:
+    """RREF of the matrix with ``columns`` moved to the front, or None when
+    they are not a chart: a column set whose submatrix has full column rank
+    equal to the rank of the matrix.  Exactly then the leftmost-pivot RREF
+    pivots on the first len(columns) columns, so one elimination both
+    decides and solves."""
+    order = list(columns) + [c for c in range(ncols) if c not in columns]
+    reduced, pivots = rref(submatrix_columns(matrix, order))
+    return reduced if pivots == list(range(len(columns))) else None
+
+
+def charts(matrix: Matrix, ncols: int) -> frozenset[tuple[int, ...]]:
+    """Every chart of the matrix as an ascending column tuple: the pivot
+    patterns that ``solve_with_pivots`` accepts."""
+    r = rank(matrix)
+    return frozenset(
+        columns
+        for columns in itertools.combinations(range(ncols), r)
+        if _chart_rref(matrix, ncols, columns) is not None
+    )
+
+
 def solve_with_pivots(
     matrix: Matrix, ncols: int, pivot_columns: Sequence[int]
-) -> list[Vector]:
+) -> list[Vector] | None:
     """Kernel basis normalized to the identity on the complement of a
     prescribed pivot-column set.
 
-    Requires the pivot submatrix to have full column rank equal to the rank
-    of the whole matrix; returns None when the prescribed pattern is not
-    valid at this matrix (rank drop or column dependence).
+    Returns None when the prescribed pattern is not a chart of this matrix
+    (rank drop or column dependence).
     """
-    pivot_columns = list(pivot_columns)
+    reduced = _chart_rref(matrix, ncols, pivot_columns)
+    if reduced is None:
+        return None
     free = [c for c in range(ncols) if c not in pivot_columns]
-    total_rank = rank(matrix)
-    if total_rank != len(pivot_columns):
-        return None
-    if pivot_columns and rank(submatrix_columns(matrix, pivot_columns)) != len(
-        pivot_columns
-    ):
-        return None
-    # reorder columns as (pivots, free); leftmost-pivot RREF then lands
-    # exactly on the prescribed pattern
-    order = pivot_columns + free
-    reduced, pivots = rref(submatrix_columns(matrix, order))
-    if pivots != list(range(len(pivot_columns))):
-        return None
     basis = []
     for k, f in enumerate(free):
         v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
-        for row, p in zip(reduced, pivots):
-            v[pivot_columns[p]] = -row[len(pivot_columns) + k]
+        for p, row in zip(pivot_columns, reduced):
+            v[p] = -row[len(pivot_columns) + k]
         basis.append(tuple(v))
     return basis
 

@@ -174,21 +174,6 @@ class Polynomial:
             total += term
         return total
 
-    def compose(self, substitutions: Sequence["Polynomial"]) -> "Polynomial":
-        """Substitute a polynomial for each variable (all in one shared ring)."""
-        if len(substitutions) != self.ambient_dim:
-            raise DimensionMismatchError(
-                f"expected {self.ambient_dim} substitutions, got {len(substitutions)}"
-            )
-        target_dim = substitutions[0].ambient_dim
-        result = zero(target_dim)
-        for exponent, coeff in self._terms.items():
-            term = constant(coeff, target_dim)
-            for sub, e in zip(substitutions, exponent):
-                term = term * sub**e
-            result = result + term
-        return result
-
     # -- printing ------------------------------------------------------------
 
     def _monomial_str(self, exponent: Exponent) -> str:
@@ -248,8 +233,6 @@ def variable(index: int, ambient_dim: int) -> Polynomial:
 
 
 # -- parser ------------------------------------------------------------------
-
-_TOKEN_KINDS = ("var", "int", "op", "end")
 
 
 class _Token:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -126,6 +127,14 @@ class SpacePresentation:
                 raise DimensionMismatchError(
                     f"sample point {p} has length {len(p)}, expected {self.ambient_dim}"
                 )
+
+    @cached_property
+    def gradients(self) -> tuple[tuple[Polynomial, ...], ...]:
+        """Row j is the gradient of equation j, differentiated once per space."""
+        return tuple(
+            tuple(g.partial(i + 1) for i in range(self.ambient_dim))
+            for g in self.equations
+        )
 
 
 @dataclass(frozen=True)

@@ -3,21 +3,27 @@ verification of the stratification theorems.
 
 The structural dimension at a member point equals the dimension of the
 tangent space there, so it is computed exactly as
-ambient_dim - rank(Jacobian).  Kernel dimension is upper semicontinuous:
-approaching a point, dimensions can only stay or rise at the limit point,
-never persistently exceed it nearby.  Regularity (local constancy of the
-dimension) is therefore decided from sampled evidence asymmetrically:
+ambient_dim - rank(Jacobian); ``stratify`` analyses each sample point
+once and keeps the analysis beside its record.  Kernel dimension is upper
+semicontinuous: approaching a point, dimensions can only stay or rise at
+the limit point, never persistently exceed it nearby.  Regularity (local
+constancy of the dimension) is therefore decided from sampled evidence
+asymmetrically, by the one rule ``label`` that ``stratify``, ``classify``
+and the frame anchor check all apply:
 
 * a sampled neighbor of strictly LOWER dimension certifies that the
   dimension is not locally constant at x, so x is singular;
 * sampled neighbors of HIGHER dimension are points of thinner singular
   strata poking into the neighborhood at finite sampling scale (the cone
   apex sits within any reasonable radius of nearby smooth samples) and
-  certify nothing about x.
+  certify nothing about x;
+* no sampled neighbor at all is no evidence, so x is unknown.
 
 All adjacency uses the exact rational sup-norm.  Default radius and
-epsilon are the maximum nearest-neighbor gap of the sample set, so the
-defaults scale with sampling density instead of being assumed.
+epsilon are the maximum nearest-neighbor gap of the sample set (computed
+once), so the defaults scale with sampling density instead of being
+assumed.  A negative radius or epsilon, which would leave every point
+without evidence, is an input error.
 """
 
 from __future__ import annotations
@@ -27,11 +33,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Sequence
 
-from . import linalg
-from .errors import NoSampleSourceError
+from .errors import NoSampleSourceError, SubcartError
 from .poly import Point, format_point
 from .space import SpacePresentation, repeated_factor_caveats, sample
-from .tangent import _require_member, jacobian
+from .tangent import PointAnalysis, analyse
 
 Label = Literal["regular", "singular", "unknown"]
 
@@ -42,7 +47,26 @@ def sup_distance(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
 
 def structural_dim(space: SpacePresentation, point: Sequence[Fraction]) -> int:
     """ambient_dim - rank of the generator Jacobian, exactly."""
-    return space.ambient_dim - len(linalg.rref(jacobian(space, point))[1])
+    return analyse(space, point).dim
+
+
+def label(dim: int, neighbor_dims: Sequence[int]) -> Label:
+    """The regular/singular rule: singular iff some neighbor has lower
+    dimension, unknown when there is no neighbor at all."""
+    if not neighbor_dims:
+        return "unknown"
+    return "singular" if min(neighbor_dims) < dim else "regular"
+
+
+def label_in_sample(
+    x: PointAnalysis, analyses: Sequence[PointAnalysis], radius: Fraction
+) -> Label:
+    """``label`` with every analysed sample point within the radius as
+    evidence (the point itself included when it is a sample, so isolated
+    sample points are regular rather than unknown)."""
+    return label(
+        x.dim, [a.dim for a in analyses if sup_distance(x.point, a.point) <= radius]
+    )
 
 
 def classify(
@@ -56,14 +80,8 @@ def classify(
     caller-chosen radius of ``point`` (the point itself may be included;
     it never changes the outcome).  Empty evidence yields ``unknown``.
     """
-    point = _require_member(space, point)
-    n_x = structural_dim(space, point)
-    if not neighbors:
-        return "unknown"
-    for y in neighbors:
-        if structural_dim(space, y) < n_x:
-            return "singular"
-    return "regular"
+    dim = structural_dim(space, point)
+    return label(dim, [structural_dim(space, y) for y in neighbors])
 
 
 @dataclass(frozen=True)
@@ -95,6 +113,7 @@ class StratificationReport:
     space_name: str
     ambient_dim: int
     records: tuple[PointRecord, ...]
+    analyses: tuple[PointAnalysis, ...]  # analyses[i] is the point of records[i]
     radius: Fraction
     epsilon: Fraction
     strata: tuple[tuple[int, ...], ...]  # strata[i] = record indices with dim <= i
@@ -213,33 +232,44 @@ def verify_dense(records: Sequence[PointRecord], epsilon: Fraction) -> Verdict:
     return Verdict("dense", True)
 
 
+def _radii(points: Sequence[Point], *radii: Fraction | None) -> list[Fraction]:
+    """The given radii with None replaced by the default adjacency radius,
+    computed at most once.  A negative radius is an input error."""
+    for r in radii:
+        if r is not None and r < 0:
+            raise SubcartError(f"radius and epsilon must be nonnegative, got {r}")
+    default = default_adjacency_radius(points) if None in radii else None
+    return [default if r is None else r for r in radii]
+
+
+def classify_point(
+    space: SpacePresentation, point: Sequence[Fraction], radius: Fraction | None
+) -> PointRecord:
+    """Record of any member point, classified against the sample points
+    within the radius (the default adjacency radius when None)."""
+    x = analyse(space, point)
+    points = sample(space)
+    (radius,) = _radii(points, radius)
+    neighbors = [q for q in points if sup_distance(x.point, q) <= radius]
+    return PointRecord(x.point, x.dim, classify(space, x.point, neighbors))
+
+
 def stratify(
     space: SpacePresentation,
     radius: Fraction | None = None,
     epsilon: Fraction | None = None,
 ) -> StratificationReport:
-    """Full pipeline: sample, compute dimensions, classify, build strata,
-    and run the usc / open / dense verifiers."""
+    """Full pipeline: sample, analyse each point once, classify, build
+    strata, and run the usc / open / dense verifiers."""
     points = sample(space)
     if not points:
         raise NoSampleSourceError(f"space {space.name!r} produced no sample points")
-    if radius is None:
-        radius = default_adjacency_radius(points)
-    if epsilon is None:
-        epsilon = default_adjacency_radius(points)
-
-    dims = [structural_dim(space, p) for p in points]
-    records = []
-    for i, (point, dim) in enumerate(zip(points, dims)):
-        # neighbors include the point itself, so isolated points are
-        # regular rather than unknown
-        lower = any(
-            dims[j] < dim
-            for j, q in enumerate(points)
-            if sup_distance(point, q) <= radius
-        )
-        records.append(PointRecord(point, dim, "singular" if lower else "regular"))
-    records = tuple(records)
+    radius, epsilon = _radii(points, radius, epsilon)
+    analyses = tuple(analyse(space, p) for p in points)
+    records = tuple(
+        PointRecord(a.point, a.dim, label_in_sample(a, analyses, radius))
+        for a in analyses
+    )
 
     strata = tuple(
         tuple(i for i, r in enumerate(records) if r.dim <= level)
@@ -254,6 +284,7 @@ def stratify(
         space_name=space.name,
         ambient_dim=space.ambient_dim,
         records=records,
+        analyses=analyses,
         radius=radius,
         epsilon=epsilon,
         strata=strata,

@@ -1,4 +1,4 @@
-"""Tangent spaces as derivation kernels.
+"""Tangent spaces as derivation kernels, and the per-point analysis.
 
 A derivation at a member point x is identified with its component vector
 (v1..vn); it descends to the presented function ring exactly when it
@@ -11,6 +11,12 @@ kernel.
 Kernel bases are pivot-normalized from the exact reduced row echelon form
 (leftmost pivots, deterministic), which makes results canonical and feeds
 the frame construction directly.
+
+``analyse`` computes all the pipeline needs at a point, once: the Jacobian
+(from gradients differentiated once per space), its RREF pivots, hence rank
+and dimension, and its charts, the column sets whose Jacobian submatrix
+has full rank.  Two points share a frame chart iff their ranks agree and
+their chart sets intersect.
 """
 
 from __future__ import annotations
@@ -40,10 +46,38 @@ def jacobian(space: SpacePresentation, point: Sequence[Fraction]) -> Matrix:
     """Exact generator Jacobian at a member point: row j is the gradient
     of equation j."""
     point = _require_member(space, point)
-    return tuple(
-        tuple(g.partial(i + 1).evaluate(point) for i in range(space.ambient_dim))
-        for g in space.equations
-    )
+    return tuple(tuple(d.evaluate(point) for d in row) for row in space.gradients)
+
+
+@dataclass(frozen=True)
+class PointAnalysis:
+    """The linear algebra of one member point, computed once by ``analyse``."""
+
+    point: Point
+    jacobian: Matrix
+    pivots: tuple[int, ...]  # 0-based, ascending
+    charts: frozenset[tuple[int, ...]]
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    @property
+    def dim(self) -> int:
+        """Structural dimension: ambient_dim - rank of the Jacobian."""
+        return len(self.point) - self.rank
+
+    def shares_chart(self, other: "PointAnalysis") -> bool:
+        """True iff one pivot chart is valid at both points."""
+        return self.rank == other.rank and not self.charts.isdisjoint(other.charts)
+
+
+def analyse(space: SpacePresentation, point: Sequence[Fraction]) -> PointAnalysis:
+    """Jacobian, RREF pivots and charts at a member point."""
+    point = tuple(Fraction(x) for x in point)
+    J = jacobian(space, point)
+    _, pivots = linalg.rref(J)
+    return PointAnalysis(point, J, tuple(pivots), linalg.charts(J, space.ambient_dim))
 
 
 @dataclass(frozen=True)
@@ -55,17 +89,11 @@ class TangentVector:
     components: tuple[Fraction, ...]
 
     def __post_init__(self):
-        base = _require_member(self.space, self.base)
+        base = tuple(Fraction(x) for x in self.base)
         object.__setattr__(self, "base", base)
         components = tuple(Fraction(x) for x in self.components)
         object.__setattr__(self, "components", components)
-        if len(components) != self.space.ambient_dim:
-            raise DimensionMismatchError(
-                f"components have length {len(components)}, "
-                f"expected {self.space.ambient_dim}"
-            )
-        J = jacobian(self.space, base)
-        if any(x != 0 for x in linalg.matrix_vector(J, components)):
+        if not is_tangent(self.space, base, components):
             raise ValueError(
                 f"components {components} do not annihilate the generators at {base}"
             )
@@ -89,22 +117,20 @@ class TangentBasis:
 
 def tangent_space(space: SpacePresentation, point: Sequence[Fraction]) -> TangentBasis:
     """Tangent space at a member point as the exact kernel of the Jacobian."""
-    point = _require_member(space, point)
-    J = jacobian(space, point)
-    basis = linalg.kernel_basis(J, space.ambient_dim)
-    return TangentBasis(space=space, base=point, basis=tuple(basis))
+    a = analyse(space, point)
+    basis = linalg.solve_with_pivots(a.jacobian, space.ambient_dim, a.pivots)
+    return TangentBasis(space=space, base=a.point, basis=tuple(basis))
 
 
 def is_tangent(
     space: SpacePresentation, point: Sequence[Fraction], components: Sequence[Fraction]
 ) -> bool:
     """True iff the component vector annihilates every generator at the point."""
-    point = _require_member(space, point)
+    J = jacobian(space, point)
     if len(components) != space.ambient_dim:
         raise DimensionMismatchError(
             f"components have length {len(components)}, expected {space.ambient_dim}"
         )
-    J = jacobian(space, point)
     return all(x == 0 for x in linalg.matrix_vector(J, components))
 
 
@@ -124,11 +150,6 @@ def apply_derivation(v: TangentVector, f: RingElement) -> Fraction:
         ),
         Fraction(0),
     )
-
-
-def differential(f: RingElement, v: TangentVector) -> Fraction:
-    """The differential df evaluated on a tangent vector: df(v) = v . f."""
-    return apply_derivation(v, f)
 
 
 @dataclass(frozen=True)

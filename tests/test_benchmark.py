@@ -1,0 +1,72 @@
+"""Pins the answers the benchmark checks, and its tracer's hook points.
+
+The SHA-256 and exit code of every shipped fixture's ``verify`` and
+``stratify`` report are the values recorded in ``benchmarks/spec.json``
+(with the ``stratify`` exit codes of the same commit), so a change that
+moves any answer fails here, in tier 1, not only in the benchmark.
+"""
+
+import hashlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from subcart.cli import main
+from subcart.fixtures import NAMES, fixture_path
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+
+# fixture: (verify exit, verify sha256, stratify exit, stratify sha256)
+GOLDEN = {
+    "cone": (0, "f7292ed4b676a76f46009121071c78b93a08e40bd0106b44c27fbb4ac9ccbc90",
+             0, "42a33b75de780598ff714a84e9e7fadc613158d5fb46bab012d37590a3b07ae2"),
+    "sphere": (0, "9ac9b34b0c2a811ebc60b2943466de707f38742b84badd9e727a587f320fc192",
+               0, "23bf0ae61efa827c8167a2710b84acca19a5ceb4ffe779aa4bb08931aa9a9763"),
+    "coordinate_cross": (
+        0, "a85f4ad83bab5c2135a5724500f030ac1b150fa7d23e9fbb9fa62a13657f31eb",
+        0, "3f3fd1a407a3390e4a95b74754791feb51fabbff18b1b0ad791f9daa02efdd38"),
+    "whitney_umbrella": (
+        0, "2138681a04ed86df8318c44a4738ad83e5e0adb4e44672faecd525018d3aa1cc",
+        0, "1adf4a22bcc0af92d88a2b45977e7b94c14362d2560d60bac34d5ce36c77b0fb"),
+    "half_line": (0, "974f5aede61e51d409012046da002004fb4d54b7869181d6e9b2a4b8742984b6",
+                  0, "1d7cf76d268e6f7518f109a1e57e16202fcba5f74588d922f354b8f62ed762cc"),
+    "single_point": (
+        0, "0ad32d8af513eb4e29c3d6155c61d17410144af8831140b793966a36b50d1514",
+        0, "926d6c9362fa597ae2be38bdd3984b6af0a8771de97138b7ac2f8380045e2cd5"),
+    "usc_violation": (
+        1, "b47e61725b277aef4af07f433e12c4dd708a8af1b7e050cc285aaecf9fe07e66",
+        1, "c23228414c2f154a9b695749aaa231ac4d8e575b18850787b30c4585264cfd47"),
+    "openness_violation": (
+        1, "31fd37fa8d943c91e37daa8d6ac46e420e5d075fad782ff86ea59134dc16dd5d",
+        1, "df39ca0c9078e6aca0c5c773e7fd1fc39d56fccceff4b9479736f0c0a95f76ca"),
+    "discontinuous_section": (
+        1, "e09f49fedfe2f162a42e14dccf217aca01e6559b686dacfbc5e826b1167b7014",
+        0, "5b1aa247396b702c283099daf96571816a132a5a868efea6a20b16b3bef92fe7"),
+}
+
+
+def test_golden_covers_every_fixture():
+    assert set(GOLDEN) == set(NAMES)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_reports_match_golden_hashes(name, tmp_path, capsys):
+    verify_exit, verify_sha, stratify_exit, stratify_sha = GOLDEN[name]
+    for command, exit_code, sha in (
+        ("verify", verify_exit, verify_sha),
+        ("stratify", stratify_exit, stratify_sha),
+    ):
+        out = tmp_path / f"{command}.json"
+        assert main([command, str(fixture_path(name)), "--out", str(out)]) == exit_code
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha, (name, command)
+    capsys.readouterr()
+
+
+def test_tracer_targets_resolve():
+    spec = importlib.util.spec_from_file_location("tracer", BENCHMARKS / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, attr, name in tracer.SPANS + tracer.LEAVES:
+        owner, last = tracer.target(module, attr)
+        assert callable(vars(owner).get(last)), (module, attr, name)

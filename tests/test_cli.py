@@ -190,3 +190,32 @@ def test_reports_are_byte_identical_across_runs():
         second = run_subprocess(["verify", str(fixture_path(name))])
         assert first.stdout == second.stdout
         assert first.returncode == second.returncode
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--point", "0,0,0", "--radius=-1"],
+        ["stratify", "--radius=-1"],
+        ["stratify", "--epsilon=-1/2"],
+        ["frame", "--point", "1,0,1", "--radius=-1"],
+        ["verify", "--radius=-1"],
+        ["verify", "--epsilon=-1"],
+    ],
+)
+def test_negative_radius_or_epsilon_exits_2(argv, capsys):
+    command, *options = argv
+    code, out, err = run_cli([command, str(fixture_path("cone")), *options], capsys)
+    assert code == 2
+    assert out == ""
+    assert "nonnegative" in err
+
+
+def test_frame_refuses_a_singular_anchor_that_is_not_a_sample(capsys):
+    umbrella = str(fixture_path("whitney_umbrella"))
+    code, out, _ = run_cli(["classify", umbrella, "--point", "0,0,2"], capsys)
+    assert code == 0
+    assert json.loads(out)["label"] == "singular"
+    code, _, err = run_cli(["frame", umbrella, "--point", "0,0,2"], capsys)
+    assert code == 2
+    assert "singular" in err

@@ -1,6 +1,8 @@
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from subcart import linalg, poly
 from subcart.errors import FrameEvaluationError
@@ -17,8 +19,10 @@ from subcart.frames import (
 )
 from subcart.space import SpacePresentation, load_space, sample
 from subcart.stratify import stratify
-from subcart.tangent import jacobian
+from subcart.tangent import analyse, jacobian
 from subcart.fixtures import fixture_path
+
+from oracles import minor_rank
 
 
 @pytest.fixture
@@ -95,6 +99,49 @@ def test_common_pivot_chart_exists_across_cone_chart_boundary(cone):
 
 def test_no_common_pivot_chart_across_cross_branches(cross):
     assert not common_pivot_exists(cross, (F(1, 4), F(0)), (F(0), F(1, 4)))
+
+
+def _analyse_matrix(m, ncols):
+    """Analysis at the origin of the space cut out by the linear forms with
+    coefficient rows m, whose Jacobian there is exactly m."""
+    units = [tuple(int(i == j) for i in range(ncols)) for j in range(ncols)]
+    equations = tuple(
+        poly.Polynomial(ncols, dict(zip(units, row))) for row in m
+    )
+    space = SpacePresentation(name="linear", ambient_dim=ncols, equations=equations)
+    return analyse(space, (F(0),) * ncols)
+
+
+@st.composite
+def matrix_pairs(draw):
+    nrows, ncols = draw(st.integers(0, 3)), draw(st.integers(1, 4))
+    entries = st.integers(-2, 2).map(F)
+    matrix = st.lists(
+        st.lists(entries, min_size=ncols, max_size=ncols),
+        min_size=nrows,
+        max_size=nrows,
+    )
+    return draw(matrix), draw(matrix), ncols
+
+
+@settings(deadline=None, max_examples=200)
+@given(matrix_pairs())
+def test_chart_rule_matches_minor_enumeration(pair):
+    a, b, ncols = pair
+
+    def minor_charts(m):
+        r = minor_rank(m)
+        return {
+            cols
+            for cols in combinations(range(ncols), r)
+            if minor_rank([[row[c] for c in cols] for row in m]) == r
+        }
+
+    x, y = _analyse_matrix(a, ncols), _analyse_matrix(b, ncols)
+    assert x.charts == minor_charts(a) and y.charts == minor_charts(b)
+    assert x.shares_chart(y) == (
+        minor_rank(a) == minor_rank(b) and bool(minor_charts(a) & minor_charts(b))
+    )
 
 
 # -- bump functions -----------------------------------------------------------------

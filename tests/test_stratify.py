@@ -2,12 +2,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from subcart import poly
-from subcart.errors import NonMemberError
-from subcart.space import Sampler, SpacePresentation, sample
+from subcart import frames, poly
+from subcart.errors import FrameEvaluationError, NonMemberError, SubcartError
+from subcart.fixtures import NAMES, fixture_path
+from subcart.space import Sampler, SpacePresentation, load_space, sample
 from subcart.stratify import (
     PointRecord,
     classify,
+    classify_point,
     default_adjacency_radius,
     stratify,
     structural_dim,
@@ -67,6 +69,34 @@ def test_classify_smooth_cone_point_regular(cone):
 def test_classify_empty_neighbors_is_unknown(cone):
     assert classify(cone, (F(1), F(0), F(1)), []) == "unknown"
     assert classify(cone, (F(0), F(0), F(0)), []) == "unknown"
+
+
+def _frame_refused(space, report, point):
+    try:
+        frames.anchored_frame(space, report, point)
+    except FrameEvaluationError:
+        return False  # no shared chart with a target: not a refusal
+    except SubcartError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_stratify_classify_and_frame_agree_on_every_record(name):
+    space = load_space(fixture_path(name))
+    for radius in (None, F(1, 2)):
+        report = stratify(space, radius=radius)
+        for r in report.records:
+            assert classify_point(space, r.point, radius) == r
+            assert _frame_refused(space, report, r.point) == (r.label == "singular")
+
+
+def test_negative_radius_or_epsilon_is_rejected(cone):
+    for kwargs in ({"radius": F(-1)}, {"epsilon": F(-1, 3)}):
+        with pytest.raises(SubcartError, match="nonnegative"):
+            stratify(cone, **kwargs)
+    with pytest.raises(SubcartError, match="nonnegative"):
+        classify_point(cone, (F(0), F(0), F(0)), F(-1))
 
 
 def test_higher_dimensional_neighbors_do_not_make_a_point_singular(cone):
