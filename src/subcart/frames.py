@@ -14,7 +14,10 @@ triviality is local with respect to.
 The frozen pivots are valid at a point iff they are one of its charts
 (``tangent.PointAnalysis``).  ``frame_evaluations``, shared by
 ``verify_local_triviality`` and the CLI ``frame`` command, reads charts
-and Jacobians from the report's analyses instead of recomputing them.
+and Jacobians from the report's analyses instead of recomputing them, and
+takes its targets from the report's ``NeighbourIndex``: the strict
+(``<`` radius) neighbours of a sample anchor, or the same query for an
+anchor that is not a sample.
 
 The bump function is the single non-rational evaluation in the package
 (the standard exp(-1/t) smooth step on the sup-norm radial variable) and
@@ -35,7 +38,7 @@ from . import linalg
 from .errors import DimensionMismatchError, FrameEvaluationError, SubcartError
 from .poly import Point, format_point
 from .space import Sampler, SpacePresentation
-from .stratify import StratificationReport, Verdict, label_in_sample, sup_distance
+from .stratify import StratificationReport, Verdict, label, sup_distance
 from .tangent import PointAnalysis, analyse, jacobian
 
 Basis = tuple[tuple[Fraction, ...], ...]
@@ -236,39 +239,48 @@ def triviality_targets(
     report: StratificationReport, anchor_index: int
 ) -> list[int]:
     """Indices of regular records of the same dimension strictly within
-    the report's adjacency radius of the given regular record.
+    the report's adjacency radius of the given regular record, ascending.
 
-    Strict comparison realizes neighborhoods whose closure stays inside
-    the trivializing patch; at the default radius the closest cross-branch
-    pairs of the coordinate cross sit exactly at the radius and are
-    thereby excluded.
+    They are read from the report's neighbour index.  Strict comparison
+    realizes neighborhoods whose closure stays inside the trivializing
+    patch; at the default radius the closest cross-branch pairs of the
+    coordinate cross sit exactly at the radius and are thereby excluded.
     """
-    return _targets(report, report.analyses[anchor_index])
+    return _targets(
+        report,
+        report.analyses[anchor_index],
+        report.index.neighbours(anchor_index, strict=True),
+    )
 
 
-def _targets(report: StratificationReport, anchor: PointAnalysis) -> list[int]:
+def _targets(
+    report: StratificationReport, anchor: PointAnalysis, candidates: Sequence[int]
+) -> list[int]:
     return [
         j
-        for j, r in enumerate(report.records)
-        if r.point != anchor.point
-        and r.label == "regular"
-        and r.dim == anchor.dim
-        and sup_distance(r.point, anchor.point) < report.radius
+        for j in candidates
+        if report.records[j].point != anchor.point
+        and report.records[j].label == "regular"
+        and report.records[j].dim == anchor.dim
     ]
 
 
 def frame_evaluations(
-    space: SpacePresentation, report: StratificationReport, anchor: PointAnalysis
+    space: SpacePresentation,
+    report: StratificationReport,
+    anchor: PointAnalysis,
+    targets: Sequence[int],
 ) -> tuple[FrameSection, list[tuple[PointAnalysis, Basis]]]:
     """The frame anchored at a point and its exact vectors at each of the
-    anchor's triviality targets where its frozen pivots are a chart.
+    given record indices (the anchor's triviality targets) where its
+    frozen pivots are a chart.
 
     Raises FrameEvaluationError at the first target that shares no chart
     with the anchor: no single trivialization covers the pair.
     """
     frame = _frame(space, anchor)
     evaluations = []
-    for j in _targets(report, anchor):
+    for j in targets:
         other = report.analyses[j]
         if not anchor.shares_chart(other):
             raise FrameEvaluationError(
@@ -290,14 +302,17 @@ def anchored_frame(
     """``frame_evaluations`` at any member point, sample point or not.
 
     Raises SubcartError when the point is labelled singular against the
-    report's samples, by the same rule that labels the records.
+    report's samples, by the same rule that labels the records (a sample
+    at the point counts as evidence, as it does for the record).
     """
     anchor = analyse(space, point)
-    if label_in_sample(anchor, report.analyses, report.radius) == "singular":
+    near = report.index.near(anchor.point)
+    if label(anchor.dim, [report.analyses[j].dim for j in near]) == "singular":
         raise SubcartError(
             f"cannot anchor a frame at the singular point {format_point(anchor.point)}"
         )
-    return frame_evaluations(space, report, anchor)
+    targets = _targets(report, anchor, report.index.near(anchor.point, strict=True))
+    return frame_evaluations(space, report, anchor, targets)
 
 
 def verify_local_triviality(
@@ -315,11 +330,13 @@ def verify_local_triviality(
     removed origin.
     """
     checked = 0
-    for record, anchor in zip(report.records, report.analyses):
+    for i, (record, anchor) in enumerate(zip(report.records, report.analyses)):
         if record.label != "regular":
             continue
         try:
-            frame, evaluations = frame_evaluations(space, report, anchor)
+            frame, evaluations = frame_evaluations(
+                space, report, anchor, triviality_targets(report, i)
+            )
         except FrameEvaluationError as exc:
             return Verdict("local_triviality", False, str(exc))
         for other, vectors in evaluations:

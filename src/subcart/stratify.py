@@ -19,19 +19,30 @@ and the frame anchor check all apply:
   certify nothing about x;
 * no sampled neighbor at all is no evidence, so x is unknown.
 
-All adjacency uses the exact rational sup-norm.  Default radius and
-epsilon are the maximum nearest-neighbor gap of the sample set (computed
-once), so the defaults scale with sampling density instead of being
-assumed.  A negative radius or epsilon, which would leave every point
-without evidence, is an input error.
+Every adjacency question (labels, usc, open, dense, the triviality
+targets, and classification of points that are not samples) is answered
+by one ``NeighbourIndex`` per radius.  It multiplies the coordinates and
+the radius by the lcm of their denominators, so every comparison is
+between integers and exact: a pair at exactly the radius is a neighbour
+for the ``<=`` questions (labels, usc, open, and dense with epsilon) and
+not for the strict ``<`` of the triviality targets, which keeps the
+coordinate cross's branches apart.  Default radius and epsilon are the
+maximum nearest-neighbor gap of the sample set (computed once, on the
+same integer coordinates), so the defaults scale with sampling density
+instead of being assumed.  A negative radius or epsilon, which would
+leave every point without evidence, is an input error; a radius that
+leaves some sample without any other sample within it is reported as a
+caveat, since those labels rest on no neighbour evidence.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Literal, Sequence
+from itertools import product
+from typing import Iterator, Literal, Sequence
 
 from .errors import NoSampleSourceError, SubcartError
 from .poly import Point, format_point
@@ -56,17 +67,6 @@ def label(dim: int, neighbor_dims: Sequence[int]) -> Label:
     if not neighbor_dims:
         return "unknown"
     return "singular" if min(neighbor_dims) < dim else "regular"
-
-
-def label_in_sample(
-    x: PointAnalysis, analyses: Sequence[PointAnalysis], radius: Fraction
-) -> Label:
-    """``label`` with every analysed sample point within the radius as
-    evidence (the point itself included when it is a sample, so isolated
-    sample points are regular rather than unknown)."""
-    return label(
-        x.dim, [a.dim for a in analyses if sup_distance(x.point, a.point) <= radius]
-    )
 
 
 def classify(
@@ -114,6 +114,7 @@ class StratificationReport:
     ambient_dim: int
     records: tuple[PointRecord, ...]
     analyses: tuple[PointAnalysis, ...]  # analyses[i] is the point of records[i]
+    index: NeighbourIndex = field(repr=False, compare=False)  # records' points, radius
     radius: Fraction
     epsilon: Fraction
     strata: tuple[tuple[int, ...], ...]  # strata[i] = record indices with dim <= i
@@ -143,67 +144,177 @@ class StratificationReport:
         return json.dumps(self.to_json(), indent=2) + "\n"
 
 
-def default_adjacency_radius(points: Sequence[Point]) -> Fraction:
-    """Maximum over sample points of the distance to the nearest other
-    sample point; 0 when fewer than two points exist."""
-    if len(points) < 2:
-        return Fraction(0)
-    worst = Fraction(0)
-    for i, p in enumerate(points):
-        nearest = min(
-            sup_distance(p, q) for j, q in enumerate(points) if j != i
-        )
-        if nearest > worst:
-            worst = nearest
-    return worst
-
-
-def _neighbor_indices(
-    records: Sequence[PointRecord], i: int, radius: Fraction
-) -> list[int]:
-    return [
-        j
-        for j, r in enumerate(records)
-        if j != i and sup_distance(records[i].point, r.point) <= radius
+def _integer_points(
+    points: Sequence[Sequence[Fraction]], *extra: Fraction
+) -> tuple[int, list[tuple[int, ...]]]:
+    """The lcm of the denominators of the points and of ``extra``, and the
+    points multiplied by it: integer tuples whose sup-norm distances are
+    the rational ones times that scale."""
+    scale = math.lcm(
+        *(c.denominator for p in points for c in p), *(f.denominator for f in extra)
+    )
+    return scale, [
+        tuple(c.numerator * (scale // c.denominator) for c in p) for p in points
     ]
 
 
-def verify_usc(records: Sequence[PointRecord], adjacency_radius: Fraction) -> Verdict:
+def _axes(points: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
+    """At most three coordinate axes, those with the most distinct values
+    first (ties by position): the sweep axis of the nearest-neighbour gap
+    and the cell axes of ``NeighbourIndex``."""
+    if not points:
+        return ()
+    spread = [len({p[a] for p in points}) for a in range(len(points[0]))]
+    return tuple(sorted(range(len(spread)), key=lambda a: -spread[a])[:3])
+
+
+def _gap(p: Sequence[Fraction | int], q: Sequence[int]) -> Fraction | int:
+    return max(abs(a - b) for a, b in zip(p, q))
+
+
+def _nearest_gap(
+    order: Sequence[tuple[int, ...]], axis: int, k: int, enough: int
+) -> int:
+    """Distance from ``order[k]`` to the nearest other point of ``order``
+    (sorted along ``axis``), or the first distance found that is at most
+    ``enough``.  A point whose gap along the axis alone reaches the best
+    distance so far, and every point beyond it, cannot be nearer."""
+    p = order[k]
+    best = None
+    for step in (1, -1):
+        m = k + step
+        while 0 <= m < len(order):
+            if best is not None and abs(order[m][axis] - p[axis]) >= best:
+                break
+            d = _gap(p, order[m])
+            if best is None or d < best:
+                if d <= enough:
+                    return d
+                best = d
+            m += step
+    return best
+
+
+def default_adjacency_radius(points: Sequence[Point]) -> Fraction:
+    """Maximum over sample points of the distance to the nearest other
+    sample point; 0 when fewer than two points exist.
+
+    Computed exactly on integer-scaled coordinates by a sweep along the
+    axis with the most distinct values; a point's search stops as soon as
+    it cannot raise the maximum found so far."""
+    if len(points) < 2:
+        return Fraction(0)
+    scale, scaled = _integer_points(points)
+    axis = _axes(scaled)[0]
+    order = sorted(scaled, key=lambda p: p[axis])
+    worst = 0
+    for k in range(len(order)):
+        worst = max(worst, _nearest_gap(order, axis, k, worst))
+    return Fraction(worst, scale)
+
+
+class NeighbourIndex:
+    """Exact fixed-radius sup-norm neighbours of a point set.
+
+    Coordinates and radius are multiplied by the lcm of their
+    denominators, so distances are compared as integers.  Points are
+    hashed into cells of side max(scaled radius, 1) along at most three
+    axes (Bentley, Stanat & Williams 1977): two points within the radius
+    lie in the same or adjacent cells, so only those pairs are compared.
+    Each point's neighbours are stored as ascending indices, once within
+    the closed ball (``<=`` radius) and once within the open ball (``<``).
+    """
+
+    def __init__(self, points: Sequence[Sequence[Fraction]], radius: Fraction):
+        self.radius = radius
+        self._scale, self._points = _integer_points(points, radius)
+        self._reach = radius.numerator * (self._scale // radius.denominator)
+        self._side = max(self._reach, 1)
+        self._axes = _axes(self._points)
+        self._offsets = tuple(product((-1, 0, 1), repeat=len(self._axes)))
+        self._cells: dict[tuple[int, ...], list[int]] = {}
+        for i, p in enumerate(self._points):
+            self._cells.setdefault(self._cell(p), []).append(i)
+        closed: list[list[int]] = [[] for _ in self._points]
+        strict: list[list[int]] = [[] for _ in self._points]
+        for i, p in enumerate(self._points):
+            for j in self._candidates(p):
+                if j <= i:
+                    continue
+                d = _gap(p, self._points[j])
+                if d <= self._reach:
+                    closed[i].append(j)
+                    closed[j].append(i)
+                    if d < self._reach:
+                        strict[i].append(j)
+                        strict[j].append(i)
+        self._closed = tuple(tuple(sorted(c)) for c in closed)
+        self._strict = tuple(tuple(sorted(c)) for c in strict)
+
+    def _cell(self, scaled: Sequence[Fraction | int]) -> tuple[int, ...]:
+        return tuple(scaled[a] // self._side for a in self._axes)
+
+    def _candidates(self, scaled: Sequence[Fraction | int]) -> Iterator[int]:
+        """Indices of the points in the cells adjacent to the point's cell."""
+        key = self._cell(scaled)
+        for offset in self._offsets:
+            yield from self._cells.get(tuple(k + o for k, o in zip(key, offset)), ())
+
+    def neighbours(self, i: int, strict: bool = False) -> tuple[int, ...]:
+        """Ascending indices j != i of the points within the radius of
+        point i (closer than the radius when ``strict``)."""
+        return self._strict[i] if strict else self._closed[i]
+
+    def near(self, point: Sequence[Fraction], strict: bool = False) -> list[int]:
+        """Ascending indices of the points within the radius of any point
+        (closer than the radius when ``strict``); an indexed point equal
+        to it is included."""
+        scaled = [c * self._scale for c in point]
+        found = []
+        for j in self._candidates(scaled):
+            d = _gap(scaled, self._points[j])
+            if d < self._reach or (d == self._reach and not strict):
+                found.append(j)
+        return sorted(found)
+
+
+def verify_usc(records: Sequence[PointRecord], index: NeighbourIndex) -> Verdict:
     """Sampled upper semicontinuity of the dimension function.
 
     Fails iff some sampled point has neighbors within the radius and every
     one of them has strictly larger dimension: then the point's dimension
     is contradicted by all local evidence, the sampled witness of an
-    upward jump in the limit.
+    upward jump in the limit.  ``index`` holds the records' points.
     """
     if not records:
         raise ValueError("verify_usc requires at least one record")
     for i, record in enumerate(records):
-        neighbor_dims = [records[j].dim for j in _neighbor_indices(records, i, adjacency_radius)]
+        neighbor_dims = [records[j].dim for j in index.neighbours(i)]
         if neighbor_dims and all(d > record.dim for d in neighbor_dims):
             return Verdict(
                 "usc",
                 False,
                 f"point {format_point(record.point)} of dimension {record.dim} is "
                 f"approximated only by higher-dimensional samples within radius "
-                f"{adjacency_radius}",
+                f"{index.radius}",
             )
     return Verdict("usc", True)
 
 
-def verify_open(records: Sequence[PointRecord], adjacency_radius: Fraction) -> Verdict:
+def verify_open(records: Sequence[PointRecord], index: NeighbourIndex) -> Verdict:
     """Sampled openness of the regular part.
 
     A regular point may abut singular samples only when those belong to a
     strictly higher-dimensional (thinner) stratum; a non-regular neighbor
     of dimension <= its own contradicts openness at sampling scale.
+    ``index`` holds the records' points.
     """
     if not records:
         raise ValueError("verify_open requires at least one record")
     for i, record in enumerate(records):
         if record.label != "regular":
             continue
-        for j in _neighbor_indices(records, i, adjacency_radius):
+        for j in index.neighbours(i):
             other = records[j]
             if other.label != "regular" and other.dim <= record.dim:
                 return Verdict(
@@ -211,23 +322,26 @@ def verify_open(records: Sequence[PointRecord], adjacency_radius: Fraction) -> V
                     False,
                     f"regular point {format_point(record.point)} has "
                     f"{other.label} neighbor {format_point(other.point)} of "
-                    f"dimension {other.dim} within radius {adjacency_radius}",
+                    f"dimension {other.dim} within radius {index.radius}",
                 )
     return Verdict("open", True)
 
 
-def verify_dense(records: Sequence[PointRecord], epsilon: Fraction) -> Verdict:
+def verify_dense(records: Sequence[PointRecord], index: NeighbourIndex) -> Verdict:
     """Sampled density of the regular part: every sampled point (itself
-    included) has a regular-labeled sample within epsilon."""
+    included) has a regular-labeled sample within epsilon, the radius of
+    ``index``, which holds the records' points."""
     if not records:
         raise ValueError("verify_dense requires at least one record")
-    regular_points = [r.point for r in records if r.label == "regular"]
-    for record in records:
-        if not any(sup_distance(record.point, p) <= epsilon for p in regular_points):
+    for i, record in enumerate(records):
+        if record.label != "regular" and not any(
+            records[j].label == "regular" for j in index.neighbours(i)
+        ):
             return Verdict(
                 "dense",
                 False,
-                f"no regular sample within {epsilon} of {format_point(record.point)}",
+                f"no regular sample within {index.radius} of "
+                f"{format_point(record.point)}",
             )
     return Verdict("dense", True)
 
@@ -250,7 +364,7 @@ def classify_point(
     x = analyse(space, point)
     points = sample(space)
     (radius,) = _radii(points, radius)
-    neighbors = [q for q in points if sup_distance(x.point, q) <= radius]
+    neighbors = [points[j] for j in NeighbourIndex(points, radius).near(x.point)]
     return PointRecord(x.point, x.dim, classify(space, x.point, neighbors))
 
 
@@ -259,16 +373,25 @@ def stratify(
     radius: Fraction | None = None,
     epsilon: Fraction | None = None,
 ) -> StratificationReport:
-    """Full pipeline: sample, analyse each point once, classify, build
-    strata, and run the usc / open / dense verifiers."""
+    """Full pipeline: sample, analyse each point once, index the
+    neighbours once per distinct radius, classify, build strata, and run
+    the usc / open / dense verifiers."""
     points = sample(space)
     if not points:
         raise NoSampleSourceError(f"space {space.name!r} produced no sample points")
     radius, epsilon = _radii(points, radius, epsilon)
     analyses = tuple(analyse(space, p) for p in points)
+    index = NeighbourIndex(points, radius)
+    dense_index = index if epsilon == radius else NeighbourIndex(points, epsilon)
+    # a sample is evidence for itself, so isolated samples are regular
+    # rather than unknown
     records = tuple(
-        PointRecord(a.point, a.dim, label_in_sample(a, analyses, radius))
-        for a in analyses
+        PointRecord(
+            a.point,
+            a.dim,
+            label(a.dim, [a.dim] + [analyses[j].dim for j in index.neighbours(i)]),
+        )
+        for i, a in enumerate(analyses)
     )
 
     strata = tuple(
@@ -276,18 +399,26 @@ def stratify(
         for level in range(space.ambient_dim + 1)
     )
     verdicts = (
-        verify_usc(records, radius),
-        verify_open(records, radius),
-        verify_dense(records, epsilon),
+        verify_usc(records, index),
+        verify_open(records, index),
+        verify_dense(records, dense_index),
     )
+    caveats = repeated_factor_caveats(space)
+    isolated = sum(1 for i in range(len(points)) if not index.neighbours(i))
+    if len(points) > 1 and isolated:
+        caveats.append(
+            f"{isolated} of {len(points)} records have no other sample within "
+            f"radius {radius}: their labels rest on no neighbour evidence"
+        )
     return StratificationReport(
         space_name=space.name,
         ambient_dim=space.ambient_dim,
         records=records,
         analyses=analyses,
+        index=index,
         radius=radius,
         epsilon=epsilon,
         strata=strata,
         verdicts=verdicts,
-        caveats=tuple(repeated_factor_caveats(space)),
+        caveats=tuple(caveats),
     )

@@ -2,8 +2,8 @@
 
 Deliberately written against plain data structures with naive algorithms
 (Laplace determinants, exhaustive minor enumeration, dict-based term
-bookkeeping) so they share no code path with the implementations they
-check.
+bookkeeping, all-pairs distances) so they share no code path with the
+implementations they check.
 """
 
 from __future__ import annotations
@@ -94,3 +94,33 @@ def grid_values(lo: Fraction, hi: Fraction, resolution: int) -> list[Fraction]:
 def grid_points(box, resolution: int):
     axes = [grid_values(lo, hi, resolution) for lo, hi in box]
     return [tuple(p) for p in product(*axes)]
+
+
+# naive neighbours: every pair compared in exact rationals
+
+
+def naive_sup(p, q) -> Fraction:
+    return max(abs(Fraction(a) - Fraction(b)) for a, b in zip(p, q))
+
+
+def naive_neighbours(points, radius, strict=False) -> list[list[int]]:
+    """For each point, the ascending indices of the other points within
+    the radius (closer than it when strict)."""
+    out = []
+    for i, p in enumerate(points):
+        near = []
+        for j, q in enumerate(points):
+            d = naive_sup(p, q)
+            if j != i and (d < radius if strict else d <= radius):
+                near.append(j)
+        out.append(near)
+    return out
+
+
+def naive_max_nearest_gap(points) -> Fraction:
+    if len(points) < 2:
+        return Fraction(0)
+    return max(
+        min(naive_sup(p, q) for j, q in enumerate(points) if j != i)
+        for i, p in enumerate(points)
+    )

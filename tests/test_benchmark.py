@@ -1,13 +1,16 @@
 """Pins the answers the benchmark checks, and its tracer's hook points.
 
 The SHA-256 and exit code of every shipped fixture's ``verify`` and
-``stratify`` report are the values recorded in ``benchmarks/spec.json``
-(with the ``stratify`` exit codes of the same commit), so a change that
-moves any answer fails here, in tier 1, not only in the benchmark.
+``stratify`` report, and of the ``verify`` reports of the two scaled
+inputs (the Whitney umbrella at resolution 15, the sphere at resolution
+11), are the values recorded in ``benchmarks/spec.json`` (with the
+``stratify`` exit codes of the same commit), so a change that moves any
+answer fails here, in tier 1, not only in the benchmark.
 """
 
 import hashlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -45,6 +48,14 @@ GOLDEN = {
         0, "5b1aa247396b702c283099daf96571816a132a5a868efea6a20b16b3bef92fe7"),
 }
 
+# (fixture, sampler resolution): (verify exit, verify sha256)
+SCALED_GOLDEN = {
+    ("whitney_umbrella", 15): (
+        0, "88241c5b83c8183d522963d5474cc909f08ed1f185b72664ccbd1cc6d2cec8f3"),
+    ("sphere", 11): (
+        0, "1bfd5d551b7b64249056f6910f450036a3a0188dd069fb101d5d326a8e5fce83"),
+}
+
 
 def test_golden_covers_every_fixture():
     assert set(GOLDEN) == set(NAMES)
@@ -60,6 +71,22 @@ def test_reports_match_golden_hashes(name, tmp_path, capsys):
         out = tmp_path / f"{command}.json"
         assert main([command, str(fixture_path(name)), "--out", str(out)]) == exit_code
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha, (name, command)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("name,resolution", sorted(SCALED_GOLDEN))
+def test_scaled_reports_match_golden_hashes(name, resolution, tmp_path, capsys):
+    # the benchmark's inputs: the fixture with every sampler's resolution
+    # rewritten, so the samples spread over many neighbour-index cells
+    data = json.loads(fixture_path(name).read_text(encoding="utf-8"))
+    for sampler in data["samplers"]:
+        sampler["resolution"] = resolution
+    space = tmp_path / f"{name}.json"
+    space.write_text(json.dumps(data, indent=2), encoding="utf-8")
+    out = tmp_path / "verify.json"
+    exit_code, sha = SCALED_GOLDEN[name, resolution]
+    assert main(["verify", str(space), "--out", str(out)]) == exit_code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
     capsys.readouterr()
 
 

@@ -219,3 +219,19 @@ def test_frame_refuses_a_singular_anchor_that_is_not_a_sample(capsys):
     code, _, err = run_cli(["frame", umbrella, "--point", "0,0,2"], capsys)
     assert code == 2
     assert "singular" in err
+
+
+@pytest.mark.parametrize("radius", ["0", "1/100"])
+def test_vacuous_radius_is_a_caveat(radius, capsys):
+    # every cone sample is alone within the radius: the apex comes out
+    # regular and every verdict passes, on no neighbour evidence at all
+    code, out, _ = run_cli(
+        ["verify", str(fixture_path("cone")), f"--radius={radius}"], capsys
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["counts"]["singular"] == 0
+    assert data["caveats"] == [
+        f"41 of 41 records have no other sample within radius {radius}: "
+        "their labels rest on no neighbour evidence"
+    ]

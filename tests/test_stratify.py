@@ -1,12 +1,14 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from subcart import frames, poly
 from subcart.errors import FrameEvaluationError, NonMemberError, SubcartError
 from subcart.fixtures import NAMES, fixture_path
 from subcart.space import Sampler, SpacePresentation, load_space, sample
 from subcart.stratify import (
+    NeighbourIndex,
     PointRecord,
     classify,
     classify_point,
@@ -20,9 +22,15 @@ from subcart.stratify import (
 )
 from subcart.tangent import tangent_space
 
+from oracles import naive_max_nearest_gap, naive_neighbours, naive_sup
+
 
 def record(point, dim, label="regular"):
     return PointRecord(tuple(F(c) for c in point), dim, label)
+
+
+def index_of(records, radius):
+    return NeighbourIndex([r.point for r in records], radius)
 
 
 # -- structural dimension -------------------------------------------------------
@@ -125,6 +133,73 @@ def test_default_radius_degenerates_to_zero():
     assert default_adjacency_radius([]) == 0
 
 
+# -- neighbour index ---------------------------------------------------------------
+
+# small fractions, and huge ones like the sphere's (whose samples share a
+# denominator lcm of about 2*10^23)
+RATIONALS = st.one_of(
+    st.fractions(min_value=-4, max_value=4, max_denominator=12),
+    st.builds(F, st.integers(-(10**24), 10**24), st.integers(1, 3 * 10**23)),
+)
+
+
+@st.composite
+def point_sets(draw):
+    """(dimension, points, radius, query point).  Coordinates come from a
+    small pool, so values repeat and points coincide; the radius is 0, a
+    random value or exactly the distance of two of the points."""
+    dim = draw(st.integers(1, 3))
+    pool = draw(st.lists(RATIONALS, min_size=1, max_size=5))
+    coordinate = st.sampled_from(pool)
+    points = draw(st.lists(st.tuples(*[coordinate] * dim), max_size=12))
+    query = draw(st.tuples(*[st.one_of(coordinate, RATIONALS)] * dim))
+    radii = [F(0), abs(draw(RATIONALS))]
+    radii += [naive_sup(p, q) for p in points[:3] for q in points[:3]]
+    return dim, points, draw(st.sampled_from(radii)), query
+
+
+def neighbour_lists(index, count, strict):
+    return [list(index.neighbours(i, strict)) for i in range(count)]
+
+
+@given(point_sets())
+@settings(max_examples=200, deadline=None)
+def test_neighbour_index_matches_all_pairs_oracle(case):
+    _, points, radius, query = case
+    index = NeighbourIndex(points, radius)
+    for strict in (False, True):
+        assert neighbour_lists(index, len(points), strict) == naive_neighbours(
+            points, radius, strict
+        )
+        for q in [query, *points]:
+            assert index.near(q, strict) == [
+                j
+                for j, p in enumerate(points)
+                if (naive_sup(q, p) < radius if strict else naive_sup(q, p) <= radius)
+            ]
+    assert default_adjacency_radius(points) == naive_max_nearest_gap(points)
+
+
+@given(point_sets(), RATIONALS.filter(bool), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_neighbour_lists_survive_scaling_and_coordinate_permutation(case, c, rng):
+    dim, points, radius, _ = case
+    index = NeighbourIndex(points, radius)
+    scaled = [tuple(c * x for x in p) for p in points]
+    order = list(range(dim))
+    rng.shuffle(order)
+    permuted = [tuple(p[k] for k in order) for p in points]
+    for strict in (False, True):
+        expected = neighbour_lists(index, len(points), strict)
+        scaled_index = NeighbourIndex(scaled, abs(c) * radius)
+        assert neighbour_lists(scaled_index, len(points), strict) == expected
+        permuted_index = NeighbourIndex(permuted, radius)
+        assert neighbour_lists(permuted_index, len(points), strict) == expected
+    gap = default_adjacency_radius(points)
+    assert default_adjacency_radius(scaled) == abs(c) * gap
+    assert default_adjacency_radius(permuted) == gap
+
+
 # -- full pipeline ----------------------------------------------------------------
 
 
@@ -198,14 +273,14 @@ def test_usc_passes_on_cone_and_sphere(cone, sphere):
 def test_usc_fails_on_isolated_low_dimensional_point():
     # a dim-1 point whose only neighbor within the radius has dim 2
     records = [record((1, 0), 1), record((0, 0), 2)]
-    verdict = verify_usc(records, F(1))
+    verdict = verify_usc(records, index_of(records, F(1)))
     assert not verdict.passed
     assert "(1, 0)" in verdict.detail
 
 
 def test_usc_vacuous_for_isolated_points():
     records = [record((0, 0), 1), record((10, 0), 2)]
-    assert verify_usc(records, F(1)).passed
+    assert verify_usc(records, index_of(records, F(1))).passed
 
 
 def test_open_passes_on_cone_and_sphere(cone, sphere):
@@ -217,7 +292,7 @@ def test_open_fails_on_regular_point_with_singular_peer():
     # hand-built labels: a regular point whose only neighbor is singular
     # at the same dimension
     records = [record((0,), 1, "regular"), record((1,), 1, "singular")]
-    verdict = verify_open(records, F(1))
+    verdict = verify_open(records, index_of(records, F(1)))
     assert not verdict.passed
 
 
@@ -227,12 +302,14 @@ def test_open_allows_higher_dimensional_singular_boundary():
         record((0, 0), 2, "singular"),
         record((2, 0), 1, "regular"),
     ]
-    assert verify_open(records, F(1)).passed
+    assert verify_open(records, index_of(records, F(1))).passed
 
 
 def test_dense_examples(cone, cross):
     cone_report = stratify(cone)
-    assert verify_dense(cone_report.records, F(1, 4)).passed
+    assert verify_dense(
+        cone_report.records, index_of(cone_report.records, F(1, 4))
+    ).passed
     cross_report = stratify(cross, epsilon=F(1, 4))
     assert cross_report.verdict("dense").passed
 
@@ -265,13 +342,13 @@ def test_dense_with_coarse_cross_and_unit_epsilon():
 
 def test_dense_fails_without_nearby_regular_points():
     records = [record((0,), 2, "singular"), record((5,), 1, "regular")]
-    assert not verify_dense(records, F(1)).passed
+    assert not verify_dense(records, index_of(records, F(1))).passed
 
 
 def test_verifiers_reject_empty_records():
     for verifier in (verify_usc, verify_open, verify_dense):
         with pytest.raises(ValueError):
-            verifier([], F(1))
+            verifier([], index_of([], F(1)))
 
 
 # -- report serialization ----------------------------------------------------------
