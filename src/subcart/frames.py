@@ -12,12 +12,14 @@ destroy smoothness of the sections and mask the rank boundary that local
 triviality is local with respect to.
 
 The frozen pivots are valid at a point iff they are one of its charts
-(``tangent.PointAnalysis``).  ``frame_evaluations``, shared by
-``verify_local_triviality`` and the CLI ``frame`` command, reads charts
-and Jacobians from the report's analyses instead of recomputing them, and
-takes its targets from the report's ``NeighbourIndex``: the strict
-(``<`` radius) neighbours of a sample anchor, or the same query for an
-anchor that is not a sample.
+(``tangent.PointAnalysis``), and the frame's vectors there are the kernel
+basis the analysis stored for that chart.  ``frame_evaluations``, shared
+by ``verify_local_triviality`` and the CLI ``frame`` command, reads charts
+and bases from the report's analyses, so no frame is solved again at a
+target, and takes its targets from the report's ``NeighbourIndex``: the
+strict (``<`` radius) neighbours of a sample anchor, or the same query for
+an anchor that is not a sample.  ``verify_local_triviality`` still checks
+every basis it uses, once per target and chart.
 
 The bump function is the single non-rational evaluation in the package
 (the standard exp(-1/t) smooth step on the sup-norm radial variable) and
@@ -39,9 +41,7 @@ from .errors import DimensionMismatchError, FrameEvaluationError, SubcartError
 from .poly import Point, format_point
 from .space import Sampler, SpacePresentation
 from .stratify import StratificationReport, Verdict, label, sup_distance
-from .tangent import PointAnalysis, analyse, jacobian
-
-Basis = tuple[tuple[Fraction, ...], ...]
+from .tangent import Basis, PointAnalysis, analyse, jacobian
 
 
 @dataclass(frozen=True)
@@ -273,7 +273,7 @@ def frame_evaluations(
 ) -> tuple[FrameSection, list[tuple[PointAnalysis, Basis]]]:
     """The frame anchored at a point and its exact vectors at each of the
     given record indices (the anchor's triviality targets) where its
-    frozen pivots are a chart.
+    frozen pivots are a chart, read from the targets' stored bases.
 
     Raises FrameEvaluationError at the first target that shares no chart
     with the anchor: no single trivialization covers the pair.
@@ -288,11 +288,9 @@ def frame_evaluations(
                 f"and {format_point(other.point)}: the bundle is not "
                 f"trivializable over this neighborhood"
             )
-        if frame.pivot_columns in other.charts:  # else another chart covers it
-            basis = linalg.solve_with_pivots(
-                other.jacobian, space.ambient_dim, frame.pivot_columns
-            )
-            evaluations.append((other, tuple(basis)))
+        basis = other.bases.get(frame.pivot_columns)
+        if basis is not None:  # else another chart covers it
+            evaluations.append((other, basis))
     return frame, evaluations
 
 
@@ -328,8 +326,13 @@ def verify_local_triviality(
     with the identity pattern on free columns (checked, not assumed).  The
     coordinate-cross branches fail the chart check when sampled across the
     removed origin.
+
+    An evaluation is a stored basis, fixed by its target and chart (targets
+    share the anchor's dimension), so each basis is checked on first use
+    and every later pair that reads it is counted without checking again.
     """
     checked = 0
+    verified: set[tuple[Point, tuple[int, ...]]] = set()
     for i, (record, anchor) in enumerate(zip(report.records, report.analyses)):
         if record.label != "regular":
             continue
@@ -341,6 +344,9 @@ def verify_local_triviality(
             return Verdict("local_triviality", False, str(exc))
         for other, vectors in evaluations:
             checked += 1
+            if (other.point, frame.pivot_columns) in verified:
+                continue
+            verified.add((other.point, frame.pivot_columns))
             if len(vectors) != record.dim:
                 return Verdict(
                     "local_triviality",

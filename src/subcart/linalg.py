@@ -70,15 +70,36 @@ def _chart_rref(
     return reduced if pivots == list(range(len(columns))) else None
 
 
-def charts(matrix: Matrix, ncols: int) -> frozenset[tuple[int, ...]]:
-    """Every chart of the matrix as an ascending column tuple: the pivot
-    patterns that ``solve_with_pivots`` accepts."""
-    r = rank(matrix)
-    return frozenset(
-        columns
-        for columns in itertools.combinations(range(ncols), r)
-        if _chart_rref(matrix, ncols, columns) is not None
-    )
+def _kernel_basis(
+    reduced: Matrix, ncols: int, columns: Sequence[int]
+) -> tuple[Vector, ...]:
+    """Kernel basis read off the ``_chart_rref`` of a chart: one vector per
+    free column, 1 there, 0 on the other free columns, and the negated
+    reduced entries on the chart's columns."""
+    free = [c for c in range(ncols) if c not in columns]
+    basis = []
+    for k, f in enumerate(free):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for p, row in zip(columns, reduced):
+            v[p] = -row[len(columns) + k]
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
+def chart_bases(
+    matrix: Matrix, ncols: int, rank: int
+) -> dict[tuple[int, ...], tuple[Vector, ...]]:
+    """Every chart of a matrix of the given rank, as an ascending column
+    tuple, mapped to its pivot-normalized kernel basis: the pivot patterns
+    that ``solve_with_pivots`` accepts and what it returns for them, from
+    one elimination per chart."""
+    bases = {}
+    for columns in itertools.combinations(range(ncols), rank):
+        reduced = _chart_rref(matrix, ncols, columns)
+        if reduced is not None:
+            bases[columns] = _kernel_basis(reduced, ncols, columns)
+    return bases
 
 
 def solve_with_pivots(
@@ -93,15 +114,7 @@ def solve_with_pivots(
     reduced = _chart_rref(matrix, ncols, pivot_columns)
     if reduced is None:
         return None
-    free = [c for c in range(ncols) if c not in pivot_columns]
-    basis = []
-    for k, f in enumerate(free):
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for p, row in zip(pivot_columns, reduced):
-            v[p] = -row[len(pivot_columns) + k]
-        basis.append(tuple(v))
-    return basis
+    return list(_kernel_basis(reduced, ncols, pivot_columns))
 
 
 def matrix_vector(matrix: Matrix, vector: Sequence[Fraction]) -> Vector:

@@ -7,6 +7,16 @@ rarely lie on a variety exactly, so sampling goes through rational
 parameterizations (samplers) whose images are on S by polynomial identity,
 plus optional explicit rational points.
 
+Sample sources are validated on one path, once per presentation: each
+sampler is composed with each equation once, and each grid image and
+explicit point is membership-tested once.  ``space_from_dict`` runs it at
+load, where a failure is a ``SpaceFormatError`` naming the offending
+field; the presentation keeps the images, so ``sample`` only deduplicates
+them, once.  A presentation built directly is validated on its first
+``sample``, which reports the same failure as a ``SamplerInvariantError``.
+A space file may ask for at most ``MAX_GRID_POINTS`` grid points per
+sampler.
+
 Equality of two polynomial representatives as functions on S is certified
 by caller-supplied witnesses: F and G agree on S when F - G is an explicit
 combination sum(a_i * g_i) of the presented generators.  No general ideal
@@ -39,6 +49,8 @@ from .errors import (
 from .poly import Point, Polynomial, format_point
 
 Inequality = tuple[Polynomial, bool]  # (polynomial, strict?)
+
+MAX_GRID_POINTS = 100_000  # per sampler of a space file
 
 
 @dataclass(frozen=True)
@@ -136,6 +148,16 @@ class SpacePresentation:
             for g in self.equations
         )
 
+    @cached_property
+    def _images(self) -> tuple[Point, ...]:
+        """Validated sampler grid images, then explicit points, with repeats."""
+        return _validated_images(self)
+
+    @cached_property
+    def _samples(self) -> tuple[Point, ...]:
+        """``_images`` deduplicated, keeping first occurrences."""
+        return tuple(dict.fromkeys(self._images))
+
 
 @dataclass(frozen=True)
 class RingElement:
@@ -218,38 +240,58 @@ def validate_sampler(space: SpacePresentation, sampler: Sampler) -> bool:
     return True
 
 
+def _validated_images(space: SpacePresentation) -> tuple[Point, ...]:
+    """Every sampler's grid images in grid order, then the explicit sample
+    points, repeats kept.  Composes each sampler with each equation once
+    and tests each denominator and each point's membership once; raises
+    SpaceFormatError, naming the space-file field, at the first failure."""
+    images = []
+    for i, sampler in enumerate(space.samplers):
+        for gi, g in enumerate(space.equations):
+            if not compose_cleared(g, sampler.numerators, sampler.denominator).is_zero():
+                raise SpaceFormatError(
+                    f"samplers[{i}]",
+                    f"composition with equations[{gi}] is not identically zero",
+                )
+        for params in sampler.grid():
+            try:
+                point = sampler.image(params)
+            except SamplerInvariantError:
+                raise SpaceFormatError(
+                    f"samplers[{i}].denominator",
+                    f"vanishes at grid parameters {format_point(params)}",
+                ) from None
+            if not is_member(space, point):
+                raise SpaceFormatError(
+                    f"samplers[{i}]",
+                    f"grid image at parameters {format_point(params)} violates the constraints",
+                )
+            images.append(point)
+    for i, point in enumerate(space.sample_points):
+        if not is_member(space, point):
+            raise SpaceFormatError(f"sample_points[{i}]", "point is not a member")
+        images.append(point)
+    return tuple(images)
+
+
 def sample(space: SpacePresentation) -> list[Point]:
     """Deterministic exact sample points: sampler grids in order, then
     explicit points, deduplicated keeping first occurrences.
 
-    Every returned point is verified to be a member; a sampler image that
-    is not (an inequality violation, since equation vanishing is
-    identical) raises SamplerInvariantError.
+    Every returned point is verified to be a member; a sampler whose
+    identity or denominator fails, or whose image is not a member (an
+    inequality violation, since equation vanishing is identical), raises
+    SamplerInvariantError.  Validation and deduplication happen once per
+    presentation (at load for a loaded one); each call returns a new list.
     """
     if not space.samplers and not space.sample_points:
         raise NoSampleSourceError(
             f"space {space.name!r} has no samplers and no explicit sample points"
         )
-    seen: dict[Point, None] = {}
-    for si, sampler in enumerate(space.samplers):
-        if not validate_sampler(space, sampler):
-            raise SamplerInvariantError(
-                f"sampler {si} of space {space.name!r} violates its identity invariant"
-            )
-        for params in sampler.grid():
-            point = sampler.image(params)
-            if not is_member(space, point):
-                raise SamplerInvariantError(
-                    f"sampler {si} image {format_point(point)} violates the inequality constraints"
-                )
-            seen.setdefault(point, None)
-    for point in space.sample_points:
-        if not is_member(space, point):
-            raise SamplerInvariantError(
-                f"explicit sample point {format_point(point)} is not a member of {space.name!r}"
-            )
-        seen.setdefault(point, None)
-    return list(seen)
+    try:
+        return list(space._samples)
+    except SpaceFormatError as exc:  # only a presentation built directly fails here
+        raise SamplerInvariantError(f"space {space.name!r}: {exc}") from None
 
 
 def representatives_agree(
@@ -383,6 +425,15 @@ def space_from_dict(data: dict) -> SpacePresentation:
         resolution = _want(entry, "resolution", int, path)
         if resolution < 1:
             raise SpaceFormatError(f"{path}.resolution", "must be >= 1")
+        grid_points = 1
+        for _ in range(param_dim):  # stops before the product grows large
+            grid_points *= resolution
+            if grid_points > MAX_GRID_POINTS:
+                raise SpaceFormatError(
+                    f"{path}.resolution",
+                    f"{resolution}^{param_dim} grid points exceed the limit "
+                    f"of {MAX_GRID_POINTS}",
+                )
         samplers.append(
             Sampler(
                 param_dim=param_dim,
@@ -411,27 +462,7 @@ def space_from_dict(data: dict) -> SpacePresentation:
         sample_points=tuple(points),
     )
 
-    # load-time invariants: sampler identities and membership of all points
-    for i, sampler in enumerate(space.samplers):
-        for gi, g in enumerate(space.equations):
-            if not compose_cleared(g, sampler.numerators, sampler.denominator).is_zero():
-                raise SpaceFormatError(
-                    f"samplers[{i}]",
-                    f"composition with equations[{gi}] is not identically zero",
-                )
-        for params in sampler.grid():
-            if sampler.denominator.evaluate(params) == 0:
-                raise SpaceFormatError(
-                    f"samplers[{i}].denominator", f"vanishes at grid parameters {format_point(params)}"
-                )
-            if not is_member(space, sampler.image(params)):
-                raise SpaceFormatError(
-                    f"samplers[{i}]",
-                    f"grid image at parameters {format_point(params)} violates the constraints",
-                )
-    for i, point in enumerate(space.sample_points):
-        if not is_member(space, point):
-            raise SpaceFormatError(f"sample_points[{i}]", "point is not a member")
+    space._images  # validated once, here; kept for ``sample``
     return space
 
 

@@ -360,12 +360,16 @@ def classify_point(
     space: SpacePresentation, point: Sequence[Fraction], radius: Fraction | None
 ) -> PointRecord:
     """Record of any member point, classified against the sample points
-    within the radius (the default adjacency radius when None)."""
+    within the radius (the default adjacency radius when None).  The query
+    is analysed once, also when it is one of the samples."""
     x = analyse(space, point)
     points = sample(space)
     (radius,) = _radii(points, radius)
-    neighbors = [points[j] for j in NeighbourIndex(points, radius).near(x.point)]
-    return PointRecord(x.point, x.dim, classify(space, x.point, neighbors))
+    neighbor_dims = [
+        x.dim if points[j] == x.point else structural_dim(space, points[j])
+        for j in NeighbourIndex(points, radius).near(x.point)
+    ]
+    return PointRecord(x.point, x.dim, label(x.dim, neighbor_dims))
 
 
 def stratify(

@@ -15,15 +15,18 @@ the frame construction directly.
 ``analyse`` computes all the pipeline needs at a point, once: the Jacobian
 (from gradients differentiated once per space), its RREF pivots, hence rank
 and dimension, and its charts, the column sets whose Jacobian submatrix
-has full rank.  Two points share a frame chart iff their ranks agree and
-their chart sets intersect.
+has full rank, each stored with its pivot-normalized kernel basis from the
+one elimination that found it.  Two points share a frame chart iff their
+ranks agree and their chart sets intersect; a frame frozen on a chart reads
+its vectors at a point from that point's stored bases.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from functools import cached_property
+from typing import Mapping, Sequence
 
 from . import linalg
 from .errors import DimensionMismatchError, NonMemberError
@@ -31,6 +34,7 @@ from .poly import Point, Polynomial, format_point
 from .space import RingElement, SpacePresentation, is_member
 
 Matrix = tuple[tuple[Fraction, ...], ...]
+Basis = tuple[tuple[Fraction, ...], ...]
 
 
 def _require_member(space: SpacePresentation, point: Sequence[Fraction]) -> Point:
@@ -56,7 +60,14 @@ class PointAnalysis:
     point: Point
     jacobian: Matrix
     pivots: tuple[int, ...]  # 0-based, ascending
-    charts: frozenset[tuple[int, ...]]
+    # every chart mapped to its kernel basis, identity on the free columns;
+    # a function of the Jacobian, hence left out of equality
+    bases: Mapping[tuple[int, ...], Basis] = field(compare=False, repr=False)
+
+    @cached_property
+    def charts(self) -> frozenset[tuple[int, ...]]:
+        """Column sets whose Jacobian submatrix has full rank, ascending."""
+        return frozenset(self.bases)
 
     @property
     def rank(self) -> int:
@@ -73,11 +84,13 @@ class PointAnalysis:
 
 
 def analyse(space: SpacePresentation, point: Sequence[Fraction]) -> PointAnalysis:
-    """Jacobian, RREF pivots and charts at a member point."""
+    """Jacobian, RREF pivots, and the kernel basis of every chart at a
+    member point."""
     point = tuple(Fraction(x) for x in point)
     J = jacobian(space, point)
     _, pivots = linalg.rref(J)
-    return PointAnalysis(point, J, tuple(pivots), linalg.charts(J, space.ambient_dim))
+    bases = linalg.chart_bases(J, space.ambient_dim, len(pivots))
+    return PointAnalysis(point, J, tuple(pivots), bases)
 
 
 @dataclass(frozen=True)
@@ -118,8 +131,7 @@ class TangentBasis:
 def tangent_space(space: SpacePresentation, point: Sequence[Fraction]) -> TangentBasis:
     """Tangent space at a member point as the exact kernel of the Jacobian."""
     a = analyse(space, point)
-    basis = linalg.solve_with_pivots(a.jacobian, space.ambient_dim, a.pivots)
-    return TangentBasis(space=space, base=a.point, basis=tuple(basis))
+    return TangentBasis(space=space, base=a.point, basis=a.bases[a.pivots])
 
 
 def is_tangent(

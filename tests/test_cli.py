@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -154,6 +155,18 @@ def test_malformed_file_names_field(tmp_path, capsys):
     code, _, err = run_cli(["verify", str(bad)], capsys)
     assert code == 2
     assert "equations[0]" in err
+
+
+def test_oversized_sampler_grid_exits_2(tmp_path, capsys):
+    data = json.loads(fixture_path("cone").read_text(encoding="utf-8"))
+    data["samplers"][0]["resolution"] = 317  # 100,489 grid points
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(data), encoding="utf-8")
+    start = time.perf_counter()
+    code, _, err = run_cli(["verify", str(big)], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert "samplers[0].resolution" in err
 
 
 def test_out_writes_report_file(tmp_path, capsys):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -142,6 +143,10 @@ def test_chart_rule_matches_minor_enumeration(pair):
     assert x.shares_chart(y) == (
         minor_rank(a) == minor_rank(b) and bool(minor_charts(a) & minor_charts(b))
     )
+    for m, analysis in ((a, x), (b, y)):
+        for chart, basis in analysis.bases.items():
+            assert list(basis) == linalg.solve_with_pivots(m, ncols, chart)
+            assert all(c == 0 for v in basis for c in linalg.matrix_vector(m, v))
 
 
 # -- bump functions -----------------------------------------------------------------
@@ -276,3 +281,64 @@ def test_local_triviality_fails_on_discontinuous_section_fixture():
     verdict = verify_local_triviality(space, report)
     assert not verdict.passed
     assert "common pivot" in verdict.detail
+
+
+def _evaluations(report):
+    """(target index, chart) of every frame evaluation that local
+    triviality reads, in the order it reads them."""
+    for i, r in enumerate(report.records):
+        if r.label == "regular":
+            chart = report.analyses[i].pivots
+            for j in triviality_targets(report, i):
+                if chart in report.analyses[j].bases:
+                    yield j, chart
+
+
+def _corrupted(report, j, chart, corrupt):
+    """The report with the stored basis of record j for the chart replaced
+    by ``corrupt(basis, chart)``."""
+    other = report.analyses[j]
+    bases = {**other.bases, chart: corrupt(other.bases[chart], chart)}
+    analyses = list(report.analyses)
+    analyses[j] = replace(other, bases=bases)
+    return replace(report, analyses=tuple(analyses))
+
+
+def _off_kernel(basis, chart):
+    first = list(basis[0])
+    first[chart[0]] += 1  # a chart column of the Jacobian is nonzero
+    return (tuple(first),) + basis[1:]
+
+
+def _permuted(basis, chart):
+    return basis[::-1]  # still a kernel basis, but not the identity on free columns
+
+
+def _assert_fails_at(space, report, point, detail):
+    verdict = verify_local_triviality(space, report)
+    assert not verdict.passed
+    assert detail in verdict.detail
+    assert verdict.detail.endswith(f"at {poly.format_point(point)}")
+
+
+@pytest.mark.parametrize(
+    "corrupt, detail", [(_off_kernel, "fails annihilation"), (_permuted, "not the identity")]
+)
+def test_local_triviality_checks_stored_bases(cone, corrupt, detail):
+    report = stratify(cone)
+    j, chart = next(_evaluations(report))
+    bad = _corrupted(report, j, chart, corrupt)
+    _assert_fails_at(cone, bad, report.records[j].point, detail)
+
+
+def test_local_triviality_checks_each_chart_of_a_target(cone):
+    # a target read through one chart is checked again through another
+    report = stratify(cone)
+    charts_read = {}
+    for j, chart in _evaluations(report):
+        if charts_read.setdefault(j, chart) != chart:
+            break
+    else:
+        raise AssertionError("no target is read through two charts")
+    bad = _corrupted(report, j, chart, _off_kernel)
+    _assert_fails_at(cone, bad, report.records[j].point, "fails annihilation")

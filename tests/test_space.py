@@ -1,9 +1,11 @@
 import json
+import time
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
-from subcart import poly
+from subcart import poly, space as space_module
 from subcart.errors import (
     DimensionMismatchError,
     NoSampleSourceError,
@@ -24,6 +26,7 @@ from subcart.space import (
     space_from_dict,
     validate_sampler,
 )
+from subcart.fixtures import fixture_path
 
 from oracles import grid_points
 
@@ -154,6 +157,20 @@ def test_sampled_points_are_members(cone, sphere, cross, umbrella, half_line):
     for space in (cone, sphere, cross, umbrella, half_line):
         for point in sample(space):
             assert is_member(space, point)
+
+
+def test_loaded_space_samples_without_validating_again(monkeypatch):
+    loaded = load_space(fixture_path("cone"))
+    calls = []
+    for name in ("compose_cleared", "is_member"):
+        monkeypatch.setattr(space_module, name, lambda *args: calls.append(args))
+    points = sample(loaded)
+    assert calls == []
+    monkeypatch.undo()
+    expected = sample(replace(loaded))  # built directly, so validated here
+    assert points == expected
+    points.clear()
+    assert sample(loaded) == expected
 
 
 def test_sampler_inequality_violation_raises():
@@ -336,3 +353,20 @@ def test_unreadable_file_reports_input_error(tmp_path):
     garbled.write_text("{not json", encoding="utf-8")
     with pytest.raises(SpaceFormatError, match="invalid JSON"):
         load_space(garbled)
+
+
+def _cone_file(tmp_path, resolution):
+    data = json.loads(fixture_path("cone").read_text(encoding="utf-8"))
+    data["samplers"][0]["resolution"] = resolution
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return path
+
+
+def test_grid_size_is_capped_at_load(tmp_path):
+    assert len(load_space(_cone_file(tmp_path, 49)).samplers[0].grid()) == 2401
+    path = _cone_file(tmp_path, 317)  # 317^2 = 100,489 grid points
+    start = time.perf_counter()
+    with pytest.raises(SpaceFormatError, match=r"samplers\[0\]\.resolution"):
+        load_space(path)
+    assert time.perf_counter() - start < 1

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subcart import frames, poly
+from subcart import frames, poly, tangent
 from subcart.errors import FrameEvaluationError, NonMemberError, SubcartError
 from subcart.fixtures import NAMES, fixture_path
 from subcart.space import Sampler, SpacePresentation, load_space, sample
@@ -97,6 +97,26 @@ def test_stratify_classify_and_frame_agree_on_every_record(name):
         for r in report.records:
             assert classify_point(space, r.point, radius) == r
             assert _frame_refused(space, report, r.point) == (r.label == "singular")
+
+
+@pytest.mark.parametrize(
+    "query, neighbours", [((F(1), F(0), F(1)), 16), ((F(0), F(0), F(0)), 13)]
+)
+def test_classify_point_analyses_each_point_once(cone, monkeypatch, query, neighbours):
+    points = sample(cone)
+    near = NeighbourIndex(points, default_adjacency_radius(points)).near(query)
+    assert len(near) == neighbours and query in [points[j] for j in near]
+    calls = []
+    jacobian = tangent.jacobian
+
+    def counting(space, point):
+        calls.append(point)
+        return jacobian(space, point)
+
+    monkeypatch.setattr(tangent, "jacobian", counting)
+    classify_point(cone, query, None)
+    # the query once, and each other sample within the radius once
+    assert len(calls) == neighbours == len(set(calls))
 
 
 def test_negative_radius_or_epsilon_is_rejected(cone):
