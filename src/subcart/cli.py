@@ -106,10 +106,10 @@ def _cmd_frame(args) -> int:
         "free": [c + 1 for c in frame.free_columns],
         "evaluations": [
             {
-                "point": [str(c) for c in at.point],
+                "point": [str(c) for c in report.analyses[j].point],
                 "basis": [[str(c) for c in v] for v in basis],
             }
-            for at, basis in evaluations
+            for j, basis in evaluations
         ],
     }
     _emit(payload, args.out)

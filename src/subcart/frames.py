@@ -13,10 +13,10 @@ triviality is local with respect to.
 
 The frozen pivots are valid at a point iff they are one of its charts
 (``tangent.PointAnalysis``), and the frame's vectors there are the kernel
-basis the analysis stored for that chart.  ``frame_evaluations``, shared
+basis the analysis derives for that chart.  ``frame_evaluations``, shared
 by ``verify_local_triviality`` and the CLI ``frame`` command, reads charts
-and bases from the report's analyses, so no frame is solved again at a
-target, and takes its targets from the report's ``NeighbourIndex``: the
+and bases from the report's analyses, solved once at each anchor and
+target only, and takes its targets from the report's ``NeighbourIndex``: the
 strict (``<`` radius) neighbours of a sample anchor, or the same query for
 an anchor that is not a sample.  ``verify_local_triviality`` still checks
 every basis it uses, once per target and chart.
@@ -270,10 +270,10 @@ def frame_evaluations(
     report: StratificationReport,
     anchor: PointAnalysis,
     targets: Sequence[int],
-) -> tuple[FrameSection, list[tuple[PointAnalysis, Basis]]]:
+) -> tuple[FrameSection, list[tuple[int, Basis]]]:
     """The frame anchored at a point and its exact vectors at each of the
     given record indices (the anchor's triviality targets) where its
-    frozen pivots are a chart, read from the targets' stored bases.
+    frozen pivots are a chart, as (record index, basis) pairs.
 
     Raises FrameEvaluationError at the first target that shares no chart
     with the anchor: no single trivialization covers the pair.
@@ -290,13 +290,13 @@ def frame_evaluations(
             )
         basis = other.bases.get(frame.pivot_columns)
         if basis is not None:  # else another chart covers it
-            evaluations.append((other, basis))
+            evaluations.append((j, basis))
     return frame, evaluations
 
 
 def anchored_frame(
     space: SpacePresentation, report: StratificationReport, point: Sequence[Fraction]
-) -> tuple[FrameSection, list[tuple[PointAnalysis, Basis]]]:
+) -> tuple[FrameSection, list[tuple[int, Basis]]]:
     """``frame_evaluations`` at any member point, sample point or not.
 
     Raises SubcartError when the point is labelled singular against the
@@ -327,12 +327,12 @@ def verify_local_triviality(
     coordinate-cross branches fail the chart check when sampled across the
     removed origin.
 
-    An evaluation is a stored basis, fixed by its target and chart (targets
+    An evaluation is a basis fixed by its record index and chart (targets
     share the anchor's dimension), so each basis is checked on first use
     and every later pair that reads it is counted without checking again.
     """
     checked = 0
-    verified: set[tuple[Point, tuple[int, ...]]] = set()
+    verified: set[tuple[int, tuple[int, ...]]] = set()
     for i, (record, anchor) in enumerate(zip(report.records, report.analyses)):
         if record.label != "regular":
             continue
@@ -342,11 +342,12 @@ def verify_local_triviality(
             )
         except FrameEvaluationError as exc:
             return Verdict("local_triviality", False, str(exc))
-        for other, vectors in evaluations:
+        for j, vectors in evaluations:
             checked += 1
-            if (other.point, frame.pivot_columns) in verified:
+            if (j, frame.pivot_columns) in verified:
                 continue
-            verified.add((other.point, frame.pivot_columns))
+            verified.add((j, frame.pivot_columns))
+            other = report.analyses[j]
             if len(vectors) != record.dim:
                 return Verdict(
                     "local_triviality",

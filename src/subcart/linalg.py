@@ -1,5 +1,5 @@
-"""Exact rational linear algebra: reduced row echelon form, ranks, pivot
-charts, and pivot-normalized null-space bases.
+"""Exact rational linear algebra: reduced row echelon form, ranks, and the
+one chart solver, for pivot-normalized null-space bases.
 
 Matrices are sequences of equal-length rows of Fractions.  Everything here
 is deterministic: pivots are chosen by the leftmost-column rule, breaking
@@ -9,7 +9,6 @@ identical outputs.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import Sequence
 
@@ -57,64 +56,29 @@ def submatrix_columns(matrix: Matrix, columns: Sequence[int]) -> list[list[Fract
     return [[row[c] for c in columns] for row in matrix]
 
 
-def _chart_rref(
-    matrix: Matrix, ncols: int, columns: Sequence[int]
-) -> list[list[Fraction]] | None:
-    """RREF of the matrix with ``columns`` moved to the front, or None when
-    they are not a chart: a column set whose submatrix has full column rank
-    equal to the rank of the matrix.  Exactly then the leftmost-pivot RREF
-    pivots on the first len(columns) columns, so one elimination both
-    decides and solves."""
-    order = list(columns) + [c for c in range(ncols) if c not in columns]
-    reduced, pivots = rref(submatrix_columns(matrix, order))
-    return reduced if pivots == list(range(len(columns))) else None
-
-
-def _kernel_basis(
-    reduced: Matrix, ncols: int, columns: Sequence[int]
-) -> tuple[Vector, ...]:
-    """Kernel basis read off the ``_chart_rref`` of a chart: one vector per
-    free column, 1 there, 0 on the other free columns, and the negated
-    reduced entries on the chart's columns."""
-    free = [c for c in range(ncols) if c not in columns]
-    basis = []
-    for k, f in enumerate(free):
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for p, row in zip(columns, reduced):
-            v[p] = -row[len(columns) + k]
-        basis.append(tuple(v))
-    return tuple(basis)
-
-
-def chart_bases(
-    matrix: Matrix, ncols: int, rank: int
-) -> dict[tuple[int, ...], tuple[Vector, ...]]:
-    """Every chart of a matrix of the given rank, as an ascending column
-    tuple, mapped to its pivot-normalized kernel basis: the pivot patterns
-    that ``solve_with_pivots`` accepts and what it returns for them, from
-    one elimination per chart."""
-    bases = {}
-    for columns in itertools.combinations(range(ncols), rank):
-        reduced = _chart_rref(matrix, ncols, columns)
-        if reduced is not None:
-            bases[columns] = _kernel_basis(reduced, ncols, columns)
-    return bases
-
-
 def solve_with_pivots(
     matrix: Matrix, ncols: int, pivot_columns: Sequence[int]
 ) -> list[Vector] | None:
     """Kernel basis normalized to the identity on the complement of a
     prescribed pivot-column set.
 
-    Returns None when the prescribed pattern is not a chart of this matrix
-    (rank drop or column dependence).
+    Returns None when the pattern is not a chart of this matrix: a column
+    set whose submatrix has full column rank equal to the matrix's rank.
+    Exactly then the leftmost-pivot RREF with those columns moved to the
+    front pivots on them, so one elimination both decides and solves.
     """
-    reduced = _chart_rref(matrix, ncols, pivot_columns)
-    if reduced is None:
+    free = [c for c in range(ncols) if c not in pivot_columns]
+    reduced, pivots = rref(submatrix_columns(matrix, [*pivot_columns, *free]))
+    if pivots != list(range(len(pivot_columns))):
         return None
-    return list(_kernel_basis(reduced, ncols, pivot_columns))
+    basis = []
+    for k, f in enumerate(free):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for p, row in zip(pivot_columns, reduced):
+            v[p] = -row[len(pivot_columns) + k]
+        basis.append(tuple(v))
+    return basis
 
 
 def matrix_vector(matrix: Matrix, vector: Sequence[Fraction]) -> Vector:

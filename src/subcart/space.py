@@ -220,53 +220,58 @@ def compose_cleared(
 
 
 def validate_sampler(space: SpacePresentation, sampler: Sampler) -> bool:
-    """True iff the sampler's image provably lies on the space.
-
-    Checks the polynomial identity den^deg(g) * g(nums/den) == 0 for every
-    equation g, and that the denominator is nonzero at every grid
-    parameter point.
-    """
+    """True iff the sampler's image provably lies on the space: the
+    identity den^deg(g) * g(nums/den) == 0 for every equation g, and a
+    nonzero denominator and a member image at every grid parameter point
+    (the per-sampler part of the one validation path)."""
     if len(sampler.numerators) != space.ambient_dim:
         raise DimensionMismatchError(
             f"sampler has {len(sampler.numerators)} numerators, "
             f"expected {space.ambient_dim}"
         )
-    for g in space.equations:
-        if not compose_cleared(g, sampler.numerators, sampler.denominator).is_zero():
-            return False
-    for params in sampler.grid():
-        if sampler.denominator.evaluate(params) == 0:
-            return False
+    try:
+        _sampler_images(space, sampler, "sampler")
+    except SpaceFormatError:
+        return False
     return True
+
+
+def _sampler_images(
+    space: SpacePresentation, sampler: Sampler, path: str
+) -> list[Point]:
+    """The sampler's grid images in grid order.  Composes it with each
+    equation once and tests each denominator and image once; raises
+    SpaceFormatError, naming the sampler's field ``path``, at the first failure."""
+    for gi, g in enumerate(space.equations):
+        if not compose_cleared(g, sampler.numerators, sampler.denominator).is_zero():
+            raise SpaceFormatError(
+                path, f"composition with equations[{gi}] is not identically zero"
+            )
+    images = []
+    for params in sampler.grid():
+        try:
+            point = sampler.image(params)
+        except SamplerInvariantError:
+            raise SpaceFormatError(
+                f"{path}.denominator",
+                f"vanishes at grid parameters {format_point(params)}",
+            ) from None
+        if not is_member(space, point):
+            raise SpaceFormatError(
+                path,
+                f"grid image at parameters {format_point(params)} violates the constraints",
+            )
+        images.append(point)
+    return images
 
 
 def _validated_images(space: SpacePresentation) -> tuple[Point, ...]:
     """Every sampler's grid images in grid order, then the explicit sample
-    points, repeats kept.  Composes each sampler with each equation once
-    and tests each denominator and each point's membership once; raises
-    SpaceFormatError, naming the space-file field, at the first failure."""
+    points, repeats kept; raises SpaceFormatError, naming the space-file
+    field, at the first failure."""
     images = []
     for i, sampler in enumerate(space.samplers):
-        for gi, g in enumerate(space.equations):
-            if not compose_cleared(g, sampler.numerators, sampler.denominator).is_zero():
-                raise SpaceFormatError(
-                    f"samplers[{i}]",
-                    f"composition with equations[{gi}] is not identically zero",
-                )
-        for params in sampler.grid():
-            try:
-                point = sampler.image(params)
-            except SamplerInvariantError:
-                raise SpaceFormatError(
-                    f"samplers[{i}].denominator",
-                    f"vanishes at grid parameters {format_point(params)}",
-                ) from None
-            if not is_member(space, point):
-                raise SpaceFormatError(
-                    f"samplers[{i}]",
-                    f"grid image at parameters {format_point(params)} violates the constraints",
-                )
-            images.append(point)
+        images += _sampler_images(space, sampler, f"samplers[{i}]")
     for i, point in enumerate(space.sample_points):
         if not is_member(space, point):
             raise SpaceFormatError(f"sample_points[{i}]", "point is not a member")
@@ -349,6 +354,11 @@ def _want(obj: dict, field_name: str, kind, path: str):
     return value
 
 
+def _optional_list(obj: dict, field_name: str, path: str) -> list:
+    """An optional JSON array field; [] when absent."""
+    return _want(obj, field_name, list, path) if field_name in obj else []
+
+
 def _parse_poly(text, ambient_dim: int, path: str) -> Polynomial:
     if not isinstance(text, str):
         raise SpaceFormatError(path, "expected a polynomial string")
@@ -378,11 +388,11 @@ def space_from_dict(data: dict) -> SpacePresentation:
 
     equations = tuple(
         _parse_poly(text, ambient_dim, f"equations[{i}]")
-        for i, text in enumerate(data.get("equations", []))
+        for i, text in enumerate(_optional_list(data, "equations", "$"))
     )
 
     inequalities = []
-    for i, entry in enumerate(data.get("inequalities", [])):
+    for i, entry in enumerate(_optional_list(data, "inequalities", "$")):
         if not isinstance(entry, dict):
             raise SpaceFormatError(f"inequalities[{i}]", "expected an object")
         h = _parse_poly(entry.get("poly"), ambient_dim, f"inequalities[{i}].poly")
@@ -392,12 +402,12 @@ def space_from_dict(data: dict) -> SpacePresentation:
         inequalities.append((h, strict))
 
     samplers = []
-    for i, entry in enumerate(data.get("samplers", [])):
+    for i, entry in enumerate(_optional_list(data, "samplers", "$")):
         path = f"samplers[{i}]"
         if not isinstance(entry, dict):
             raise SpaceFormatError(path, "expected an object")
         param_dim = _want(entry, "param_dim", int, path)
-        numerators = entry.get("numerators", [])
+        numerators = _optional_list(entry, "numerators", path)
         if len(numerators) != ambient_dim:
             raise SpaceFormatError(
                 f"{path}.numerators",
@@ -445,7 +455,7 @@ def space_from_dict(data: dict) -> SpacePresentation:
         )
 
     points = []
-    for i, coords in enumerate(data.get("sample_points", [])):
+    for i, coords in enumerate(_optional_list(data, "sample_points", "$")):
         path = f"sample_points[{i}]"
         if not isinstance(coords, list) or len(coords) != ambient_dim:
             raise SpaceFormatError(path, f"expected {ambient_dim} rational strings")

@@ -22,17 +22,19 @@ and the frame anchor check all apply:
 Every adjacency question (labels, usc, open, dense, the triviality
 targets, and classification of points that are not samples) is answered
 by one ``NeighbourIndex`` per radius.  It multiplies the coordinates and
-the radius by the lcm of their denominators, so every comparison is
-between integers and exact: a pair at exactly the radius is a neighbour
-for the ``<=`` questions (labels, usc, open, and dense with epsilon) and
-not for the strict ``<`` of the triviality targets, which keeps the
-coordinate cross's branches apart.  Default radius and epsilon are the
-maximum nearest-neighbor gap of the sample set (computed once, on the
-same integer coordinates), so the defaults scale with sampling density
-instead of being assumed.  A negative radius or epsilon, which would
-leave every point without evidence, is an input error; a radius that
-leaves some sample without any other sample within it is reported as a
-caveat, since those labels rest on no neighbour evidence.
+the radius by the lcm of their denominators and hashes the points into
+cells (``near`` needs only those; the samples' neighbour lists are found
+on the first ``neighbours`` call), so every comparison is between integers
+and exact: a pair at exactly the radius is a neighbour for the ``<=``
+questions (labels, usc, open, and dense with epsilon) and not for the
+strict ``<`` of the triviality targets, which keeps the coordinate cross's
+branches apart.  Default radius and epsilon are the maximum
+nearest-neighbor gap of the sample set (computed once, on the same
+integer coordinates), so the defaults scale with sampling density instead
+of being assumed.  A negative radius or epsilon, which would leave every
+point without evidence, is an input error; a radius that leaves some
+sample without any other sample within it is reported as a caveat, since
+those labels rest on no neighbour evidence.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from typing import Iterator, Literal, Sequence
 
@@ -52,7 +55,9 @@ from .tangent import PointAnalysis, analyse
 Label = Literal["regular", "singular", "unknown"]
 
 
-def sup_distance(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
+def sup_distance(
+    a: Sequence[Fraction | int], b: Sequence[Fraction | int]
+) -> Fraction | int:
     return max(abs(x - y) for x, y in zip(a, b))
 
 
@@ -168,10 +173,6 @@ def _axes(points: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
     return tuple(sorted(range(len(spread)), key=lambda a: -spread[a])[:3])
 
 
-def _gap(p: Sequence[Fraction | int], q: Sequence[int]) -> Fraction | int:
-    return max(abs(a - b) for a, b in zip(p, q))
-
-
 def _nearest_gap(
     order: Sequence[tuple[int, ...]], axis: int, k: int, enough: int
 ) -> int:
@@ -186,7 +187,7 @@ def _nearest_gap(
         while 0 <= m < len(order):
             if best is not None and abs(order[m][axis] - p[axis]) >= best:
                 break
-            d = _gap(p, order[m])
+            d = sup_distance(p, order[m])
             if best is None or d < best:
                 if d <= enough:
                     return d
@@ -221,8 +222,9 @@ class NeighbourIndex:
     hashed into cells of side max(scaled radius, 1) along at most three
     axes (Bentley, Stanat & Williams 1977): two points within the radius
     lie in the same or adjacent cells, so only those pairs are compared.
-    Each point's neighbours are stored as ascending indices, once within
-    the closed ball (``<=`` radius) and once within the open ball (``<``).
+    ``near`` reads only the cells.  The first ``neighbours`` call stores
+    each point's neighbours as ascending indices, once within the closed
+    ball (``<=`` radius) and once within the open ball (``<``).
     """
 
     def __init__(self, points: Sequence[Sequence[Fraction]], radius: Fraction):
@@ -235,21 +237,27 @@ class NeighbourIndex:
         self._cells: dict[tuple[int, ...], list[int]] = {}
         for i, p in enumerate(self._points):
             self._cells.setdefault(self._cell(p), []).append(i)
+
+    @cached_property
+    def _lists(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """The closed and the open neighbour lists of every point."""
         closed: list[list[int]] = [[] for _ in self._points]
         strict: list[list[int]] = [[] for _ in self._points]
         for i, p in enumerate(self._points):
             for j in self._candidates(p):
                 if j <= i:
                     continue
-                d = _gap(p, self._points[j])
+                d = sup_distance(p, self._points[j])
                 if d <= self._reach:
                     closed[i].append(j)
                     closed[j].append(i)
                     if d < self._reach:
                         strict[i].append(j)
                         strict[j].append(i)
-        self._closed = tuple(tuple(sorted(c)) for c in closed)
-        self._strict = tuple(tuple(sorted(c)) for c in strict)
+        return (
+            tuple(tuple(sorted(c)) for c in closed),
+            tuple(tuple(sorted(c)) for c in strict),
+        )
 
     def _cell(self, scaled: Sequence[Fraction | int]) -> tuple[int, ...]:
         return tuple(scaled[a] // self._side for a in self._axes)
@@ -263,7 +271,8 @@ class NeighbourIndex:
     def neighbours(self, i: int, strict: bool = False) -> tuple[int, ...]:
         """Ascending indices j != i of the points within the radius of
         point i (closer than the radius when ``strict``)."""
-        return self._strict[i] if strict else self._closed[i]
+        closed, open_ = self._lists
+        return open_[i] if strict else closed[i]
 
     def near(self, point: Sequence[Fraction], strict: bool = False) -> list[int]:
         """Ascending indices of the points within the radius of any point
@@ -272,7 +281,7 @@ class NeighbourIndex:
         scaled = [c * self._scale for c in point]
         found = []
         for j in self._candidates(scaled):
-            d = _gap(scaled, self._points[j])
+            d = sup_distance(scaled, self._points[j])
             if d < self._reach or (d == self._reach and not strict):
                 found.append(j)
         return sorted(found)

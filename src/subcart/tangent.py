@@ -12,18 +12,19 @@ Kernel bases are pivot-normalized from the exact reduced row echelon form
 (leftmost pivots, deterministic), which makes results canonical and feeds
 the frame construction directly.
 
-``analyse`` computes all the pipeline needs at a point, once: the Jacobian
-(from gradients differentiated once per space), its RREF pivots, hence rank
-and dimension, and its charts, the column sets whose Jacobian submatrix
-has full rank, each stored with its pivot-normalized kernel basis from the
-one elimination that found it.  Two points share a frame chart iff their
-ranks agree and their chart sets intersect; a frame frozen on a chart reads
-its vectors at a point from that point's stored bases.
+``analyse`` is the Jacobian at a point (from gradients differentiated once
+per space) plus its one RREF, whose pivots give rank and dimension.  The
+charts, the column sets whose Jacobian submatrix has full rank, and their
+pivot-normalized kernel bases are derived by ``linalg.solve_with_pivots``
+on first read and kept.  Two points share a frame chart iff their ranks
+agree and their chart sets intersect; a frame frozen on a chart reads its
+vectors at a point from that point's bases.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -55,14 +56,23 @@ def jacobian(space: SpacePresentation, point: Sequence[Fraction]) -> Matrix:
 
 @dataclass(frozen=True)
 class PointAnalysis:
-    """The linear algebra of one member point, computed once by ``analyse``."""
+    """The linear algebra of one member point; charts are solved on first read."""
 
     point: Point
     jacobian: Matrix
     pivots: tuple[int, ...]  # 0-based, ascending
-    # every chart mapped to its kernel basis, identity on the free columns;
-    # a function of the Jacobian, hence left out of equality
-    bases: Mapping[tuple[int, ...], Basis] = field(compare=False, repr=False)
+
+    @cached_property
+    def bases(self) -> Mapping[tuple[int, ...], Basis]:
+        """Each column set of size ``rank`` that ``solve_with_pivots``
+        accepts (a chart), mapped to its result."""
+        n = len(self.point)
+        bases = {}
+        for columns in itertools.combinations(range(n), self.rank):
+            basis = linalg.solve_with_pivots(self.jacobian, n, columns)
+            if basis is not None:
+                bases[columns] = tuple(basis)
+        return bases
 
     @cached_property
     def charts(self) -> frozenset[tuple[int, ...]]:
@@ -84,13 +94,11 @@ class PointAnalysis:
 
 
 def analyse(space: SpacePresentation, point: Sequence[Fraction]) -> PointAnalysis:
-    """Jacobian, RREF pivots, and the kernel basis of every chart at a
-    member point."""
+    """The membership-checked Jacobian at a point and its RREF pivots."""
     point = tuple(Fraction(x) for x in point)
     J = jacobian(space, point)
     _, pivots = linalg.rref(J)
-    bases = linalg.chart_bases(J, space.ambient_dim, len(pivots))
-    return PointAnalysis(point, J, tuple(pivots), bases)
+    return PointAnalysis(point, J, tuple(pivots))
 
 
 @dataclass(frozen=True)

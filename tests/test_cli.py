@@ -157,6 +157,17 @@ def test_malformed_file_names_field(tmp_path, capsys):
     assert "equations[0]" in err
 
 
+def test_non_array_list_field_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(
+        json.dumps({"name": "bad", "ambient_dim": 3, "equations": 5}),
+        encoding="utf-8",
+    )
+    code, _, err = run_cli(["verify", str(bad)], capsys)
+    assert code == 2
+    assert "$.equations: expected list, got int" in err
+
+
 def test_oversized_sampler_grid_exits_2(tmp_path, capsys):
     data = json.loads(fixture_path("cone").read_text(encoding="utf-8"))
     data["samplers"][0]["resolution"] = 317  # 100,489 grid points

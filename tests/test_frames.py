@@ -300,7 +300,8 @@ def _corrupted(report, j, chart, corrupt):
     other = report.analyses[j]
     bases = {**other.bases, chart: corrupt(other.bases[chart], chart)}
     analyses = list(report.analyses)
-    analyses[j] = replace(other, bases=bases)
+    analyses[j] = replace(other)
+    analyses[j].__dict__["bases"] = bases  # the copy's cached ``bases``
     return replace(report, analyses=tuple(analyses))
 
 

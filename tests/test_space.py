@@ -1,4 +1,5 @@
 import json
+import re
 import time
 from dataclasses import replace
 from fractions import Fraction as F
@@ -210,6 +211,16 @@ def test_validate_rejects_off_variety_sampler(cone):
     assert not validate_sampler(cone, bad)
 
 
+def test_validate_rejects_sampler_violating_inequalities():
+    half_line = SpacePresentation(
+        name="half_line",
+        ambient_dim=1,
+        inequalities=((poly.parse("x1", 1), False),),
+    )
+    assert not validate_sampler(half_line, line_sampler(["x1"], -1, 1, 3))
+    assert validate_sampler(half_line, line_sampler(["x1"], 0, 1, 3))
+
+
 def test_compose_cleared_matches_direct_substitution(sphere):
     # den^deg(g) * g(nums/den) must agree with direct evaluation at params
     s = sphere.samplers[0]
@@ -344,6 +355,33 @@ def test_missing_fields_and_bad_rationals():
                 "sample_points": [["one"]],
             }
         )
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("equations", 5),
+        ("equations", "x1"),
+        ("inequalities", {"poly": "x1"}),
+        ("samplers", 3),
+        ("sample_points", "1"),
+        ("numerators", "x1"),
+    ],
+)
+def test_list_fields_must_be_arrays(tmp_path, field, value):
+    data = {"name": "bad", "ambient_dim": 1}
+    name = f"$.{field}"
+    if field == "numerators":
+        data["samplers"] = [
+            {"param_dim": 1, "numerators": value, "box": [["0", "1"]], "resolution": 2}
+        ]
+        name = "samplers[0].numerators"
+    else:
+        data[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(SpaceFormatError, match=rf"^{re.escape(name)}: expected list"):
+        load_space(path)
 
 
 def test_unreadable_file_reports_input_error(tmp_path):

@@ -1,12 +1,20 @@
+import importlib
+import json
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subcart import frames, poly, tangent
+from subcart import frames, linalg, poly, tangent
 from subcart.errors import FrameEvaluationError, NonMemberError, SubcartError
 from subcart.fixtures import NAMES, fixture_path
-from subcart.space import Sampler, SpacePresentation, load_space, sample
+from subcart.space import (
+    Sampler,
+    SpacePresentation,
+    load_space,
+    sample,
+    space_from_dict,
+)
 from subcart.stratify import (
     NeighbourIndex,
     PointRecord,
@@ -108,15 +116,24 @@ def test_classify_point_analyses_each_point_once(cone, monkeypatch, query, neigh
     assert len(near) == neighbours and query in [points[j] for j in near]
     calls = []
     jacobian = tangent.jacobian
+    eliminations = []
+    rref = linalg.rref
 
     def counting(space, point):
         calls.append(point)
         return jacobian(space, point)
 
+    def counting_rref(matrix):
+        eliminations.append(matrix)
+        return rref(matrix)
+
     monkeypatch.setattr(tangent, "jacobian", counting)
+    monkeypatch.setattr(linalg, "rref", counting_rref)
     classify_point(cone, query, None)
     # the query once, and each other sample within the radius once
     assert len(calls) == neighbours == len(set(calls))
+    # one rank elimination per analysed point, and no chart is solved
+    assert len(eliminations) == neighbours
 
 
 def test_negative_radius_or_epsilon_is_rejected(cone):
@@ -218,6 +235,42 @@ def test_neighbour_lists_survive_scaling_and_coordinate_permutation(case, c, rng
     gap = default_adjacency_radius(points)
     assert default_adjacency_radius(scaled) == abs(c) * gap
     assert default_adjacency_radius(permuted) == gap
+
+
+def test_neighbour_index_compares_points_only_when_asked(monkeypatch):
+    # the Whitney umbrella at resolution 15 (218 samples over many cells)
+    data = json.loads(fixture_path("whitney_umbrella").read_text(encoding="utf-8"))
+    for sampler in data["samplers"]:
+        sampler["resolution"] = 15
+    points = sample(space_from_dict(data))
+    radius = default_adjacency_radius(points)
+    compared = []
+
+    def counting(a, b):
+        compared.append((a, b))
+        return sup_distance(a, b)
+
+    # the module, not the ``subcart.stratify`` function the package exports
+    module = importlib.import_module("subcart.stratify")
+    monkeypatch.setattr(module, "sup_distance", counting)
+    index = NeighbourIndex(points, radius)
+    assert compared == []
+    # a query is compared with the points of its own and the adjacent
+    # cells only: every point within the radius, none two radii away
+    for q in points[:: len(points) // 4]:
+        compared.clear()
+        found = index.near(q)
+        close = [p for p in points if naive_sup(q, p) < 2 * radius]
+        assert len(found) <= len(compared) <= len(close) < len(points)
+    compared.clear()
+    index.neighbours(0)
+    pairs = [(p, q) for k, p in enumerate(points) for q in points[k + 1 :]]
+    within = [1 for p, q in pairs if naive_sup(p, q) <= radius]
+    close = [1 for p, q in pairs if naive_sup(p, q) < 2 * radius]
+    assert len(within) <= len(compared) <= len(close) < len(pairs)
+    compared.clear()
+    index.neighbours(len(points) - 1, strict=True)
+    assert compared == []
 
 
 # -- full pipeline ----------------------------------------------------------------

@@ -9,6 +9,7 @@ from subcart.space import IdealWitness, RingElement, SpacePresentation, sample
 from subcart.tangent import (
     BundlePoint,
     TangentVector,
+    analyse,
     apply_derivation,
     bundle_member,
     eval_bundle_function,
@@ -43,6 +44,30 @@ def test_jacobian_on_cross(cross):
 def test_jacobian_rejects_non_member(cone):
     with pytest.raises(NonMemberError):
         jacobian(cone, (F(1), F(1), F(1)))
+
+
+@pytest.mark.parametrize(
+    "point, column_sets", [((F(1), F(0), F(1)), 3), ((F(0), F(0), F(0)), 1)]
+)
+def test_analyse_eliminates_once_and_solves_charts_on_first_read(
+    cone, monkeypatch, point, column_sets
+):
+    calls = {"rref": 0, "solve_with_pivots": 0}
+    for name in calls:
+        original = getattr(linalg, name)
+
+        def counting(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(linalg, name, counting)
+    a = analyse(cone, point)
+    assert calls == {"rref": 1, "solve_with_pivots": 0}
+    # one solve per column set of size rank (3 choose rank on the cone)
+    bases = a.bases
+    assert calls["solve_with_pivots"] == column_sets
+    assert a.bases is bases and a.charts == set(bases)
+    assert calls["solve_with_pivots"] == column_sets
 
 
 # -- tangent spaces ----------------------------------------------------------------
