@@ -7,15 +7,17 @@ Commands::
     subcart frame     FILE --point CSV [--radius R] [--out PATH]
     subcart verify    FILE [--radius R] [--epsilon E] [--out PATH]
 
-Options are parsed here; all analysis is left to the library
-(``classify_point``, ``stratify``, ``verify_local_triviality`` and
-``anchored_frame``).
+Each command loads the space, parses its options, makes one library call
+(``classify_point``, ``stratify``, ``verify`` or ``anchored_frame``) and
+emits the JSON that the library builds; ``_emit`` is the one serializer.
+A ``--radius`` or ``--epsilon`` that is given is always parsed, so an
+empty one is an input error; only a missing one means the default.
 
 Exit codes: 0 when every verdict passes, 1 when any verdict fails, 2 on
-input errors: unreadable or malformed files, non-member points, a
-negative ``--radius`` or ``--epsilon``, a ``frame`` anchor that the
-regular/singular rule labels singular, and frame evaluation outside its
-rank-constant neighborhood.
+input errors: unreadable or malformed files, non-member points, an
+unparsable or negative ``--radius`` or ``--epsilon``, a ``frame``
+anchor that the regular/singular rule labels singular, and frame
+evaluation outside its rank-constant neighborhood.
 
 Reports are JSON with rational-string coordinates and are byte-identical
 across runs on identical inputs: term order, grid order, and pivot choice
@@ -33,7 +35,7 @@ from pathlib import Path
 from . import frames
 from .errors import SubcartError
 from .poly import parse_rational
-from .space import SpacePresentation, load_space
+from .space import load_space
 from .stratify import StratificationReport, classify_point, stratify
 
 EXIT_PASS = 0
@@ -50,11 +52,6 @@ def _parse_point(text: str, ambient_dim: int) -> tuple[Fraction, ...]:
     return tuple(parse_rational(p) for p in parts)
 
 
-def _rational_option(args, name: str) -> Fraction | None:
-    value = getattr(args, name, None)
-    return parse_rational(value) if value else None
-
-
 def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2) + "\n"
     if out:
@@ -63,85 +60,39 @@ def _emit(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _finish(report: StratificationReport, payload: dict, out: str | None) -> int:
+    """Emit the payload, summarize the report on stderr, return its exit code."""
+    _emit(payload, out)
+    c = report.counts()
+    lines = [f"records: {c['records']} (regular {c['regular']}, singular {c['singular']})"]
+    lines += [f"{v.name}: {'pass' if v.passed else 'FAIL'}" for v in report.verdicts]
+    print("\n".join(lines), file=sys.stderr)
+    return EXIT_PASS if report.all_pass() else EXIT_FAIL
+
+
 def _cmd_classify(args) -> int:
     space = load_space(args.file)
     point = _parse_point(args.point, space.ambient_dim)
-    record = classify_point(space, point, _rational_option(args, "radius"))
-    _emit(record.to_json(), args.out)
+    _emit(classify_point(space, point, args.radius).to_json(), args.out)
     return EXIT_PASS
 
 
 def _cmd_stratify(args) -> int:
-    _, report = _build_report(args)
-    _emit(report.to_json(), args.out)
-    _summary(report)
-    return EXIT_PASS if report.all_pass() else EXIT_FAIL
+    report = stratify(load_space(args.file), args.radius, args.epsilon)
+    return _finish(report, report.to_json(), args.out)
 
 
 def _cmd_verify(args) -> int:
-    space, report = _build_report(args)
-    triviality = frames.verify_local_triviality(space, report)
-    payload = {
-        "space": report.space_name,
-        "verdicts": {
-            **{v.name: v.to_json() for v in report.verdicts},
-            triviality.name: triviality.to_json(),
-        },
-        "params": {"radius": str(report.radius), "epsilon": str(report.epsilon)},
-        "counts": _counts(report),
-        "caveats": list(report.caveats),
-    }
-    _emit(payload, args.out)
-    _summary(report, triviality)
-    return EXIT_PASS if report.all_pass() and triviality.passed else EXIT_FAIL
+    report = frames.verify(load_space(args.file), args.radius, args.epsilon)
+    return _finish(report, report.summary_json(), args.out)
 
 
 def _cmd_frame(args) -> int:
-    space, report = _build_report(args)
-    anchor = _parse_point(args.point, space.ambient_dim)
-    frame, evaluations = frames.anchored_frame(space, report, anchor)
-    payload = {
-        "anchor": [str(c) for c in frame.anchor],
-        "pivots": [c + 1 for c in frame.pivot_columns],
-        "free": [c + 1 for c in frame.free_columns],
-        "evaluations": [
-            {
-                "point": [str(c) for c in report.analyses[j].point],
-                "basis": [[str(c) for c in v] for v in basis],
-            }
-            for j, basis in evaluations
-        ],
-    }
-    _emit(payload, args.out)
-    return EXIT_PASS
-
-
-def _build_report(args) -> tuple[SpacePresentation, StratificationReport]:
     space = load_space(args.file)
-    return space, stratify(
-        space,
-        radius=_rational_option(args, "radius"),
-        epsilon=_rational_option(args, "epsilon"),
-    )
-
-
-def _counts(report: StratificationReport) -> dict:
-    labels = [r.label for r in report.records]
-    return {
-        "records": len(labels),
-        "regular": labels.count("regular"),
-        "singular": labels.count("singular"),
-    }
-
-
-def _summary(report: StratificationReport, *extra) -> None:
-    c = _counts(report)
-    lines = [
-        f"records: {c['records']} (regular {c['regular']}, singular {c['singular']})"
-    ]
-    for v in report.verdicts + extra:
-        lines.append(f"{v.name}: {'pass' if v.passed else 'FAIL'}")
-    print("\n".join(lines), file=sys.stderr)
+    anchor = _parse_point(args.point, space.ambient_dim)
+    frame, evaluations = frames.anchored_frame(stratify(space, args.radius), anchor)
+    _emit(frame.to_json(evaluations), args.out)
+    return EXIT_PASS
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -165,17 +116,17 @@ def build_parser() -> argparse.ArgumentParser:
                 required=True,
                 help="comma-separated rational coordinates, e.g. '1/2,0,1'",
             )
-        p.add_argument("--radius", help="adjacency radius (rational string)")
+        p.add_argument("--radius", type=parse_rational, help="rational adjacency radius")
         if needs_epsilon:
-            p.add_argument("--epsilon", help="density radius (rational string)")
+            p.add_argument("--epsilon", type=parse_rational, help="rational density radius")
         p.add_argument("--out", help="write the JSON report to this path")
         p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SubcartError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,12 +14,14 @@ triviality is local with respect to.
 The frozen pivots are valid at a point iff they are one of its charts
 (``tangent.PointAnalysis``), and the frame's vectors there are the kernel
 basis the analysis derives for that chart.  ``frame_evaluations``, shared
-by ``verify_local_triviality`` and the CLI ``frame`` command, reads charts
-and bases from the report's analyses, solved once at each anchor and
-target only, and takes its targets from the report's ``NeighbourIndex``: the
-strict (``<`` radius) neighbours of a sample anchor, or the same query for
-an anchor that is not a sample.  ``verify_local_triviality`` still checks
-every basis it uses, once per target and chart.
+by ``verify_local_triviality`` and ``anchored_frame``, reads charts and
+bases from the report's analyses, solved once at each anchor and target
+only, and takes its targets from the report's ``NeighbourIndex``: the
+strict (``<`` radius) neighbours of a sample anchor, or the same query
+for an anchor that is not a sample.  ``verify_local_triviality`` still
+checks every basis it uses, once per target and chart.  All three take
+the report alone and read its space.  ``verify`` is ``stratify`` with
+the local-triviality verdict appended.
 
 The bump function is the single non-rational evaluation in the package
 (the standard exp(-1/t) smooth step on the sup-norm radial variable) and
@@ -32,7 +34,7 @@ radius.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -40,7 +42,7 @@ from . import linalg
 from .errors import DimensionMismatchError, FrameEvaluationError, SubcartError
 from .poly import Point, format_point
 from .space import Sampler, SpacePresentation
-from .stratify import StratificationReport, Verdict, label, sup_distance
+from .stratify import StratificationReport, Verdict, label, stratify, sup_distance
 from .tangent import Basis, PointAnalysis, analyse, jacobian
 
 
@@ -80,6 +82,21 @@ class FrameSection:
                 f"{[c + 1 for c in self.pivot_columns]})"
             )
         return tuple(basis)
+
+    def to_json(self, evaluations: Sequence[tuple[Point, Basis]]) -> dict:
+        """The ``frame`` report: this frame and its (point, basis) evaluations."""
+        return {
+            "anchor": [str(c) for c in self.anchor],
+            "pivots": [c + 1 for c in self.pivot_columns],
+            "free": [c + 1 for c in self.free_columns],
+            "evaluations": [
+                {
+                    "point": [str(c) for c in point],
+                    "basis": [[str(c) for c in v] for v in basis],
+                }
+                for point, basis in evaluations
+            ],
+        }
 
 
 def _frame(space: SpacePresentation, anchor: PointAnalysis) -> FrameSection:
@@ -266,10 +283,7 @@ def _targets(
 
 
 def frame_evaluations(
-    space: SpacePresentation,
-    report: StratificationReport,
-    anchor: PointAnalysis,
-    targets: Sequence[int],
+    report: StratificationReport, anchor: PointAnalysis, targets: Sequence[int]
 ) -> tuple[FrameSection, list[tuple[int, Basis]]]:
     """The frame anchored at a point and its exact vectors at each of the
     given record indices (the anchor's triviality targets) where its
@@ -278,7 +292,7 @@ def frame_evaluations(
     Raises FrameEvaluationError at the first target that shares no chart
     with the anchor: no single trivialization covers the pair.
     """
-    frame = _frame(space, anchor)
+    frame = _frame(report.space, anchor)
     evaluations = []
     for j in targets:
         other = report.analyses[j]
@@ -295,27 +309,27 @@ def frame_evaluations(
 
 
 def anchored_frame(
-    space: SpacePresentation, report: StratificationReport, point: Sequence[Fraction]
-) -> tuple[FrameSection, list[tuple[int, Basis]]]:
-    """``frame_evaluations`` at any member point, sample point or not.
+    report: StratificationReport, point: Sequence[Fraction]
+) -> tuple[FrameSection, list[tuple[Point, Basis]]]:
+    """``frame_evaluations`` at any member point, sample point or not, with
+    each target given by its point.
 
     Raises SubcartError when the point is labelled singular against the
     report's samples, by the same rule that labels the records (a sample
     at the point counts as evidence, as it does for the record).
     """
-    anchor = analyse(space, point)
+    anchor = analyse(report.space, point)
     near = report.index.near(anchor.point)
     if label(anchor.dim, [report.analyses[j].dim for j in near]) == "singular":
         raise SubcartError(
             f"cannot anchor a frame at the singular point {format_point(anchor.point)}"
         )
     targets = _targets(report, anchor, report.index.near(anchor.point, strict=True))
-    return frame_evaluations(space, report, anchor, targets)
+    frame, evaluations = frame_evaluations(report, anchor, targets)
+    return frame, [(report.records[j].point, basis) for j, basis in evaluations]
 
 
-def verify_local_triviality(
-    space: SpacePresentation, report: StratificationReport
-) -> Verdict:
+def verify_local_triviality(report: StratificationReport) -> Verdict:
     """Sampled local triviality of the tangent bundle over the regular part.
 
     For every regular record: every same-stratum neighbor must share at
@@ -338,7 +352,7 @@ def verify_local_triviality(
             continue
         try:
             frame, evaluations = frame_evaluations(
-                space, report, anchor, triviality_targets(report, i)
+                report, anchor, triviality_targets(report, i)
             )
         except FrameEvaluationError as exc:
             return Verdict("local_triviality", False, str(exc))
@@ -376,3 +390,11 @@ def verify_local_triviality(
     return Verdict(
         "local_triviality", True, f"{checked} frame evaluations verified exactly"
     )
+
+
+def verify(
+    space: SpacePresentation, radius: Fraction | None = None, epsilon: Fraction | None = None
+) -> StratificationReport:
+    """``stratify`` with the local-triviality verdict appended."""
+    report = stratify(space, radius, epsilon)
+    return replace(report, verdicts=report.verdicts + (verify_local_triviality(report),))

@@ -1,5 +1,5 @@
-"""Exact rational linear algebra: reduced row echelon form, ranks, and the
-one chart solver, for pivot-normalized null-space bases.
+"""Exact rational linear algebra: reduced row echelon form and the one
+chart solver, for pivot-normalized null-space bases.
 
 Matrices are sequences of equal-length rows of Fractions.  Everything here
 is deterministic: pivots are chosen by the leftmost-column rule, breaking
@@ -48,10 +48,6 @@ def rref(matrix: Matrix) -> tuple[list[list[Fraction]], list[int]]:
     return rows, pivots
 
 
-def rank(matrix: Matrix) -> int:
-    return len(rref(matrix)[1])
-
-
 def submatrix_columns(matrix: Matrix, columns: Sequence[int]) -> list[list[Fraction]]:
     return [[row[c] for c in columns] for row in matrix]
 
@@ -86,12 +82,3 @@ def matrix_vector(matrix: Matrix, vector: Sequence[Fraction]) -> Vector:
         sum((a * b for a, b in zip(row, vector)), Fraction(0)) for row in matrix
     )
 
-
-def in_span(vectors: Sequence[Sequence[Fraction]], target: Sequence[Fraction]) -> bool:
-    """Exact membership of target in the span of the given vectors."""
-    if all(x == 0 for x in target):
-        return True
-    if not vectors:
-        return False
-    stacked = [list(v) for v in vectors]
-    return rank(stacked) == rank(stacked + [list(target)])

@@ -17,19 +17,32 @@ Grammar accepted by :func:`parse` (whitespace insignificant)::
     base     := 'x' uint | rational | '(' expr ')'
     rational := int ('/' uint)?
 
-Implicit multiplication is not allowed, and exponents are nonnegative
-integers only.
+Implicit multiplication is not allowed, exponents are nonnegative
+integers only, and a uint is a run of ASCII digits.  ``parse_rational``
+reads one rational, ``'-'? uint ('/' uint)?``, and only whitespace
+around it.  Three caps bound the cost of a parse, each a ParseError when
+passed: MAX_DIGITS digits in a literal or in any coefficient, total
+degree MAX_DEGREE (checked before a product or power is expanded), and
+MAX_TERMS terms after each sum, product and step of a power.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import DimensionMismatchError, ParseError
 
 Exponent = tuple[int, ...]
 Point = tuple[Fraction, ...]
+
+MAX_DIGITS = 1000
+MAX_DEGREE = 64
+MAX_TERMS = 2000
+_COEFFICIENT_LIMIT = 10**MAX_DIGITS
+_TOKEN = re.compile(r"(\s+)|([-+*/^()])|(x)?([0-9]+)?")
+_RATIONAL = re.compile(r"\s*-?([0-9]+)(?:/([0-9]*[1-9][0-9]*))?\s*")
 
 
 def format_point(point: Sequence[Fraction]) -> str:
@@ -235,44 +248,29 @@ def variable(index: int, ambient_dim: int) -> Polynomial:
 # -- parser ------------------------------------------------------------------
 
 
-class _Token:
-    __slots__ = ("kind", "value", "position")
-
-    def __init__(self, kind: str, value, position: int):
-        self.kind = kind
-        self.value = value
-        self.position = position
+class _Token(NamedTuple):
+    kind: str  # "op", "var", "int" or "end"
+    value: object
+    position: int
 
 
 def _tokenize(text: str) -> Iterator[_Token]:
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*/^()":
-            yield _Token("op", ch, i)
-            i += 1
-            continue
-        if ch == "x":
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            if j == i + 1:
-                raise ParseError("expected variable index after 'x'", text, i)
-            yield _Token("var", int(text[i + 1 : j]), i)
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            yield _Token("int", int(text[i:j]), i)
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", text, i)
-    yield _Token("end", None, n)
+    i = 0
+    while i < len(text):
+        match = _TOKEN.match(text, i)
+        space, op, x, digits = match.groups()
+        if op:
+            yield _Token("op", op, i)
+        elif digits:
+            if len(digits) > MAX_DIGITS:
+                raise ParseError(f"integer has more than {MAX_DIGITS} digits", text, i)
+            yield _Token("var" if x else "int", int(digits), i)
+        elif x:
+            raise ParseError("expected variable index after 'x'", text, i)
+        elif not space:
+            raise ParseError(f"unexpected character {text[i]!r}", text, i)
+        i = match.end()
+    yield _Token("end", None, len(text))
 
 
 class _Parser:
@@ -295,6 +293,19 @@ class _Parser:
     def fail(self, message: str, token: _Token):
         raise ParseError(message, self.text, token.position)
 
+    def checked(self, p: Polynomial, token: _Token) -> Polynomial:
+        """``p``, or a ParseError at ``token`` past the term or digit cap."""
+        if len(p._terms) > MAX_TERMS:
+            self.fail(f"more than {MAX_TERMS} terms", token)
+        for c in p._terms.values():
+            if max(abs(c.numerator), c.denominator) >= _COEFFICIENT_LIMIT:
+                self.fail(f"a coefficient has more than {MAX_DIGITS} digits", token)
+        return p
+
+    def degree_at_most(self, degree: int, token: _Token) -> None:
+        if degree > MAX_DEGREE:
+            self.fail(f"degree {degree} is above {MAX_DEGREE}", token)
+
     def parse(self) -> Polynomial:
         result = self.expr()
         trailing = self.peek()
@@ -305,16 +316,18 @@ class _Parser:
     def expr(self) -> Polynomial:
         result = self.term()
         while self.peek().kind == "op" and self.peek().value in "+-":
-            op = self.advance().value
+            op = self.advance()
             right = self.term()
-            result = result + right if op == "+" else result - right
+            result = self.checked(result + (right if op.value == "+" else -right), op)
         return result
 
     def term(self) -> Polynomial:
         result = self.factor()
         while self.peek().kind == "op" and self.peek().value == "*":
-            self.advance()
-            result = result * self.factor()
+            star = self.advance()
+            right = self.factor()
+            self.degree_at_most(result.total_degree() + right.total_degree(), star)
+            result = self.checked(result * right, star)
         return result
 
     def factor(self) -> Polynomial:
@@ -325,7 +338,12 @@ class _Parser:
             if exponent.kind != "int":
                 self.fail("expected nonnegative integer exponent after '^'", caret)
             self.advance()
-            return base ** exponent.value
+            # a constant base counts as degree 1, so the exponent is capped too
+            self.degree_at_most(max(base.total_degree(), 1) * exponent.value, caret)
+            result = constant(1, self.ambient_dim)
+            for _ in range(exponent.value):
+                result = self.checked(result * base, caret)
+            return result
         return base
 
     def base(self) -> Polynomial:
@@ -371,8 +389,8 @@ def parse(text: str, ambient_dim: int) -> Polynomial:
 
 def parse_rational(text: str) -> Fraction:
     """Parse a rational literal such as '3/2' or '-1' exactly."""
-    try:
-        value = Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"invalid rational literal: {exc}", text, 0) from None
-    return value
+    match = _RATIONAL.fullmatch(text)
+    if match is None or max(len(match[1]), len(match[2] or "")) > MAX_DIGITS:
+        raise ParseError("expected a rational literal -?uint('/'uint)? with a nonzero "
+                         f"denominator and at most {MAX_DIGITS} digits in each", text, 0)
+    return Fraction(text)

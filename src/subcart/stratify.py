@@ -35,11 +35,14 @@ of being assumed.  A negative radius or epsilon, which would leave every
 point without evidence, is an input error; a radius that leaves some
 sample without any other sample within it is reported as a caveat, since
 those labels rest on no neighbour evidence.
+
+A ``StratificationReport`` carries its space, so whatever reads it needs
+the report alone.  Its JSON views are ``to_json`` (every record) and
+``summary_json`` (the verdicts and the label counts).
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -115,8 +118,7 @@ class Verdict:
 
 @dataclass(frozen=True)
 class StratificationReport:
-    space_name: str
-    ambient_dim: int
+    space: SpacePresentation = field(repr=False, compare=False)  # the analysed space
     records: tuple[PointRecord, ...]
     analyses: tuple[PointAnalysis, ...]  # analyses[i] is the point of records[i]
     index: NeighbourIndex = field(repr=False, compare=False)  # records' points, radius
@@ -135,9 +137,18 @@ class StratificationReport:
     def all_pass(self) -> bool:
         return all(v.passed for v in self.verdicts)
 
-    def to_json(self) -> dict:
+    def counts(self) -> dict:
+        labels = [r.label for r in self.records]
         return {
-            "space": self.space_name,
+            "records": len(labels),
+            "regular": labels.count("regular"),
+            "singular": labels.count("singular"),
+        }
+
+    def to_json(self) -> dict:
+        """The full view: every record, the strata sizes and the verdicts."""
+        return {
+            "space": self.space.name,
             "records": [r.to_json() for r in self.records],
             "strata": {str(i): len(members) for i, members in enumerate(self.strata)},
             "verdicts": {v.name: v.to_json() for v in self.verdicts},
@@ -145,8 +156,15 @@ class StratificationReport:
             "caveats": list(self.caveats),
         }
 
-    def to_json_text(self) -> str:
-        return json.dumps(self.to_json(), indent=2) + "\n"
+    def summary_json(self) -> dict:
+        """The summary view: the verdicts and the label counts, no records."""
+        return {
+            "space": self.space.name,
+            "verdicts": {v.name: v.to_json() for v in self.verdicts},
+            "params": {"radius": str(self.radius), "epsilon": str(self.epsilon)},
+            "counts": self.counts(),
+            "caveats": list(self.caveats),
+        }
 
 
 def _integer_points(
@@ -424,8 +442,7 @@ def stratify(
             f"radius {radius}: their labels rest on no neighbour evidence"
         )
     return StratificationReport(
-        space_name=space.name,
-        ambient_dim=space.ambient_dim,
+        space=space,
         records=records,
         analyses=analyses,
         index=index,

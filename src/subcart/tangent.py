@@ -139,7 +139,8 @@ class TangentBasis:
 def tangent_space(space: SpacePresentation, point: Sequence[Fraction]) -> TangentBasis:
     """Tangent space at a member point as the exact kernel of the Jacobian."""
     a = analyse(space, point)
-    return TangentBasis(space=space, base=a.point, basis=a.bases[a.pivots])
+    basis = linalg.solve_with_pivots(a.jacobian, len(a.point), a.pivots)
+    return TangentBasis(space=space, base=a.point, basis=tuple(basis))
 
 
 def is_tangent(

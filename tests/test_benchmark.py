@@ -5,7 +5,8 @@ The SHA-256 and exit code of every shipped fixture's ``verify`` and
 inputs (the Whitney umbrella at resolution 15, the sphere at resolution
 11), are the values recorded in ``benchmarks/spec.json`` (with the
 ``stratify`` exit codes of the same commit), so a change that moves any
-answer fails here, in tier 1, not only in the benchmark.
+answer fails here, in tier 1, not only in the benchmark.  A few ``frame``
+and ``classify`` reports are pinned the same way.
 """
 
 import hashlib
@@ -56,6 +57,22 @@ SCALED_GOLDEN = {
         0, "1bfd5d551b7b64249056f6910f450036a3a0188dd069fb101d5d326a8e5fce83"),
 }
 
+# (command, fixture, --point): sha256 of the report; each exits 0
+POINT_GOLDEN = {
+    ("frame", "cone", "1,0,1"):
+        "3f21b8bf005528751d35a4ea8d48d55f57fb2194fcfe6932b49bf7bfe7800f7c",
+    ("frame", "sphere", "0,0,1"):
+        "e909581a083fa1e95359388447fdbfbabdc4c79837673d2ce04576022fb984e3",
+    ("frame", "whitney_umbrella", "1,1,1"):
+        "50ad9e295b035ec9ce0ab5bf0a8aaad8a2e1ee1000e3aee368c8ef6ca456685f",
+    ("classify", "cone", "0,0,0"):
+        "7297f453d9e803ccbf6fa03e4b385fdbeca0bbbe536fb0f015bbde8ddc856cff",
+    ("classify", "cone", "3,4,5"):
+        "eefe831cf291817374f534b1cabb505f40485945df959c493413301f006f7e85",
+    ("classify", "whitney_umbrella", "0,0,2"):
+        "0f54c56cfe2a4c82d343bb2b91f8ba56db9937b8ab58c57aa22edebeaa01f0bd",
+}
+
 
 def test_golden_covers_every_fixture():
     assert set(GOLDEN) == set(NAMES)
@@ -71,6 +88,16 @@ def test_reports_match_golden_hashes(name, tmp_path, capsys):
         out = tmp_path / f"{command}.json"
         assert main([command, str(fixture_path(name)), "--out", str(out)]) == exit_code
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha, (name, command)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command,name,point", sorted(POINT_GOLDEN))
+def test_point_reports_match_golden_hashes(command, name, point, tmp_path, capsys):
+    out = tmp_path / f"{command}.json"
+    argv = [command, str(fixture_path(name)), "--point", point, "--out", str(out)]
+    assert main(argv) == 0
+    sha = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert sha == POINT_GOLDEN[command, name, point]
     capsys.readouterr()
 
 

@@ -235,6 +235,44 @@ def test_negative_radius_or_epsilon_exits_2(argv, capsys):
     assert "nonnegative" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--point", "0,0,0", "--radius="],
+        ["stratify", "--radius="],
+        ["stratify", "--epsilon="],
+        ["frame", "--point", "1,0,1", "--radius="],
+        ["verify", "--radius="],
+        ["verify", "--epsilon="],
+    ],
+)
+def test_empty_radius_or_epsilon_exits_2(argv, capsys):
+    command, *options = argv
+    code, out, err = run_cli([command, str(fixture_path("cone")), *options], capsys)
+    assert code == 2
+    assert out == ""
+    assert "rational literal" in err
+
+
+def test_oversized_power_exits_2_fast(tmp_path):
+    big = tmp_path / "big.json"
+    big.write_text(
+        json.dumps({"name": "big", "ambient_dim": 1, "equations": ["(x1+1)^400000"]}),
+        encoding="utf-8",
+    )
+    # a subprocess with a timeout, so that a parser without the degree cap
+    # fails here instead of hanging the suite
+    proc = subprocess.run(
+        [sys.executable, "-m", "subcart", "verify", str(big)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "equations[0]: degree 400000 is above 64" in proc.stderr
+
+
 def test_frame_refuses_a_singular_anchor_that_is_not_a_sample(capsys):
     umbrella = str(fixture_path("whitney_umbrella"))
     code, out, _ = run_cli(["classify", umbrella, "--point", "0,0,2"], capsys)

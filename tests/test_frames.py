@@ -259,7 +259,7 @@ def test_local_triviality_passes_on_smooth_and_singular_fixtures(
 ):
     for space in (cone, sphere, cross, umbrella, half_line, single_point):
         report = stratify(space)
-        assert verify_local_triviality(space, report).passed, space.name
+        assert verify_local_triviality(report).passed, space.name
 
 
 def test_triviality_targets_use_strict_radius(cross):
@@ -278,7 +278,7 @@ def test_local_triviality_fails_on_discontinuous_section_fixture():
     space = load_space(fixture_path("discontinuous_section"))
     report = stratify(space)
     assert report.all_pass()  # usc, open, dense all hold
-    verdict = verify_local_triviality(space, report)
+    verdict = verify_local_triviality(report)
     assert not verdict.passed
     assert "common pivot" in verdict.detail
 
@@ -315,8 +315,8 @@ def _permuted(basis, chart):
     return basis[::-1]  # still a kernel basis, but not the identity on free columns
 
 
-def _assert_fails_at(space, report, point, detail):
-    verdict = verify_local_triviality(space, report)
+def _assert_fails_at(report, point, detail):
+    verdict = verify_local_triviality(report)
     assert not verdict.passed
     assert detail in verdict.detail
     assert verdict.detail.endswith(f"at {poly.format_point(point)}")
@@ -329,7 +329,7 @@ def test_local_triviality_checks_stored_bases(cone, corrupt, detail):
     report = stratify(cone)
     j, chart = next(_evaluations(report))
     bad = _corrupted(report, j, chart, corrupt)
-    _assert_fails_at(cone, bad, report.records[j].point, detail)
+    _assert_fails_at(bad, report.records[j].point, detail)
 
 
 def test_local_triviality_checks_each_chart_of_a_target(cone):
@@ -342,4 +342,4 @@ def test_local_triviality_checks_each_chart_of_a_target(cone):
     else:
         raise AssertionError("no target is read through two charts")
     bad = _corrupted(report, j, chart, _off_kernel)
-    _assert_fails_at(cone, bad, report.records[j].point, "fails annihilation")
+    _assert_fails_at(bad, report.records[j].point, "fails annihilation")

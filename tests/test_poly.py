@@ -51,6 +51,37 @@ def test_parse_errors_carry_position():
         parse("1/0", 1)
 
 
+def test_parse_rational_accepts_only_the_documented_literal():
+    assert poly.parse_rational(" -3/4 ") == F(-3, 4)
+    assert poly.parse_rational("12") == 12
+    for text in ("1e3", "0.5", "1_000", "", "+1", "1 / 2", "3/-4", "\u0663", "1/0", "1/00"):
+        with pytest.raises(ParseError, match="expected a rational literal"):
+            poly.parse_rational(text)
+
+
+def test_parser_caps_digits_degree_and_terms():
+    digits = "9" * poly.MAX_DIGITS
+    assert parse(digits, 1) == constant(int(digits), 1)
+    assert poly.parse_rational(f"-1/{digits}") == F(-1, int(digits))
+    for text in (digits + "9", f"1/{digits}9", f"x{digits}9"):
+        with pytest.raises(ParseError, match="integer has more than 1000 digits"):
+            parse(text, 1)
+    for text in (digits + "9", f"1/{digits}9"):
+        with pytest.raises(ParseError, match="at most 1000 digits in each"):
+            poly.parse_rational(text)
+    assert parse("x1^64", 1).total_degree() == 64
+    assert parse("x1^32*x1^32", 1).total_degree() == 64
+    for text in ("x1^65", "x1^33*x1^32", "2^65", "(x1^2)^33"):
+        with pytest.raises(ParseError, match="above 64"):
+            parse(text, 1)
+    # C(23, 3) = 1771 terms pass; the next step of the power has 2024
+    assert len(parse("(x1+x2+x3+1)^20", 3).terms) == 1771
+    with pytest.raises(ParseError, match="more than 2000 terms"):
+        parse("(x1+x2+x3+1)^21", 3)
+    with pytest.raises(ParseError, match="coefficient has more than 1000 digits"):
+        parse(f"{digits}*{digits}", 1)
+
+
 def test_grammar_rejects_implicit_multiplication_and_unary_minus_on_vars():
     with pytest.raises(ParseError):
         parse("x1 x2", 2)

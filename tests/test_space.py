@@ -358,6 +358,24 @@ def test_missing_fields_and_bad_rationals():
 
 
 @pytest.mark.parametrize(
+    "field, value, where",
+    [
+        ("equations", ["(x1+x2+x3+1)^40"], r"equations\[0\]: more than 2000 terms"),
+        ("equations", ["(x1+1)^400000"], r"equations\[0\]: degree 400000 is above 64"),
+        ("equations", ["1" * 5000 + "*x1"], r"equations\[0\]: integer has more than"),
+        ("sample_points", [["1e5000", "0", "0"]], r"sample_points\[0\]\[0\]: expected"),
+    ],
+)
+def test_oversized_input_fails_fast_naming_its_field(tmp_path, field, value, where):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"name": "big", "ambient_dim": 3, field: value}))
+    start = time.perf_counter()
+    with pytest.raises(SpaceFormatError, match=where):
+        load_space(path)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize(
     "field, value",
     [
         ("equations", 5),

@@ -89,7 +89,7 @@ def test_classify_empty_neighbors_is_unknown(cone):
 
 def _frame_refused(space, report, point):
     try:
-        frames.anchored_frame(space, report, point)
+        frames.anchored_frame(report, point)
     except FrameEvaluationError:
         return False  # no shared chart with a target: not a refusal
     except SubcartError:
@@ -440,4 +440,6 @@ def test_report_json_shape(cone):
 
 
 def test_report_is_deterministic(cone):
-    assert stratify(cone).to_json_text() == stratify(cone).to_json_text()
+    assert json.dumps(stratify(cone).to_json(), indent=2) == json.dumps(
+        stratify(cone).to_json(), indent=2
+    )

@@ -88,6 +88,20 @@ def test_smooth_cone_point_kernel(cone):
     assert basis.basis == ((F(0), F(1), F(0)), (F(1), F(0), F(1)))
 
 
+def test_tangent_space_solves_one_chart(cone, monkeypatch):
+    calls = []
+    original = linalg.solve_with_pivots
+
+    def counting(*args):
+        calls.append(args[2])
+        return original(*args)
+
+    monkeypatch.setattr(linalg, "solve_with_pivots", counting)
+    basis = tangent_space(cone, (F(1), F(0), F(1)))
+    assert calls == [(0,)]  # the RREF pivots, not every chart
+    assert basis.basis == ((F(0), F(1), F(0)), (F(1), F(0), F(1)))
+
+
 def test_unconstrained_plane_kernel(plane):
     basis = tangent_space(plane, (F(5), F(-2)))
     assert basis.basis == ((F(1), F(0)), (F(0), F(1)))
@@ -109,7 +123,9 @@ def test_is_tangent_matches_kernel_span(cone, sphere, cross):
                     F(rng.randint(-6, 6), rng.randint(1, 4))
                     for _ in range(space.ambient_dim)
                 )
-                assert is_tangent(space, point, v) == linalg.in_span(basis, v)
+                assert is_tangent(space, point, v) == (
+                    minor_rank([*basis, v]) == len(basis)
+                )
 
 
 def test_tangent_linear_combinations_stay_tangent(cone):
