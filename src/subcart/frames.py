@@ -2,26 +2,27 @@
 triviality verifier.
 
 A frame anchored at a regular point freezes the pivot columns of the
-Jacobian's reduced row echelon form there.  Evaluating the frame at
-another member point solves the same pivot subsystem exactly, producing a
-kernel basis whose free-column submatrix is the identity: composing the
-free coordinate differentials with the frame sections gives exactly the
-Kronecker delta pattern.  A rank change or pivot-pattern breakdown during
-evaluation is an error, never a silent re-pivot: re-pivoting would
-destroy smoothness of the sections and mask the rank boundary that local
-triviality is local with respect to.
+Jacobian's reduced row echelon form there.  Its vectors at another member
+point are the kernel basis of the same pivot subsystem, whose free-column
+submatrix is the identity: composing the free coordinate differentials
+with the frame sections gives exactly the Kronecker delta pattern.  A
+rank change or pivot-pattern breakdown during evaluation is an error,
+never a silent re-pivot: re-pivoting would destroy smoothness of the
+sections and mask the rank boundary that local triviality is local with
+respect to.
 
 The frozen pivots are valid at a point iff they are one of its charts
 (``tangent.PointAnalysis``), and the frame's vectors there are the kernel
-basis the analysis derives for that chart.  ``frame_evaluations``, shared
-by ``verify_local_triviality`` and ``anchored_frame``, reads charts and
-bases from the report's analyses, solved once at each anchor and target
-only, and takes its targets from the report's ``NeighbourIndex``: the
-strict (``<`` radius) neighbours of a sample anchor, or the same query
-for an anchor that is not a sample.  ``verify_local_triviality`` still
-checks every basis it uses, once per target and chart.  All three take
-the report alone and read its space.  ``verify`` is ``stratify`` with
-the local-triviality verdict appended.
+basis the analysis derives for that chart: ``FrameSection.evaluate``,
+``pivot_valid_at`` and ``frame_evaluations`` all read it from one
+analysis.  ``frame_evaluations``, shared by ``verify_local_triviality``
+and ``anchored_frame``, reads the report's analyses, solved once at each
+anchor and target only, and takes its targets from the report's
+``NeighbourIndex``: the strict (``<`` radius) neighbours of a sample
+anchor, or the same query for an anchor that is not a sample.
+``verify_local_triviality`` still checks every basis it uses, once per
+target and chart.  All three take the report alone and read its space.
+``verify`` is ``stratify`` with the local-triviality verdict appended.
 
 The bump function is the single non-rational evaluation in the package
 (the standard exp(-1/t) smooth step on the sup-norm radial variable) and
@@ -43,7 +44,7 @@ from .errors import DimensionMismatchError, FrameEvaluationError, SubcartError
 from .poly import Point, format_point
 from .space import Sampler, SpacePresentation
 from .stratify import StratificationReport, Verdict, label, stratify, sup_distance
-from .tangent import Basis, PointAnalysis, analyse, jacobian
+from .tangent import Basis, PointAnalysis, analyse
 
 
 @dataclass(frozen=True)
@@ -65,23 +66,21 @@ class FrameSection:
         return self.pivot_columns in analyse(self.space, point).charts
 
     def evaluate(self, point: Sequence[Fraction]) -> Basis:
-        """Exact frame vectors at a member point, identity on free columns.
+        """Exact frame vectors at a member point, identity on free columns:
+        the point's analysis's basis for the frozen pivots.
 
         Raises FrameEvaluationError when the rank or the frozen pivot
         pattern differs from the anchor: the point lies outside the
         rank-constant neighborhood this frame trivializes.
         """
-        J = jacobian(self.space, point)
-        basis = linalg.solve_with_pivots(
-            J, self.space.ambient_dim, self.pivot_columns
-        )
+        basis = analyse(self.space, point).bases.get(self.pivot_columns)
         if basis is None:
             raise FrameEvaluationError(
                 f"rank or pivot pattern at {format_point(point)} differs from the "
                 f"anchor {format_point(self.anchor)} (pivot columns "
                 f"{[c + 1 for c in self.pivot_columns]})"
             )
-        return tuple(basis)
+        return basis
 
     def to_json(self, evaluations: Sequence[tuple[Point, Basis]]) -> dict:
         """The ``frame`` report: this frame and its (point, basis) evaluations."""
@@ -197,39 +196,35 @@ def glued_section(
 
 
 def frame_smoothness_check(
-    frame: FrameSection,
-    sampler: Sampler,
-    params: Sequence[Fraction],
-    step: Fraction,
-    tol: Fraction = Fraction(1, 2),
+    frame: FrameSection, sampler: Sampler, params: Sequence[Fraction], step: Fraction
 ) -> Verdict:
     """Certify smoothness of the frame components along every sampler
     parameter direction by finite-difference convergence order.
 
     For each component, the symmetric second difference at steps h and h/2
     must either vanish exactly at both (polynomial of degree <= 1 along
-    the probe: exactly smooth) or contract by a factor within tol of 4,
+    the probe: exactly smooth) or contract by a factor in [7/2, 9/2],
     the signature of order-h^2 convergence of a smooth non-linear
-    function.  All probe evaluations are exact rationals; only the final
-    ratio is compared against the [4 - tol, 4 + tol] window.
+    function.  All probe evaluations are exact rationals, the unshifted
+    midpoint's once per call; only the final ratio meets the window.
     """
     params = tuple(Fraction(x) for x in params)
     if len(params) != sampler.param_dim:
         raise DimensionMismatchError(
             f"expected {sampler.param_dim} parameters, got {len(params)}"
         )
-    lo, hi = 4 - Fraction(tol), 4 + Fraction(tol)
+    lo, hi = Fraction(7, 2), Fraction(9, 2)
 
     def components_at(shift: Sequence[Fraction]) -> list[Fraction]:
         point = sampler.image([p + s for p, s in zip(params, shift)])
         return [c for vector in frame.evaluate(point) for c in vector]
 
+    mid = components_at([Fraction(0)] * sampler.param_dim)
     for direction in range(sampler.param_dim):
         def second_difference(h: Fraction) -> list[Fraction]:
             offset = [Fraction(0)] * sampler.param_dim
             offset[direction] = h
             plus = components_at(offset)
-            mid = components_at([Fraction(0)] * sampler.param_dim)
             minus = components_at([-x for x in offset])
             return [a - 2 * m + b for a, m, b in zip(plus, mid, minus)]
 

@@ -11,9 +11,10 @@ Sample sources are validated on one path, once per presentation: each
 sampler is composed with each equation once, and each grid image and
 explicit point is membership-tested once.  ``space_from_dict`` runs it at
 load, where a failure is a ``SpaceFormatError`` naming the offending
-field; the presentation keeps the images, so ``sample`` only deduplicates
-them, once.  A presentation built directly is validated on its first
-``sample``, which reports the same failure as a ``SamplerInvariantError``.
+field.  The presentation caches the validated samples once, deduplicated
+(``_samples``), and ``sample`` copies them.  A presentation built directly
+is validated on its first ``sample``, which reports the same failure as a
+``SamplerInvariantError``.
 A space file may ask for at most ``MAX_GRID_POINTS`` grid points per
 sampler.
 
@@ -149,14 +150,19 @@ class SpacePresentation:
         )
 
     @cached_property
-    def _images(self) -> tuple[Point, ...]:
-        """Validated sampler grid images, then explicit points, with repeats."""
-        return _validated_images(self)
-
-    @cached_property
     def _samples(self) -> tuple[Point, ...]:
-        """``_images`` deduplicated, keeping first occurrences."""
-        return tuple(dict.fromkeys(self._images))
+        """Every sampler's validated grid images in grid order, then the
+        explicit sample points, deduplicated keeping first occurrences;
+        raises SpaceFormatError, naming the space-file field, at the first
+        failure."""
+        images = []
+        for i, sampler in enumerate(self.samplers):
+            images += _sampler_images(self, sampler, f"samplers[{i}]")
+        for i, point in enumerate(self.sample_points):
+            if not is_member(self, point):
+                raise SpaceFormatError(f"sample_points[{i}]", "point is not a member")
+            images.append(point)
+        return tuple(dict.fromkeys(images))
 
 
 @dataclass(frozen=True)
@@ -263,20 +269,6 @@ def _sampler_images(
             )
         images.append(point)
     return images
-
-
-def _validated_images(space: SpacePresentation) -> tuple[Point, ...]:
-    """Every sampler's grid images in grid order, then the explicit sample
-    points, repeats kept; raises SpaceFormatError, naming the space-file
-    field, at the first failure."""
-    images = []
-    for i, sampler in enumerate(space.samplers):
-        images += _sampler_images(space, sampler, f"samplers[{i}]")
-    for i, point in enumerate(space.sample_points):
-        if not is_member(space, point):
-            raise SpaceFormatError(f"sample_points[{i}]", "point is not a member")
-        images.append(point)
-    return tuple(images)
 
 
 def sample(space: SpacePresentation) -> list[Point]:
@@ -472,7 +464,7 @@ def space_from_dict(data: dict) -> SpacePresentation:
         sample_points=tuple(points),
     )
 
-    space._images  # validated once, here; kept for ``sample``
+    space._samples  # validated once, here; kept for ``sample``
     return space
 
 

@@ -38,19 +38,14 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 Basis = tuple[tuple[Fraction, ...], ...]
 
 
-def _require_member(space: SpacePresentation, point: Sequence[Fraction]) -> Point:
+def jacobian(space: SpacePresentation, point: Sequence[Fraction]) -> Matrix:
+    """Exact generator Jacobian at a member point: row j is the gradient
+    of equation j.  The one membership check before per-point algebra."""
     point = tuple(Fraction(x) for x in point)
     if not is_member(space, point):
         raise NonMemberError(
             f"point {format_point(point)} is not a member of {space.name!r}"
         )
-    return point
-
-
-def jacobian(space: SpacePresentation, point: Sequence[Fraction]) -> Matrix:
-    """Exact generator Jacobian at a member point: row j is the gradient
-    of equation j."""
-    point = _require_member(space, point)
     return tuple(tuple(d.evaluate(point) for d in row) for row in space.gradients)
 
 
