@@ -11,7 +11,9 @@ Each command loads the space, parses its options, makes one library call
 (``classify_point``, ``stratify``, ``verify`` or ``anchored_frame``) and
 emits the JSON that the library builds; ``_emit`` is the one serializer.
 A ``--radius`` or ``--epsilon`` that is given is always parsed, so an
-empty one is an input error; only a missing one means the default.
+empty one is an input error; only a missing one means the default.  An
+option value that does not parse is refused with an error naming the
+option (``--radius: ``, ``--epsilon: `` or ``--point coordinate K: ``).
 
 Exit codes: 0 when every verdict passes, 1 when any verdict fails, 2 on
 input errors: unreadable or malformed files, non-member points, an
@@ -43,13 +45,21 @@ EXIT_FAIL = 1
 EXIT_INPUT_ERROR = 2
 
 
+def _rational(text: str, option: str) -> Fraction:
+    """``parse_rational``, refusing the text with an error that names its option."""
+    try:
+        return parse_rational(text)
+    except SubcartError as exc:
+        raise SubcartError(f"{option}: {exc}") from None
+
+
 def _parse_point(text: str, ambient_dim: int) -> tuple[Fraction, ...]:
-    parts = [p for p in text.split(",")]
+    parts = text.split(",")
     if len(parts) != ambient_dim:
         raise SubcartError(
             f"--point has {len(parts)} coordinates, expected {ambient_dim}"
         )
-    return tuple(parse_rational(p) for p in parts)
+    return tuple(_rational(p, f"--point coordinate {k}") for k, p in enumerate(parts, 1))
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -116,9 +126,17 @@ def build_parser() -> argparse.ArgumentParser:
                 required=True,
                 help="comma-separated rational coordinates, e.g. '1/2,0,1'",
             )
-        p.add_argument("--radius", type=parse_rational, help="rational adjacency radius")
+        p.add_argument(
+            "--radius",
+            type=lambda text: _rational(text, "--radius"),
+            help="rational adjacency radius",
+        )
         if needs_epsilon:
-            p.add_argument("--epsilon", type=parse_rational, help="rational density radius")
+            p.add_argument(
+                "--epsilon",
+                type=lambda text: _rational(text, "--epsilon"),
+                help="rational density radius",
+            )
         p.add_argument("--out", help="write the JSON report to this path")
         p.set_defaults(func=func)
     return parser

@@ -6,10 +6,19 @@ class SubcartError(Exception):
 
 
 class ParseError(SubcartError):
-    """Polynomial text does not conform to the expression grammar."""
+    """Polynomial text does not conform to the expression grammar.
+
+    The message quotes at most ``QUOTED`` characters of the text, around
+    the position, with '...' where it cuts; ``text`` keeps all of it."""
+
+    QUOTED = 40
 
     def __init__(self, message: str, text: str, position: int):
-        super().__init__(f"{message} (at position {position} in {text!r})")
+        start = max(0, min(position - self.QUOTED // 2, len(text) - self.QUOTED))
+        end = start + self.QUOTED
+        quote = ("..." if start else "") + repr(text[start:end])
+        quote += "..." if end < len(text) else ""
+        super().__init__(f"{message} (at position {position} in {quote})")
         self.text = text
         self.position = position
 

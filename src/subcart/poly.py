@@ -20,10 +20,14 @@ Grammar accepted by :func:`parse` (whitespace insignificant)::
 Implicit multiplication is not allowed, exponents are nonnegative
 integers only, and a uint is a run of ASCII digits.  ``parse_rational``
 reads one rational, ``'-'? uint ('/' uint)?``, and only whitespace
-around it.  Three caps bound the cost of a parse, each a ParseError when
+around it.  Four caps bound the cost of a parse, each a ParseError when
 passed: MAX_DIGITS digits in a literal or in any coefficient, total
-degree MAX_DEGREE (checked before a product or power is expanded), and
-MAX_TERMS terms after each sum, product and step of a power.
+degree MAX_DEGREE (checked before a product or power is expanded),
+MAX_TERMS terms after each summand, product and step of a power, and
+MAX_DEPTH nested parentheses (at the first '(' past it), which also
+bounds the parser's recursion.  A sum is accumulated in one term map,
+checking only the coefficients each summand changes, so it parses in
+time linear in its length.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ Point = tuple[Fraction, ...]
 MAX_DIGITS = 1000
 MAX_DEGREE = 64
 MAX_TERMS = 2000
+MAX_DEPTH = 100
 _COEFFICIENT_LIMIT = 10**MAX_DIGITS
 _TOKEN = re.compile(r"(\s+)|([-+*/^()])|(x)?([0-9]+)?")
 _RATIONAL = re.compile(r"\s*-?([0-9]+)(?:/([0-9]*[1-9][0-9]*))?\s*")
@@ -281,6 +286,7 @@ class _Parser:
         self.ambient_dim = ambient_dim
         self.tokens = list(_tokenize(text))
         self.index = 0
+        self.depth = 0  # parentheses open at the current token
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -293,14 +299,14 @@ class _Parser:
     def fail(self, message: str, token: _Token):
         raise ParseError(message, self.text, token.position)
 
-    def checked(self, p: Polynomial, token: _Token) -> Polynomial:
-        """``p``, or a ParseError at ``token`` past the term or digit cap."""
-        if len(p._terms) > MAX_TERMS:
+    def checked(self, count: int, coefficients, token: _Token) -> None:
+        """A ParseError at ``token`` when ``count`` terms pass the term cap or
+        one of ``coefficients`` passes the digit cap."""
+        if count > MAX_TERMS:
             self.fail(f"more than {MAX_TERMS} terms", token)
-        for c in p._terms.values():
+        for c in coefficients:
             if max(abs(c.numerator), c.denominator) >= _COEFFICIENT_LIMIT:
                 self.fail(f"a coefficient has more than {MAX_DIGITS} digits", token)
-        return p
 
     def degree_at_most(self, degree: int, token: _Token) -> None:
         if degree > MAX_DEGREE:
@@ -314,12 +320,21 @@ class _Parser:
         return result
 
     def expr(self) -> Polynomial:
-        result = self.term()
+        # one term map for the whole sum: each summand's terms are added in
+        # place and only the changed coefficients are checked, so a sum
+        # costs time linear in its length
+        terms = dict(self.term()._terms)
         while self.peek().kind == "op" and self.peek().value in "+-":
             op = self.advance()
-            right = self.term()
-            result = self.checked(result + (right if op.value == "+" else -right), op)
-        return result
+            sign = 1 if op.value == "+" else -1
+            changed = []
+            for exponent, coeff in self.term()._terms.items():
+                total = terms.pop(exponent, 0) + sign * coeff
+                if total:
+                    terms[exponent] = total
+                    changed.append(total)
+            self.checked(len(terms), changed, op)
+        return Polynomial(self.ambient_dim, terms)
 
     def term(self) -> Polynomial:
         result = self.factor()
@@ -327,7 +342,8 @@ class _Parser:
             star = self.advance()
             right = self.factor()
             self.degree_at_most(result.total_degree() + right.total_degree(), star)
-            result = self.checked(result * right, star)
+            result = result * right
+            self.checked(len(result._terms), result._terms.values(), star)
         return result
 
     def factor(self) -> Polynomial:
@@ -342,7 +358,8 @@ class _Parser:
             self.degree_at_most(max(base.total_degree(), 1) * exponent.value, caret)
             result = constant(1, self.ambient_dim)
             for _ in range(exponent.value):
-                result = self.checked(result * base, caret)
+                result = result * base
+                self.checked(len(result._terms), result._terms.values(), caret)
             return result
         return base
 
@@ -356,10 +373,14 @@ class _Parser:
                 )
             return variable(token.value, self.ambient_dim)
         if token.kind == "op" and token.value == "(":
+            self.depth += 1
+            if self.depth > MAX_DEPTH:
+                self.fail(f"more than {MAX_DEPTH} nested parentheses", token)
             inner = self.expr()
             closing = self.advance()
             if not (closing.kind == "op" and closing.value == ")"):
                 self.fail("expected ')'", closing)
+            self.depth -= 1
             return inner
         # rational := int ('/' uint)?, with an optional leading '-'
         sign = 1

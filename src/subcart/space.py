@@ -211,18 +211,32 @@ def compose_cleared(
 
     Clearing denominators keeps the composition polynomial: each monomial
     c * x^e of total degree |e| becomes c * prod(num_i^e_i) * den^(d - |e|)
-    where d is the total degree of g.
+    where d is the total degree of g.  It is evaluated by Horner's rule in
+    each variable of g in turn, so each product multiplies a partial sum by
+    one numerator, and the powers of the denominator come from one table.
     """
     d = equation.total_degree()
     param_dim = denominator.ambient_dim
-    result = poly.zero(param_dim)
-    for exponent, coeff in equation.terms.items():
-        term = poly.constant(coeff, param_dim)
-        for num, e in zip(numerators, exponent):
-            term = term * num**e
-        term = term * denominator ** (d - sum(exponent))
-        result = result + term
-    return result
+    den_powers = [poly.constant(1, param_dim)]
+    for _ in range(d):
+        den_powers.append(den_powers[-1] * denominator)
+
+    def horner(terms: dict, var: int, degree: int) -> Polynomial:
+        # den^degree * h(numerators[var:] / den) for the h whose term map,
+        # on the exponent tails from x{var + 1} on, is ``terms``
+        if var == len(numerators):
+            return den_powers[degree].scale(terms[()])
+        by_power: dict[int, dict] = {}
+        for exponent, coeff in terms.items():
+            by_power.setdefault(exponent[0], {})[exponent[1:]] = coeff
+        result = poly.zero(param_dim)
+        for e in range(max(by_power, default=-1), -1, -1):
+            result = result * numerators[var]
+            if e in by_power:
+                result = result + horner(by_power[e], var + 1, degree - e)
+        return result
+
+    return horner(equation.terms, 0, d)
 
 
 def validate_sampler(space: SpacePresentation, sampler: Sampler) -> bool:
@@ -478,4 +492,6 @@ def load_space(path: str | Path) -> SpacePresentation:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise SpaceFormatError("$", f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise SpaceFormatError("$", "invalid JSON: nested too deeply") from None
     return space_from_dict(data)

@@ -84,6 +84,19 @@ def naive_partial(a: dict, index0: int) -> dict:
     return {e: c for e, c in out.items() if c != 0}
 
 
+def naive_compose_cleared(equation: dict, numerators, denominator: dict, dim: int) -> dict:
+    """den^d * g(nums / den) expanded term by term: each term c * x^e of g
+    (of total degree d) becomes c * prod(num_i^e_i) * den^(d - |e|)."""
+    d = max((sum(e) for e in equation), default=0)
+    out: dict = {}
+    for e, c in equation.items():
+        term = {(0,) * dim: Fraction(c)}
+        for num, k in zip(numerators, e):
+            term = naive_mul(term, naive_pow(num, k, dim))
+        out = naive_add(out, naive_mul(term, naive_pow(denominator, d - sum(e), dim)))
+    return out
+
+
 def grid_values(lo: Fraction, hi: Fraction, resolution: int) -> list[Fraction]:
     if resolution == 1:
         return [Fraction(lo)]

@@ -254,6 +254,56 @@ def test_empty_radius_or_epsilon_exits_2(argv, capsys):
     assert "rational literal" in err
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["verify", "--radius="], "--radius"),
+        (["stratify", "--epsilon=1/0"], "--epsilon"),
+        (["classify", "--point", "1,0,x"], "--point coordinate 3"),
+        (["frame", "--point", "1,,1"], "--point coordinate 2"),
+    ],
+)
+def test_option_errors_name_their_option(argv, option, capsys):
+    command, *options = argv
+    code, out, err = run_cli([command, str(fixture_path("cone")), *options], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {option}: expected a rational literal")
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        (
+            json.dumps(
+                {"name": "deep", "ambient_dim": 1, "equations": ["(" * 250 + "x1" + ")" * 250]}
+            ),
+            "error: equations[0]: more than 100 nested parentheses",
+        ),
+        ("[" * 100_000, "error: $: invalid JSON"),
+    ],
+)
+def test_deep_nesting_exits_2(text, where, tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(["verify", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(where)
+
+
+def test_long_input_errors_stay_short(tmp_path, capsys):
+    path = tmp_path / "long.json"
+    path.write_text(
+        json.dumps({"name": "long", "ambient_dim": 1, "equations": ["1" * 5000 + "*x1"]}),
+        encoding="utf-8",
+    )
+    code, _, err = run_cli(["verify", str(path)], capsys)
+    assert code == 2
+    assert err.startswith("error: equations[0]: integer has more than 1000 digits")
+    assert len(err) < 200
+
+
 def test_oversized_power_exits_2_fast(tmp_path):
     big = tmp_path / "big.json"
     big.write_text(

@@ -1,3 +1,5 @@
+import itertools
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -80,6 +82,59 @@ def test_parser_caps_digits_degree_and_terms():
         parse("(x1+x2+x3+1)^21", 3)
     with pytest.raises(ParseError, match="coefficient has more than 1000 digits"):
         parse(f"{digits}*{digits}", 1)
+
+
+def test_a_long_sum_parses_in_linear_time():
+    # 1,000 distinct monomials, about 19 KB of text
+    monomials = list(itertools.product(range(13), repeat=3))[:1000]
+    text = " + ".join(
+        f"{k % 97 + 1}*x1^{a}*x2^{b}*x3^{c}" for k, (a, b, c) in enumerate(monomials)
+    )
+    start = time.perf_counter()
+    p = parse(text, 3)
+    assert time.perf_counter() - start < 1
+    assert p.terms == {m: k % 97 + 1 for k, m in enumerate(monomials)}
+
+
+def test_sum_caps_report_the_operator_that_passes_them():
+    digits = "9" * poly.MAX_DIGITS
+    text = f"x1 + {digits} + {digits}"
+    with pytest.raises(ParseError, match="coefficient has more than 1000 digits") as info:
+        parse(text, 1)
+    assert info.value.position == text.rindex("+")
+    assert parse(f"{digits} + x1 - {digits}", 1) == variable(1, 1)
+    exponents = list(itertools.product(range(13), repeat=3))[: poly.MAX_TERMS]
+    text = " + ".join(f"x1^{a}*x2^{b}*x3^{c}" for a, b, c in exponents)
+    assert len(parse(text, 3).terms) == poly.MAX_TERMS
+    with pytest.raises(ParseError, match="more than 2000 terms") as info:
+        parse(text + " + x1^13 - x1^13", 3)
+    assert info.value.position == len(text) + 1
+
+
+def test_nesting_is_capped():
+    depth = poly.MAX_DEPTH
+    assert parse("(" * depth + "x1" + ")" * depth, 1) == variable(1, 1)
+    text = "(" * (depth + 1) + "x1" + ")" * (depth + 1)
+    with pytest.raises(ParseError, match="more than 100 nested parentheses") as info:
+        parse(text, 1)
+    assert info.value.position == depth
+    # sibling groups do not add up
+    assert parse(" + ".join(["(" * depth + "x1" + ")" * depth] * 3), 1) == parse("3*x1", 1)
+
+
+def test_parse_errors_quote_a_short_window():
+    text = "1" * 5000 + "*x1"
+    with pytest.raises(ParseError) as info:
+        parse(text, 1)
+    assert len(str(info.value)) < 200
+    assert info.value.text == text and info.value.position == 0
+    with pytest.raises(ParseError, match=r"at position 10 in 'x1 \+ x2 \+ y'\)$"):
+        parse("x1 + x2 + y", 2)  # a short text is quoted whole
+    text = "x1+" * 30 + "y" + "+x1" * 30
+    with pytest.raises(ParseError) as info:
+        parse(text, 1)
+    window = repr(text[70:110])
+    assert str(info.value).endswith(f"(at position 90 in ...{window}...)")
 
 
 def test_grammar_rejects_implicit_multiplication_and_unary_minus_on_vars():

@@ -5,6 +5,7 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from subcart import poly, space as space_module
 from subcart.errors import (
@@ -28,8 +29,9 @@ from subcart.space import (
     validate_sampler,
 )
 from subcart.fixtures import fixture_path
+from subcart.poly import Polynomial
 
-from oracles import grid_points
+from oracles import grid_points, naive_compose_cleared
 
 
 def line_sampler(numerators, lo, hi, resolution):
@@ -234,6 +236,68 @@ def test_compose_cleared_matches_direct_substitution(sphere):
     assert cleared_h.evaluate(params) == den ** h.total_degree() * h.evaluate(
         s.image(params)
     )
+
+
+small_coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+def small_terms(dim, max_terms, max_exponent):
+    exponents = st.tuples(*[st.integers(0, max_exponent)] * dim)
+    return st.dictionaries(exponents, small_coefficients, max_size=max_terms).map(
+        lambda terms: {e: c for e, c in terms.items() if c != 0}
+    )
+
+
+@st.composite
+def compositions(draw):
+    ambient_dim, param_dim = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    equation = draw(small_terms(ambient_dim, 5, 3))
+    numerators = [draw(small_terms(param_dim, 3, 2)) for _ in range(ambient_dim)]
+    denominator = draw(small_terms(param_dim, 3, 2).filter(bool))
+    return ambient_dim, param_dim, equation, numerators, denominator
+
+
+@settings(deadline=None, max_examples=100)
+@given(compositions())
+def test_compose_cleared_matches_term_by_term_expansion(case):
+    ambient_dim, param_dim, equation, numerators, denominator = case
+    composed = compose_cleared(
+        Polynomial(ambient_dim, equation),
+        [Polynomial(param_dim, n) for n in numerators],
+        Polynomial(param_dim, denominator),
+    )
+    assert composed.terms == naive_compose_cleared(
+        equation, numerators, denominator, param_dim
+    )
+
+
+def test_high_degree_composition_fails_load_fast(tmp_path):
+    # 286 terms of degree up to 10 over a rational sampler whose image is
+    # off the equation's zero set
+    path = tmp_path / "composed.json"
+    path.write_text(
+        json.dumps(
+            {
+                "name": "composed",
+                "ambient_dim": 3,
+                "equations": ["(x1+x2+x3+1)^10"],
+                "samplers": [
+                    {
+                        "param_dim": 2,
+                        "numerators": ["1+x1+2*x2", "3+x1-x2", "x1+x2+5"],
+                        "denominator": "1+x1+x2",
+                        "box": [["0", "1"], ["0", "1"]],
+                        "resolution": 3,
+                    }
+                ],
+            }
+        ),
+        encoding="utf-8",
+    )
+    start = time.perf_counter()
+    with pytest.raises(SpaceFormatError, match=r"samplers\[0\]: composition"):
+        load_space(path)
+    assert time.perf_counter() - start < 1
 
 
 # -- representative equality -----------------------------------------------------
