@@ -41,7 +41,7 @@ from typing import Sequence
 
 from . import linalg
 from .errors import DimensionMismatchError, FrameEvaluationError, SubcartError
-from .poly import Point, format_point
+from .poly import Point, clear_denominators, format_point
 from .space import Sampler, SpacePresentation
 from .stratify import StratificationReport, Verdict, label, stratify, sup_distance
 from .tangent import Basis, PointAnalysis, analyse
@@ -73,7 +73,7 @@ class FrameSection:
         pattern differs from the anchor: the point lies outside the
         rank-constant neighborhood this frame trivializes.
         """
-        basis = analyse(self.space, point).bases.get(self.pivot_columns)
+        basis = analyse(self.space, point).basis(self.pivot_columns)
         if basis is None:
             raise FrameEvaluationError(
                 f"rank or pivot pattern at {format_point(point)} differs from the "
@@ -260,20 +260,17 @@ def triviality_targets(
     """
     return _targets(
         report,
-        report.analyses[anchor_index],
+        report.records[anchor_index].dim,
         report.index.neighbours(anchor_index, strict=True),
     )
 
 
-def _targets(
-    report: StratificationReport, anchor: PointAnalysis, candidates: Sequence[int]
-) -> list[int]:
+def _targets(report: StratificationReport, dim: int, candidates: Sequence[int]) -> list[int]:
+    """The candidate records that are regular and of dimension ``dim``."""
     return [
         j
         for j in candidates
-        if report.records[j].point != anchor.point
-        and report.records[j].label == "regular"
-        and report.records[j].dim == anchor.dim
+        if report.records[j].label == "regular" and report.records[j].dim == dim
     ]
 
 
@@ -297,7 +294,7 @@ def frame_evaluations(
                 f"and {format_point(other.point)}: the bundle is not "
                 f"trivializable over this neighborhood"
             )
-        basis = other.bases.get(frame.pivot_columns)
+        basis = other.basis(frame.pivot_columns)
         if basis is not None:  # else another chart covers it
             evaluations.append((j, basis))
     return frame, evaluations
@@ -319,7 +316,12 @@ def anchored_frame(
         raise SubcartError(
             f"cannot anchor a frame at the singular point {format_point(anchor.point)}"
         )
-    targets = _targets(report, anchor, report.index.near(anchor.point, strict=True))
+    others = [
+        j
+        for j in report.index.near(anchor.point, strict=True)
+        if report.records[j].point != anchor.point
+    ]
+    targets = _targets(report, anchor.dim, others)
     frame, evaluations = frame_evaluations(report, anchor, targets)
     return frame, [(report.records[j].point, basis) for j, basis in evaluations]
 
@@ -366,7 +368,7 @@ def verify_local_triviality(report: StratificationReport) -> Verdict:
                     f"expected {record.dim}",
                 )
             for v in vectors:
-                if any(x != 0 for x in linalg.matrix_vector(other.jacobian, v)):
+                if any(linalg.matrix_vector(other.jacobian, clear_denominators(v)[0])):
                     return Verdict(
                         "local_triviality",
                         False,

@@ -1,8 +1,17 @@
-"""Exact rational linear algebra: reduced row echelon form and the one
-chart solver, for pivot-normalized null-space bases.
+"""Exact linear algebra: fraction-free elimination, the one chart solver
+for pivot-normalized null-space bases, and the rational reduced row
+echelon form.
 
-Matrices are sequences of equal-length rows of Fractions.  Everything here
-is deterministic: pivots are chosen by the leftmost-column rule, breaking
+``bareiss`` eliminates an integer matrix without fractions (Bareiss 1968,
+*Math. Comp.* 22): each division is exact, so the entries stay integers.
+It gives the rank and the pivots of a point's integer Jacobian rows and
+decides its charts.  ``solve_with_pivots`` clears each row of its
+denominators (a positive row scale, which keeps the kernel), eliminates
+by ``bareiss`` and makes Fractions only for the basis entries.  ``rref``
+is the rational Gauss-Jordan form.
+
+Matrices are sequences of equal-length rows.  Everything here is
+deterministic: pivots are chosen by the leftmost-column rule, breaking
 ties by taking the topmost nonzero row, so identical inputs always produce
 identical outputs.
 """
@@ -12,7 +21,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-Matrix = Sequence[Sequence[Fraction]]
+from .poly import clear_denominators
+
+Matrix = Sequence[Sequence[Fraction | int]]
 Vector = tuple[Fraction, ...]
 
 
@@ -48,6 +59,39 @@ def rref(matrix: Matrix) -> tuple[list[list[Fraction]], list[int]]:
     return rows, pivots
 
 
+def bareiss(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination of an integer matrix, and
+    its pivot columns (0-based, ascending; chosen as in ``rref``).
+
+    After k pivots the pivot rows hold k-by-k minors of the input and the
+    other rows (k+1)-by-(k+1) minors (Sylvester's identity), so each
+    division by the previous pivot is exact.  At the end every pivot row holds the last pivot d at its own
+    pivot column and 0 at the others: it is d times the matching RREF row.
+    """
+    rows = [list(row) for row in matrix]
+    pivots: list[int] = []
+    previous = 1
+    for col in range(len(rows[0]) if rows else 0):
+        top = len(pivots)
+        for r in range(top, len(rows)):
+            if rows[r][col]:
+                break
+        else:
+            continue
+        rows[top], rows[r] = rows[r], rows[top]
+        pivot_line = rows[top]
+        pivot = pivot_line[col]
+        for r, row in enumerate(rows):
+            if r != top:
+                factor = row[col]
+                rows[r] = [(pivot * a - factor * b) // previous for a, b in zip(row, pivot_line)]
+        previous = pivot
+        pivots.append(col)
+        if len(pivots) == len(rows):
+            break
+    return rows, pivots
+
+
 def submatrix_columns(matrix: Matrix, columns: Sequence[int]) -> list[list[Fraction]]:
     return [[row[c] for c in columns] for row in matrix]
 
@@ -60,25 +104,31 @@ def solve_with_pivots(
 
     Returns None when the pattern is not a chart of this matrix: a column
     set whose submatrix has full column rank equal to the matrix's rank.
-    Exactly then the leftmost-pivot RREF with those columns moved to the
-    front pivots on them, so one elimination both decides and solves.
+    Exactly then the leftmost-pivot elimination with those columns moved
+    to the front pivots on them, so one elimination both decides and
+    solves.
     """
     free = [c for c in range(ncols) if c not in pivot_columns]
-    reduced, pivots = rref(submatrix_columns(matrix, [*pivot_columns, *free]))
-    if pivots != list(range(len(pivot_columns))):
+    rows = [
+        clear_denominators(row)[0]
+        for row in submatrix_columns(matrix, [*pivot_columns, *free])
+    ]
+    reduced, pivots = bareiss(rows)
+    rank = len(pivot_columns)
+    if pivots != list(range(rank)):
         return None
     basis = []
     for k, f in enumerate(free):
         v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
-        for p, row in zip(pivot_columns, reduced):
-            v[p] = -row[len(pivot_columns) + k]
+        for i, (p, row) in enumerate(zip(pivot_columns, reduced)):
+            v[p] = Fraction(-row[rank + k], row[i])
         basis.append(tuple(v))
     return basis
 
 
-def matrix_vector(matrix: Matrix, vector: Sequence[Fraction]) -> Vector:
-    return tuple(
-        sum((a * b for a, b in zip(row, vector)), Fraction(0)) for row in matrix
-    )
+def matrix_vector(
+    matrix: Matrix, vector: Sequence[Fraction | int]
+) -> tuple[Fraction | int, ...]:
+    return tuple(sum(a * b for a, b in zip(row, vector)) for row in matrix)
 

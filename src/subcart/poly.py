@@ -28,10 +28,21 @@ MAX_DEPTH nested parentheses (at the first '(' past it), which also
 bounds the parser's recursion.  A sum is accumulated in one term map,
 checking only the coefficients each summand changes, so it parses in
 time linear in its length.
+
+Evaluation is exact integer arithmetic.  A rational point is put over its
+least positive common denominator D with integer numerators a
+(``clear_denominators``), and ``evaluate_cleared`` gives the integer
+L * D^d * p(a/D), where d is the total degree and L the lcm of the
+coefficients' denominators (kept in a slot on first use).  The factor is
+positive, so the value has the sign and the zero set of p.  ``evaluate``
+divides it once.  A ``ClearedRow`` scales several polynomials by one
+positive factor, so its integer values keep their ratios: the rows of a
+Jacobian and the numerators over the denominator of a sampler.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Iterator, Mapping, NamedTuple, Sequence
@@ -54,6 +65,13 @@ def format_point(point: Sequence[Fraction]) -> str:
     return "(" + ", ".join(str(c) for c in point) + ")"
 
 
+def clear_denominators(point: Sequence[Fraction | int]) -> tuple[tuple[int, ...], int]:
+    """Integer numerators a and the least positive common denominator D of
+    a rational point, so that point[i] == a[i] / D."""
+    denominator = math.lcm(*(c.denominator for c in point))
+    return tuple(c.numerator * (denominator // c.denominator) for c in point), denominator
+
+
 def _grlex_key(exponent: Exponent) -> tuple:
     # graded lexicographic: compare total degree, then the tuple itself
     return (sum(exponent), exponent)
@@ -62,7 +80,7 @@ def _grlex_key(exponent: Exponent) -> tuple:
 class Polynomial:
     """Immutable exact polynomial in variables x1..x{ambient_dim}."""
 
-    __slots__ = ("ambient_dim", "_terms")
+    __slots__ = ("ambient_dim", "_terms", "_integer")
 
     def __init__(self, ambient_dim: int, terms: Mapping[Exponent, Fraction]):
         if ambient_dim < 1:
@@ -82,6 +100,7 @@ class Polynomial:
                 cleaned[exponent] = coeff
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "_terms", cleaned)
+        object.__setattr__(self, "_integer", None)  # see ``integer_form``
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -176,21 +195,51 @@ class Polynomial:
             out[lowered] = out.get(lowered, Fraction(0)) + coeff * e
         return Polynomial(self.ambient_dim, out)
 
+    def integer_form(self) -> tuple[int, int, tuple]:
+        """(L, d, terms): the lcm L of the coefficients' denominators, the
+        total degree d, and per term (L * coefficient, d - |e|, the
+        (variable, exponent) pairs with a nonzero exponent).  Computed on
+        first use and kept."""
+        if self._integer is None:
+            scale = math.lcm(*(c.denominator for c in self._terms.values()))
+            degree = self.total_degree()
+            terms = tuple(
+                (
+                    c.numerator * (scale // c.denominator),
+                    degree - sum(exponent),
+                    tuple((i, e) for i, e in enumerate(exponent) if e),
+                )
+                for exponent, c in self._terms.items()
+            )
+            object.__setattr__(self, "_integer", (scale, degree, terms))
+        return self._integer
+
+    def evaluate_cleared(self, numerators: Sequence[int], denominator: int) -> int:
+        """The exact integer L * D^d * p(a/D) for integer numerators a and a
+        positive integer denominator D (L and d as in ``integer_form``);
+        its sign and zero set are those of p(a/D)."""
+        if len(numerators) != self.ambient_dim:
+            raise DimensionMismatchError(
+                f"point has length {len(numerators)}, expected {self.ambient_dim}"
+            )
+        _, degree, terms = self.integer_form()
+        powers = [1]
+        for _ in range(degree):
+            powers.append(powers[-1] * denominator)
+        total = 0
+        for coeff, rest, factors in terms:
+            value = coeff * powers[rest]
+            for i, e in factors:
+                value *= numerators[i] ** e
+            total += value
+        return total
+
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         """Exact value at a rational point of matching length."""
-        if len(point) != self.ambient_dim:
-            raise DimensionMismatchError(
-                f"point has length {len(point)}, expected {self.ambient_dim}"
-            )
-        values = [Fraction(x) for x in point]
-        total = Fraction(0)
-        for exponent, coeff in self._terms.items():
-            term = coeff
-            for e, v in zip(exponent, values):
-                if e:
-                    term *= v**e
-            total += term
-        return total
+        numerators, denominator = clear_denominators([Fraction(x) for x in point])
+        value = self.evaluate_cleared(numerators, denominator)
+        scale, degree, _ = self.integer_form()
+        return Fraction(value, scale * denominator**degree)
 
     # -- printing ------------------------------------------------------------
 
@@ -227,6 +276,28 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.ambient_dim}, {str(self)!r})"
+
+
+class ClearedRow:
+    """Polynomials over one positive scale: at a/D, ``evaluate`` gives
+    S * D^d * p(a/D) for each p, with the same S > 0 (the lcm of their
+    scales L) and d (their largest total degree) for all of them."""
+
+    __slots__ = ("_entries",)
+
+    def __init__(self, polynomials: Sequence[Polynomial]):
+        forms = [p.integer_form() for p in polynomials]
+        scale = math.lcm(*(form[0] for form in forms))
+        degree = max((form[1] for form in forms), default=0)
+        self._entries = tuple(
+            (p, scale // form[0], degree - form[1]) for p, form in zip(polynomials, forms)
+        )
+
+    def evaluate(self, numerators: Sequence[int], denominator: int) -> list[int]:
+        return [
+            factor * denominator**gap * p.evaluate_cleared(numerators, denominator)
+            for p, factor, gap in self._entries
+        ]
 
 
 # -- constructors ------------------------------------------------------------

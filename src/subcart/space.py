@@ -16,7 +16,15 @@ field.  The presentation caches the validated samples once, deduplicated
 is validated on its first ``sample``, which reports the same failure as a
 ``SamplerInvariantError``.
 A space file may ask for at most ``MAX_GRID_POINTS`` grid points per
-sampler.
+sampler, and its equations and inequalities may have at most
+``poly.MAX_TERMS`` terms together.
+
+Points are tested on integers.  ``is_member`` puts a point over its least
+common denominator and reads the signs of ``Polynomial.evaluate_cleared``.
+A sampler's grid parameters go over their common denominator, and its
+numerators and denominator over one positive scale (``poly.ClearedRow``),
+so each grid image is integer numerators over one denominator, tested as
+they are; a Fraction is made only for each coordinate of the image.
 
 Equality of two polynomial representatives as functions on S is certified
 by caller-supplied witnesses: F and G agree on S when F - G is an explicit
@@ -33,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -90,19 +99,44 @@ class Sampler:
         step = (hi - lo) / (self.param_resolution - 1)
         return [lo + step * k for k in range(self.param_resolution)]
 
+    def _integer_grid(self) -> tuple[int, list[tuple[int, ...]]]:
+        """The common denominator q of all grid parameters, and each grid
+        point's integer numerators over q, first axis slowest (row-major)."""
+        axes = [self.axis_values(a) for a in range(self.param_dim)]
+        q = math.lcm(*(v.denominator for axis in axes for v in axis))
+        scaled = [[v.numerator * (q // v.denominator) for v in axis] for axis in axes]
+        return q, list(itertools.product(*scaled))
+
     def grid(self) -> list[Point]:
         """All grid parameter points, first axis slowest (row-major)."""
-        axes = [self.axis_values(a) for a in range(self.param_dim)]
-        return [tuple(p) for p in itertools.product(*axes)]
+        q, grid = self._integer_grid()
+        return [tuple(Fraction(t, q) for t in params) for params in grid]
+
+    @cached_property
+    def _cleared(self) -> poly.ClearedRow:
+        """The numerators, then the denominator, over one positive scale."""
+        return poly.ClearedRow((*self.numerators, self.denominator))
+
+    def _cleared_image(
+        self, numerators: Sequence[int], denominator: int
+    ) -> tuple[list[int], int]:
+        """The image of the parameter point a/D (a the integer
+        ``numerators``, D > 0) as integer numerators over one common
+        denominator, which is positive, or 0 where the sampler's
+        denominator vanishes."""
+        *image, den = self._cleared.evaluate(numerators, denominator)
+        return ([-x for x in image], -den) if den < 0 else (image, den)
 
     def image(self, params: Sequence[Fraction]) -> Point:
         """Exact image of one parameter point; denominator must not vanish."""
-        den = self.denominator.evaluate(params)
+        image, den = self._cleared_image(
+            *poly.clear_denominators([Fraction(x) for x in params])
+        )
         if den == 0:
             raise SamplerInvariantError(
                 f"sampler denominator vanishes at parameters {format_point(params)}"
             )
-        return tuple(num.evaluate(params) / den for num in self.numerators)
+        return tuple(Fraction(x, den) for x in image)
 
 
 @dataclass(frozen=True)
@@ -150,6 +184,12 @@ class SpacePresentation:
         )
 
     @cached_property
+    def cleared_gradients(self) -> tuple[poly.ClearedRow, ...]:
+        """``gradients`` for integer evaluation, each row over one positive
+        scale, compiled once per space."""
+        return tuple(poly.ClearedRow(row) for row in self.gradients)
+
+    @cached_property
     def _samples(self) -> tuple[Point, ...]:
         """Every sampler's validated grid images in grid order, then the
         explicit sample points, deduplicated keeping first occurrences;
@@ -192,14 +232,19 @@ def is_member(space: SpacePresentation, point: Sequence[Fraction]) -> bool:
         raise DimensionMismatchError(
             f"point has length {len(point)}, expected {space.ambient_dim}"
         )
+    return _satisfies(space, *poly.clear_denominators([Fraction(x) for x in point]))
+
+
+def _satisfies(space: SpacePresentation, numerators: Sequence[int], denominator: int) -> bool:
+    """``is_member`` of the point a/D, for integer numerators a over a
+    positive denominator D, by the integer evaluator: its values have the
+    signs of the rational ones."""
     for g in space.equations:
-        if g.evaluate(point) != 0:
+        if g.evaluate_cleared(numerators, denominator):
             return False
     for h, strict in space.inequalities:
-        value = h.evaluate(point)
-        if strict and not value > 0:
-            return False
-        if not strict and not value >= 0:
+        value = h.evaluate_cleared(numerators, denominator)
+        if value < 0 or strict and value == 0:
             return False
     return True
 
@@ -268,21 +313,25 @@ def _sampler_images(
                 path, f"composition with equations[{gi}] is not identically zero"
             )
     images = []
-    for params in sampler.grid():
-        try:
-            point = sampler.image(params)
-        except SamplerInvariantError:
+    q, grid = sampler._integer_grid()
+    for params in grid:
+        image, den = sampler._cleared_image(params, q)
+        if den == 0:
             raise SpaceFormatError(
                 f"{path}.denominator",
-                f"vanishes at grid parameters {format_point(params)}",
-            ) from None
-        if not is_member(space, point):
+                f"vanishes at grid parameters {_format_over(params, q)}",
+            )
+        if not _satisfies(space, image, den):
             raise SpaceFormatError(
                 path,
-                f"grid image at parameters {format_point(params)} violates the constraints",
+                f"grid image at parameters {_format_over(params, q)} violates the constraints",
             )
-        images.append(point)
+        images.append(tuple(Fraction(x, den) for x in image))
     return images
+
+
+def _format_over(numerators: Sequence[int], denominator: int) -> str:
+    return format_point([Fraction(a, denominator) for a in numerators])
 
 
 def sample(space: SpacePresentation) -> list[Point]:
@@ -392,8 +441,24 @@ def space_from_dict(data: dict) -> SpacePresentation:
     if ambient_dim < 1:
         raise SpaceFormatError("$.ambient_dim", "must be a positive integer")
 
+    # each equation is composed with each sampler and every constraint is
+    # evaluated at each sample, so their terms together are capped too,
+    # checked after each parse and before any composition
+    terms = 0
+
+    def counted(p: Polynomial) -> Polynomial:
+        nonlocal terms
+        terms += len(p.terms)
+        if terms > poly.MAX_TERMS:
+            raise SpaceFormatError(
+                "equations",
+                f"the equations and inequalities have more than {poly.MAX_TERMS} "
+                "terms together",
+            )
+        return p
+
     equations = tuple(
-        _parse_poly(text, ambient_dim, f"equations[{i}]")
+        counted(_parse_poly(text, ambient_dim, f"equations[{i}]"))
         for i, text in enumerate(_optional_list(data, "equations", "$"))
     )
 
@@ -401,7 +466,9 @@ def space_from_dict(data: dict) -> SpacePresentation:
     for i, entry in enumerate(_optional_list(data, "inequalities", "$")):
         if not isinstance(entry, dict):
             raise SpaceFormatError(f"inequalities[{i}]", "expected an object")
-        h = _parse_poly(entry.get("poly"), ambient_dim, f"inequalities[{i}].poly")
+        h = counted(
+            _parse_poly(entry.get("poly"), ambient_dim, f"inequalities[{i}].poly")
+        )
         strict = entry.get("strict", False)
         if not isinstance(strict, bool):
             raise SpaceFormatError(f"inequalities[{i}].strict", "expected a boolean")

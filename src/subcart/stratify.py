@@ -4,12 +4,13 @@ verification of the stratification theorems.
 The structural dimension at a member point equals the dimension of the
 tangent space there, so it is computed exactly as
 ambient_dim - rank(Jacobian); ``stratify`` analyses each sample point
-once and keeps the analysis beside its record.  Kernel dimension is upper
-semicontinuous: approaching a point, dimensions can only stay or rise at
-the limit point, never persistently exceed it nearby.  Regularity (local
-constancy of the dimension) is therefore decided from sampled evidence
-asymmetrically, by the one rule ``label`` that ``stratify``, ``classify``
-and the frame anchor check all apply:
+once, on integers and without testing membership again (the samples were
+validated at load), and keeps the analysis beside its record.  Kernel
+dimension is upper semicontinuous: approaching a point, dimensions can
+only stay or rise at the limit point, never persistently exceed it
+nearby.  Regularity (local constancy of the dimension) is therefore
+decided from sampled evidence asymmetrically, by the one rule ``label``
+that ``stratify``, ``classify`` and the frame anchor check all apply:
 
 * a sampled neighbor of strictly LOWER dimension certifies that the
   dimension is not locally constant at x, so x is singular;
@@ -24,11 +25,12 @@ targets, and classification of points that are not samples) is answered
 by one ``NeighbourIndex`` per radius.  It multiplies the coordinates and
 the radius by the lcm of their denominators and hashes the points into
 cells (``near`` needs only those; the samples' neighbour lists are found
-on the first ``neighbours`` call), so every comparison is between integers
-and exact: a pair at exactly the radius is a neighbour for the ``<=``
-questions (labels, usc, open, and dense with epsilon) and not for the
-strict ``<`` of the triviality targets, which keeps the coordinate cross's
-branches apart.  Default radius and epsilon are the maximum
+on the first ``neighbours`` call, each pair of points in adjacent cells
+compared once and only up to its first coordinate beyond the radius), so
+every comparison is between integers and exact: a pair at exactly the
+radius is a neighbour for the ``<=`` questions (labels, usc, open, and
+dense with epsilon) and not for the strict ``<`` of the triviality
+targets, which keeps the coordinate cross's branches apart.  Default radius and epsilon are the maximum
 nearest-neighbor gap of the sample set (computed once, on the same
 integer coordinates), so the defaults scale with sampling density instead
 of being assumed.  A negative radius or epsilon, which would leave every
@@ -48,12 +50,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from typing import Iterator, Literal, Sequence
+from operator import add, sub
+from typing import Literal, Sequence
 
 from .errors import NoSampleSourceError, SubcartError
 from .poly import Point, format_point
 from .space import SpacePresentation, repeated_factor_caveats, sample
-from .tangent import PointAnalysis, analyse
+from .tangent import PointAnalysis, analyse, analyse_member
 
 Label = Literal["regular", "singular", "unknown"]
 
@@ -61,7 +64,7 @@ Label = Literal["regular", "singular", "unknown"]
 def sup_distance(
     a: Sequence[Fraction | int], b: Sequence[Fraction | int]
 ) -> Fraction | int:
-    return max(abs(x - y) for x, y in zip(a, b))
+    return max(map(abs, map(sub, a, b)))
 
 
 def structural_dim(space: SpacePresentation, point: Sequence[Fraction]) -> int:
@@ -258,15 +261,21 @@ class NeighbourIndex:
 
     @cached_property
     def _lists(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """The closed and the open neighbour lists of every point."""
+        """The closed and the open neighbour lists of every point.  Each
+        cell's points are compared with its later points and with the
+        points of the adjacent cells on one side (the offsets after the
+        zero offset, whose negations are the ones before it), so each
+        pair is compared once."""
         closed: list[list[int]] = [[] for _ in self._points]
         strict: list[list[int]] = [[] for _ in self._points]
-        for i, p in enumerate(self._points):
-            for j in self._candidates(p):
-                if j <= i:
-                    continue
-                d = sup_distance(p, self._points[j])
-                if d <= self._reach:
+        forward = self._offsets[len(self._offsets) // 2 + 1 :]
+        for key, members in self._cells.items():
+            adjacent = []
+            for offset in forward:
+                adjacent += self._cells.get(tuple(map(add, key, offset)), ())
+            for k, i in enumerate(members):
+                candidates = members[k + 1 :] + adjacent
+                for j, d in _within(self._points[i], self._points, candidates, self._reach):
                     closed[i].append(j)
                     closed[j].append(i)
                     if d < self._reach:
@@ -280,11 +289,13 @@ class NeighbourIndex:
     def _cell(self, scaled: Sequence[Fraction | int]) -> tuple[int, ...]:
         return tuple(scaled[a] // self._side for a in self._axes)
 
-    def _candidates(self, scaled: Sequence[Fraction | int]) -> Iterator[int]:
+    def _candidates(self, scaled: Sequence[Fraction | int]) -> list[int]:
         """Indices of the points in the cells adjacent to the point's cell."""
         key = self._cell(scaled)
+        found = []
         for offset in self._offsets:
-            yield from self._cells.get(tuple(k + o for k, o in zip(key, offset)), ())
+            found += self._cells.get(tuple(map(add, key, offset)), ())
+        return found
 
     def neighbours(self, i: int, strict: bool = False) -> tuple[int, ...]:
         """Ascending indices j != i of the points within the radius of
@@ -297,12 +308,31 @@ class NeighbourIndex:
         (closer than the radius when ``strict``); an indexed point equal
         to it is included."""
         scaled = [c * self._scale for c in point]
-        found = []
-        for j in self._candidates(scaled):
-            d = sup_distance(scaled, self._points[j])
-            if d < self._reach or (d == self._reach and not strict):
-                found.append(j)
-        return sorted(found)
+        found = _within(scaled, self._points, self._candidates(scaled), self._reach)
+        return sorted(j for j, d in found if not strict or d < self._reach)
+
+
+def _within(
+    p: Sequence[Fraction | int],
+    points: Sequence[tuple[int, ...]],
+    candidates: Sequence[int],
+    reach: int,
+) -> list[tuple[int, Fraction | int]]:
+    """(j, distance) for each candidate index j whose point is within
+    ``reach`` of ``p`` in the sup norm, in candidate order.  A pair's
+    comparison stops at its first coordinate further apart than ``reach``."""
+    found = []
+    for j in candidates:
+        distance = 0
+        for x, y in zip(p, points[j]):
+            gap = x - y if x > y else y - x
+            if gap > reach:
+                break
+            if gap > distance:
+                distance = gap
+        else:
+            found.append((j, distance))
+    return found
 
 
 def verify_usc(records: Sequence[PointRecord], index: NeighbourIndex) -> Verdict:
@@ -393,7 +423,7 @@ def classify_point(
     points = sample(space)
     (radius,) = _radii(points, radius)
     neighbor_dims = [
-        x.dim if points[j] == x.point else structural_dim(space, points[j])
+        x.dim if points[j] == x.point else analyse_member(space, points[j]).dim
         for j in NeighbourIndex(points, radius).near(x.point)
     ]
     return PointRecord(x.point, x.dim, label(x.dim, neighbor_dims))
@@ -411,18 +441,17 @@ def stratify(
     if not points:
         raise NoSampleSourceError(f"space {space.name!r} produced no sample points")
     radius, epsilon = _radii(points, radius, epsilon)
-    analyses = tuple(analyse(space, p) for p in points)
+    analyses = tuple(analyse_member(space, p) for p in points)
+    dims = [a.dim for a in analyses]
     index = NeighbourIndex(points, radius)
     dense_index = index if epsilon == radius else NeighbourIndex(points, epsilon)
     # a sample is evidence for itself, so isolated samples are regular
     # rather than unknown
     records = tuple(
         PointRecord(
-            a.point,
-            a.dim,
-            label(a.dim, [a.dim] + [analyses[j].dim for j in index.neighbours(i)]),
+            p, dims[i], label(dims[i], [dims[i]] + [dims[j] for j in index.neighbours(i)])
         )
-        for i, a in enumerate(analyses)
+        for i, p in enumerate(points)
     )
 
     strata = tuple(

@@ -8,17 +8,25 @@ h = sum(a_i g_i), dh at a member point equals sum(a_i(x) dg_i) because the
 g_i vanish there, so the generator kernel already is the presented-ideal
 kernel.
 
-Kernel bases are pivot-normalized from the exact reduced row echelon form
-(leftmost pivots, deterministic), which makes results canonical and feeds
-the frame construction directly.
+Kernel bases are pivot-normalized (leftmost pivots, deterministic), which
+makes results canonical and feeds the frame construction directly.
 
-``analyse`` is the Jacobian at a point (from gradients differentiated once
-per space) plus its one RREF, whose pivots give rank and dimension.  The
-charts, the column sets whose Jacobian submatrix has full rank, and their
-pivot-normalized kernel bases are derived by ``linalg.solve_with_pivots``
-on first read and kept.  Two points share a frame chart iff their ranks
-agree and their chart sets intersect; a frame frozen on a chart reads its
-vectors at a point from that point's bases.
+``analyse`` tests membership and then analyses the point on integers
+(``analyse_member``, which ``stratify`` calls directly on its
+load-validated samples).  The point goes over its least common
+denominator D, and ``PointAnalysis.jacobian`` holds the Jacobian's
+integer rows, row j being the gradient of equation j times one positive
+integer (from ``SpacePresentation.cleared_gradients``, compiled once per
+space).  Positive row scales keep the rank, the pivots, the charts and
+the normalized bases.  Rank and leftmost pivots come from one
+fraction-free ``linalg.bareiss`` elimination.  The charts, the column
+sets whose Jacobian submatrix has full rank, are decided by the integer
+rank of each submatrix, with no solve; ``PointAnalysis.basis`` solves a
+chart's pivot-normalized kernel basis by ``linalg.solve_with_pivots`` on
+its first read and keeps it.  Two points share a frame chart iff their
+ranks agree and their chart sets intersect; a frame frozen on a chart
+reads its vectors at a point from that point's basis for the chart.
+``jacobian`` is the rational Jacobian of a member point.
 """
 
 from __future__ import annotations
@@ -27,20 +35,21 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from . import linalg
 from .errors import DimensionMismatchError, NonMemberError
-from .poly import Point, Polynomial, format_point
+from .poly import Point, Polynomial, clear_denominators, format_point
 from .space import RingElement, SpacePresentation, is_member
 
 Matrix = tuple[tuple[Fraction, ...], ...]
+IntegerMatrix = tuple[tuple[int, ...], ...]
 Basis = tuple[tuple[Fraction, ...], ...]
 
 
 def jacobian(space: SpacePresentation, point: Sequence[Fraction]) -> Matrix:
     """Exact generator Jacobian at a member point: row j is the gradient
-    of equation j.  The one membership check before per-point algebra."""
+    of equation j."""
     point = tuple(Fraction(x) for x in point)
     if not is_member(space, point):
         raise NonMemberError(
@@ -51,28 +60,40 @@ def jacobian(space: SpacePresentation, point: Sequence[Fraction]) -> Matrix:
 
 @dataclass(frozen=True)
 class PointAnalysis:
-    """The linear algebra of one member point; charts are solved on first read."""
+    """The linear algebra of one member point: integer Jacobian rows, each
+    the gradient times a positive integer, and their leftmost pivots."""
 
     point: Point
-    jacobian: Matrix
+    jacobian: IntegerMatrix
     pivots: tuple[int, ...]  # 0-based, ascending
 
     @cached_property
-    def bases(self) -> Mapping[tuple[int, ...], Basis]:
-        """Each column set of size ``rank`` that ``solve_with_pivots``
-        accepts (a chart), mapped to its result."""
-        n = len(self.point)
-        bases = {}
-        for columns in itertools.combinations(range(n), self.rank):
-            basis = linalg.solve_with_pivots(self.jacobian, n, columns)
-            if basis is not None:
-                bases[columns] = tuple(basis)
-        return bases
+    def charts(self) -> frozenset[tuple[int, ...]]:
+        """Column sets of size ``rank`` whose Jacobian submatrix has full
+        rank, ascending; decided by integer elimination, with no solve."""
+        return frozenset(
+            columns
+            for columns in itertools.combinations(range(len(self.point)), self.rank)
+            if len(linalg.bareiss(linalg.submatrix_columns(self.jacobian, columns))[1])
+            == self.rank
+        )
 
     @cached_property
-    def charts(self) -> frozenset[tuple[int, ...]]:
-        """Column sets whose Jacobian submatrix has full rank, ascending."""
-        return frozenset(self.bases)
+    def _bases(self) -> dict[tuple[int, ...], Basis]:
+        """The bases solved so far, by chart."""
+        return {}
+
+    def basis(self, columns: tuple[int, ...]) -> Basis | None:
+        """The kernel basis normalized to the identity off the chart
+        ``columns``, solved on its first read and kept; None when
+        ``columns`` is not a chart."""
+        if columns not in self.charts:
+            return None
+        if columns not in self._bases:
+            self._bases[columns] = tuple(
+                linalg.solve_with_pivots(self.jacobian, len(self.point), columns)
+            )
+        return self._bases[columns]
 
     @property
     def rank(self) -> int:
@@ -89,10 +110,23 @@ class PointAnalysis:
 
 
 def analyse(space: SpacePresentation, point: Sequence[Fraction]) -> PointAnalysis:
-    """The membership-checked Jacobian at a point and its RREF pivots."""
+    """The analysis of a point, after testing that it is a member."""
     point = tuple(Fraction(x) for x in point)
-    J = jacobian(space, point)
-    _, pivots = linalg.rref(J)
+    if not is_member(space, point):
+        raise NonMemberError(
+            f"point {format_point(point)} is not a member of {space.name!r}"
+        )
+    return analyse_member(space, point)
+
+
+def analyse_member(space: SpacePresentation, point: Point) -> PointAnalysis:
+    """The integer Jacobian rows at a point known to be a member (such as
+    a validated sample) and their Bareiss pivots."""
+    numerators, denominator = clear_denominators(point)
+    J = tuple(
+        tuple(row.evaluate(numerators, denominator)) for row in space.cleared_gradients
+    )
+    _, pivots = linalg.bareiss(J)
     return PointAnalysis(point, J, tuple(pivots))
 
 
@@ -134,8 +168,7 @@ class TangentBasis:
 def tangent_space(space: SpacePresentation, point: Sequence[Fraction]) -> TangentBasis:
     """Tangent space at a member point as the exact kernel of the Jacobian."""
     a = analyse(space, point)
-    basis = linalg.solve_with_pivots(a.jacobian, len(a.point), a.pivots)
-    return TangentBasis(space=space, base=a.point, basis=tuple(basis))
+    return TangentBasis(space=space, base=a.point, basis=a.basis(a.pivots))
 
 
 def is_tangent(

@@ -335,3 +335,23 @@ def test_vacuous_radius_is_a_caveat(radius, capsys):
         f"41 of 41 records have no other sample within radius {radius}: "
         "their labels rest on no neighbour evidence"
     ]
+
+
+def test_frame_at_a_non_member_exits_2(capsys):
+    code, out, err = run_cli(
+        ["frame", str(fixture_path("cone")), "--point", "1,1,1"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "not a member" in err
+
+
+def test_constraints_past_the_term_cap_exit_2(tmp_path, capsys):
+    data = json.loads(fixture_path("cone").read_text(encoding="utf-8"))
+    data["equations"] = [f"(x1^2+x2^2-x3^2)*(x1+x2+x3+{j})^14" for j in range(1, 5)]
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run_cli(["verify", str(big)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: equations: ")

@@ -1,3 +1,4 @@
+import sys
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations
@@ -5,7 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subcart import linalg, poly
+from subcart import linalg, poly, space as space_module
 from subcart.errors import FrameEvaluationError
 from subcart.frames import (
     BumpFunction,
@@ -16,12 +17,13 @@ from subcart.frames import (
     frame_smoothness_check,
     glued_section,
     triviality_targets,
+    verify,
     verify_local_triviality,
 )
 from subcart.space import SpacePresentation, load_space, sample
 from subcart.stratify import stratify
 from subcart.tangent import analyse, jacobian
-from subcart.fixtures import fixture_path
+from subcart.fixtures import NAMES, fixture_path
 
 from oracles import minor_rank
 
@@ -144,7 +146,8 @@ def test_chart_rule_matches_minor_enumeration(pair):
         minor_rank(a) == minor_rank(b) and bool(minor_charts(a) & minor_charts(b))
     )
     for m, analysis in ((a, x), (b, y)):
-        for chart, basis in analysis.bases.items():
+        for chart in analysis.charts:
+            basis = analysis.basis(chart)
             assert list(basis) == linalg.solve_with_pivots(m, ncols, chart)
             assert all(c == 0 for v in basis for c in linalg.matrix_vector(m, v))
 
@@ -290,7 +293,7 @@ def _evaluations(report):
         if r.label == "regular":
             chart = report.analyses[i].pivots
             for j in triviality_targets(report, i):
-                if chart in report.analyses[j].bases:
+                if chart in report.analyses[j].charts:
                     yield j, chart
 
 
@@ -298,10 +301,10 @@ def _corrupted(report, j, chart, corrupt):
     """The report with the stored basis of record j for the chart replaced
     by ``corrupt(basis, chart)``."""
     other = report.analyses[j]
-    bases = {**other.bases, chart: corrupt(other.bases[chart], chart)}
     analyses = list(report.analyses)
     analyses[j] = replace(other)
-    analyses[j].__dict__["bases"] = bases  # the copy's cached ``bases``
+    # the copy's per-chart cache, which ``basis`` reads before solving
+    analyses[j]._bases[chart] = corrupt(other.basis(chart), chart)
     return replace(report, analyses=tuple(analyses))
 
 
@@ -343,3 +346,24 @@ def test_local_triviality_checks_each_chart_of_a_target(cone):
         raise AssertionError("no target is read through two charts")
     bad = _corrupted(report, j, chart, _off_kernel)
     _assert_fails_at(bad, report.records[j].point, "fails annihilation")
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_verify_of_a_loaded_space_tests_no_membership(name, monkeypatch):
+    # samples are validated at load; only the public ``analyse`` tests a
+    # point, so ``verify`` makes no membership test at all
+    space = load_space(fixture_path(name))
+    original = space_module.is_member
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("subcart") and vars(module).get("is_member") is original:
+            monkeypatch.setattr(module, "is_member", counting)
+    verify(space)
+    assert calls == []
+    analyse(space, sample(space)[0])  # every binding is counted
+    assert len(calls) == 1

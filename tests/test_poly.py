@@ -1,4 +1,5 @@
 import itertools
+import math
 import time
 from fractions import Fraction as F
 
@@ -300,3 +301,33 @@ def test_partials_commute(p):
     for i in range(1, p.ambient_dim + 1):
         for j in range(i, p.ambient_dim + 1):
             assert p.partial(i).partial(j) == p.partial(j).partial(i)
+
+
+@settings(deadline=None, max_examples=300)
+@given(polynomials(), st.lists(st.integers(-30, 30), min_size=3, max_size=3), st.integers(1, 12))
+def test_integer_evaluator_matches_rational_evaluation(p, numerators, denominator):
+    # the oracle evaluates in Fractions at a/D, zero and negative
+    # coordinates included; L and d come from the coefficients directly
+    a = numerators[: p.ambient_dim]
+    point = [F(x, denominator) for x in a]
+    scale = math.lcm(*(c.denominator for c in p.terms.values()))
+    expected = scale * denominator ** p.total_degree() * naive_eval(p.terms, point)
+    value = p.evaluate_cleared(a, denominator)
+    assert type(value) is int and value == expected
+    assert p.evaluate(point) == naive_eval(p.terms, point)
+    # the least common denominator of the point, and its numerators over it
+    cleared, least = poly.clear_denominators(point)
+    assert least == math.lcm(*(c.denominator for c in point))
+    assert [F(x, least) for x in cleared] == point
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(polynomials(dim=2), min_size=1, max_size=3), points)
+def test_cleared_row_keeps_the_ratios_of_its_values(row, point):
+    # one positive scale for the whole row
+    a, denominator = poly.clear_denominators(point[:2])
+    values = poly.ClearedRow(row).evaluate(a, denominator)
+    rational = [p.evaluate(point[:2]) for p in row]
+    scales = {v / r for v, r in zip(values, rational) if r}
+    assert len(scales) <= 1 and all(s > 0 for s in scales)
+    assert [v == 0 for v in values] == [r == 0 for r in rational]

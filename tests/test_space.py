@@ -300,6 +300,43 @@ def test_high_degree_composition_fails_load_fast(tmp_path):
     assert time.perf_counter() - start < 1
 
 
+def _cone_with_equations(count):
+    # each equation vanishes on the cone and has 934 terms of degree 16
+    data = json.loads(fixture_path("cone").read_text(encoding="utf-8"))
+    data["equations"] = [
+        f"(x1^2+x2^2-x3^2)*(x1+x2+x3+{j})^14" for j in range(1, count + 1)
+    ]
+    return data
+
+
+def test_constraint_terms_are_capped_before_composition(monkeypatch):
+    calls = []
+    compose = space_module.compose_cleared
+
+    def counting(*args):
+        calls.append(args)
+        return compose(*args)
+
+    monkeypatch.setattr(space_module, "compose_cleared", counting)
+    start = time.perf_counter()
+    with pytest.raises(
+        SpaceFormatError,
+        match=r"^equations: the equations and inequalities have more than 2000 terms",
+    ):
+        space_from_dict(_cone_with_equations(4))
+    assert time.perf_counter() - start < 1
+    assert calls == []
+    (one,) = space_from_dict(_cone_with_equations(1)).equations  # still loads
+    assert len(one.terms) == 934 and len(calls) == 1
+    # inequalities count towards the same cap
+    data = _cone_with_equations(2)
+    data["equations"].pop()
+    data["inequalities"] = [{"poly": data["equations"][0].replace("^14", "^15")}]
+    with pytest.raises(SpaceFormatError, match=r"^equations: "):
+        space_from_dict(data)
+    assert len(calls) == 1
+
+
 # -- representative equality -----------------------------------------------------
 
 

@@ -115,20 +115,23 @@ def test_classify_point_analyses_each_point_once(cone, monkeypatch, query, neigh
     near = NeighbourIndex(points, default_adjacency_radius(points)).near(query)
     assert len(near) == neighbours and query in [points[j] for j in near]
     calls = []
-    jacobian = tangent.jacobian
+    analyse_member = tangent.analyse_member
     eliminations = []
-    rref = linalg.rref
+    bareiss = linalg.bareiss
 
     def counting(space, point):
         calls.append(point)
-        return jacobian(space, point)
+        return analyse_member(space, point)
 
-    def counting_rref(matrix):
+    def counting_bareiss(matrix):
         eliminations.append(matrix)
-        return rref(matrix)
+        return bareiss(matrix)
 
-    monkeypatch.setattr(tangent, "jacobian", counting)
-    monkeypatch.setattr(linalg, "rref", counting_rref)
+    # the query is analysed through ``tangent.analyse``, the samples by
+    # ``stratify`` itself: count both bindings
+    for module in (tangent, importlib.import_module("subcart.stratify")):
+        monkeypatch.setattr(module, "analyse_member", counting)
+    monkeypatch.setattr(linalg, "bareiss", counting_bareiss)
     classify_point(cone, query, None)
     # the query once, and each other sample within the radius once
     assert len(calls) == neighbours == len(set(calls))
@@ -245,14 +248,16 @@ def test_neighbour_index_compares_points_only_when_asked(monkeypatch):
     points = sample(space_from_dict(data))
     radius = default_adjacency_radius(points)
     compared = []
-
-    def counting(a, b):
-        compared.append((a, b))
-        return sup_distance(a, b)
-
     # the module, not the ``subcart.stratify`` function the package exports
     module = importlib.import_module("subcart.stratify")
-    monkeypatch.setattr(module, "sup_distance", counting)
+    within = module._within
+
+    def counting(p, scaled, candidates, reach):
+        # one call per point compares it with each candidate
+        compared.extend((p, scaled[j]) for j in candidates)
+        return within(p, scaled, candidates, reach)
+
+    monkeypatch.setattr(module, "_within", counting)
     index = NeighbourIndex(points, radius)
     assert compared == []
     # a query is compared with the points of its own and the adjacent

@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from subcart import linalg, poly
 from subcart.errors import DimensionMismatchError, NonMemberError
-from subcart.space import IdealWitness, RingElement, SpacePresentation, sample
+from subcart.fixtures import NAMES, fixture_path
+from subcart.space import IdealWitness, RingElement, SpacePresentation, load_space, sample
 from subcart.tangent import (
     BundlePoint,
     TangentVector,
@@ -52,7 +55,7 @@ def test_jacobian_rejects_non_member(cone):
 def test_analyse_eliminates_once_and_solves_charts_on_first_read(
     cone, monkeypatch, point, column_sets
 ):
-    calls = {"rref": 0, "solve_with_pivots": 0}
+    calls = {"rref": 0, "bareiss": 0, "solve_with_pivots": 0}
     for name in calls:
         original = getattr(linalg, name)
 
@@ -62,12 +65,92 @@ def test_analyse_eliminates_once_and_solves_charts_on_first_read(
 
         monkeypatch.setattr(linalg, name, counting)
     a = analyse(cone, point)
-    assert calls == {"rref": 1, "solve_with_pivots": 0}
-    # one solve per column set of size rank (3 choose rank on the cone)
-    bases = a.bases
-    assert calls["solve_with_pivots"] == column_sets
-    assert a.bases is bases and a.charts == set(bases)
-    assert calls["solve_with_pivots"] == column_sets
+    assert calls == {"rref": 0, "bareiss": 1, "solve_with_pivots": 0}
+    # one integer elimination per column set of size rank (3 choose rank
+    # on the cone) decides the charts, and nothing is solved
+    charts = a.charts
+    assert calls == {"rref": 0, "bareiss": 1 + column_sets, "solve_with_pivots": 0}
+    assert a.charts is charts
+    assert charts == ({(0,), (2,)} if a.rank else {()})
+    # a chart's first read solves it once, and a second read solves nothing
+    for solved, chart in enumerate(sorted(charts), 1):
+        basis = a.basis(chart)
+        assert calls["solve_with_pivots"] == solved
+        assert a.basis(chart) is basis
+        assert calls["solve_with_pivots"] == solved
+    assert calls["rref"] == 0
+
+
+def test_analyse_tests_membership(cone):
+    with pytest.raises(NonMemberError):
+        analyse(cone, (F(1), F(1), F(1)))
+
+
+def _rref_basis(matrix, ncols, chart):
+    """The kernel basis normalized to the identity off ``chart``, read from
+    the rational RREF with the chart's columns moved to the front."""
+    free = [c for c in range(ncols) if c not in chart]
+    reduced, pivots = linalg.rref(linalg.submatrix_columns(matrix, [*chart, *free]))
+    assert pivots == list(range(len(chart)))
+    basis = []
+    for k, f in enumerate(free):
+        v = [F(0)] * ncols
+        v[f] = F(1)
+        for p, row in zip(chart, reduced):
+            v[p] = -row[len(chart) + k]
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_integer_analysis_matches_rational_elimination(name):
+    # at every sample of every fixture: rank, pivots, charts and bases of
+    # the integer analysis against rational elimination of the Fraction
+    # Jacobian
+    space = load_space(fixture_path(name))
+    n = space.ambient_dim
+    for point in sample(space):
+        a = analyse(space, point)
+        J = jacobian(space, point)
+        for scaled, row in zip(a.jacobian, J):  # row j times one positive integer
+            assert all(type(x) is int for x in scaled)
+            ratios = {F(x) / y for x, y in zip(scaled, row) if y}
+            assert len(ratios) <= 1 and all(r > 0 and r.denominator == 1 for r in ratios)
+            assert [x == 0 for x in scaled] == [y == 0 for y in row]
+        _, pivots = linalg.rref(J)
+        assert a.pivots == tuple(pivots) and a.dim == n - len(pivots)
+        charts = {
+            cols
+            for cols in combinations(range(n), len(pivots))
+            if len(linalg.rref(linalg.submatrix_columns(J, cols))[1]) == len(pivots)
+        }
+        assert a.charts == charts
+        for chart in charts:
+            assert a.basis(chart) == _rref_basis(J, n, chart)
+            assert list(a.basis(chart)) == linalg.solve_with_pivots(J, n, chart)
+        for cols in set(combinations(range(n), len(pivots))) - charts:
+            assert a.basis(cols) is None
+            assert linalg.solve_with_pivots(J, n, cols) is None
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.integers(0, 4).flatmap(
+        lambda ncols: st.lists(
+            st.lists(st.integers(-4, 4), min_size=ncols, max_size=ncols), max_size=4
+        )
+    )
+)
+def test_bareiss_is_a_scaled_rref(matrix):
+    reduced, pivots = linalg.bareiss(matrix)
+    rational, rational_pivots = linalg.rref(matrix)
+    assert pivots == rational_pivots
+    assert all(type(x) is int for row in reduced for x in row)
+    # every pivot row is the last pivot times its RREF row; the rest vanish
+    last = reduced[len(pivots) - 1][pivots[-1]] if pivots else 1
+    for k, (row, rational_row) in enumerate(zip(reduced, rational)):
+        expected = [last * x for x in rational_row] if k < len(pivots) else [0] * len(row)
+        assert row == expected
 
 
 # -- tangent spaces ----------------------------------------------------------------
