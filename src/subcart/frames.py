@@ -265,7 +265,9 @@ def triviality_targets(
     )
 
 
-def _targets(report: StratificationReport, dim: int, candidates: Sequence[int]) -> list[int]:
+def _targets(
+    report: StratificationReport, dim: int, candidates: Sequence[int]
+) -> list[int]:
     """The candidate records that are regular and of dimension ``dim``."""
     return [
         j

@@ -65,8 +65,9 @@ def bareiss(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]
 
     After k pivots the pivot rows hold k-by-k minors of the input and the
     other rows (k+1)-by-(k+1) minors (Sylvester's identity), so each
-    division by the previous pivot is exact.  At the end every pivot row holds the last pivot d at its own
-    pivot column and 0 at the others: it is d times the matching RREF row.
+    division by the previous pivot is exact.  At the end every pivot row
+    holds the last pivot d at its own pivot column and 0 at the others: it
+    is d times the matching RREF row.
     """
     rows = [list(row) for row in matrix]
     pivots: list[int] = []
@@ -84,7 +85,9 @@ def bareiss(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]
         for r, row in enumerate(rows):
             if r != top:
                 factor = row[col]
-                rows[r] = [(pivot * a - factor * b) // previous for a, b in zip(row, pivot_line)]
+                rows[r] = [
+                    (pivot * a - factor * b) // previous for a, b in zip(row, pivot_line)
+                ]
         previous = pivot
         pivots.append(col)
         if len(pivots) == len(rows):
@@ -92,7 +95,9 @@ def bareiss(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]
     return rows, pivots
 
 
-def submatrix_columns(matrix: Matrix, columns: Sequence[int]) -> list[list[Fraction]]:
+def submatrix_columns(
+    matrix: Matrix, columns: Sequence[int]
+) -> list[list[Fraction | int]]:
     return [[row[c] for c in columns] for row in matrix]
 
 

@@ -69,7 +69,8 @@ def clear_denominators(point: Sequence[Fraction | int]) -> tuple[tuple[int, ...]
     """Integer numerators a and the least positive common denominator D of
     a rational point, so that point[i] == a[i] / D."""
     denominator = math.lcm(*(c.denominator for c in point))
-    return tuple(c.numerator * (denominator // c.denominator) for c in point), denominator
+    numerators = tuple(c.numerator * (denominator // c.denominator) for c in point)
+    return numerators, denominator
 
 
 def _grlex_key(exponent: Exponent) -> tuple:
@@ -201,15 +202,11 @@ class Polynomial:
         (variable, exponent) pairs with a nonzero exponent).  Computed on
         first use and kept."""
         if self._integer is None:
-            scale = math.lcm(*(c.denominator for c in self._terms.values()))
+            coefficients, scale = clear_denominators(list(self._terms.values()))
             degree = self.total_degree()
             terms = tuple(
-                (
-                    c.numerator * (scale // c.denominator),
-                    degree - sum(exponent),
-                    tuple((i, e) for i, e in enumerate(exponent) if e),
-                )
-                for exponent, c in self._terms.items()
+                (c, degree - sum(e), tuple((i, k) for i, k in enumerate(e) if k))
+                for e, c in zip(self._terms, coefficients)
             )
             object.__setattr__(self, "_integer", (scale, degree, terms))
         return self._integer
@@ -290,7 +287,8 @@ class ClearedRow:
         scale = math.lcm(*(form[0] for form in forms))
         degree = max((form[1] for form in forms), default=0)
         self._entries = tuple(
-            (p, scale // form[0], degree - form[1]) for p, form in zip(polynomials, forms)
+            (p, scale // form[0], degree - form[1])
+            for p, form in zip(polynomials, forms)
         )
 
     def evaluate(self, numerators: Sequence[int], denominator: int) -> list[int]:

@@ -235,7 +235,9 @@ def is_member(space: SpacePresentation, point: Sequence[Fraction]) -> bool:
     return _satisfies(space, *poly.clear_denominators([Fraction(x) for x in point]))
 
 
-def _satisfies(space: SpacePresentation, numerators: Sequence[int], denominator: int) -> bool:
+def _satisfies(
+    space: SpacePresentation, numerators: Sequence[int], denominator: int
+) -> bool:
     """``is_member`` of the point a/D, for integer numerators a over a
     positive denominator D, by the integer evaluator: its values have the
     signs of the rational ones."""
@@ -261,27 +263,31 @@ def compose_cleared(
     one numerator, and the powers of the denominator come from one table.
     """
     d = equation.total_degree()
-    param_dim = denominator.ambient_dim
-    den_powers = [poly.constant(1, param_dim)]
+    den_powers = [poly.constant(1, denominator.ambient_dim)]
     for _ in range(d):
         den_powers.append(den_powers[-1] * denominator)
+    return _horner(equation.terms, numerators, den_powers, d)
 
-    def horner(terms: dict, var: int, degree: int) -> Polynomial:
-        # den^degree * h(numerators[var:] / den) for the h whose term map,
-        # on the exponent tails from x{var + 1} on, is ``terms``
-        if var == len(numerators):
-            return den_powers[degree].scale(terms[()])
-        by_power: dict[int, dict] = {}
-        for exponent, coeff in terms.items():
-            by_power.setdefault(exponent[0], {})[exponent[1:]] = coeff
-        result = poly.zero(param_dim)
-        for e in range(max(by_power, default=-1), -1, -1):
-            result = result * numerators[var]
-            if e in by_power:
-                result = result + horner(by_power[e], var + 1, degree - e)
-        return result
 
-    return horner(equation.terms, 0, d)
+def _horner(
+    terms: dict, numerators: Sequence[Polynomial], den_powers: list, degree: int
+) -> Polynomial:
+    """den^degree * h(numerators / den) for the h whose term map is
+    ``terms``, in the variables that ``numerators`` replace.  A module
+    function rather than a recursive closure, which would be a reference
+    cycle holding the numerators until the cyclic collector ran."""
+    if not numerators:
+        return den_powers[degree].scale(terms[()])
+    by_power: dict[int, dict] = {}
+    for exponent, coeff in terms.items():
+        by_power.setdefault(exponent[0], {})[exponent[1:]] = coeff
+    result = poly.zero(den_powers[0].ambient_dim)
+    for e in range(max(by_power, default=-1), -1, -1):
+        result = result * numerators[0]
+        if e in by_power:
+            inner = _horner(by_power[e], numerators[1:], den_powers, degree - e)
+            result = result + inner
+    return result
 
 
 def validate_sampler(space: SpacePresentation, sampler: Sampler) -> bool:
@@ -324,7 +330,8 @@ def _sampler_images(
         if not _satisfies(space, image, den):
             raise SpaceFormatError(
                 path,
-                f"grid image at parameters {_format_over(params, q)} violates the constraints",
+                f"grid image at parameters {_format_over(params, q)} violates the "
+                "constraints",
             )
         images.append(tuple(Fraction(x, den) for x in image))
     return images

@@ -30,10 +30,10 @@ compared once and only up to its first coordinate beyond the radius), so
 every comparison is between integers and exact: a pair at exactly the
 radius is a neighbour for the ``<=`` questions (labels, usc, open, and
 dense with epsilon) and not for the strict ``<`` of the triviality
-targets, which keeps the coordinate cross's branches apart.  Default radius and epsilon are the maximum
-nearest-neighbor gap of the sample set (computed once, on the same
-integer coordinates), so the defaults scale with sampling density instead
-of being assumed.  A negative radius or epsilon, which would leave every
+targets, which keeps the coordinate cross's branches apart.  Default
+radius and epsilon are the maximum nearest-neighbor gap of the sample set
+(computed once, on the same integer coordinates), so the defaults scale
+with sampling density instead of being assumed.  A negative radius or epsilon, which would leave every
 point without evidence, is an input error; a radius that leaves some
 sample without any other sample within it is reported as a caveat, since
 those labels rest on no neighbour evidence.
@@ -275,7 +275,8 @@ class NeighbourIndex:
                 adjacent += self._cells.get(tuple(map(add, key, offset)), ())
             for k, i in enumerate(members):
                 candidates = members[k + 1 :] + adjacent
-                for j, d in _within(self._points[i], self._points, candidates, self._reach):
+                found = _within(self._points[i], self._points, candidates, self._reach)
+                for j, d in found:
                     closed[i].append(j)
                     closed[j].append(i)
                     if d < self._reach:
@@ -449,7 +450,9 @@ def stratify(
     # rather than unknown
     records = tuple(
         PointRecord(
-            p, dims[i], label(dims[i], [dims[i]] + [dims[j] for j in index.neighbours(i)])
+            p,
+            dims[i],
+            label(dims[i], [dims[i]] + [dims[j] for j in index.neighbours(i)]),
         )
         for i, p in enumerate(points)
     )
