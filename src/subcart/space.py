@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import poly
 from .errors import (
@@ -99,13 +99,14 @@ class Sampler:
         step = (hi - lo) / (self.param_resolution - 1)
         return [lo + step * k for k in range(self.param_resolution)]
 
-    def _integer_grid(self) -> tuple[int, list[tuple[int, ...]]]:
-        """The common denominator q of all grid parameters, and each grid
-        point's integer numerators over q, first axis slowest (row-major)."""
+    def _integer_grid(self) -> tuple[int, Iterator[tuple[int, ...]]]:
+        """The common denominator q of all grid parameters, and an iterator
+        over each grid point's integer numerators over q, first axis
+        slowest (row-major)."""
         axes = [self.axis_values(a) for a in range(self.param_dim)]
         q = math.lcm(*(v.denominator for axis in axes for v in axis))
         scaled = [[v.numerator * (q // v.denominator) for v in axis] for axis in axes]
-        return q, list(itertools.product(*scaled))
+        return q, itertools.product(*scaled)
 
     def grid(self) -> list[Point]:
         """All grid parameter points, first axis slowest (row-major)."""
