@@ -68,7 +68,7 @@ def format_point(point: Sequence[Fraction]) -> str:
 def clear_denominators(point: Sequence[Fraction | int]) -> tuple[tuple[int, ...], int]:
     """Integer numerators a and the least positive common denominator D of
     a rational point, so that point[i] == a[i] / D."""
-    denominator = math.lcm(*(c.denominator for c in point))
+    denominator = math.lcm(*[c.denominator for c in point])
     numerators = tuple(c.numerator * (denominator // c.denominator) for c in point)
     return numerators, denominator
 
@@ -284,7 +284,7 @@ class ClearedRow:
 
     def __init__(self, polynomials: Sequence[Polynomial]):
         forms = [p.integer_form() for p in polynomials]
-        scale = math.lcm(*(form[0] for form in forms))
+        scale = math.lcm(*[form[0] for form in forms])
         degree = max((form[1] for form in forms), default=0)
         self._entries = tuple(
             (p, scale // form[0], degree - form[1])

@@ -104,7 +104,7 @@ class Sampler:
         over each grid point's integer numerators over q, first axis
         slowest (row-major)."""
         axes = [self.axis_values(a) for a in range(self.param_dim)]
-        q = math.lcm(*(v.denominator for axis in axes for v in axis))
+        q = math.lcm(*[v.denominator for axis in axes for v in axis])
         scaled = [[v.numerator * (q // v.denominator) for v in axis] for axis in axes]
         return q, itertools.product(*scaled)
 
