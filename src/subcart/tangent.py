@@ -50,12 +50,18 @@ Basis = tuple[tuple[Fraction, ...], ...]
 def jacobian(space: SpacePresentation, point: Sequence[Fraction]) -> Matrix:
     """Exact generator Jacobian at a member point: row j is the gradient
     of equation j."""
+    point = _member(space, point)
+    return tuple(tuple(d.evaluate(point) for d in row) for row in space.gradients)
+
+
+def _member(space: SpacePresentation, point: Sequence[Fraction]) -> Point:
+    """The point as Fractions; NonMemberError when it is not on the space."""
     point = tuple(Fraction(x) for x in point)
     if not is_member(space, point):
         raise NonMemberError(
             f"point {format_point(point)} is not a member of {space.name!r}"
         )
-    return tuple(tuple(d.evaluate(point) for d in row) for row in space.gradients)
+    return point
 
 
 @dataclass(frozen=True)
@@ -71,11 +77,11 @@ class PointAnalysis:
     def charts(self) -> frozenset[tuple[int, ...]]:
         """Column sets of size ``rank`` whose Jacobian submatrix has full
         rank, ascending; decided by integer elimination, with no solve."""
+        r = self.rank
         return frozenset(
             columns
-            for columns in itertools.combinations(range(len(self.point)), self.rank)
-            if len(linalg.bareiss(linalg.submatrix_columns(self.jacobian, columns))[1])
-            == self.rank
+            for columns in itertools.combinations(range(len(self.point)), r)
+            if len(linalg.bareiss(linalg.submatrix_columns(self.jacobian, columns))[1]) == r
         )
 
     @cached_property
@@ -111,12 +117,7 @@ class PointAnalysis:
 
 def analyse(space: SpacePresentation, point: Sequence[Fraction]) -> PointAnalysis:
     """The analysis of a point, after testing that it is a member."""
-    point = tuple(Fraction(x) for x in point)
-    if not is_member(space, point):
-        raise NonMemberError(
-            f"point {format_point(point)} is not a member of {space.name!r}"
-        )
-    return analyse_member(space, point)
+    return analyse_member(space, _member(space, point))
 
 
 def analyse_member(space: SpacePresentation, point: Point) -> PointAnalysis:
