@@ -8,7 +8,7 @@ Commands::
     subcart verify    FILE [--radius R] [--epsilon E] [--out PATH]
 
 Each command loads the space, parses its options, makes one library call
-(``classify_point``, ``stratify``, ``verify`` or ``anchored_frame``) and
+(``classify``, ``stratify``, ``verify`` or ``anchored_frame``) and
 emits the JSON that the library builds; ``_emit`` is the one serializer.
 A ``--radius`` or ``--epsilon`` that is given is always parsed, so an
 empty one is an input error; only a missing one means the default.  An
@@ -38,7 +38,7 @@ from . import frames
 from .errors import SubcartError
 from .poly import parse_rational
 from .space import load_space
-from .stratify import StratificationReport, classify_point, stratify
+from .stratify import StratificationReport, classify, stratify
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -83,7 +83,7 @@ def _finish(report: StratificationReport, payload: dict, out: str | None) -> int
 def _cmd_classify(args) -> int:
     space = load_space(args.file)
     point = _parse_point(args.point, space.ambient_dim)
-    _emit(classify_point(space, point, args.radius).to_json(), args.out)
+    _emit(classify(space, point, args.radius).to_json(), args.out)
     return EXIT_PASS
 
 
@@ -142,9 +142,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process: each is a web of reference cycles that only the
+# cyclic collector frees
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return args.func(args)
     except SubcartError as exc:
         print(f"error: {exc}", file=sys.stderr)

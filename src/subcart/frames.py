@@ -1,11 +1,13 @@
 """Smooth local frames on rank-constant neighborhoods and the local
 triviality verifier.
 
-A frame anchored at a regular point freezes the pivot columns of the
-Jacobian's reduced row echelon form there.  Its vectors at another member
-point are the kernel basis of the same pivot subsystem, whose free-column
-submatrix is the identity: composing the free coordinate differentials
-with the frame sections gives exactly the Kronecker delta pattern.  A
+A frame anchored at a regular point freezes the leftmost pivot columns
+of the Jacobian there, which ``linalg.bareiss`` finds on its integer rows
+(the pivots of its reduced row echelon form); its free columns are the
+others.  Its vectors at another member point are the kernel basis of the
+same pivot subsystem, whose free-column submatrix is the identity:
+composing the free coordinate differentials with the frame sections
+gives exactly the Kronecker delta pattern.  A
 rank change or pivot-pattern breakdown during evaluation is an error,
 never a silent re-pivot: re-pivoting would destroy smoothness of the
 sections and mask the rank boundary that local triviality is local with
@@ -37,6 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from . import linalg
@@ -54,7 +57,13 @@ class FrameSection:
     space: SpacePresentation
     anchor: Point
     pivot_columns: tuple[int, ...]  # 0-based, ascending
-    free_columns: tuple[int, ...]
+
+    @cached_property
+    def free_columns(self) -> tuple[int, ...]:
+        """The columns off the pivots, 0-based and ascending."""
+        return tuple(
+            c for c in range(self.space.ambient_dim) if c not in self.pivot_columns
+        )
 
     @property
     def dimension(self) -> int:
@@ -98,18 +107,15 @@ class FrameSection:
         }
 
 
-def _frame(space: SpacePresentation, anchor: PointAnalysis) -> FrameSection:
-    free = tuple(c for c in range(space.ambient_dim) if c not in anchor.pivots)
-    return FrameSection(space, anchor.point, anchor.pivots, free)
-
-
 def frame_at(space: SpacePresentation, point: Sequence[Fraction]) -> FrameSection:
     """Build the frame at a member point (caller asserts regularity).
 
-    Pivot columns come from the exact RREF of the Jacobian with the
-    leftmost-pivot rule, so the construction is deterministic.
+    Pivot columns are the leftmost pivots that ``linalg.bareiss`` finds on
+    the Jacobian's integer rows, those of its reduced row echelon form, so
+    the construction is deterministic.
     """
-    return _frame(space, analyse(space, point))
+    a = analyse(space, point)
+    return FrameSection(space, a.point, a.pivots)
 
 
 def common_pivot_exists(
@@ -145,6 +151,15 @@ class BumpFunction:
             raise ValueError("bump radii must be nonnegative")
 
 
+def _distance(b: BumpFunction, point: Sequence[Fraction]) -> Fraction:
+    """Sup-norm distance of a point of the center's length from the center."""
+    if len(point) != len(b.center):
+        raise DimensionMismatchError(
+            f"point has length {len(point)}, expected {len(b.center)}"
+        )
+    return sup_distance(point, b.center)
+
+
 def _smooth_step(t: float) -> float:
     # s(t) = phi(t) / (phi(t) + phi(1-t)) with phi(t) = exp(-1/t) for t > 0
     def phi(u: float) -> float:
@@ -159,11 +174,7 @@ def bump(b: BumpFunction, point: Sequence[Fraction]) -> float:
     Exactly 1.0 on the plateau and exactly 0.0 at or beyond the outer
     radius, since those branches never touch the transcendental step.
     """
-    if len(point) != len(b.center):
-        raise DimensionMismatchError(
-            f"point has length {len(point)}, expected {len(b.center)}"
-        )
-    distance = sup_distance(point, b.center)
+    distance = _distance(b, point)
     if distance <= b.r_inner:
         return 1.0
     if distance >= b.r_outer:
@@ -180,11 +191,11 @@ def glued_section(
     scaled by the exact dyadic value of the bump on the shell.
 
     An evaluation failure strictly inside the outer radius propagates: it
-    means the bump radii cross the frame's rank boundary.
+    means the bump radii cross the frame's rank boundary.  A point not of
+    the center's length raises DimensionMismatchError, as in ``bump``.
     """
     n = frame.space.ambient_dim
-    distance = sup_distance(point, b.center)
-    if distance >= b.r_outer:
+    if _distance(b, point) >= b.r_outer:
         zero = tuple(Fraction(0) for _ in range(n))
         return tuple(zero for _ in range(frame.dimension))
     vectors = frame.evaluate(point)
@@ -286,7 +297,7 @@ def frame_evaluations(
     Raises FrameEvaluationError at the first target that shares no chart
     with the anchor: no single trivialization covers the pair.
     """
-    frame = _frame(report.space, anchor)
+    frame = FrameSection(report.space, anchor.point, anchor.pivots)
     evaluations = []
     for j in targets:
         other = report.analyses[j]

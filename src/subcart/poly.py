@@ -170,14 +170,6 @@ class Polynomial:
             self.ambient_dim, {e: c * factor for e, c in self._terms.items()}
         )
 
-    def __pow__(self, power: int) -> "Polynomial":
-        if power < 0:
-            raise ValueError("negative powers are not polynomial")
-        result = constant(1, self.ambient_dim)
-        for _ in range(power):
-            result = result * self
-        return result
-
     # -- calculus / evaluation ---------------------------------------------
 
     def partial(self, index: int) -> "Polynomial":

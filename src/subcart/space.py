@@ -15,9 +15,10 @@ field.  The presentation caches the validated samples once, deduplicated
 (``_samples``), and ``sample`` copies them.  A presentation built directly
 is validated on its first ``sample``, which reports the same failure as a
 ``SamplerInvariantError``.
-A space file may ask for at most ``MAX_GRID_POINTS`` grid points per
-sampler, and its equations and inequalities may have at most
-``poly.MAX_TERMS`` terms together.
+A space file may have at most ``MAX_AMBIENT_DIM`` coordinates, may ask
+for at most ``MAX_GRID_POINTS`` grid points per sampler, and its
+equations and inequalities may have at most ``poly.MAX_TERMS`` terms
+together.
 
 Points are tested on integers.  ``is_member`` puts a point over its least
 common denominator and reads the signs of ``Polynomial.evaluate_cleared``.
@@ -61,6 +62,7 @@ from .poly import Point, Polynomial, format_point
 Inequality = tuple[Polynomial, bool]  # (polynomial, strict?)
 
 MAX_GRID_POINTS = 100_000  # per sampler of a space file
+MAX_AMBIENT_DIM = 12  # of a space file: a point has at most C(12, 6) = 924 charts
 
 
 @dataclass(frozen=True)
@@ -107,11 +109,6 @@ class Sampler:
         q = math.lcm(*[v.denominator for axis in axes for v in axis])
         scaled = [[v.numerator * (q // v.denominator) for v in axis] for axis in axes]
         return q, itertools.product(*scaled)
-
-    def grid(self) -> list[Point]:
-        """All grid parameter points, first axis slowest (row-major)."""
-        q, grid = self._integer_grid()
-        return [tuple(Fraction(t, q) for t in params) for params in grid]
 
     @cached_property
     def _cleared(self) -> poly.ClearedRow:
@@ -448,6 +445,8 @@ def space_from_dict(data: dict) -> SpacePresentation:
     ambient_dim = _want(data, "ambient_dim", int, "$")
     if ambient_dim < 1:
         raise SpaceFormatError("$.ambient_dim", "must be a positive integer")
+    if ambient_dim > MAX_AMBIENT_DIM:
+        raise SpaceFormatError("$.ambient_dim", f"must be at most {MAX_AMBIENT_DIM}")
 
     # each equation is composed with each sampler and every constraint is
     # evaluated at each sample, so their terms together are capped too,

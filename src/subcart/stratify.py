@@ -80,21 +80,6 @@ def label(dim: int, neighbor_dims: Sequence[int]) -> Label:
     return "singular" if min(neighbor_dims) < dim else "regular"
 
 
-def classify(
-    space: SpacePresentation,
-    point: Sequence[Fraction],
-    neighbors: Sequence[Sequence[Fraction]],
-) -> Label:
-    """Classify a member point from sampled neighbor evidence.
-
-    ``neighbors`` is intended to be every sampled point within a
-    caller-chosen radius of ``point`` (the point itself may be included;
-    it never changes the outcome).  Empty evidence yields ``unknown``.
-    """
-    dim = structural_dim(space, point)
-    return label(dim, [structural_dim(space, y) for y in neighbors])
-
-
 @dataclass(frozen=True)
 class PointRecord:
     point: Point
@@ -414,12 +399,14 @@ def _radii(points: Sequence[Point], *radii: Fraction | None) -> list[Fraction]:
     return [default if r is None else r for r in radii]
 
 
-def classify_point(
-    space: SpacePresentation, point: Sequence[Fraction], radius: Fraction | None
+def classify(
+    space: SpacePresentation, point: Sequence[Fraction], radius: Fraction | None = None
 ) -> PointRecord:
-    """Record of any member point, classified against the sample points
-    within the radius (the default adjacency radius when None).  The query
-    is analysed once, also when it is one of the samples."""
+    """Record of any member point, labelled by ``label`` against the
+    sample points within the radius (the default adjacency radius when
+    None).  A sample at the point counts as evidence, as it does for its
+    ``stratify`` record, so a sample's record is reproduced exactly.  The
+    query is analysed once, also when it is one of the samples."""
     x = analyse(space, point)
     points = sample(space)
     (radius,) = _radii(points, radius)

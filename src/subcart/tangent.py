@@ -221,9 +221,10 @@ def bundle_member(
         raise DimensionMismatchError(
             f"base and fiber must each have length {space.ambient_dim}"
         )
-    if not is_member(space, base):
+    try:
+        return is_tangent(space, base, fiber)  # its ``jacobian`` tests membership
+    except NonMemberError:
         return False
-    return is_tangent(space, base, fiber)
 
 
 def eval_bundle_function(

@@ -1,3 +1,4 @@
+import gc
 import json
 import subprocess
 import sys
@@ -309,6 +310,46 @@ def test_oversized_power_exits_2_fast(tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "equations[0]: degree 400000 is above 64" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"name": "wide", "ambient_dim": 20_000_000, "equations": ["x1"]},
+        {
+            "name": "wide",
+            "ambient_dim": 18,
+            "equations": [f"x{i}" for i in range(1, 10)],
+            "sample_points": [["0"] * 18, ["0"] * 17 + ["1/2"], ["0"] * 17 + ["2"]],
+        },
+    ],
+    ids=["huge", "many-charts"],
+)
+def test_oversized_ambient_dim_exits_2_fast(data, tmp_path, capsys):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run_cli(["verify", str(path)], capsys)
+    assert time.perf_counter() - start < 0.1
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: $.ambient_dim: must be at most 12")
+
+
+def test_calls_leave_no_parser_garbage(tmp_path, capsys):
+    argv = ["verify", str(fixture_path("single_point")), "--out", str(tmp_path / "r.json")]
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for _ in range(10):
+            assert main(argv) == 0
+        gc.collect()
+        parser_garbage = sum(type(o).__module__ == "argparse" for o in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    capsys.readouterr()
+    assert parser_garbage == 0
 
 
 def test_frame_refuses_a_singular_anchor_that_is_not_a_sample(capsys):

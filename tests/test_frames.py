@@ -1,4 +1,3 @@
-import sys
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations
@@ -6,8 +5,8 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subcart import linalg, poly, space as space_module
-from subcart.errors import FrameEvaluationError
+from subcart import linalg, poly
+from subcart.errors import DimensionMismatchError, FrameEvaluationError
 from subcart.frames import (
     BumpFunction,
     FrameSection,
@@ -208,6 +207,17 @@ def test_glued_section_propagates_rank_boundary_errors(cross):
         glued_section(frame, b, (F(0), F(1, 2)))  # other branch, inside r_outer
 
 
+def test_glued_section_refuses_a_point_of_the_wrong_length(cone):
+    anchor = (F(1), F(0), F(1))
+    frame = frame_at(cone, anchor)
+    b = BumpFunction(center=anchor, r_inner=F(1, 4), r_outer=F(1, 2))
+    short = (F(5), F(0))  # beyond the outer radius on the coordinates it has
+    with pytest.raises(DimensionMismatchError, match="point has length 2, expected 3"):
+        bump(b, short)
+    with pytest.raises(DimensionMismatchError, match="point has length 2, expected 3"):
+        glued_section(frame, b, short)
+
+
 # -- smoothness ---------------------------------------------------------------------
 
 
@@ -233,7 +243,6 @@ def test_forced_wrong_pivot_fails_or_errors(cone):
         space=cone,
         anchor=(F(1), F(0), F(1)),
         pivot_columns=(1,),  # gradient (2, 0, -2): column 2 is zero
-        free_columns=(0, 2),
     )
     with pytest.raises(FrameEvaluationError):
         broken.evaluate((F(1), F(0), F(1)))
@@ -349,21 +358,12 @@ def test_local_triviality_checks_each_chart_of_a_target(cone):
 
 
 @pytest.mark.parametrize("name", NAMES)
-def test_verify_of_a_loaded_space_tests_no_membership(name, monkeypatch):
+def test_verify_of_a_loaded_space_tests_no_membership(name, member_calls):
     # samples are validated at load; only the public ``analyse`` tests a
     # point, so ``verify`` makes no membership test at all
     space = load_space(fixture_path(name))
-    original = space_module.is_member
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
-
-    for module in list(sys.modules.values()):
-        if module.__name__.startswith("subcart") and vars(module).get("is_member") is original:
-            monkeypatch.setattr(module, "is_member", counting)
+    member_calls.clear()  # the load tests each explicit sample point
     verify(space)
-    assert calls == []
+    assert member_calls == []
     analyse(space, sample(space)[0])  # every binding is counted
-    assert len(calls) == 1
+    assert len(member_calls) == 1

@@ -15,6 +15,7 @@ from subcart.errors import (
     SpaceFormatError,
 )
 from subcart.space import (
+    MAX_AMBIENT_DIM,
     IdealWitness,
     RingElement,
     Sampler,
@@ -521,8 +522,22 @@ def _cone_file(tmp_path, resolution):
     return path
 
 
+def test_ambient_dim_is_capped_at_load(tmp_path):
+    def wide(n):
+        data = {"name": "wide", "ambient_dim": n, "equations": ["x1"]}
+        data["sample_points"] = [["0"] * n]
+        path = tmp_path / f"wide{n}.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        return path
+
+    assert load_space(wide(MAX_AMBIENT_DIM)).ambient_dim == MAX_AMBIENT_DIM
+    with pytest.raises(SpaceFormatError, match=r"^\$\.ambient_dim: must be at most"):
+        load_space(wide(MAX_AMBIENT_DIM + 1))
+
+
 def test_grid_size_is_capped_at_load(tmp_path):
-    assert len(load_space(_cone_file(tmp_path, 49)).samplers[0].grid()) == 2401
+    _, grid = load_space(_cone_file(tmp_path, 49)).samplers[0]._integer_grid()
+    assert sum(1 for _ in grid) == 2401
     path = _cone_file(tmp_path, 317)  # 317^2 = 100,489 grid points
     start = time.perf_counter()
     with pytest.raises(SpaceFormatError, match=r"samplers\[0\]\.resolution"):

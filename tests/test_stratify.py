@@ -19,8 +19,8 @@ from subcart.stratify import (
     NeighbourIndex,
     PointRecord,
     classify,
-    classify_point,
     default_adjacency_radius,
+    label,
     stratify,
     structural_dim,
     sup_distance,
@@ -39,6 +39,12 @@ def record(point, dim, label="regular"):
 
 def index_of(records, radius):
     return NeighbourIndex([r.point for r in records], radius)
+
+
+def label_against(space, point, neighbors):
+    """The label of a point against neighbour evidence the caller picks."""
+    dims = [structural_dim(space, y) for y in neighbors]
+    return label(structural_dim(space, point), dims)
 
 
 # -- structural dimension -------------------------------------------------------
@@ -74,17 +80,17 @@ def test_dim_matches_tangent_basis_count(cone, cross, umbrella):
 
 def test_classify_cone_apex_singular(cone):
     neighbors = [(F(1), F(0), F(1)), (F(-1), F(0), F(1)), (F(1), F(0), F(-1))]
-    assert classify(cone, (F(0), F(0), F(0)), neighbors) == "singular"
+    assert label_against(cone, (F(0), F(0), F(0)), neighbors) == "singular"
 
 
 def test_classify_smooth_cone_point_regular(cone):
     neighbors = [(F(-1), F(0), F(1)), (F(0), F(1), F(1)), (F(3), F(4), F(5))]
-    assert classify(cone, (F(1), F(0), F(1)), neighbors) == "regular"
+    assert label_against(cone, (F(1), F(0), F(1)), neighbors) == "regular"
 
 
 def test_classify_empty_neighbors_is_unknown(cone):
-    assert classify(cone, (F(1), F(0), F(1)), []) == "unknown"
-    assert classify(cone, (F(0), F(0), F(0)), []) == "unknown"
+    assert label_against(cone, (F(1), F(0), F(1)), []) == "unknown"
+    assert label_against(cone, (F(0), F(0), F(0)), []) == "unknown"
 
 
 def _frame_refused(space, report, point):
@@ -103,7 +109,7 @@ def test_stratify_classify_and_frame_agree_on_every_record(name):
     for radius in (None, F(1, 2)):
         report = stratify(space, radius=radius)
         for r in report.records:
-            assert classify_point(space, r.point, radius) == r
+            assert classify(space, r.point, radius) == r
             assert _frame_refused(space, report, r.point) == (r.label == "singular")
 
 
@@ -132,7 +138,7 @@ def test_classify_point_analyses_each_point_once(cone, monkeypatch, query, neigh
     for module in (tangent, importlib.import_module("subcart.stratify")):
         monkeypatch.setattr(module, "analyse_member", counting)
     monkeypatch.setattr(linalg, "bareiss", counting_bareiss)
-    classify_point(cone, query, None)
+    classify(cone, query, None)
     # the query once, and each other sample within the radius once
     assert len(calls) == neighbours == len(set(calls))
     # one rank elimination per analysed point, and no chart is solved
@@ -144,14 +150,14 @@ def test_negative_radius_or_epsilon_is_rejected(cone):
         with pytest.raises(SubcartError, match="nonnegative"):
             stratify(cone, **kwargs)
     with pytest.raises(SubcartError, match="nonnegative"):
-        classify_point(cone, (F(0), F(0), F(0)), F(-1))
+        classify(cone, (F(0), F(0), F(0)), F(-1))
 
 
 def test_higher_dimensional_neighbors_do_not_make_a_point_singular(cone):
     # the apex lies within sampling radius of nearby smooth points; they
     # stay regular because no lower-dimensional evidence exists
     neighbors = [(F(0), F(0), F(0)), (F(-1), F(0), F(1))]
-    assert classify(cone, (F(1), F(0), F(1)), neighbors) == "regular"
+    assert label_against(cone, (F(1), F(0), F(1)), neighbors) == "regular"
 
 
 # -- defaults -----------------------------------------------------------------------

@@ -331,6 +331,16 @@ def test_base_only_bundle_functions_factor_through_projection(cone):
             assert eval_bundle_function(cone, H, p) == base_poly.evaluate(point)
 
 
+def test_bundle_queries_test_membership_once(cone, member_calls):
+    base, fiber = (F(1), F(0), F(1)), (F(0), F(1), F(0))
+    assert bundle_member(cone, base, fiber)
+    assert len(member_calls) == 1
+    assert not bundle_member(cone, (F(1), F(1), F(1)), fiber)  # not on the cone
+    assert len(member_calls) == 2
+    assert eval_bundle_function(cone, poly.variable(1, 6), BundlePoint(base, fiber)) == 1
+    assert len(member_calls) == 3
+
+
 def test_eval_bundle_function_rejects_non_bundle_points(cone):
     with pytest.raises(NonMemberError):
         eval_bundle_function(
