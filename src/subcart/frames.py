@@ -15,16 +15,20 @@ respect to.
 
 The frozen pivots are valid at a point iff they are one of its charts
 (``tangent.PointAnalysis``), and the frame's vectors there are the kernel
-basis the analysis derives for that chart: ``FrameSection.evaluate``,
-``pivot_valid_at`` and ``frame_evaluations`` all read it from one
-analysis.  ``frame_evaluations``, shared by ``verify_local_triviality``
-and ``anchored_frame``, reads the report's analyses, solved once at each
+the analysis solves for that chart: one integer elimination decides the
+chart and solves it.  ``FrameSection.evaluate``, ``pivot_valid_at`` and
+``frame_evaluations`` all read it from one analysis.
+``frame_evaluations``, shared by ``verify_local_triviality`` and
+``anchored_frame``, reads the report's analyses, solved once at each
 anchor and target only, and takes its targets from the report's
 ``NeighbourIndex``: the strict (``<`` radius) neighbours of a sample
-anchor, or the same query for an anchor that is not a sample.
-``verify_local_triviality`` still checks every basis it uses, once per
-target and chart.  All three take the report alone and read its space.
-``verify`` is ``stratify`` with the local-triviality verdict appended.
+anchor, or the same query for an anchor that is not a sample.  It reads
+each target's kernel at the anchor's pivots first and derives the two
+points' chart sets only when that kernel is None.
+``verify_local_triviality`` still checks every kernel it uses, once per
+target and chart, on integers.  All three take the report alone and read
+its space.  ``verify`` is ``stratify`` with the local-triviality verdict
+appended.
 
 The bump function is the single non-rational evaluation in the package
 (the standard exp(-1/t) smooth step on the sup-norm radial variable) and
@@ -44,7 +48,8 @@ from typing import Sequence
 
 from . import linalg
 from .errors import DimensionMismatchError, FrameEvaluationError, SubcartError
-from .poly import Point, clear_denominators, format_point
+from .linalg import Kernel
+from .poly import Point, format_point
 from .space import Sampler, SpacePresentation
 from .stratify import StratificationReport, Verdict, label, stratify, sup_distance
 from .tangent import Basis, PointAnalysis, analyse
@@ -71,8 +76,9 @@ class FrameSection:
 
     def pivot_valid_at(self, point: Sequence[Fraction]) -> bool:
         """True iff the frozen pivot pattern is one of the point's charts:
-        rank is unchanged and the pivot submatrix has full rank."""
-        return self.pivot_columns in analyse(self.space, point).charts
+        rank is unchanged and the pivot submatrix has full rank.  One
+        elimination decides it."""
+        return analyse(self.space, point).kernel(self.pivot_columns) is not None
 
     def evaluate(self, point: Sequence[Fraction]) -> Basis:
         """Exact frame vectors at a member point, identity on free columns:
@@ -289,11 +295,13 @@ def _targets(
 
 def frame_evaluations(
     report: StratificationReport, anchor: PointAnalysis, targets: Sequence[int]
-) -> tuple[FrameSection, list[tuple[int, Basis]]]:
-    """The frame anchored at a point and its exact vectors at each of the
-    given record indices (the anchor's triviality targets) where its
-    frozen pivots are a chart, as (record index, basis) pairs.
+) -> tuple[FrameSection, list[tuple[int, Kernel]]]:
+    """The frame anchored at a point and its exact integer kernels at each
+    of the given record indices (the anchor's triviality targets) where
+    its frozen pivots are a chart, as (record index, kernel) pairs.
 
+    A target's kernel at the anchor's pivots proves that the two points
+    share a chart; only where it is None are their chart sets compared.
     Raises FrameEvaluationError at the first target that shares no chart
     with the anchor: no single trivialization covers the pair.
     """
@@ -301,15 +309,15 @@ def frame_evaluations(
     evaluations = []
     for j in targets:
         other = report.analyses[j]
-        if not anchor.shares_chart(other):
+        kernel = other.kernel(frame.pivot_columns)
+        if kernel is not None:
+            evaluations.append((j, kernel))
+        elif not anchor.shares_chart(other):
             raise FrameEvaluationError(
                 f"no common pivot chart covers {format_point(anchor.point)} "
                 f"and {format_point(other.point)}: the bundle is not "
                 f"trivializable over this neighborhood"
             )
-        basis = other.basis(frame.pivot_columns)
-        if basis is not None:  # else another chart covers it
-            evaluations.append((j, basis))
     return frame, evaluations
 
 
@@ -336,7 +344,10 @@ def anchored_frame(
     ]
     targets = _targets(report, anchor.dim, others)
     frame, evaluations = frame_evaluations(report, anchor, targets)
-    return frame, [(report.records[j].point, basis) for j, basis in evaluations]
+    return frame, [
+        (report.records[j].point, report.analyses[j].basis(frame.pivot_columns))
+        for j, _ in evaluations
+    ]
 
 
 def verify_local_triviality(report: StratificationReport) -> Verdict:
@@ -351,9 +362,12 @@ def verify_local_triviality(report: StratificationReport) -> Verdict:
     coordinate-cross branches fail the chart check when sampled across the
     removed origin.
 
-    An evaluation is a basis fixed by its record index and chart (targets
-    share the anchor's dimension), so each basis is checked on first use
+    An evaluation is a kernel fixed by its record index and chart (targets
+    share the anchor's dimension), so each kernel is checked on first use
     and every later pair that reads it is counted without checking again.
+    The checks run on the integer form (W, d) of the basis W / d: each w
+    annihilates the integer Jacobian rows and is d at its own free column
+    and 0 at the others, d positive.
     """
     checked = 0
     verified: set[tuple[int, tuple[int, ...]]] = set()
@@ -366,7 +380,7 @@ def verify_local_triviality(report: StratificationReport) -> Verdict:
             )
         except FrameEvaluationError as exc:
             return Verdict("local_triviality", False, str(exc))
-        for j, vectors in evaluations:
+        for j, (vectors, d) in evaluations:
             checked += 1
             if (j, frame.pivot_columns) in verified:
                 continue
@@ -380,8 +394,11 @@ def verify_local_triviality(report: StratificationReport) -> Verdict:
                     f"{len(vectors)} vectors at {format_point(other.point)}, "
                     f"expected {record.dim}",
                 )
-            for v in vectors:
-                if any(linalg.matrix_vector(other.jacobian, clear_denominators(v)[0])):
+            if d <= 0:  # W / d is no basis
+                return _not_identity(other.point)
+            for w in vectors:
+                if any(linalg.matrix_vector(other.jacobian, w)):
+                    v = tuple(Fraction(x, d) for x in w)
                     return Verdict(
                         "local_triviality",
                         False,
@@ -389,16 +406,19 @@ def verify_local_triviality(report: StratificationReport) -> Verdict:
                         f"{format_point(other.point)}",
                     )
             for k, f in enumerate(frame.free_columns):
-                for l, v in enumerate(vectors):
-                    if v[f] != (1 if k == l else 0):
-                        return Verdict(
-                            "local_triviality",
-                            False,
-                            f"free-column submatrix is not the identity at "
-                            f"{format_point(other.point)}",
-                        )
+                for l, w in enumerate(vectors):
+                    if w[f] != (d if k == l else 0):
+                        return _not_identity(other.point)
     return Verdict(
         "local_triviality", True, f"{checked} frame evaluations verified exactly"
+    )
+
+
+def _not_identity(point: Point) -> Verdict:
+    return Verdict(
+        "local_triviality",
+        False,
+        f"free-column submatrix is not the identity at {format_point(point)}",
     )
 
 

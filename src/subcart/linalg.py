@@ -6,9 +6,13 @@ echelon form.
 *Math. Comp.* 22): each division is exact, so the entries stay integers.
 It gives the rank and the pivots of a point's integer Jacobian rows and
 decides its charts.  ``solve_with_pivots`` clears each row of its
-denominators (a positive row scale, which keeps the kernel), eliminates
-by ``bareiss`` and makes Fractions only for the basis entries.  ``rref``
-is the rational Gauss-Jordan form.
+denominators (a positive row scale, which keeps the kernel) and makes one
+``bareiss`` elimination with the chart's columns in front.  That
+elimination decides whether the columns are a chart and gives the chart's
+kernel on integers: vectors W and one positive integer d, W / d being the
+pivot-normalized basis, because every pivot row of the reduced matrix
+carries the same last pivot; it makes no Fraction.  ``rref`` is the
+rational Gauss-Jordan form.
 
 Matrices are sequences of equal-length rows.  Everything here is
 deterministic: pivots are chosen by the leftmost-column rule, breaking
@@ -24,7 +28,7 @@ from typing import Sequence
 from .poly import clear_denominators
 
 Matrix = Sequence[Sequence[Fraction | int]]
-Vector = tuple[Fraction, ...]
+Kernel = tuple[tuple[tuple[int, ...], ...], int]  # (W, d): the basis W / d
 
 
 def rref(matrix: Matrix) -> tuple[list[list[Fraction]], list[int]]:
@@ -103,9 +107,11 @@ def submatrix_columns(
 
 def solve_with_pivots(
     matrix: Matrix, ncols: int, pivot_columns: Sequence[int]
-) -> list[Vector] | None:
-    """Kernel basis normalized to the identity on the complement of a
-    prescribed pivot-column set.
+) -> Kernel | None:
+    """Integer kernel basis of a matrix, normalized to the identity on the
+    complement of a prescribed pivot-column set: vectors W and a positive
+    integer d such that W / d is the basis, each w being d at its own
+    free column and 0 at the other free columns.
 
     Returns None when the pattern is not a chart of this matrix: a column
     set whose submatrix has full column rank equal to the matrix's rank.
@@ -122,14 +128,17 @@ def solve_with_pivots(
     rank = len(pivot_columns)
     if pivots != list(range(rank)):
         return None
+    # pivot row i is d times the RREF row of pivot i, d the last pivot
+    d = reduced[rank - 1][rank - 1] if rank else 1
+    sign = -1 if d < 0 else 1  # negating W and d keeps W / d
     basis = []
     for k, f in enumerate(free):
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for i, (p, row) in enumerate(zip(pivot_columns, reduced)):
-            v[p] = Fraction(-row[rank + k], row[i])
-        basis.append(tuple(v))
-    return basis
+        w = [0] * ncols
+        w[f] = sign * d
+        for p, row in zip(pivot_columns, reduced):
+            w[p] = -sign * row[rank + k]
+        basis.append(tuple(w))
+    return tuple(basis), sign * d
 
 
 def matrix_vector(

@@ -19,13 +19,17 @@ integer rows, row j being the gradient of equation j times one positive
 integer (from ``SpacePresentation.cleared_gradients``, compiled once per
 space).  Positive row scales keep the rank, the pivots, the charts and
 the normalized bases.  Rank and leftmost pivots come from one
-fraction-free ``linalg.bareiss`` elimination.  The charts, the column
+fraction-free ``linalg.bareiss`` elimination.  ``PointAnalysis.kernel``
+asks ``linalg.solve_with_pivots`` whether a column set is a chart and,
+if it is, for the chart's pivot-normalized kernel on integers (W, d, with
+W / d the basis); one elimination answers both, on the first read, and
+the answer is kept, None included.  ``PointAnalysis.basis`` derives the
+Fraction basis from it for the public readers.  The charts, the column
 sets whose Jacobian submatrix has full rank, are decided by the integer
-rank of each submatrix, with no solve; ``PointAnalysis.basis`` solves a
-chart's pivot-normalized kernel basis by ``linalg.solve_with_pivots`` on
-its first read and keeps it.  Two points share a frame chart iff their
-ranks agree and their chart sets intersect; a frame frozen on a chart
-reads its vectors at a point from that point's basis for the chart.
+rank of each submatrix, with no solve, and only on a read of ``charts``.
+Two points share a frame chart iff their ranks agree and their chart
+sets intersect; a frame frozen on a chart reads its vectors at a point
+from that point's kernel for the chart.
 ``jacobian`` is the rational Jacobian of a member point.
 """
 
@@ -85,21 +89,29 @@ class PointAnalysis:
         )
 
     @cached_property
-    def _bases(self) -> dict[tuple[int, ...], Basis]:
-        """The bases solved so far, by chart."""
+    def _kernels(self) -> dict[tuple[int, ...], linalg.Kernel | None]:
+        """The solver's answers so far, by column set."""
         return {}
+
+    def kernel(self, columns: tuple[int, ...]) -> linalg.Kernel | None:
+        """The integer kernel (W, d) normalized to the identity off the
+        chart ``columns``, W / d being the basis, solved on its first read
+        and kept; None when ``columns`` is not a chart."""
+        if columns not in self._kernels:
+            self._kernels[columns] = linalg.solve_with_pivots(
+                self.jacobian, len(self.point), columns
+            )
+        return self._kernels[columns]
 
     def basis(self, columns: tuple[int, ...]) -> Basis | None:
         """The kernel basis normalized to the identity off the chart
-        ``columns``, solved on its first read and kept; None when
+        ``columns``, as Fractions: W / d of ``kernel``; None when
         ``columns`` is not a chart."""
-        if columns not in self.charts:
+        kernel = self.kernel(columns)
+        if kernel is None:
             return None
-        if columns not in self._bases:
-            self._bases[columns] = tuple(
-                linalg.solve_with_pivots(self.jacobian, len(self.point), columns)
-            )
-        return self._bases[columns]
+        vectors, d = kernel
+        return tuple(tuple(Fraction(x, d) for x in w) for w in vectors)
 
     @property
     def rank(self) -> int:

@@ -2,7 +2,7 @@ import sys
 
 import pytest
 
-from subcart import load_space, space
+from subcart import linalg, load_space, space
 from subcart.fixtures import fixture_path
 
 
@@ -36,18 +36,29 @@ def single_point():
     return load_space(fixture_path("single_point"))
 
 
-@pytest.fixture
-def member_calls(monkeypatch):
-    """The argument tuples of every ``is_member`` call, counted through
-    every binding of it in the package."""
-    original = space.is_member
+def _counted(monkeypatch, module, name):
+    """The argument tuples of every call of ``module.name``, counted
+    through every binding of it in the package."""
+    original = getattr(module, name)
     calls = []
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    for module in list(sys.modules.values()):
-        if module.__name__.startswith("subcart") and vars(module).get("is_member") is original:
-            monkeypatch.setattr(module, "is_member", counting)
+    for bound in list(sys.modules.values()):
+        if bound.__name__.startswith("subcart") and vars(bound).get(name) is original:
+            monkeypatch.setattr(bound, name, counting)
     return calls
+
+
+@pytest.fixture
+def member_calls(monkeypatch):
+    """The argument tuples of every ``is_member`` call."""
+    return _counted(monkeypatch, space, "is_member")
+
+
+@pytest.fixture
+def bareiss_calls(monkeypatch):
+    """The argument tuples of every ``linalg.bareiss`` call."""
+    return _counted(monkeypatch, linalg, "bareiss")

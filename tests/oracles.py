@@ -38,6 +38,11 @@ def minor_rank(m) -> int:
     return 0
 
 
+def divided(vectors, d) -> tuple:
+    """The Fraction vectors W / d of integer vectors W and a divisor d."""
+    return tuple(tuple(Fraction(x, d) for x in w) for w in vectors)
+
+
 # naive polynomials: dict from exponent tuple to Fraction, zeros kept out
 
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subcart import linalg, poly
+from subcart.cli import main
 from subcart.errors import DimensionMismatchError, FrameEvaluationError
 from subcart.frames import (
     BumpFunction,
@@ -24,7 +27,7 @@ from subcart.stratify import stratify
 from subcart.tangent import analyse, jacobian
 from subcart.fixtures import NAMES, fixture_path
 
-from oracles import minor_rank
+from oracles import divided, minor_rank
 
 
 @pytest.fixture
@@ -147,7 +150,7 @@ def test_chart_rule_matches_minor_enumeration(pair):
     for m, analysis in ((a, x), (b, y)):
         for chart in analysis.charts:
             basis = analysis.basis(chart)
-            assert list(basis) == linalg.solve_with_pivots(m, ncols, chart)
+            assert basis == divided(*linalg.solve_with_pivots(m, ncols, chart))
             assert all(c == 0 for v in basis for c in linalg.matrix_vector(m, v))
 
 
@@ -307,24 +310,41 @@ def _evaluations(report):
 
 
 def _corrupted(report, j, chart, corrupt):
-    """The report with the stored basis of record j for the chart replaced
-    by ``corrupt(basis, chart)``."""
+    """The report with the stored integer kernel of record j for the chart
+    replaced by ``corrupt(kernel, chart)``."""
     other = report.analyses[j]
     analyses = list(report.analyses)
     analyses[j] = replace(other)
-    # the copy's per-chart cache, which ``basis`` reads before solving
-    analyses[j]._bases[chart] = corrupt(other.basis(chart), chart)
+    # the copy's per-chart cache, which ``kernel`` reads before solving
+    analyses[j]._kernels[chart] = corrupt(other.kernel(chart), chart)
     return replace(report, analyses=tuple(analyses))
 
 
-def _off_kernel(basis, chart):
-    first = list(basis[0])
+def _off_kernel(kernel, chart):
+    vectors, d = kernel
+    first = list(vectors[0])
     first[chart[0]] += 1  # a chart column of the Jacobian is nonzero
-    return (tuple(first),) + basis[1:]
+    return (tuple(first),) + vectors[1:], d
 
 
-def _permuted(basis, chart):
-    return basis[::-1]  # still a kernel basis, but not the identity on free columns
+def _permuted(kernel, chart):
+    vectors, d = kernel
+    return vectors[::-1], d  # still a kernel basis, but not the identity on free columns
+
+
+def _dropped(kernel, chart):
+    vectors, d = kernel
+    return vectors[1:], d
+
+
+def _zeroed(kernel, chart):
+    vectors, _ = kernel
+    return tuple((0,) * len(w) for w in vectors), 0  # 0 / 0 is no basis
+
+
+def _doubled_scale(kernel, chart):
+    vectors, d = kernel
+    return vectors, 2 * d  # W / 2d is half the identity on free columns
 
 
 def _assert_fails_at(report, point, detail):
@@ -335,13 +355,28 @@ def _assert_fails_at(report, point, detail):
 
 
 @pytest.mark.parametrize(
-    "corrupt, detail", [(_off_kernel, "fails annihilation"), (_permuted, "not the identity")]
+    "corrupt, detail",
+    [
+        (_off_kernel, "fails annihilation"),
+        (_permuted, "not the identity"),
+        (_doubled_scale, "not the identity"),
+        (_zeroed, "not the identity"),
+    ],
 )
 def test_local_triviality_checks_stored_bases(cone, corrupt, detail):
     report = stratify(cone)
     j, chart = next(_evaluations(report))
     bad = _corrupted(report, j, chart, corrupt)
     _assert_fails_at(bad, report.records[j].point, detail)
+
+
+def test_local_triviality_checks_the_vector_count(cone):
+    report = stratify(cone)
+    j, chart = next(_evaluations(report))
+    verdict = verify_local_triviality(_corrupted(report, j, chart, _dropped))
+    assert not verdict.passed
+    point = poly.format_point(report.records[j].point)
+    assert verdict.detail.endswith(f"returned 1 vectors at {point}, expected 2")
 
 
 def test_local_triviality_checks_each_chart_of_a_target(cone):
@@ -367,3 +402,35 @@ def test_verify_of_a_loaded_space_tests_no_membership(name, member_calls):
     assert member_calls == []
     analyse(space, sample(space)[0])  # every binding is counted
     assert len(member_calls) == 1
+
+
+def test_frames_derive_chart_sets_only_on_a_miss(tmp_path, bareiss_calls, capsys):
+    # n = 12 with rank 6: a point has C(12, 6) = 924 column sets, and every
+    # target's kernel at the anchor's pivots settles its pair, so no chart
+    # set is derived; deriving them made 59,264 eliminations here
+    data = {
+        "name": "wide",
+        "ambient_dim": 12,
+        "equations": [f"x{i}" for i in range(1, 7)],
+        "samplers": [
+            {
+                "param_dim": 6,
+                "numerators": ["0"] * 6 + [f"x{i}" for i in range(1, 7)],
+                "denominator": "1",
+                "box": [["0", "1"]] * 6,
+                "resolution": 2,
+            }
+        ],
+    }
+    path, out = tmp_path / "wide.json", tmp_path / "verify.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    bareiss_calls.clear()
+    assert main(["verify", str(path), "--radius=2", "--out", str(out)]) == 0
+    records = json.loads(out.read_text(encoding="utf-8"))["counts"]["records"]
+    assert records == 64
+    assert len(bareiss_calls) <= 2 * records
+    assert (
+        hashlib.sha256(out.read_bytes()).hexdigest()
+        == "fe77c176ee50c724104cfd6dc5fc9265e937a23f24fb02c3de1f61e9157ea68d"
+    )
+    capsys.readouterr()

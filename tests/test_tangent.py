@@ -21,7 +21,7 @@ from subcart.tangent import (
     tangent_space,
 )
 
-from oracles import minor_rank
+from oracles import divided, minor_rank
 
 
 @pytest.fixture
@@ -72,11 +72,13 @@ def test_analyse_eliminates_once_and_solves_charts_on_first_read(
     assert calls == {"rref": 0, "bareiss": 1 + column_sets, "solve_with_pivots": 0}
     assert a.charts is charts
     assert charts == ({(0,), (2,)} if a.rank else {()})
-    # a chart's first read solves it once, and a second read solves nothing
+    # a chart's first read solves it once, and a second read or its
+    # Fraction basis solves nothing
     for solved, chart in enumerate(sorted(charts), 1):
-        basis = a.basis(chart)
+        kernel = a.kernel(chart)
         assert calls["solve_with_pivots"] == solved
-        assert a.basis(chart) is basis
+        assert a.kernel(chart) is kernel
+        assert a.basis(chart) == divided(*kernel)
         assert calls["solve_with_pivots"] == solved
     assert calls["rref"] == 0
 
@@ -127,21 +129,26 @@ def test_integer_analysis_matches_rational_elimination(name):
         assert a.charts == charts
         for chart in charts:
             assert a.basis(chart) == _rref_basis(J, n, chart)
-            assert list(a.basis(chart)) == linalg.solve_with_pivots(J, n, chart)
+            # the rational rows give the same basis through their own W / d
+            assert a.basis(chart) == divided(*linalg.solve_with_pivots(J, n, chart))
         for cols in set(combinations(range(n), len(pivots))) - charts:
             assert a.basis(cols) is None
             assert linalg.solve_with_pivots(J, n, cols) is None
 
 
-@settings(deadline=None, max_examples=300)
-@given(
-    st.integers(0, 4).flatmap(
-        lambda ncols: st.lists(
-            st.lists(st.integers(-4, 4), min_size=ncols, max_size=ncols), max_size=4
-        )
+# (column count, small integer matrix with that many columns and 0-4 rows)
+integer_matrices = st.integers(0, 4).flatmap(
+    lambda ncols: st.tuples(
+        st.just(ncols),
+        st.lists(st.lists(st.integers(-4, 4), min_size=ncols, max_size=ncols), max_size=4),
     )
 )
-def test_bareiss_is_a_scaled_rref(matrix):
+
+
+@settings(deadline=None, max_examples=300)
+@given(integer_matrices)
+def test_bareiss_is_a_scaled_rref(sized):
+    _, matrix = sized
     reduced, pivots = linalg.bareiss(matrix)
     rational, rational_pivots = linalg.rref(matrix)
     assert pivots == rational_pivots
@@ -151,6 +158,23 @@ def test_bareiss_is_a_scaled_rref(matrix):
     for k, (row, rational_row) in enumerate(zip(reduced, rational)):
         expected = [last * x for x in rational_row] if k < len(pivots) else [0] * len(row)
         assert row == expected
+
+
+@settings(deadline=None, max_examples=300)
+@given(integer_matrices)
+def test_integer_chart_solver_decides_and_solves_each_column_set(sized):
+    ncols, matrix = sized
+    rank = minor_rank(matrix)
+    for cols in combinations(range(ncols), rank):
+        kernel = linalg.solve_with_pivots(matrix, ncols, cols)
+        if minor_rank(linalg.submatrix_columns(matrix, cols)) < rank:
+            assert kernel is None
+            continue
+        vectors, d = kernel
+        assert type(d) is int and d > 0
+        assert all(type(x) is int for w in vectors for x in w)
+        assert all(x == 0 for w in vectors for x in linalg.matrix_vector(matrix, w))
+        assert divided(vectors, d) == _rref_basis(matrix, ncols, cols)
 
 
 # -- tangent spaces ----------------------------------------------------------------
