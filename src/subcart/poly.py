@@ -29,15 +29,17 @@ bounds the parser's recursion.  A sum is accumulated in one term map,
 checking only the coefficients each summand changes, so it parses in
 time linear in its length.
 
-Evaluation is exact integer arithmetic.  A rational point is put over its
-least positive common denominator D with integer numerators a
-(``clear_denominators``), and ``evaluate_cleared`` gives the integer
-L * D^d * p(a/D), where d is the total degree and L the lcm of the
-coefficients' denominators (kept in a slot on first use).  The factor is
-positive, so the value has the sign and the zero set of p.  ``evaluate``
-divides it once.  A ``ClearedRow`` scales several polynomials by one
-positive factor, so its integer values keep their ratios: the rows of a
-Jacobian and the numerators over the denominator of a sampler.
+Evaluation is exact integer arithmetic, in one place: ``ClearedRow``.
+A rational point is put over its least positive common denominator D
+with integer numerators a (``clear_denominators``).  A row compiles its
+polynomials once, over one positive scale S (the lcm of all their
+coefficients' denominators) and one degree d (their largest total
+degree), and ``ClearedRow.evaluate`` gives the integer S * D^d * p(a/D)
+for each p.  The factor is positive and shared, so the values have the
+signs and zero sets of the rational ones and keep their ratios: the rows
+of a Jacobian, the numerators over the denominator of a sampler, and a
+space's equations and inequalities.  ``Polynomial.evaluate`` evaluates a
+one-polynomial row and divides once.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ def _grlex_key(exponent: Exponent) -> tuple:
 class Polynomial:
     """Immutable exact polynomial in variables x1..x{ambient_dim}."""
 
-    __slots__ = ("ambient_dim", "_terms", "_integer")
+    __slots__ = ("ambient_dim", "_terms")
 
     def __init__(self, ambient_dim: int, terms: Mapping[Exponent, Fraction]):
         if ambient_dim < 1:
@@ -101,7 +103,6 @@ class Polynomial:
                 cleaned[exponent] = coeff
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "_terms", cleaned)
-        object.__setattr__(self, "_integer", None)  # see ``integer_form``
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -188,47 +189,12 @@ class Polynomial:
             out[lowered] = out.get(lowered, Fraction(0)) + coeff * e
         return Polynomial(self.ambient_dim, out)
 
-    def integer_form(self) -> tuple[int, int, tuple]:
-        """(L, d, terms): the lcm L of the coefficients' denominators, the
-        total degree d, and per term (L * coefficient, d - |e|, the
-        (variable, exponent) pairs with a nonzero exponent).  Computed on
-        first use and kept."""
-        if self._integer is None:
-            coefficients, scale = clear_denominators(list(self._terms.values()))
-            degree = self.total_degree()
-            terms = tuple(
-                (c, degree - sum(e), tuple((i, k) for i, k in enumerate(e) if k))
-                for e, c in zip(self._terms, coefficients)
-            )
-            object.__setattr__(self, "_integer", (scale, degree, terms))
-        return self._integer
-
-    def evaluate_cleared(self, numerators: Sequence[int], denominator: int) -> int:
-        """The exact integer L * D^d * p(a/D) for integer numerators a and a
-        positive integer denominator D (L and d as in ``integer_form``);
-        its sign and zero set are those of p(a/D)."""
-        if len(numerators) != self.ambient_dim:
-            raise DimensionMismatchError(
-                f"point has length {len(numerators)}, expected {self.ambient_dim}"
-            )
-        _, degree, terms = self.integer_form()
-        powers = [1]
-        for _ in range(degree):
-            powers.append(powers[-1] * denominator)
-        total = 0
-        for coeff, rest, factors in terms:
-            value = coeff * powers[rest]
-            for i, e in factors:
-                value *= numerators[i] ** e
-            total += value
-        return total
-
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         """Exact value at a rational point of matching length."""
         numerators, denominator = clear_denominators([Fraction(x) for x in point])
-        value = self.evaluate_cleared(numerators, denominator)
-        scale, degree, _ = self.integer_form()
-        return Fraction(value, scale * denominator**degree)
+        row = ClearedRow(self.ambient_dim, (self,))
+        [value] = row.evaluate(numerators, denominator)
+        return Fraction(value, row.scale * denominator**row.degree)
 
     # -- printing ------------------------------------------------------------
 
@@ -268,26 +234,49 @@ class Polynomial:
 
 
 class ClearedRow:
-    """Polynomials over one positive scale: at a/D, ``evaluate`` gives
-    S * D^d * p(a/D) for each p, with the same S > 0 (the lcm of their
-    scales L) and d (their largest total degree) for all of them."""
+    """Polynomials in x1..x{ambient_dim}, compiled once for integer
+    evaluation over one positive scale S = ``scale`` (the lcm of all their
+    coefficients' denominators) and one degree d = ``degree`` (their
+    largest total degree): each term is kept as (S * coefficient, d - |e|,
+    the (variable, exponent) pairs with a nonzero exponent)."""
 
-    __slots__ = ("_entries",)
+    __slots__ = ("ambient_dim", "scale", "degree", "_rows")
 
-    def __init__(self, polynomials: Sequence[Polynomial]):
-        forms = [p.integer_form() for p in polynomials]
-        scale = math.lcm(*[form[0] for form in forms])
-        degree = max((form[1] for form in forms), default=0)
-        self._entries = tuple(
-            (p, scale // form[0], degree - form[1])
-            for p, form in zip(polynomials, forms)
+    def __init__(self, ambient_dim: int, polynomials: Sequence[Polynomial]):
+        maps = [p._terms for p in polynomials]
+        self.ambient_dim = ambient_dim
+        self.scale = math.lcm(*[c.denominator for m in maps for c in m.values()])
+        self.degree = max((sum(e) for m in maps for e in m), default=0)
+        self._rows = tuple(
+            tuple(
+                (c.numerator * (self.scale // c.denominator), self.degree - sum(e),
+                 tuple((i, k) for i, k in enumerate(e) if k))
+                for e, c in m.items()
+            )
+            for m in maps
         )
 
     def evaluate(self, numerators: Sequence[int], denominator: int) -> list[int]:
-        return [
-            factor * denominator**gap * p.evaluate_cleared(numerators, denominator)
-            for p, factor, gap in self._entries
-        ]
+        """The exact integers S * D^d * p(a/D) for integer numerators a and a
+        positive integer denominator D; their signs and zero sets are
+        those of the p(a/D)."""
+        if len(numerators) != self.ambient_dim:
+            raise DimensionMismatchError(
+                f"point has length {len(numerators)}, expected {self.ambient_dim}"
+            )
+        powers = [1]
+        for _ in range(self.degree):
+            powers.append(powers[-1] * denominator)
+        values = []
+        for terms in self._rows:
+            total = 0
+            for coeff, rest, factors in terms:
+                value = coeff * powers[rest]
+                for i, e in factors:
+                    value *= numerators[i] ** e
+                total += value
+            values.append(total)
+        return values
 
 
 # -- constructors ------------------------------------------------------------

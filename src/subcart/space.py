@@ -15,17 +15,18 @@ field.  The presentation caches the validated samples once, deduplicated
 (``_samples``), and ``sample`` copies them.  A presentation built directly
 is validated on its first ``sample``, which reports the same failure as a
 ``SamplerInvariantError``.
-A space file may have at most ``MAX_AMBIENT_DIM`` coordinates, may ask
-for at most ``MAX_GRID_POINTS`` grid points per sampler, and its
-equations and inequalities may have at most ``poly.MAX_TERMS`` terms
-together.
+A space file may have at most ``MAX_AMBIENT_DIM`` coordinates and
+parameters per sampler, may ask for at most ``MAX_GRID_POINTS`` grid
+points per file, and its equations and inequalities may have at most
+``poly.MAX_TERMS`` terms together.
 
-Points are tested on integers.  ``is_member`` puts a point over its least
-common denominator and reads the signs of ``Polynomial.evaluate_cleared``.
-A sampler's grid parameters go over their common denominator, and its
-numerators and denominator over one positive scale (``poly.ClearedRow``),
-so each grid image is integer numerators over one denominator, tested as
-they are; a Fraction is made only for each coordinate of the image.
+Points are tested on integers, through ``poly.ClearedRow``s compiled
+once by their owners.  ``is_member`` puts a point over its least common
+denominator and reads the signs of one row, ``cleared_constraints``.  A
+sampler's grid parameters go over their common denominator, and its
+numerators and denominator are one row (``Sampler._cleared``), so each
+grid image is integer numerators over one denominator, tested as they
+are; a Fraction is made only for each coordinate of the image.
 
 Equality of two polynomial representatives as functions on S is certified
 by caller-supplied witnesses: F and G agree on S when F - G is an explicit
@@ -61,7 +62,7 @@ from .poly import Point, Polynomial, format_point
 
 Inequality = tuple[Polynomial, bool]  # (polynomial, strict?)
 
-MAX_GRID_POINTS = 100_000  # per sampler of a space file
+MAX_GRID_POINTS = 100_000  # over all samplers of a space file
 MAX_AMBIENT_DIM = 12  # of a space file: a point has at most C(12, 6) = 924 charts
 
 
@@ -113,7 +114,7 @@ class Sampler:
     @cached_property
     def _cleared(self) -> poly.ClearedRow:
         """The numerators, then the denominator, over one positive scale."""
-        return poly.ClearedRow((*self.numerators, self.denominator))
+        return poly.ClearedRow(self.param_dim, (*self.numerators, self.denominator))
 
     def _cleared_image(
         self, numerators: Sequence[int], denominator: int
@@ -185,7 +186,13 @@ class SpacePresentation:
     def cleared_gradients(self) -> tuple[poly.ClearedRow, ...]:
         """``gradients`` for integer evaluation, each row over one positive
         scale, compiled once per space."""
-        return tuple(poly.ClearedRow(row) for row in self.gradients)
+        return tuple(poly.ClearedRow(self.ambient_dim, row) for row in self.gradients)
+
+    @cached_property
+    def cleared_constraints(self) -> poly.ClearedRow:
+        """The equations, then the inequalities, over one positive scale."""
+        inequalities = (h for h, _ in self.inequalities)
+        return poly.ClearedRow(self.ambient_dim, (*self.equations, *inequalities))
 
     @cached_property
     def _samples(self) -> tuple[Point, ...]:
@@ -239,11 +246,11 @@ def _satisfies(
     """``is_member`` of the point a/D, for integer numerators a over a
     positive denominator D, by the integer evaluator: its values have the
     signs of the rational ones."""
-    for g in space.equations:
-        if g.evaluate_cleared(numerators, denominator):
-            return False
-    for h, strict in space.inequalities:
-        value = h.evaluate_cleared(numerators, denominator)
+    values = space.cleared_constraints.evaluate(numerators, denominator)
+    equations = len(space.equations)
+    if any(values[:equations]):
+        return False
+    for value, (_, strict) in zip(values[equations:], space.inequalities):
         if value < 0 or strict and value == 0:
             return False
     return True
@@ -482,11 +489,14 @@ def space_from_dict(data: dict) -> SpacePresentation:
         inequalities.append((h, strict))
 
     samplers = []
+    grid_points = 0  # over all samplers, checked before any grid is built
     for i, entry in enumerate(_optional_list(data, "samplers", "$")):
         path = f"samplers[{i}]"
         if not isinstance(entry, dict):
             raise SpaceFormatError(path, "expected an object")
         param_dim = _want(entry, "param_dim", int, path)
+        if not 1 <= param_dim <= MAX_AMBIENT_DIM:
+            raise SpaceFormatError(f"{path}.param_dim", f"must be in 1..{MAX_AMBIENT_DIM}")
         numerators = _optional_list(entry, "numerators", path)
         if len(numerators) != ambient_dim:
             raise SpaceFormatError(
@@ -515,15 +525,12 @@ def space_from_dict(data: dict) -> SpacePresentation:
         resolution = _want(entry, "resolution", int, path)
         if resolution < 1:
             raise SpaceFormatError(f"{path}.resolution", "must be >= 1")
-        grid_points = 1
-        for _ in range(param_dim):  # stops before the product grows large
-            grid_points *= resolution
-            if grid_points > MAX_GRID_POINTS:
-                raise SpaceFormatError(
-                    f"{path}.resolution",
-                    f"{resolution}^{param_dim} grid points exceed the limit "
-                    f"of {MAX_GRID_POINTS}",
-                )
+        grid_points += resolution**param_dim
+        if grid_points > MAX_GRID_POINTS:
+            raise SpaceFormatError(
+                f"{path}.resolution",
+                f"the samplers' grids have more than {MAX_GRID_POINTS} points together",
+            )
         samplers.append(
             Sampler(
                 param_dim=param_dim,

@@ -53,7 +53,7 @@ from itertools import product
 from operator import add, sub
 from typing import Literal, Sequence
 
-from .errors import NoSampleSourceError, SubcartError
+from .errors import SubcartError
 from .poly import Point, format_point
 from .space import SpacePresentation, repeated_factor_caveats, sample
 from .tangent import PointAnalysis, analyse, analyse_member
@@ -426,8 +426,6 @@ def stratify(
     neighbours once per distinct radius, classify, build strata, and run
     the usc / open / dense verifiers."""
     points = sample(space)
-    if not points:
-        raise NoSampleSourceError(f"space {space.name!r} produced no sample points")
     radius, epsilon = _radii(points, radius, epsilon)
     analyses = tuple(analyse_member(space, p) for p in points)
     dims = [a.dim for a in analyses]

@@ -312,8 +312,10 @@ def test_integer_evaluator_matches_rational_evaluation(p, numerators, denominato
     point = [F(x, denominator) for x in a]
     scale = math.lcm(*(c.denominator for c in p.terms.values()))
     expected = scale * denominator ** p.total_degree() * naive_eval(p.terms, point)
-    value = p.evaluate_cleared(a, denominator)
+    row = poly.ClearedRow(p.ambient_dim, [p])
+    [value] = row.evaluate(a, denominator)
     assert type(value) is int and value == expected
+    assert (row.scale, row.degree) == (scale, p.total_degree())
     assert p.evaluate(point) == naive_eval(p.terms, point)
     # the least common denominator of the point, and its numerators over it
     cleared, least = poly.clear_denominators(point)
@@ -326,7 +328,7 @@ def test_integer_evaluator_matches_rational_evaluation(p, numerators, denominato
 def test_cleared_row_keeps_the_ratios_of_its_values(row, point):
     # one positive scale for the whole row
     a, denominator = poly.clear_denominators(point[:2])
-    values = poly.ClearedRow(row).evaluate(a, denominator)
+    values = poly.ClearedRow(2, row).evaluate(a, denominator)
     rational = [p.evaluate(point[:2]) for p in row]
     scales = {v / r for v, r in zip(values, rational) if r}
     assert len(scales) <= 1 and all(s > 0 for s in scales)

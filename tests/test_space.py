@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subcart import poly, space as space_module
+from subcart import poly, space as space_module, stratify, verify
 from subcart.errors import (
     DimensionMismatchError,
     NoSampleSourceError,
@@ -32,7 +32,7 @@ from subcart.space import (
 from subcart.fixtures import fixture_path
 from subcart.poly import Polynomial
 
-from oracles import grid_points, naive_compose_cleared
+from oracles import grid_points, naive_add, naive_compose_cleared, naive_eval
 
 
 def line_sampler(numerators, lo, hi, resolution):
@@ -153,8 +153,9 @@ def test_cross_sampler_dedups_origin():
 
 
 def test_sample_requires_a_source(plane):
-    with pytest.raises(NoSampleSourceError):
-        sample(plane)
+    for run in (sample, stratify, verify):
+        with pytest.raises(NoSampleSourceError):
+            run(plane)
 
 
 def test_sampled_points_are_members(cone, sphere, cross, umbrella, half_line):
@@ -270,6 +271,44 @@ def test_compose_cleared_matches_term_by_term_expansion(case):
     assert composed.terms == naive_compose_cleared(
         equation, numerators, denominator, param_dim
     )
+
+
+@st.composite
+def constrained_points(draw):
+    dim = draw(st.integers(1, 3))
+    point = draw(st.tuples(*[small_coefficients] * dim))
+
+    def constraint():
+        terms = draw(small_terms(dim, 4, draw(st.integers(0, 3))))
+        if draw(st.booleans()):  # shifted to vanish at the point
+            terms = naive_add(terms, {(0,) * dim: -naive_eval(terms, point)})
+        return terms
+
+    equations = [constraint() for _ in range(draw(st.integers(0, 2)))]
+    inequalities = [
+        (constraint(), draw(st.booleans())) for _ in range(draw(st.integers(0, 2)))
+    ]
+    return dim, equations, inequalities, point
+
+
+@settings(deadline=None, max_examples=300)
+@given(constrained_points())
+def test_membership_matches_rational_evaluation(case):
+    # equations and inequalities of unequal degrees share one integer scale;
+    # the oracle reads each sign in Fractions, zero and negative coordinates
+    # and points on a strict boundary included
+    dim, equations, inequalities, point = case
+    space = SpacePresentation(
+        name="drawn",
+        ambient_dim=dim,
+        equations=tuple(Polynomial(dim, g) for g in equations),
+        inequalities=tuple((Polynomial(dim, h), strict) for h, strict in inequalities),
+    )
+    values = [(naive_eval(h, point), strict) for h, strict in inequalities]
+    expected = all(naive_eval(g, point) == 0 for g in equations) and all(
+        v > 0 or v == 0 and not strict for v, strict in values
+    )
+    assert is_member(space, point) == expected
 
 
 def test_high_degree_composition_fails_load_fast(tmp_path):
@@ -533,6 +572,37 @@ def test_ambient_dim_is_capped_at_load(tmp_path):
     assert load_space(wide(MAX_AMBIENT_DIM)).ambient_dim == MAX_AMBIENT_DIM
     with pytest.raises(SpaceFormatError, match=r"^\$\.ambient_dim: must be at most"):
         load_space(wide(MAX_AMBIENT_DIM + 1))
+
+
+def test_sampler_image_checks_the_parameter_count(cone):
+    for params in ((1,), (1, 2, 3)):
+        with pytest.raises(DimensionMismatchError, match="point has length"):
+            cone.samplers[0].image(params)
+
+
+@pytest.mark.parametrize("param_dim", [3_000_000, 0, -1])
+def test_param_dim_is_capped_before_any_parse(tmp_path, param_dim):
+    sampler = {"param_dim": param_dim, "numerators": ["x1"], "box": [["0", "1"]],
+               "resolution": 2}
+    data = {"name": "wide", "ambient_dim": 1, "samplers": [sampler]}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    start = time.perf_counter()
+    with pytest.raises(SpaceFormatError, match=r"^samplers\[0\]\.param_dim: must be"):
+        load_space(path)
+    assert time.perf_counter() - start < 1
+
+
+def test_grid_size_is_capped_per_file(tmp_path):
+    data = json.loads(fixture_path("cone").read_text(encoding="utf-8"))
+    # 316^2 = 99,856 grid points each: under the cap alone, over it together
+    data["samplers"] = [{**data["samplers"][0], "resolution": 316}] * 4
+    path = tmp_path / "cones.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    start = time.perf_counter()
+    with pytest.raises(SpaceFormatError, match=r"^samplers\[1\]\.resolution"):
+        load_space(path)
+    assert time.perf_counter() - start < 1
 
 
 def test_grid_size_is_capped_at_load(tmp_path):
