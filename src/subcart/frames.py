@@ -15,20 +15,21 @@ respect to.
 
 The frozen pivots are valid at a point iff they are one of its charts
 (``tangent.PointAnalysis``), and the frame's vectors there are the kernel
-the analysis solves for that chart: one integer elimination decides the
-chart and solves it.  ``FrameSection.evaluate``, ``pivot_valid_at`` and
-``frame_evaluations`` all read it from one analysis.
-``frame_evaluations``, shared by ``verify_local_triviality`` and
-``anchored_frame``, reads the report's analyses, solved once at each
-anchor and target only, and takes its targets from the report's
-``NeighbourIndex``: the strict (``<`` radius) neighbours of a sample
-anchor, or the same query for an anchor that is not a sample.  It reads
-each target's kernel at the anchor's pivots first and derives the two
-points' chart sets only when that kernel is None.
-``verify_local_triviality`` still checks every kernel it uses, once per
-target and chart, on integers.  All three take the report alone and read
-its space.  ``verify`` is ``stratify`` with the local-triviality verdict
-appended.
+the analysis keeps for that chart.  ``FrameSection.evaluate``,
+``pivot_valid_at`` and ``frame_evaluations`` all read it from one
+analysis.  ``frame_evaluations``, behind ``anchored_frame`` (the
+``frame`` command), walks one anchor's targets: its strict (``<``
+radius) neighbours in the report's ``NeighbourIndex``, so that at the
+default radius the cross-branch pairs of the coordinate cross, exactly
+at the radius, are excluded.  It reads each target's kernel at the
+anchor's pivots and asks ``shares_chart`` only where that is None.
+``verify_local_triviality`` asks the same questions target by target,
+grouping each target's anchors by their pivots: one kernel read and one
+integer check per group, ``shares_chart`` only where neither point's
+pivots are a chart of the other, and of several failures the one that
+the anchor-by-anchor walk meets first.  All three take the report alone and
+read its space.  ``verify`` is ``stratify`` with the local-triviality
+verdict appended.
 
 The bump function is the single non-rational evaluation in the package
 (the standard exp(-1/t) smooth step on the sup-norm radial variable) and
@@ -44,9 +45,9 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Sequence
 
-from . import linalg
 from .errors import DimensionMismatchError, FrameEvaluationError, SubcartError
 from .linalg import Kernel
 from .poly import Point, format_point
@@ -264,24 +265,6 @@ def frame_smoothness_check(
 # -- local triviality ----------------------------------------------------------
 
 
-def triviality_targets(
-    report: StratificationReport, anchor_index: int
-) -> list[int]:
-    """Indices of regular records of the same dimension strictly within
-    the report's adjacency radius of the given regular record, ascending.
-
-    They are read from the report's neighbour index.  Strict comparison
-    realizes neighborhoods whose closure stays inside the trivializing
-    patch; at the default radius the closest cross-branch pairs of the
-    coordinate cross sit exactly at the radius and are thereby excluded.
-    """
-    return _targets(
-        report,
-        report.records[anchor_index].dim,
-        report.index.neighbours(anchor_index, strict=True),
-    )
-
-
 def _targets(
     report: StratificationReport, dim: int, candidates: Sequence[int]
 ) -> list[int]:
@@ -313,11 +296,7 @@ def frame_evaluations(
         if kernel is not None:
             evaluations.append((j, kernel))
         elif not anchor.shares_chart(other):
-            raise FrameEvaluationError(
-                f"no common pivot chart covers {format_point(anchor.point)} "
-                f"and {format_point(other.point)}: the bundle is not "
-                f"trivializable over this neighborhood"
-            )
+            raise FrameEvaluationError(_no_common_chart(anchor, other))
     return frame, evaluations
 
 
@@ -362,63 +341,85 @@ def verify_local_triviality(report: StratificationReport) -> Verdict:
     coordinate-cross branches fail the chart check when sampled across the
     removed origin.
 
-    An evaluation is a kernel fixed by its record index and chart (targets
-    share the anchor's dimension), so each kernel is checked on first use
-    and every later pair that reads it is counted without checking again.
-    The checks run on the integer form (W, d) of the basis W / d: each w
-    annihilates the integer Jacobian rows and is d at its own free column
-    and 0 at the others, d positive.
+    The walk goes by target j: its anchors (its regular strict neighbours
+    of its dimension) are grouped by pivots, and j's kernel for a group's
+    chart is checked once and counts once per anchor.  Where it is None,
+    an anchor whose kernel at j's pivots (read anyway, with the anchor as
+    target) is None too is asked for a shared chart.  Of several failures
+    the least by (anchor, phase, target) is reported, phase 0 a missing
+    shared chart and phase 1 a failed check, owned by the group's least
+    anchor: the failure an anchor-by-anchor walk meets first.  The checks
+    run on the integer form (W, d) of the basis W / d: each w annihilates
+    the integer Jacobian rows and is d at its own free column and 0 at
+    the others, d positive.
     """
+    analyses = report.analyses
+    charts = [
+        a.pivots if r.label == "regular" else None
+        for r, a in zip(report.records, analyses)
+    ]
     checked = 0
-    verified: set[tuple[int, tuple[int, ...]]] = set()
-    for i, (record, anchor) in enumerate(zip(report.records, report.analyses)):
-        if record.label != "regular":
+    failure = (len(charts), 0, 0, "")  # the least (anchor, phase, target, detail)
+    for j, own in enumerate(charts):
+        if own is None:
             continue
-        try:
-            frame, evaluations = frame_evaluations(
-                report, anchor, triviality_targets(report, i)
-            )
-        except FrameEvaluationError as exc:
-            return Verdict("local_triviality", False, str(exc))
-        for j, (vectors, d) in evaluations:
-            checked += 1
-            if (j, frame.pivot_columns) in verified:
+        other = analyses[j]
+        near = report.index.neighbours(j, strict=True)
+        read = list(map(charts.__getitem__, near))
+        for chart in dict.fromkeys(read):  # by least anchor, ascending
+            first = near[read.index(chart)]
+            if first > failure[0]:
+                break
+            if chart is None or len(chart) != len(own):
                 continue
-            verified.add((j, frame.pivot_columns))
-            other = report.analyses[j]
-            if len(vectors) != record.dim:
-                return Verdict(
-                    "local_triviality",
-                    False,
-                    f"frame anchored at {format_point(record.point)} returned "
-                    f"{len(vectors)} vectors at {format_point(other.point)}, "
-                    f"expected {record.dim}",
-                )
-            if d <= 0:  # W / d is no basis
-                return _not_identity(other.point)
-            for w in vectors:
-                if any(linalg.matrix_vector(other.jacobian, w)):
+            kernel = other.kernel(chart)
+            if kernel is not None:
+                checked += read.count(chart)
+                detail = _kernel_failure(analyses[first], other, chart, kernel)
+                if detail:
+                    failure = min(failure, (first, 1, j, detail))
+                continue
+            for i, c in zip(near, read):
+                anchor = analyses[i]  # its kernel at j's pivots is read anyway, i as target
+                if c == chart and anchor.kernel(own) is None and not anchor.shares_chart(other):
+                    failure = min(failure, (i, 0, j, _no_common_chart(anchor, other)))
+                    break
+    if failure[3]:
+        return Verdict("local_triviality", False, failure[3])
+    return Verdict("local_triviality", True, f"{checked} frame evaluations verified exactly")
+
+
+def _kernel_failure(
+    anchor: PointAnalysis, other: PointAnalysis, chart: tuple[int, ...], kernel: Kernel
+) -> str | None:
+    """Why the kernel of ``other`` for the anchor's chart is no frame
+    evaluation there, or None when it is one."""
+    vectors, d = kernel
+    if len(vectors) != anchor.dim:
+        return (
+            f"frame anchored at {format_point(anchor.point)} returned "
+            f"{len(vectors)} vectors at {format_point(other.point)}, "
+            f"expected {anchor.dim}"
+        )
+    if d > 0:  # else W / d is no basis
+        for w in vectors:
+            for row in other.jacobian:
+                if sum(map(mul, row, w)):
                     v = tuple(Fraction(x, d) for x in w)
-                    return Verdict(
-                        "local_triviality",
-                        False,
-                        f"frame vector {v} fails annihilation at "
-                        f"{format_point(other.point)}",
-                    )
-            for k, f in enumerate(frame.free_columns):
-                for l, w in enumerate(vectors):
-                    if w[f] != (d if k == l else 0):
-                        return _not_identity(other.point)
-    return Verdict(
-        "local_triviality", True, f"{checked} frame evaluations verified exactly"
-    )
+                    return f"frame vector {v} fails annihilation at {format_point(other.point)}"
+        free = [c for c in range(len(other.point)) if c not in chart]
+        for l, w in enumerate(vectors):
+            if [w[f] for f in free] != [d * (k == l) for k in range(len(free))]:
+                break
+        else:
+            return None
+    return f"free-column submatrix is not the identity at {format_point(other.point)}"
 
 
-def _not_identity(point: Point) -> Verdict:
-    return Verdict(
-        "local_triviality",
-        False,
-        f"free-column submatrix is not the identity at {format_point(point)}",
+def _no_common_chart(anchor: PointAnalysis, other: PointAnalysis) -> str:
+    return (
+        f"no common pivot chart covers {format_point(anchor.point)} and "
+        f"{format_point(other.point)}: the bundle is not trivializable over this neighborhood"
     )
 
 

@@ -8,10 +8,12 @@ It gives the rank and the pivots of a point's integer Jacobian rows and
 decides its charts.  ``solve_with_pivots`` clears each row of its
 denominators (a positive row scale, which keeps the kernel) and makes one
 ``bareiss`` elimination with the chart's columns in front.  That
-elimination decides whether the columns are a chart and gives the chart's
-kernel on integers: vectors W and one positive integer d, W / d being the
-pivot-normalized basis, because every pivot row of the reduced matrix
-carries the same last pivot; it makes no Fraction.  ``rref`` is the
+elimination decides whether the columns are a chart, and
+``reduced_kernel`` reads the chart's kernel off it on integers: vectors W
+and one positive integer d, W / d being the pivot-normalized basis,
+because every pivot row of the reduced matrix carries the same last
+pivot; it makes no Fraction.  It reads a point's own leftmost pivots'
+kernel off the point's first elimination just as well.  ``rref`` is the
 rational Gauss-Jordan form.
 
 Matrices are sequences of equal-length rows.  Everything here is
@@ -120,23 +122,33 @@ def solve_with_pivots(
     solves.
     """
     free = [c for c in range(ncols) if c not in pivot_columns]
-    rows = [
-        clear_denominators(row)[0]
-        for row in submatrix_columns(matrix, [*pivot_columns, *free])
-    ]
+    columns = [*pivot_columns, *free]
+    rows = [clear_denominators(row)[0] for row in submatrix_columns(matrix, columns)]
     reduced, pivots = bareiss(rows)
-    rank = len(pivot_columns)
-    if pivots != list(range(rank)):
+    if pivots != list(range(len(pivot_columns))):
         return None
-    # pivot row i is d times the RREF row of pivot i, d the last pivot
-    d = reduced[rank - 1][rank - 1] if rank else 1
+    return reduced_kernel(reduced, columns, pivot_columns)
+
+
+def reduced_kernel(
+    reduced: Sequence[Sequence[int]], columns: Sequence[int], pivot_columns: Sequence[int]
+) -> Kernel:
+    """The kernel (W, d) normalized to the identity off ``pivot_columns``,
+    read from ``bareiss`` rows that pivot on them in order: position k of
+    a row holds column ``columns[k]`` of the matrix.  Pivot row i is d
+    times the RREF row of pivot i, d the last pivot."""
+    position = {c: k for k, c in enumerate(columns)}
+    rank = len(pivot_columns)
+    d = reduced[rank - 1][position[pivot_columns[-1]]] if rank else 1
     sign = -1 if d < 0 else 1  # negating W and d keeps W / d
     basis = []
-    for k, f in enumerate(free):
-        w = [0] * ncols
+    for f in range(len(columns)):
+        if f in pivot_columns:
+            continue
+        w = [0] * len(columns)
         w[f] = sign * d
         for p, row in zip(pivot_columns, reduced):
-            w[p] = -sign * row[rank + k]
+            w[p] = -sign * row[position[f]]
         basis.append(tuple(w))
     return tuple(basis), sign * d
 

@@ -18,27 +18,29 @@ denominator D, and ``PointAnalysis.jacobian`` holds the Jacobian's
 integer rows, row j being the gradient of equation j times one positive
 integer (from ``SpacePresentation.cleared_gradients``, compiled once per
 space).  Positive row scales keep the rank, the pivots, the charts and
-the normalized bases.  Rank and leftmost pivots come from one
-fraction-free ``linalg.bareiss`` elimination.  ``PointAnalysis.kernel``
-asks ``linalg.solve_with_pivots`` whether a column set is a chart and,
-if it is, for the chart's pivot-normalized kernel on integers (W, d, with
-W / d the basis); one elimination answers both, on the first read, and
-the answer is kept, None included.  ``PointAnalysis.basis`` derives the
-Fraction basis from it for the public readers.  The charts, the column
-sets whose Jacobian submatrix has full rank, are decided by the integer
-rank of each submatrix, with no solve, and only on a read of ``charts``.
-Two points share a frame chart iff their ranks agree and their chart
-sets intersect; a frame frozen on a chart reads its vectors at a point
-from that point's kernel for the chart.
+the normalized bases.  Rank, leftmost pivots and pivot rows come from
+one fraction-free ``linalg.bareiss`` elimination.  ``PointAnalysis.kernel``
+keeps each chart's pivot-normalized kernel on integers (W, d, with W / d
+the basis), None for a column set that is no chart.  It reads the own
+pivots' kernel off the pivot rows: Bareiss meets only zeros at and below
+the current row in a non-pivot column, so ``linalg.solve_with_pivots``,
+which moves the chart's columns to the front and decides and solves any
+other chart in one elimination, would make the same row operations and
+return the same W and d.  The charts, the column sets whose Jacobian
+submatrix has full rank, are decided by the integer rank of each
+submatrix only on a read of ``charts``; two points share a frame chart
+iff their ranks agree and their chart sets intersect, which
+``shares_chart`` first tries to prove with a Cauchy-Binet probe.
 ``jacobian`` is the rational Jacobian of a member point.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Sequence
 
 from . import linalg
@@ -71,11 +73,13 @@ def _member(space: SpacePresentation, point: Sequence[Fraction]) -> Point:
 @dataclass(frozen=True)
 class PointAnalysis:
     """The linear algebra of one member point: integer Jacobian rows, each
-    the gradient times a positive integer, and their leftmost pivots."""
+    the gradient times a positive integer, their leftmost pivots, and the
+    pivot rows of their Bareiss elimination."""
 
     point: Point
     jacobian: IntegerMatrix
     pivots: tuple[int, ...]  # 0-based, ascending
+    pivot_rows: IntegerMatrix = field(compare=False, repr=False)
 
     @cached_property
     def charts(self) -> frozenset[tuple[int, ...]]:
@@ -95,11 +99,14 @@ class PointAnalysis:
 
     def kernel(self, columns: tuple[int, ...]) -> linalg.Kernel | None:
         """The integer kernel (W, d) normalized to the identity off the
-        chart ``columns``, W / d being the basis, solved on its first read
-        and kept; None when ``columns`` is not a chart."""
+        chart ``columns``, W / d being the basis, derived on its first read
+        and kept; None when ``columns`` is not a chart.  The own pivots'
+        kernel is read off the pivot rows; other charts are solved."""
         if columns not in self._kernels:
-            self._kernels[columns] = linalg.solve_with_pivots(
-                self.jacobian, len(self.point), columns
+            self._kernels[columns] = (
+                linalg.reduced_kernel(self.pivot_rows, range(len(self.point)), columns)
+                if columns == self.pivots
+                else linalg.solve_with_pivots(self.jacobian, len(self.point), columns)
             )
         return self._kernels[columns]
 
@@ -123,8 +130,16 @@ class PointAnalysis:
         return len(self.point) - self.rank
 
     def shares_chart(self, other: "PointAnalysis") -> bool:
-        """True iff one pivot chart is valid at both points."""
-        return self.rank == other.rank and not self.charts.isdisjoint(other.charts)
+        """True iff one pivot chart is valid at both points.  By Cauchy-Binet
+        det(A X B^T), for pivot rows A and B and X = diag(c + 2), is the sum
+        of det(A_S) det(B_S) prod(c + 2 for c in S) over column sets S: if
+        it is nonzero a chart is shared, else the chart sets are compared."""
+        if self.rank != other.rank:
+            return False
+        weighted = [[(c + 2) * x for c, x in enumerate(row)] for row in self.pivot_rows]
+        product = [[sum(map(mul, w, b)) for b in other.pivot_rows] for w in weighted]
+        probe = len(linalg.bareiss(product)[1]) == self.rank
+        return probe or not self.charts.isdisjoint(other.charts)
 
 
 def analyse(space: SpacePresentation, point: Sequence[Fraction]) -> PointAnalysis:
@@ -139,8 +154,9 @@ def analyse_member(space: SpacePresentation, point: Point) -> PointAnalysis:
     J = tuple(
         tuple(row.evaluate(numerators, denominator)) for row in space.cleared_gradients
     )
-    _, pivots = linalg.bareiss(J)
-    return PointAnalysis(point, J, tuple(pivots))
+    reduced, pivots = linalg.bareiss(J)
+    rows = tuple(map(tuple, reduced[: len(pivots)]))
+    return PointAnalysis(point, J, tuple(pivots), rows)
 
 
 @dataclass(frozen=True)

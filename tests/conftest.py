@@ -1,3 +1,4 @@
+import json
 import sys
 
 import pytest
@@ -62,3 +63,48 @@ def member_calls(monkeypatch):
 def bareiss_calls(monkeypatch):
     """The argument tuples of every ``linalg.bareiss`` call."""
     return _counted(monkeypatch, linalg, "bareiss")
+
+
+@pytest.fixture(scope="session")
+def circles_path(tmp_path_factory):
+    """Six unit circles x(2i-1)^2 + x(2i)^2 = 1 in R^12, each sampled
+    stereographically at t in {1/2, 1}, so each coordinate pair is
+    (3/5, 4/5) or (0, 1): 64 records of rank 6, whose pivots differ
+    between points that mix the two kinds of pair."""
+    lifts = [f"(x{k}^2 + 1)" for k in range(1, 7)]
+
+    def others(i):
+        return "*".join(lifts[:i] + lifts[i + 1 :])
+
+    data = {
+        "name": "circles",
+        "ambient_dim": 12,
+        "equations": [f"x{2 * i - 1}^2 + x{2 * i}^2 - 1" for i in range(1, 7)],
+        "samplers": [
+            {
+                "param_dim": 6,
+                "numerators": [
+                    f"{numerator}*{others(i)}"
+                    for i in range(6)
+                    for numerator in (f"(1 - x{i + 1}^2)", f"2*x{i + 1}")
+                ],
+                "denominator": "*".join(lifts),
+                "box": [["1/2", "1"]] * 6,
+                "resolution": 2,
+            }
+        ],
+    }
+    path = tmp_path_factory.mktemp("circles") / "circles.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return path
+
+
+@pytest.fixture(scope="session")
+def circles(circles_path):
+    return load_space(circles_path)
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """The argument tuples of every ``linalg.solve_with_pivots`` call."""
+    return _counted(monkeypatch, linalg, "solve_with_pivots")

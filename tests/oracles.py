@@ -142,3 +142,67 @@ def naive_max_nearest_gap(points) -> Fraction:
         min(naive_sup(p, q) for j, q in enumerate(points) if j != i)
         for i, p in enumerate(points)
     )
+
+
+# the local-triviality verdict of an anchor-by-anchor walk
+
+
+def per_anchor_triviality(report):
+    """The local-triviality ``Verdict`` of a walk that takes each regular
+    record in turn as the anchor and reads its regular strict neighbours
+    of its dimension in ascending order: the whole neighbourhood must
+    share a chart with the anchor before any kernel at the anchor's
+    pivots is checked, and each (target, chart) kernel is checked at its
+    first read only.  Kernels and shared charts come from the report's
+    analyses, so a corrupted stored kernel reaches this walk too."""
+    from subcart.poly import format_point
+    from subcart.stratify import Verdict
+
+    def failed(detail):
+        return Verdict("local_triviality", False, detail)
+
+    records, analyses = report.records, report.analyses
+    checked, verified = 0, set()
+    for i, (record, anchor) in enumerate(zip(records, analyses)):
+        if record.label != "regular":
+            continue
+        chart = anchor.pivots
+        read = []
+        for j in report.index.neighbours(i, strict=True):
+            if records[j].label != "regular" or records[j].dim != record.dim:
+                continue
+            other = analyses[j]
+            kernel = other.kernel(chart)
+            if kernel is not None:
+                read.append((j, kernel))
+            elif not anchor.shares_chart(other):
+                return failed(
+                    f"no common pivot chart covers {format_point(anchor.point)} "
+                    f"and {format_point(other.point)}: the bundle is not "
+                    f"trivializable over this neighborhood"
+                )
+        free = [c for c in range(len(record.point)) if c not in chart]
+        for j, (vectors, d) in read:
+            checked += 1
+            if (j, chart) in verified:
+                continue
+            verified.add((j, chart))
+            other = analyses[j]
+            at = format_point(other.point)
+            if len(vectors) != record.dim:
+                return failed(
+                    f"frame anchored at {format_point(record.point)} returned "
+                    f"{len(vectors)} vectors at {at}, expected {record.dim}"
+                )
+            not_identity = failed(f"free-column submatrix is not the identity at {at}")
+            if d <= 0:
+                return not_identity
+            for w in vectors:
+                if any(sum(a * b for a, b in zip(row, w)) for row in other.jacobian):
+                    v = tuple(Fraction(x, d) for x in w)
+                    return failed(f"frame vector {v} fails annihilation at {at}")
+            for k, f in enumerate(free):
+                for l, w in enumerate(vectors):
+                    if w[f] != (d if k == l else 0):
+                        return not_identity
+    return Verdict("local_triviality", True, f"{checked} frame evaluations verified exactly")

@@ -18,7 +18,6 @@ from subcart.frames import (
     frame_at,
     frame_smoothness_check,
     glued_section,
-    triviality_targets,
     verify,
     verify_local_triviality,
 )
@@ -27,7 +26,7 @@ from subcart.stratify import stratify
 from subcart.tangent import analyse, jacobian
 from subcart.fixtures import NAMES, fixture_path
 
-from oracles import divided, minor_rank
+from oracles import divided, minor_rank, per_anchor_triviality
 
 
 @pytest.fixture
@@ -129,29 +128,52 @@ def matrix_pairs(draw):
     return draw(matrix), draw(matrix), ncols
 
 
+def _minor_charts(m, ncols):
+    r = minor_rank(m)
+    return {
+        cols
+        for cols in combinations(range(ncols), r)
+        if minor_rank([[row[c] for c in cols] for row in m]) == r
+    }
+
+
 @settings(deadline=None, max_examples=200)
 @given(matrix_pairs())
 def test_chart_rule_matches_minor_enumeration(pair):
     a, b, ncols = pair
-
-    def minor_charts(m):
-        r = minor_rank(m)
-        return {
-            cols
-            for cols in combinations(range(ncols), r)
-            if minor_rank([[row[c] for c in cols] for row in m]) == r
-        }
-
     x, y = _analyse_matrix(a, ncols), _analyse_matrix(b, ncols)
-    assert x.charts == minor_charts(a) and y.charts == minor_charts(b)
-    assert x.shares_chart(y) == (
-        minor_rank(a) == minor_rank(b) and bool(minor_charts(a) & minor_charts(b))
-    )
+    charts_a, charts_b = _minor_charts(a, ncols), _minor_charts(b, ncols)
+    assert x.charts == charts_a and y.charts == charts_b
+    assert x.shares_chart(y) == (minor_rank(a) == minor_rank(b) and bool(charts_a & charts_b))
     for m, analysis in ((a, x), (b, y)):
         for chart in analysis.charts:
             basis = analysis.basis(chart)
             assert basis == divided(*linalg.solve_with_pivots(m, ncols, chart))
             assert all(c == 0 for v in basis for c in linalg.matrix_vector(m, v))
+
+
+@settings(deadline=None, max_examples=200)
+@given(matrix_pairs())
+def test_chart_probe_agrees_with_chart_sets(pair):
+    # asked first, before any chart set exists: a probe that answers
+    # leaves both chart sets underived, and its True must be a shared chart
+    a, b, ncols = pair
+    x, y = _analyse_matrix(a, ncols), _analyse_matrix(b, ncols)
+    shared = x.shares_chart(y)
+    probed = "charts" not in vars(x) and "charts" not in vars(y)
+    assert shared == (x.rank == y.rank and not x.charts.isdisjoint(y.charts))
+    if probed and x.rank == y.rank:
+        assert shared and _minor_charts(a, ncols) & _minor_charts(b, ncols)
+
+
+def test_chart_probe_cancellation_falls_back_to_chart_sets():
+    # det(A diag(2, 3, 4) B^T) = 1*2*3 + 1*3*(-2) = 0, yet columns 1 and 2
+    # are charts of both points
+    x = _analyse_matrix([[F(1), F(1), F(0)]], 3)
+    y = _analyse_matrix([[F(3), F(-2), F(0)]], 3)
+    assert (x.pivot_rows, y.pivot_rows) == (((1, 1, 0),), ((3, -2, 0),))
+    assert x.shares_chart(y)
+    assert "charts" in vars(x) and x.charts == y.charts == {(0,), (1,)}
 
 
 # -- bump functions -----------------------------------------------------------------
@@ -277,6 +299,17 @@ def test_local_triviality_passes_on_smooth_and_singular_fixtures(
         assert verify_local_triviality(report).passed, space.name
 
 
+def _targets(report, i):
+    """The regular records of record i's dimension strictly within the
+    report's radius of it, ascending: the targets of anchor i."""
+    return [
+        j
+        for j in report.index.neighbours(i, strict=True)
+        if report.records[j].label == "regular"
+        and report.records[j].dim == report.records[i].dim
+    ]
+
+
 def test_triviality_targets_use_strict_radius(cross):
     report = stratify(cross)
     # closest cross-branch pairs sit exactly at the default radius and are
@@ -284,7 +317,7 @@ def test_triviality_targets_use_strict_radius(cross):
     for i, r in enumerate(report.records):
         if r.label != "regular":
             continue
-        for j in triviality_targets(report, i):
+        for j in _targets(report, i):
             other = report.records[j]
             assert (r.point[0] == 0) == (other.point[0] == 0)  # same branch
 
@@ -298,15 +331,22 @@ def test_local_triviality_fails_on_discontinuous_section_fixture():
     assert "common pivot" in verdict.detail
 
 
-def _evaluations(report):
-    """(target index, chart) of every frame evaluation that local
-    triviality reads, in the order it reads them."""
+def _reads(report):
+    """(anchor index, target index, chart) of every frame evaluation of
+    local triviality, anchor by anchor."""
     for i, r in enumerate(report.records):
         if r.label == "regular":
             chart = report.analyses[i].pivots
-            for j in triviality_targets(report, i):
+            for j in _targets(report, i):
                 if chart in report.analyses[j].charts:
-                    yield j, chart
+                    yield i, j, chart
+
+
+def _evaluations(report):
+    """(target index, chart) of every frame evaluation that local
+    triviality reads, in the order an anchor-by-anchor walk reads them."""
+    for _, j, chart in _reads(report):
+        yield j, chart
 
 
 def _corrupted(report, j, chart, corrupt):
@@ -407,7 +447,9 @@ def test_verify_of_a_loaded_space_tests_no_membership(name, member_calls):
 def test_frames_derive_chart_sets_only_on_a_miss(tmp_path, bareiss_calls, capsys):
     # n = 12 with rank 6: a point has C(12, 6) = 924 column sets, and every
     # target's kernel at the anchor's pivots settles its pair, so no chart
-    # set is derived; deriving them made 59,264 eliminations here
+    # set is derived; deriving them made 59,264 eliminations here.  Every
+    # anchor has the target's own pivots, whose kernel is read off the
+    # target's analysis: its one elimination is all the work
     data = {
         "name": "wide",
         "ambient_dim": 12,
@@ -428,9 +470,120 @@ def test_frames_derive_chart_sets_only_on_a_miss(tmp_path, bareiss_calls, capsys
     assert main(["verify", str(path), "--radius=2", "--out", str(out)]) == 0
     records = json.loads(out.read_text(encoding="utf-8"))["counts"]["records"]
     assert records == 64
-    assert len(bareiss_calls) <= 2 * records
+    assert len(bareiss_calls) == records
     assert (
         hashlib.sha256(out.read_bytes()).hexdigest()
         == "fe77c176ee50c724104cfd6dc5fc9265e937a23f24fb02c3de1f61e9157ea68d"
     )
     capsys.readouterr()
+
+
+def test_shares_chart_probes_before_deriving_chart_sets(
+    circles_path, tmp_path, bareiss_calls, capsys
+):
+    # points that mix (3/5, 4/5) and (0, 1) pairs share only charts that
+    # are neither one's leftmost pivots, so both points' pivots often miss
+    # at the other; deriving both chart sets (C(12, 6) eliminations each)
+    # on every miss made 63,232 eliminations here (61,384 once each
+    # point's pivots are tried at the other), and the Cauchy-Binet probe
+    # settles every such miss with one 6-by-6 elimination (6,798 in all)
+    out = tmp_path / "verify.json"
+    bareiss_calls.clear()
+    assert main(["verify", str(circles_path), "--radius=2", "--out", str(out)]) == 0
+    assert len(bareiss_calls) <= 6800
+    assert (
+        hashlib.sha256(out.read_bytes()).hexdigest()
+        == "da72f4b6116e3df6a94e744f2a2f2d67d3e51ea3191c771853b2d058f604763d"
+    )
+    capsys.readouterr()
+
+
+# -- the per-target walk against the per-anchor walk --------------------------------
+
+
+@pytest.mark.parametrize("scale", [1, 2])
+@pytest.mark.parametrize("name", NAMES)
+def test_per_target_walk_matches_per_anchor_walk(name, scale):
+    space = load_space(fixture_path(name))
+    report = stratify(space, stratify(space).radius * scale)
+    assert verify_local_triviality(report) == per_anchor_triviality(report)
+
+
+def _scaled(name, resolution, tmp_path):
+    data = json.loads(fixture_path(name).read_text(encoding="utf-8"))
+    for sampler in data["samplers"]:
+        sampler["resolution"] = resolution
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return load_space(path)
+
+
+def test_per_target_walk_matches_per_anchor_walk_at_scale(tmp_path, circles):
+    for report in (
+        stratify(_scaled("sphere", 11, tmp_path)),
+        stratify(_scaled("whitney_umbrella", 15, tmp_path)),
+        stratify(circles, F(2)),
+    ):
+        verdict = verify_local_triviality(report)
+        assert verdict.passed
+        assert verdict == per_anchor_triviality(report)
+
+
+def test_triviality_solves_only_charts_off_the_pivots(tmp_path, solve_calls):
+    # each point's own-chart kernel is read off its analysis; solving
+    # every (target, chart) kernel would make 180 solves here
+    report = stratify(_scaled("sphere", 11, tmp_path))
+    solve_calls.clear()
+    verdict = verify_local_triviality(report)
+    assert verdict.detail == "2588 frame evaluations verified exactly"
+    assert len(solve_calls) == 60
+    pivots = {a.jacobian: a.pivots for a in report.analyses}
+    assert all(chart != pivots[matrix] for matrix, _, chart in solve_calls)
+
+
+def _first_middle_last(reads):
+    reads = list(dict.fromkeys(reads))  # each (target, chart) at its first read
+    return [reads[0], reads[len(reads) // 2], reads[-1]]
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+@pytest.mark.parametrize(
+    "corrupt", [_off_kernel, _permuted, _dropped, _zeroed, _doubled_scale]
+)
+def test_corrupted_kernels_fail_both_walks_alike(cone, corrupt, position):
+    report = stratify(cone)
+    j, chart = _first_middle_last(_evaluations(report))[position]
+    bad = _corrupted(report, j, chart, corrupt)
+    verdict = verify_local_triviality(bad)
+    assert not verdict.passed
+    assert verdict == per_anchor_triviality(bad)
+
+
+def test_two_corrupted_kernels_report_the_first_read(cone):
+    # the last read is corrupted first, so the cache order cannot decide
+    report = stratify(cone)
+    first, _, last = _first_middle_last(_evaluations(report))
+    bad = _corrupted(report, *last, _off_kernel)
+    bad = _corrupted(bad, *first, _permuted)
+    verdict = verify_local_triviality(bad)
+    assert verdict == per_anchor_triviality(bad)
+    assert "not the identity" in verdict.detail
+
+
+@pytest.mark.parametrize("anchor", [0, 1, 2, 3])
+def test_chart_failure_and_kernel_failure_order_by_anchor(anchor):
+    # at radius 1/2 the samples form the path (1/2, 0) - (1/4, 0) -
+    # (0, 1/8) - (0, 1/2), and the walk fails at anchor 1, (1/4, 0), which
+    # shares no chart with (0, 1/8); a corrupted kernel first read by
+    # anchor 0 comes before that failure, and one first read by anchor 1
+    # itself (a later phase) or by a later anchor comes after it
+    space = load_space(fixture_path("discontinuous_section"))
+    report = stratify(space, F(1, 2))
+    reads = {}
+    for i, j, chart in _reads(report):
+        reads.setdefault((j, chart), i)
+    j, chart = next(read for read, i in reads.items() if i == anchor)
+    bad = _corrupted(report, j, chart, _off_kernel)
+    verdict = verify_local_triviality(bad)
+    assert verdict == per_anchor_triviality(bad)
+    assert ("fails annihilation" if anchor == 0 else "common pivot") in verdict.detail

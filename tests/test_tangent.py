@@ -72,15 +72,23 @@ def test_analyse_eliminates_once_and_solves_charts_on_first_read(
     assert calls == {"rref": 0, "bareiss": 1 + column_sets, "solve_with_pivots": 0}
     assert a.charts is charts
     assert charts == ({(0,), (2,)} if a.rank else {()})
-    # a chart's first read solves it once, and a second read or its
-    # Fraction basis solves nothing
-    for solved, chart in enumerate(sorted(charts), 1):
+    # the own pivots' kernel is read off the analysis's elimination, with
+    # no solve and no elimination; any other chart's first read solves it
+    # once, with one elimination; a second read or its Fraction basis
+    # solves nothing
+    for chart in sorted(charts):
+        before = dict(calls)
         kernel = a.kernel(chart)
-        assert calls["solve_with_pivots"] == solved
+        solved = int(chart != a.pivots)
+        assert calls == {
+            "rref": 0,
+            "bareiss": before["bareiss"] + solved,
+            "solve_with_pivots": before["solve_with_pivots"] + solved,
+        }
+        before = dict(calls)
         assert a.kernel(chart) is kernel
         assert a.basis(chart) == divided(*kernel)
-        assert calls["solve_with_pivots"] == solved
-    assert calls["rref"] == 0
+        assert calls == before
 
 
 def test_analyse_tests_membership(cone):
@@ -136,6 +144,17 @@ def test_integer_analysis_matches_rational_elimination(name):
             assert linalg.solve_with_pivots(J, n, cols) is None
 
 
+@pytest.mark.parametrize("name", NAMES)
+def test_own_chart_kernel_equals_the_solved_kernel(name):
+    # read off the analysis's elimination, (W, d) itself, not only W / d,
+    # is what the chart solver returns
+    space = load_space(fixture_path(name))
+    for point in sample(space):
+        a = analyse(space, point)
+        n = len(a.point)
+        assert a.kernel(a.pivots) == linalg.solve_with_pivots(a.jacobian, n, a.pivots)
+
+
 # (column count, small integer matrix with that many columns and 0-4 rows)
 integer_matrices = st.integers(0, 4).flatmap(
     lambda ncols: st.tuples(
@@ -177,6 +196,15 @@ def test_integer_chart_solver_decides_and_solves_each_column_set(sized):
         assert divided(vectors, d) == _rref_basis(matrix, ncols, cols)
 
 
+@settings(deadline=None, max_examples=300)
+@given(integer_matrices)
+def test_reduced_kernel_of_the_leftmost_pivots_is_the_solved_kernel(sized):
+    ncols, matrix = sized
+    reduced, pivots = linalg.bareiss(matrix)
+    kernel = linalg.reduced_kernel(reduced, range(ncols), pivots)
+    assert kernel == linalg.solve_with_pivots(matrix, ncols, pivots)
+
+
 # -- tangent spaces ----------------------------------------------------------------
 
 
@@ -196,16 +224,19 @@ def test_smooth_cone_point_kernel(cone):
 
 
 def test_tangent_space_solves_one_chart(cone, monkeypatch):
+    # the one chart it reads, the RREF pivots, is read off the analysis's
+    # one elimination: nothing is solved and nothing eliminated again
     calls = []
-    original = linalg.solve_with_pivots
+    for name in ("bareiss", "solve_with_pivots"):
+        original = getattr(linalg, name)
 
-    def counting(*args):
-        calls.append(args[2])
-        return original(*args)
+        def counting(*args, name=name, original=original):
+            calls.append(name)
+            return original(*args)
 
-    monkeypatch.setattr(linalg, "solve_with_pivots", counting)
+        monkeypatch.setattr(linalg, name, counting)
     basis = tangent_space(cone, (F(1), F(0), F(1)))
-    assert calls == [(0,)]  # the RREF pivots, not every chart
+    assert calls == ["bareiss"]
     assert basis.basis == ((F(0), F(1), F(0)), (F(1), F(0), F(1)))
 
 
