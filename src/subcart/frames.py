@@ -16,20 +16,18 @@ respect to.
 The frozen pivots are valid at a point iff they are one of its charts
 (``tangent.PointAnalysis``), and the frame's vectors there are the kernel
 the analysis keeps for that chart.  ``FrameSection.evaluate``,
-``pivot_valid_at`` and ``frame_evaluations`` all read it from one
-analysis.  ``frame_evaluations``, behind ``anchored_frame`` (the
-``frame`` command), walks one anchor's targets: its strict (``<``
-radius) neighbours in the report's ``NeighbourIndex``, so that at the
-default radius the cross-branch pairs of the coordinate cross, exactly
-at the radius, are excluded.  It reads each target's kernel at the
-anchor's pivots and asks ``shares_chart`` only where that is None.
+``pivot_valid_at`` and ``anchored_frame`` all read it from one analysis.
+``anchored_frame`` (the ``frame`` command) walks one anchor's targets:
+its strict (``<`` radius) neighbours in the report's ``NeighbourIndex``,
+so that at the default radius the cross-branch pairs of the coordinate
+cross, exactly at the radius, are excluded.  It reads each target's basis
+at the anchor's pivots and asks ``shares_chart`` only where that is None.
 ``verify_local_triviality`` asks the same questions target by target,
 grouping each target's anchors by their pivots: one kernel read and one
 integer check per group, ``shares_chart`` only where neither point's
 pivots are a chart of the other, and of several failures the one that
-the anchor-by-anchor walk meets first.  All three take the report alone and
-read its space.  ``verify`` is ``stratify`` with the local-triviality
-verdict appended.
+the anchor-by-anchor walk meets first.  Both read the report's space.
+``verify`` is ``stratify`` with the local-triviality verdict appended.
 
 The bump function is the single non-rational evaluation in the package
 (the standard exp(-1/t) smooth step on the sup-norm radial variable) and
@@ -224,8 +222,11 @@ def frame_smoothness_check(
     the probe: exactly smooth) or contract by a factor in [7/2, 9/2],
     the signature of order-h^2 convergence of a smooth non-linear
     function.  All probe evaluations are exact rationals, the unshifted
-    midpoint's once per call; only the final ratio meets the window.
+    midpoint's once per call; only the final ratio meets the window.  A
+    zero step, whose differences all vanish, is refused with ValueError.
     """
+    if step == 0:
+        raise ValueError("the smoothness step must be nonzero")
     params = tuple(Fraction(x) for x in params)
     if len(params) != sampler.param_dim:
         raise DimensionMismatchError(
@@ -265,50 +266,20 @@ def frame_smoothness_check(
 # -- local triviality ----------------------------------------------------------
 
 
-def _targets(
-    report: StratificationReport, dim: int, candidates: Sequence[int]
-) -> list[int]:
-    """The candidate records that are regular and of dimension ``dim``."""
-    return [
-        j
-        for j in candidates
-        if report.records[j].label == "regular" and report.records[j].dim == dim
-    ]
-
-
-def frame_evaluations(
-    report: StratificationReport, anchor: PointAnalysis, targets: Sequence[int]
-) -> tuple[FrameSection, list[tuple[int, Kernel]]]:
-    """The frame anchored at a point and its exact integer kernels at each
-    of the given record indices (the anchor's triviality targets) where
-    its frozen pivots are a chart, as (record index, kernel) pairs.
-
-    A target's kernel at the anchor's pivots proves that the two points
-    share a chart; only where it is None are their chart sets compared.
-    Raises FrameEvaluationError at the first target that shares no chart
-    with the anchor: no single trivialization covers the pair.
-    """
-    frame = FrameSection(report.space, anchor.point, anchor.pivots)
-    evaluations = []
-    for j in targets:
-        other = report.analyses[j]
-        kernel = other.kernel(frame.pivot_columns)
-        if kernel is not None:
-            evaluations.append((j, kernel))
-        elif not anchor.shares_chart(other):
-            raise FrameEvaluationError(_no_common_chart(anchor, other))
-    return frame, evaluations
-
-
 def anchored_frame(
     report: StratificationReport, point: Sequence[Fraction]
 ) -> tuple[FrameSection, list[tuple[Point, Basis]]]:
-    """``frame_evaluations`` at any member point, sample point or not, with
-    each target given by its point.
+    """The frame anchored at a member point, sample point or not, and its
+    exact bases at its targets (the regular records of its dimension
+    strictly within the report's radius, its own sample excluded) where
+    its frozen pivots are a chart, as (point, basis) pairs.
 
+    Only at a target with no such basis are the chart sets compared.
     Raises SubcartError when the point is labelled singular against the
     report's samples, by the same rule that labels the records (a sample
-    at the point counts as evidence, as it does for the record).
+    at the point counts as evidence, as it does for the record), and
+    FrameEvaluationError at the first target that shares no chart with
+    the anchor: no single trivialization covers the pair.
     """
     anchor = analyse(report.space, point)
     near = report.index.near(anchor.point)
@@ -316,17 +287,17 @@ def anchored_frame(
         raise SubcartError(
             f"cannot anchor a frame at the singular point {format_point(anchor.point)}"
         )
-    others = [
-        j
-        for j in report.index.near(anchor.point, strict=True)
-        if report.records[j].point != anchor.point
-    ]
-    targets = _targets(report, anchor.dim, others)
-    frame, evaluations = frame_evaluations(report, anchor, targets)
-    return frame, [
-        (report.records[j].point, report.analyses[j].basis(frame.pivot_columns))
-        for j, _ in evaluations
-    ]
+    evaluations = []
+    for j in report.index.near(anchor.point, strict=True):
+        target, other = report.records[j], report.analyses[j]
+        if target.point == anchor.point or target.label != "regular" or target.dim != anchor.dim:
+            continue
+        basis = other.basis(anchor.pivots)
+        if basis is not None:
+            evaluations.append((target.point, basis))
+        elif not anchor.shares_chart(other):
+            raise FrameEvaluationError(_no_common_chart(anchor, other))
+    return FrameSection(report.space, anchor.point, anchor.pivots), evaluations
 
 
 def verify_local_triviality(report: StratificationReport) -> Verdict:

@@ -5,16 +5,15 @@ echelon form.
 ``bareiss`` eliminates an integer matrix without fractions (Bareiss 1968,
 *Math. Comp.* 22): each division is exact, so the entries stay integers.
 It gives the rank and the pivots of a point's integer Jacobian rows and
-decides its charts.  ``solve_with_pivots`` clears each row of its
-denominators (a positive row scale, which keeps the kernel) and makes one
-``bareiss`` elimination with the chart's columns in front.  That
-elimination decides whether the columns are a chart, and
-``reduced_kernel`` reads the chart's kernel off it on integers: vectors W
-and one positive integer d, W / d being the pivot-normalized basis,
-because every pivot row of the reduced matrix carries the same last
-pivot; it makes no Fraction.  It reads a point's own leftmost pivots'
-kernel off the point's first elimination just as well.  ``rref`` is the
-rational Gauss-Jordan form.
+decides its charts.  ``solve_with_pivots`` takes integer rows, such as
+a point's integer Jacobian rows, and makes one ``bareiss`` elimination
+with the chart's columns in front.  That elimination decides whether the
+columns are a chart, and ``reduced_kernel`` reads the chart's kernel off
+it on integers: vectors W and one positive integer d, W / d being the
+pivot-normalized basis, because every pivot row of the reduced matrix
+carries the same last pivot; it makes no Fraction.  It reads a point's
+own leftmost pivots' kernel off the point's first elimination just as
+well.  ``rref`` is the rational Gauss-Jordan form.
 
 Matrices are sequences of equal-length rows.  Everything here is
 deterministic: pivots are chosen by the leftmost-column rule, breaking
@@ -26,8 +25,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from typing import Sequence
-
-from .poly import clear_denominators
 
 Matrix = Sequence[Sequence[Fraction | int]]
 Kernel = tuple[tuple[tuple[int, ...], ...], int]  # (W, d): the basis W / d
@@ -108,12 +105,12 @@ def submatrix_columns(
 
 
 def solve_with_pivots(
-    matrix: Matrix, ncols: int, pivot_columns: Sequence[int]
+    matrix: Sequence[Sequence[int]], ncols: int, pivot_columns: Sequence[int]
 ) -> Kernel | None:
-    """Integer kernel basis of a matrix, normalized to the identity on the
-    complement of a prescribed pivot-column set: vectors W and a positive
-    integer d such that W / d is the basis, each w being d at its own
-    free column and 0 at the other free columns.
+    """Integer kernel basis of an integer matrix, normalized to the
+    identity on the complement of a prescribed pivot-column set: vectors
+    W and a positive integer d such that W / d is the basis, each w being
+    d at its own free column and 0 at the other free columns.
 
     Returns None when the pattern is not a chart of this matrix: a column
     set whose submatrix has full column rank equal to the matrix's rank.
@@ -123,8 +120,7 @@ def solve_with_pivots(
     """
     free = [c for c in range(ncols) if c not in pivot_columns]
     columns = [*pivot_columns, *free]
-    rows = [clear_denominators(row)[0] for row in submatrix_columns(matrix, columns)]
-    reduced, pivots = bareiss(rows)
+    reduced, pivots = bareiss(submatrix_columns(matrix, columns))
     if pivots != list(range(len(pivot_columns))):
         return None
     return reduced_kernel(reduced, columns, pivot_columns)

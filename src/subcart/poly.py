@@ -23,11 +23,12 @@ reads one rational, ``'-'? uint ('/' uint)?``, and only whitespace
 around it.  Four caps bound the cost of a parse, each a ParseError when
 passed: MAX_DIGITS digits in a literal or in any coefficient, total
 degree MAX_DEGREE (checked before a product or power is expanded),
-MAX_TERMS terms after each summand, product and step of a power, and
-MAX_DEPTH nested parentheses (at the first '(' past it), which also
-bounds the parser's recursion.  A sum is accumulated in one term map,
-checking only the coefficients each summand changes, so it parses in
-time linear in its length.
+MAX_TERMS terms after each summand and, bounded before multiplying
+(``product``), in each product and step of a power, and MAX_DEPTH
+nested parentheses (at the first '(' past it), which also bounds the
+parser's recursion.  A sum is accumulated in one term map, checking only
+the coefficients each summand changes, so it parses in time linear in
+its length.
 
 Evaluation is exact integer arithmetic, in one place: ``ClearedRow``.
 A rational point is put over its least positive common denominator D
@@ -47,9 +48,10 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from operator import add
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import DimensionMismatchError, ParseError
+from .errors import DimensionMismatchError, ParseError, SubcartError
 
 Exponent = tuple[int, ...]
 Point = tuple[Fraction, ...]
@@ -73,6 +75,19 @@ def clear_denominators(point: Sequence[Fraction | int]) -> tuple[tuple[int, ...]
     denominator = math.lcm(*[c.denominator for c in point])
     numerators = tuple(c.numerator * (denominator // c.denominator) for c in point)
     return numerators, denominator
+
+
+def product(a: "Polynomial", b: "Polynomial") -> "Polynomial":
+    """a * b, refused with a SubcartError before multiplying when it may
+    have more than MAX_TERMS terms: when more than MAX_TERMS exponents are
+    the sum of one of a's and one of b's.  At least len(a) + len(b) - 1
+    are (in lexicographic order), so past that only one row is formed."""
+    sums: set[Exponent] = set()
+    for ea in a._terms:
+        sums.update(tuple(map(add, ea, eb)) for eb in b._terms)
+        if max(len(sums), len(a._terms) + len(b._terms) - 1) > MAX_TERMS:
+            raise SubcartError(f"more than {MAX_TERMS} terms")
+    return a * b
 
 
 def _grlex_key(exponent: Exponent) -> tuple:
@@ -161,8 +176,8 @@ class Polynomial:
         out: dict[Exponent, Fraction] = {}
         for ea, ca in self._terms.items():
             for eb, cb in other._terms.items():
-                exponent = tuple(a + b for a, b in zip(ea, eb))
-                out[exponent] = out.get(exponent, Fraction(0)) + ca * cb
+                exponent = tuple(map(add, ea, eb))
+                out[exponent] = out[exponent] + ca * cb if exponent in out else ca * cb
         return Polynomial(self.ambient_dim, out)
 
     def scale(self, factor: Fraction | int) -> "Polynomial":
@@ -358,6 +373,15 @@ class _Parser:
             if max(abs(c.numerator), c.denominator) >= _COEFFICIENT_LIMIT:
                 self.fail(f"a coefficient has more than {MAX_DIGITS} digits", token)
 
+    def multiply(self, a: Polynomial, b: Polynomial, token: _Token) -> Polynomial:
+        """``product``, its refusal or a passed digit cap a ParseError at ``token``."""
+        try:
+            result = product(a, b)
+        except SubcartError as exc:
+            self.fail(str(exc), token)
+        self.checked(0, result._terms.values(), token)
+        return result
+
     def degree_at_most(self, degree: int, token: _Token) -> None:
         if degree > MAX_DEGREE:
             self.fail(f"degree {degree} is above {MAX_DEGREE}", token)
@@ -392,8 +416,7 @@ class _Parser:
             star = self.advance()
             right = self.factor()
             self.degree_at_most(result.total_degree() + right.total_degree(), star)
-            result = result * right
-            self.checked(len(result._terms), result._terms.values(), star)
+            result = self.multiply(result, right, star)
         return result
 
     def factor(self) -> Polynomial:
@@ -408,8 +431,7 @@ class _Parser:
             self.degree_at_most(max(base.total_degree(), 1) * exponent.value, caret)
             result = constant(1, self.ambient_dim)
             for _ in range(exponent.value):
-                result = result * base
-                self.checked(len(result._terms), result._terms.values(), caret)
+                result = self.multiply(result, base, caret)
             return result
         return base
 

@@ -18,7 +18,8 @@ is validated on its first ``sample``, which reports the same failure as a
 A space file may have at most ``MAX_AMBIENT_DIM`` coordinates and
 parameters per sampler, may ask for at most ``MAX_GRID_POINTS`` grid
 points per file, and its equations and inequalities may have at most
-``poly.MAX_TERMS`` terms together.
+``poly.MAX_TERMS`` terms together, as may each product in the composition
+of a sampler with an equation.
 
 Points are tested on integers, through ``poly.ClearedRow``s compiled
 once by their owners.  ``is_member`` puts a point over its least common
@@ -266,11 +267,12 @@ def compose_cleared(
     where d is the total degree of g.  It is evaluated by Horner's rule in
     each variable of g in turn, so each product multiplies a partial sum by
     one numerator, and the powers of the denominator come from one table.
+    Each product is a ``poly.product``, refused before it is expanded.
     """
     d = equation.total_degree()
     den_powers = [poly.constant(1, denominator.ambient_dim)]
     for _ in range(d):
-        den_powers.append(den_powers[-1] * denominator)
+        den_powers.append(poly.product(den_powers[-1], denominator))
     return _horner(equation.terms, numerators, den_powers, d)
 
 
@@ -288,7 +290,7 @@ def _horner(
         by_power.setdefault(exponent[0], {})[exponent[1:]] = coeff
     result = poly.zero(den_powers[0].ambient_dim)
     for e in range(max(by_power, default=-1), -1, -1):
-        result = result * numerators[0]
+        result = poly.product(result, numerators[0])
         if e in by_power:
             inner = _horner(by_power[e], numerators[1:], den_powers, degree - e)
             result = result + inner
@@ -319,7 +321,11 @@ def _sampler_images(
     equation once and tests each denominator and image once; raises
     SpaceFormatError, naming the sampler's field ``path``, at the first failure."""
     for gi, g in enumerate(space.equations):
-        if not compose_cleared(g, sampler.numerators, sampler.denominator).is_zero():
+        try:
+            composed = compose_cleared(g, sampler.numerators, sampler.denominator)
+        except SubcartError as exc:
+            raise SpaceFormatError(path, f"composition with equations[{gi}]: {exc}") from None
+        if not composed.is_zero():
             raise SpaceFormatError(
                 path, f"composition with equations[{gi}] is not identically zero"
             )

@@ -389,14 +389,17 @@ def verify_dense(records: Sequence[PointRecord], index: NeighbourIndex) -> Verdi
     return Verdict("dense", True)
 
 
-def _radii(points: Sequence[Point], *radii: Fraction | None) -> list[Fraction]:
-    """The given radii with None replaced by the default adjacency radius,
-    computed at most once.  A negative radius is an input error."""
-    for r in radii:
+def _radii(points: Sequence[Point], **radii: Fraction | None) -> list[Fraction]:
+    """The given radii, by parameter name, with None replaced by the
+    default adjacency radius, computed at most once.  A radius that is not
+    an int or a Fraction, or is negative, is an input error naming it."""
+    for name, r in radii.items():
+        if r is not None and (isinstance(r, bool) or not isinstance(r, (int, Fraction))):
+            raise SubcartError(f"{name} must be an int or a Fraction, got {r!r}")
         if r is not None and r < 0:
-            raise SubcartError(f"radius and epsilon must be nonnegative, got {r}")
-    default = default_adjacency_radius(points) if None in radii else None
-    return [default if r is None else r for r in radii]
+            raise SubcartError(f"{name} must be nonnegative, got {r}")
+    default = default_adjacency_radius(points) if None in radii.values() else None
+    return [default if r is None else r for r in radii.values()]
 
 
 def classify(
@@ -409,7 +412,7 @@ def classify(
     query is analysed once, also when it is one of the samples."""
     x = analyse(space, point)
     points = sample(space)
-    (radius,) = _radii(points, radius)
+    (radius,) = _radii(points, radius=radius)
     neighbor_dims = [
         x.dim if points[j] == x.point else analyse_member(space, points[j]).dim
         for j in NeighbourIndex(points, radius).near(x.point)
@@ -426,7 +429,7 @@ def stratify(
     neighbours once per distinct radius, classify, build strata, and run
     the usc / open / dense verifiers."""
     points = sample(space)
-    radius, epsilon = _radii(points, radius, epsilon)
+    radius, epsilon = _radii(points, radius=radius, epsilon=epsilon)
     analyses = tuple(analyse_member(space, p) for p in points)
     dims = [a.dim for a in analyses]
     index = NeighbourIndex(points, radius)

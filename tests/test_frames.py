@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations
@@ -13,6 +14,7 @@ from subcart.errors import DimensionMismatchError, FrameEvaluationError
 from subcart.frames import (
     BumpFunction,
     FrameSection,
+    anchored_frame,
     bump,
     common_pivot_exists,
     frame_at,
@@ -27,6 +29,7 @@ from subcart.tangent import analyse, jacobian
 from subcart.fixtures import NAMES, fixture_path
 
 from oracles import divided, minor_rank, per_anchor_triviality
+from test_tangent import _rref_basis
 
 
 @pytest.fixture
@@ -119,7 +122,7 @@ def _analyse_matrix(m, ncols):
 @st.composite
 def matrix_pairs(draw):
     nrows, ncols = draw(st.integers(0, 3)), draw(st.integers(1, 4))
-    entries = st.integers(-2, 2).map(F)
+    entries = st.integers(-2, 2)
     matrix = st.lists(
         st.lists(entries, min_size=ncols, max_size=ncols),
         min_size=nrows,
@@ -286,6 +289,17 @@ def test_smoothness_fails_near_the_chart_boundary(cone):
     verdict = frame_smoothness_check(frame, sampler, params, F(1, 8))
     assert not verdict.passed
     assert "ratio" in verdict.detail
+
+
+def test_smoothness_refuses_a_zero_step(cone):
+    # where step 1/8 fails, every second difference at step 0 is exactly 0,
+    # which would pass vacuously
+    sampler = cone.samplers[0]
+    params = (F(21, 32), F(1, 2))
+    frame = frame_at(cone, sampler.image(params))
+    for step in (F(0), 0):
+        with pytest.raises(ValueError, match="step must be nonzero"):
+            frame_smoothness_check(frame, sampler, params, step)
 
 
 # -- local triviality ----------------------------------------------------------------
@@ -587,3 +601,56 @@ def test_chart_failure_and_kernel_failure_order_by_anchor(anchor):
     verdict = verify_local_triviality(bad)
     assert verdict == per_anchor_triviality(bad)
     assert ("fails annihilation" if anchor == 0 else "common pivot") in verdict.detail
+
+
+# -- the frame command's walk --------------------------------------------------------
+
+
+@pytest.mark.parametrize("scale", [1, 2])
+@pytest.mark.parametrize("name", NAMES)
+def test_anchored_frame_reads_each_anchors_targets(name, scale):
+    # every regular record as the anchor of ``frame``: it fails at the
+    # first target whose chart set misses the anchor's, and otherwise
+    # returns the anchor's reads of ``_reads``, each basis the rational
+    # elimination's at the anchor's pivots
+    space = load_space(fixture_path(name))
+    report = stratify(space, stratify(space).radius * scale)
+    reads = {}
+    for i, j, _ in _reads(report):
+        reads.setdefault(i, []).append(j)
+    for i, record in enumerate(report.records):
+        if record.label != "regular":
+            continue
+        anchor = report.analyses[i]
+        missing = [
+            j for j in _targets(report, i) if anchor.charts.isdisjoint(report.analyses[j].charts)
+        ]
+        if missing:
+            point = poly.format_point(report.records[missing[0]].point)
+            with pytest.raises(FrameEvaluationError, match=re.escape(f"and {point}:")):
+                anchored_frame(report, record.point)
+            continue
+        frame, evaluations = anchored_frame(report, record.point)
+        assert frame.pivot_columns == anchor.pivots
+        targets = reads.get(i, [])
+        assert [p for p, _ in evaluations] == [report.records[j].point for j in targets]
+        for j, (point, basis) in zip(targets, evaluations):
+            J = jacobian(space, point)
+            assert basis == _rref_basis(J, space.ambient_dim, anchor.pivots)
+
+
+def test_anchored_frame_skips_targets_of_another_dimension():
+    # on x1*x2^2 = 0 the gradient vanishes on the x1-axis, so its samples
+    # have dimension 2, while (0, 1/8) has dimension 1 and no sample of a
+    # lower dimension near it: a regular anchor that is no sample, whose
+    # neighbours are regular but of another dimension, so no target
+    space = SpacePresentation(
+        name="axes",
+        ambient_dim=2,
+        equations=(poly.parse("x1*x2^2", 2),),
+        sample_points=((F(1, 4), F(0)), (F(1, 2), F(0))),
+    )
+    report = stratify(space, F(1, 2))
+    assert [r.label for r in report.records] == ["regular", "regular"]
+    frame, evaluations = anchored_frame(report, (F(0), F(1, 8)))
+    assert frame.pivot_columns == (0,) and evaluations == []

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subcart import poly
-from subcart.errors import DimensionMismatchError, ParseError
+from subcart.errors import DimensionMismatchError, ParseError, SubcartError
 from subcart.poly import Polynomial, constant, parse, variable, zero
 
 from oracles import naive_eval, naive_mul, naive_pow
@@ -83,6 +83,27 @@ def test_parser_caps_digits_degree_and_terms():
         parse("(x1+x2+x3+1)^21", 3)
     with pytest.raises(ParseError, match="coefficient has more than 1000 digits"):
         parse(f"{digits}*{digits}", 1)
+
+
+def test_products_are_bounded_before_they_are_expanded():
+    # 1,771 terms squared: 3.1 million coefficient products into C(43, 3) =
+    # 12,341 terms, expanded in about 25 s before the check came first
+    text = "(x1+x2+x3+1)^20"
+    p = parse(text, 3)
+    start = time.perf_counter()
+    with pytest.raises(SubcartError, match="^more than 2000 terms$"):
+        poly.product(p, p)
+    assert time.perf_counter() - start < 0.1
+    with pytest.raises(ParseError, match="more than 2000 terms") as info:
+        parse(f"{text}*{text}", 3)
+    assert info.value.position == len(text)
+    # 3 * 680 pairs, but only C(19, 3) = 969 monomials of degree at most 16
+    q, r = parse("x1^2+x2^2-x3^2", 3), parse("(x1+x2+x3+1)^14", 3)
+    assert len(poly.product(q, r).terms) == 934
+    assert poly.product(q, r) == q * r
+    # 51 * 51 pairs in one variable, but only 101 monomials
+    square = poly.product(parse("(x1+1)^50", 1), parse("(x1-1)^50", 1))
+    assert square.terms == naive_pow({(2,): F(1), (0,): F(-1)}, 50, 1)
 
 
 def test_a_long_sum_parses_in_linear_time():

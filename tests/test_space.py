@@ -340,6 +340,40 @@ def test_high_degree_composition_fails_load_fast(tmp_path):
     assert time.perf_counter() - start < 1
 
 
+@pytest.mark.parametrize(
+    "equation, numerator",
+    [("x1^2 - x2^2", "(x1+x2+x3+1)^20"), ("x1^8 - x2^8", "(x1+x2+x3+1)^4")],
+)
+def test_composition_products_are_bounded_before_they_are_expanded(
+    equation, numerator, tmp_path
+):
+    # valid files (both numerators agree) that took 51.7 s and 6.1 s to
+    # load while every product of the composition was expanded unchecked
+    data = {
+        "name": "composed",
+        "ambient_dim": 2,
+        "equations": [equation],
+        "samplers": [
+            {
+                "param_dim": 3,
+                "numerators": [numerator, numerator],
+                "denominator": "1",
+                "box": [["0", "1"]] * 3,
+                "resolution": 1,
+            }
+        ],
+    }
+    path = tmp_path / "composed.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    start = time.perf_counter()
+    with pytest.raises(
+        SpaceFormatError,
+        match=r"^samplers\[0\]: composition with equations\[0\]: more than 2000 terms$",
+    ):
+        load_space(path)
+    assert time.perf_counter() - start < 5
+
+
 def _cone_with_equations(count):
     # each equation vanishes on the cone and has 934 terms of degree 16
     data = json.loads(fixture_path("cone").read_text(encoding="utf-8"))

@@ -153,6 +153,23 @@ def test_negative_radius_or_epsilon_is_rejected(cone):
         classify(cone, (F(0), F(0), F(0)), F(-1))
 
 
+@pytest.mark.parametrize("bad", [0.5, "1/2", True])
+def test_radius_and_epsilon_must_be_ints_or_fractions(cone, bad):
+    # a float radius failed with AttributeError and a string one with
+    # TypeError, deep inside the neighbour index
+    origin = (F(0), F(0), F(0))
+    for call, name in (
+        (lambda: stratify(cone, bad), "radius"),
+        (lambda: stratify(cone, epsilon=bad), "epsilon"),
+        (lambda: classify(cone, origin, bad), "radius"),
+        (lambda: frames.verify(cone, bad), "radius"),
+        (lambda: frames.verify(cone, epsilon=bad), "epsilon"),
+    ):
+        with pytest.raises(SubcartError, match=f"^{name} must be an int or a Fraction, got "):
+            call()
+    assert stratify(cone, 1) == stratify(cone, F(1))
+
+
 def test_higher_dimensional_neighbors_do_not_make_a_point_singular(cone):
     # the apex lies within sampling radius of nearby smooth points; they
     # stay regular because no lower-dimensional evidence exists

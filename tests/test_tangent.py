@@ -137,11 +137,11 @@ def test_integer_analysis_matches_rational_elimination(name):
         assert a.charts == charts
         for chart in charts:
             assert a.basis(chart) == _rref_basis(J, n, chart)
-            # the rational rows give the same basis through their own W / d
-            assert a.basis(chart) == divided(*linalg.solve_with_pivots(J, n, chart))
+            # the chart solver on the integer rows gives the same basis as W / d
+            assert a.basis(chart) == divided(*linalg.solve_with_pivots(a.jacobian, n, chart))
         for cols in set(combinations(range(n), len(pivots))) - charts:
             assert a.basis(cols) is None
-            assert linalg.solve_with_pivots(J, n, cols) is None
+            assert linalg.solve_with_pivots(a.jacobian, n, cols) is None
 
 
 @pytest.mark.parametrize("name", NAMES)
