@@ -16,8 +16,9 @@ option value that does not parse is refused with an error naming the
 option (``--radius: ``, ``--epsilon: `` or ``--point coordinate K: ``).
 
 Exit codes: 0 when every verdict passes, 1 when any verdict fails, 2 on
-input errors: unreadable or malformed files, non-member points, an
-unparsable or negative ``--radius`` or ``--epsilon``, a ``frame``
+input errors: unreadable or malformed files, an ``--out`` path that
+cannot be written, non-member points, an unparsable or negative
+``--radius`` or ``--epsilon``, a ``frame``
 anchor that the regular/singular rule labels singular, and frame
 evaluation outside its rank-constant neighborhood.
 
@@ -64,10 +65,13 @@ def _parse_point(text: str, ambient_dim: int) -> tuple[Fraction, ...]:
 
 def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2) + "\n"
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise SubcartError(f"--out: cannot write {out}: {exc.strerror or exc}") from None
 
 
 def _finish(report: StratificationReport, payload: dict, out: str | None) -> int:

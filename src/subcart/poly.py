@@ -1,8 +1,10 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
 A polynomial in n variables x1..xn is stored as a map from exponent
-vectors (length-n tuples of nonnegative ints) to nonzero Fraction
-coefficients.  The zero polynomial has an empty term map.  All values are
+vectors (length-n tuples of nonnegative ints) to nonzero rational
+coefficients, each an int when it is integral and a Fraction otherwise,
+so products and sums of integral coefficients stay in int arithmetic.
+The zero polynomial has an empty term map.  All values are
 immutable after construction and every operation is pure, so instances
 are safe to share freely.
 
@@ -55,6 +57,7 @@ from .errors import DimensionMismatchError, ParseError, SubcartError
 
 Exponent = tuple[int, ...]
 Point = tuple[Fraction, ...]
+Cleared = tuple[tuple[int, ...], int]  # integer numerators a over a denominator D > 0
 
 MAX_DIGITS = 1000
 MAX_DEGREE = 64
@@ -69,7 +72,7 @@ def format_point(point: Sequence[Fraction]) -> str:
     return "(" + ", ".join(str(c) for c in point) + ")"
 
 
-def clear_denominators(point: Sequence[Fraction | int]) -> tuple[tuple[int, ...], int]:
+def clear_denominators(point: Sequence[Fraction | int]) -> Cleared:
     """Integer numerators a and the least positive common denominator D of
     a rational point, so that point[i] == a[i] / D."""
     denominator = math.lcm(*[c.denominator for c in point])
@@ -100,10 +103,10 @@ class Polynomial:
 
     __slots__ = ("ambient_dim", "_terms")
 
-    def __init__(self, ambient_dim: int, terms: Mapping[Exponent, Fraction]):
+    def __init__(self, ambient_dim: int, terms: Mapping[Exponent, Fraction | int]):
         if ambient_dim < 1:
             raise DimensionMismatchError("ambient_dim must be >= 1")
-        cleaned: dict[Exponent, Fraction] = {}
+        cleaned: dict[Exponent, Fraction | int] = {}
         for exponent, coeff in terms.items():
             exponent = tuple(exponent)
             if len(exponent) != ambient_dim:
@@ -113,8 +116,11 @@ class Polynomial:
                 )
             if any(e < 0 for e in exponent):
                 raise ValueError(f"negative exponent in {exponent}")
-            coeff = Fraction(coeff)
-            if coeff != 0:
+            if type(coeff) is not int:
+                coeff = Fraction(coeff)
+                if coeff.denominator == 1:
+                    coeff = coeff.numerator
+            if coeff:
                 cleaned[exponent] = coeff
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "_terms", cleaned)
@@ -125,7 +131,7 @@ class Polynomial:
     # -- structure ---------------------------------------------------------
 
     @property
-    def terms(self) -> dict[Exponent, Fraction]:
+    def terms(self) -> dict[Exponent, Fraction | int]:
         """Copy of the term map (exponent vector -> nonzero coefficient)."""
         return dict(self._terms)
 
@@ -138,7 +144,7 @@ class Polynomial:
             return 0
         return max(sum(e) for e in self._terms)
 
-    def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Exponent, Fraction | int]]:
         """Terms in descending graded-lexicographic order."""
         return sorted(self._terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
 
@@ -162,7 +168,7 @@ class Polynomial:
         self._check_same_dim(other)
         out = dict(self._terms)
         for exponent, coeff in other._terms.items():
-            out[exponent] = out.get(exponent, Fraction(0)) + coeff
+            out[exponent] = out.get(exponent, 0) + coeff
         return Polynomial(self.ambient_dim, out)
 
     def __neg__(self) -> "Polynomial":
@@ -173,7 +179,7 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_same_dim(other)
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, Fraction | int] = {}
         for ea, ca in self._terms.items():
             for eb, cb in other._terms.items():
                 exponent = tuple(map(add, ea, eb))
@@ -181,7 +187,8 @@ class Polynomial:
         return Polynomial(self.ambient_dim, out)
 
     def scale(self, factor: Fraction | int) -> "Polynomial":
-        factor = Fraction(factor)
+        if type(factor) is not int:
+            factor = Fraction(factor)
         return Polynomial(
             self.ambient_dim, {e: c * factor for e, c in self._terms.items()}
         )
@@ -195,13 +202,13 @@ class Polynomial:
                 f"variable index {index} out of range 1..{self.ambient_dim}"
             )
         i = index - 1
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, Fraction | int] = {}
         for exponent, coeff in self._terms.items():
             e = exponent[i]
             if e == 0:
                 continue
             lowered = exponent[:i] + (e - 1,) + exponent[i + 1 :]
-            out[lowered] = out.get(lowered, Fraction(0)) + coeff * e
+            out[lowered] = out.get(lowered, 0) + coeff * e
         return Polynomial(self.ambient_dim, out)
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
@@ -302,7 +309,7 @@ def zero(ambient_dim: int) -> Polynomial:
 
 
 def constant(value: Fraction | int, ambient_dim: int) -> Polynomial:
-    return Polynomial(ambient_dim, {(0,) * ambient_dim: Fraction(value)})
+    return Polynomial(ambient_dim, {(0,) * ambient_dim: value})
 
 
 def variable(index: int, ambient_dim: int) -> Polynomial:
@@ -312,7 +319,7 @@ def variable(index: int, ambient_dim: int) -> Polynomial:
             f"variable index {index} out of range 1..{ambient_dim}"
         )
     exponent = tuple(1 if i == index - 1 else 0 for i in range(ambient_dim))
-    return Polynomial(ambient_dim, {exponent: Fraction(1)})
+    return Polynomial(ambient_dim, {exponent: 1})
 
 
 # -- parser ------------------------------------------------------------------

@@ -11,10 +11,15 @@ Sample sources are validated on one path, once per presentation: each
 sampler is composed with each equation once, and each grid image and
 explicit point is membership-tested once.  ``space_from_dict`` runs it at
 load, where a failure is a ``SpaceFormatError`` naming the offending
-field.  The presentation caches the validated samples once, deduplicated
-(``_samples``), and ``sample`` copies them.  A presentation built directly
-is validated on its first ``sample``, which reports the same failure as a
-``SamplerInvariantError``.
+field.  Samples are validated and deduplicated in integer form: each is
+kept as its least integer form (a, D), integer numerators a over the
+least positive common denominator D (``poly.clear_denominators`` of the
+rational point), which is canonical, so equal points have equal forms.
+The presentation caches the deduplicated forms once
+(``cleared_samples``, which ``stratify`` analyses) and the Fraction
+point of each (``_samples``), and ``sample`` copies the points.  A
+presentation built directly is validated on its first ``sample``, which
+reports the same failure as a ``SamplerInvariantError``.
 A space file may have at most ``MAX_AMBIENT_DIM`` coordinates and
 parameters per sampler, may ask for at most ``MAX_GRID_POINTS`` grid
 points per file, and its equations and inequalities may have at most
@@ -23,11 +28,12 @@ of a sampler with an equation.
 
 Points are tested on integers, through ``poly.ClearedRow``s compiled
 once by their owners.  ``is_member`` puts a point over its least common
-denominator and reads the signs of one row, ``cleared_constraints``.  A
-sampler's grid parameters go over their common denominator, and its
-numerators and denominator are one row (``Sampler._cleared``), so each
-grid image is integer numerators over one denominator, tested as they
-are; a Fraction is made only for each coordinate of the image.
+denominator, and ``is_member_cleared`` reads the signs of one row at that
+integer form, ``cleared_constraints``.  A sampler's grid parameters go
+over their common denominator, and its numerators and denominator are
+one row (``Sampler._cleared``), so each grid image is integer numerators
+over one denominator, tested as they are and then divided by their gcd;
+a Fraction is made only for each coordinate of a kept sample.
 
 Equality of two polynomial representatives as functions on S is certified
 by caller-supplied witnesses: F and G agree on S when F - G is an explicit
@@ -59,12 +65,16 @@ from .errors import (
     SpaceFormatError,
     SubcartError,
 )
-from .poly import Point, Polynomial, format_point
+from .poly import Cleared, Point, Polynomial, format_point
 
 Inequality = tuple[Polynomial, bool]  # (polynomial, strict?)
 
 MAX_GRID_POINTS = 100_000  # over all samplers of a space file
 MAX_AMBIENT_DIM = 12  # of a space file: a point has at most C(12, 6) = 924 charts
+_SPACE_FIELDS = (
+    "name", "ambient_dim", "equations", "inequalities", "samplers", "sample_points"
+)
+_SAMPLER_FIELDS = ("param_dim", "numerators", "denominator", "box", "resolution")
 
 
 @dataclass(frozen=True)
@@ -196,19 +206,27 @@ class SpacePresentation:
         return poly.ClearedRow(self.ambient_dim, (*self.equations, *inequalities))
 
     @cached_property
-    def _samples(self) -> tuple[Point, ...]:
-        """Every sampler's validated grid images in grid order, then the
-        explicit sample points, deduplicated keeping first occurrences;
-        raises SpaceFormatError, naming the space-file field, at the first
-        failure."""
-        images = []
+    def cleared_samples(self) -> tuple[Cleared, ...]:
+        """The least integer form (a, D) of every sampler's validated grid
+        images in grid order, then of the explicit sample points,
+        deduplicated keeping first occurrences; raises SpaceFormatError,
+        naming the space-file field, at the first failure."""
+        forms = []
         for i, sampler in enumerate(self.samplers):
-            images += _sampler_images(self, sampler, f"samplers[{i}]")
+            forms += _sampler_images(self, sampler, f"samplers[{i}]")
         for i, point in enumerate(self.sample_points):
-            if not is_member(self, point):
+            form = poly.clear_denominators([Fraction(x) for x in point])
+            if not is_member_cleared(self, *form):
                 raise SpaceFormatError(f"sample_points[{i}]", "point is not a member")
-            images.append(point)
-        return tuple(dict.fromkeys(images))
+            forms.append(form)
+        return tuple(dict.fromkeys(forms))
+
+    @cached_property
+    def _samples(self) -> tuple[Point, ...]:
+        """The point a / D of each of ``cleared_samples``."""
+        return tuple(
+            tuple(Fraction(x, d) for x in a) for a, d in self.cleared_samples
+        )
 
 
 @dataclass(frozen=True)
@@ -234,19 +252,18 @@ class IdealWitness:
 
 def is_member(space: SpacePresentation, point: Sequence[Fraction]) -> bool:
     """Exact membership: all equations vanish and all inequalities hold."""
-    if len(point) != space.ambient_dim:
-        raise DimensionMismatchError(
-            f"point has length {len(point)}, expected {space.ambient_dim}"
-        )
-    return _satisfies(space, *poly.clear_denominators([Fraction(x) for x in point]))
+    return is_member_cleared(
+        space, *poly.clear_denominators([Fraction(x) for x in point])
+    )
 
 
-def _satisfies(
+def is_member_cleared(
     space: SpacePresentation, numerators: Sequence[int], denominator: int
 ) -> bool:
     """``is_member`` of the point a/D, for integer numerators a over a
     positive denominator D, by the integer evaluator: its values have the
-    signs of the rational ones."""
+    signs of the rational ones.  A point of the wrong length is a
+    DimensionMismatchError."""
     values = space.cleared_constraints.evaluate(numerators, denominator)
     equations = len(space.equations)
     if any(values[:equations]):
@@ -316,10 +333,11 @@ def validate_sampler(space: SpacePresentation, sampler: Sampler) -> bool:
 
 def _sampler_images(
     space: SpacePresentation, sampler: Sampler, path: str
-) -> list[Point]:
-    """The sampler's grid images in grid order.  Composes it with each
-    equation once and tests each denominator and image once; raises
-    SpaceFormatError, naming the sampler's field ``path``, at the first failure."""
+) -> list[Cleared]:
+    """The least integer forms of the sampler's grid images in grid order.
+    Composes it with each equation once and tests each denominator and
+    image once; raises SpaceFormatError, naming the sampler's field
+    ``path``, at the first failure."""
     for gi, g in enumerate(space.equations):
         try:
             composed = compose_cleared(g, sampler.numerators, sampler.denominator)
@@ -338,13 +356,14 @@ def _sampler_images(
                 f"{path}.denominator",
                 f"vanishes at grid parameters {_format_over(params, q)}",
             )
-        if not _satisfies(space, image, den):
+        if not is_member_cleared(space, image, den):
             raise SpaceFormatError(
                 path,
                 f"grid image at parameters {_format_over(params, q)} violates the "
                 "constraints",
             )
-        images.append(tuple(Fraction(x, den) for x in image))
+        common = math.gcd(den, *image)
+        images.append((tuple(x // common for x in image), den // common))
     return images
 
 
@@ -427,6 +446,14 @@ def _want(obj: dict, field_name: str, kind, path: str):
     return value
 
 
+def _known_fields(obj: dict, fields: tuple[str, ...], path: str) -> None:
+    """A SpaceFormatError naming the first field of ``obj`` not in
+    ``fields``: a misspelt optional field would otherwise be dropped."""
+    for key in obj:
+        if key not in fields:
+            raise SpaceFormatError(f"{path}.{key}", "unknown field")
+
+
 def _optional_list(obj: dict, field_name: str, path: str) -> list:
     """An optional JSON array field; [] when absent."""
     return _want(obj, field_name, list, path) if field_name in obj else []
@@ -454,6 +481,7 @@ def space_from_dict(data: dict) -> SpacePresentation:
     """Build and fully validate a presentation from the JSON schema."""
     if not isinstance(data, dict):
         raise SpaceFormatError("$", "expected a JSON object")
+    _known_fields(data, _SPACE_FIELDS, "$")
     name = _want(data, "name", str, "$")
     ambient_dim = _want(data, "ambient_dim", int, "$")
     if ambient_dim < 1:
@@ -486,6 +514,7 @@ def space_from_dict(data: dict) -> SpacePresentation:
     for i, entry in enumerate(_optional_list(data, "inequalities", "$")):
         if not isinstance(entry, dict):
             raise SpaceFormatError(f"inequalities[{i}]", "expected an object")
+        _known_fields(entry, ("poly", "strict"), f"inequalities[{i}]")
         h = counted(
             _parse_poly(entry.get("poly"), ambient_dim, f"inequalities[{i}].poly")
         )
@@ -500,6 +529,7 @@ def space_from_dict(data: dict) -> SpacePresentation:
         path = f"samplers[{i}]"
         if not isinstance(entry, dict):
             raise SpaceFormatError(path, "expected an object")
+        _known_fields(entry, _SAMPLER_FIELDS, path)
         param_dim = _want(entry, "param_dim", int, path)
         if not 1 <= param_dim <= MAX_AMBIENT_DIM:
             raise SpaceFormatError(f"{path}.param_dim", f"must be in 1..{MAX_AMBIENT_DIM}")

@@ -5,12 +5,14 @@ The structural dimension at a member point equals the dimension of the
 tangent space there, so it is computed exactly as
 ambient_dim - rank(Jacobian); ``stratify`` analyses each sample point
 once, on integers and without testing membership again (the samples were
-validated at load), and keeps the analysis beside its record.  Kernel
-dimension is upper semicontinuous: approaching a point, dimensions can
-only stay or rise at the limit point, never persistently exceed it
-nearby.  Regularity (local constancy of the dimension) is therefore
-decided from sampled evidence asymmetrically, by the one rule ``label``
-that ``stratify``, ``classify`` and the frame anchor check all apply:
+validated at load), from the integer form the space stores for it
+(``SpacePresentation.cleared_samples``), and keeps the analysis beside
+its record.  Kernel dimension is upper semicontinuous: approaching a
+point, dimensions can only stay or rise at the limit point, never
+persistently exceed it nearby.  Regularity (local constancy of the
+dimension) is therefore decided from sampled evidence asymmetrically, by
+the one rule ``label`` that ``stratify``, ``classify`` and the frame
+anchor check all apply:
 
 * a sampled neighbor of strictly LOWER dimension certifies that the
   dimension is not locally constant at x, so x is singular;
@@ -49,7 +51,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import product, repeat
 from operator import add, sub
 from typing import Literal, Sequence
 
@@ -413,8 +415,9 @@ def classify(
     x = analyse(space, point)
     points = sample(space)
     (radius,) = _radii(points, radius=radius)
+    forms = space.cleared_samples
     neighbor_dims = [
-        x.dim if points[j] == x.point else analyse_member(space, points[j]).dim
+        x.dim if points[j] == x.point else analyse_member(space, points[j], forms[j]).dim
         for j in NeighbourIndex(points, radius).near(x.point)
     ]
     return PointRecord(x.point, x.dim, label(x.dim, neighbor_dims))
@@ -430,7 +433,7 @@ def stratify(
     the usc / open / dense verifiers."""
     points = sample(space)
     radius, epsilon = _radii(points, radius=radius, epsilon=epsilon)
-    analyses = tuple(analyse_member(space, p) for p in points)
+    analyses = tuple(map(analyse_member, repeat(space), points, space.cleared_samples))
     dims = [a.dim for a in analyses]
     index = NeighbourIndex(points, radius)
     dense_index = index if epsilon == radius else NeighbourIndex(points, epsilon)

@@ -11,10 +11,12 @@ kernel.
 Kernel bases are pivot-normalized (leftmost pivots, deterministic), which
 makes results canonical and feeds the frame construction directly.
 
-``analyse`` tests membership and then analyses the point on integers
-(``analyse_member``, which ``stratify`` calls directly on its
-load-validated samples).  The point goes over its least common
-denominator D, and ``PointAnalysis.jacobian`` holds the Jacobian's
+``analyse`` puts the point over its least common denominator D once
+(``poly.clear_denominators``), tests membership on that integer form and
+analyses the point from it (``analyse_member``, which ``stratify`` and
+``classify`` call directly on the load-validated samples with the forms
+that the space stores, ``SpacePresentation.cleared_samples``, so no
+sample is cleared again).  ``PointAnalysis.jacobian`` holds the Jacobian's
 integer rows, row j being the gradient of equation j times one positive
 integer (from ``SpacePresentation.cleared_gradients``, compiled once per
 space).  Positive row scales keep the rank, the pivots, the charts and
@@ -45,8 +47,8 @@ from typing import Sequence
 
 from . import linalg
 from .errors import DimensionMismatchError, NonMemberError
-from .poly import Point, Polynomial, clear_denominators, format_point
-from .space import RingElement, SpacePresentation, is_member
+from .poly import Cleared, Point, Polynomial, clear_denominators, format_point
+from .space import RingElement, SpacePresentation, is_member_cleared
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 IntegerMatrix = tuple[tuple[int, ...], ...]
@@ -56,18 +58,22 @@ Basis = tuple[tuple[Fraction, ...], ...]
 def jacobian(space: SpacePresentation, point: Sequence[Fraction]) -> Matrix:
     """Exact generator Jacobian at a member point: row j is the gradient
     of equation j."""
-    point = _member(space, point)
+    point, _ = _member(space, point)
     return tuple(tuple(d.evaluate(point) for d in row) for row in space.gradients)
 
 
-def _member(space: SpacePresentation, point: Sequence[Fraction]) -> Point:
-    """The point as Fractions; NonMemberError when it is not on the space."""
+def _member(
+    space: SpacePresentation, point: Sequence[Fraction]
+) -> tuple[Point, Cleared]:
+    """The point as Fractions and its integer form, which decided its
+    membership; NonMemberError when it is not on the space."""
     point = tuple(Fraction(x) for x in point)
-    if not is_member(space, point):
+    form = clear_denominators(point)
+    if not is_member_cleared(space, *form):
         raise NonMemberError(
             f"point {format_point(point)} is not a member of {space.name!r}"
         )
-    return point
+    return point, form
 
 
 @dataclass(frozen=True)
@@ -144,13 +150,16 @@ class PointAnalysis:
 
 def analyse(space: SpacePresentation, point: Sequence[Fraction]) -> PointAnalysis:
     """The analysis of a point, after testing that it is a member."""
-    return analyse_member(space, _member(space, point))
+    return analyse_member(space, *_member(space, point))
 
 
-def analyse_member(space: SpacePresentation, point: Point) -> PointAnalysis:
+def analyse_member(
+    space: SpacePresentation, point: Point, cleared: Cleared
+) -> PointAnalysis:
     """The integer Jacobian rows at a point known to be a member (such as
-    a validated sample) and their Bareiss pivots."""
-    numerators, denominator = clear_denominators(point)
+    a validated sample), given with its integer form ``cleared`` (the
+    ``clear_denominators`` of the point), and their Bareiss pivots."""
+    numerators, denominator = cleared
     J = tuple(
         tuple(row.evaluate(numerators, denominator)) for row in space.cleared_gradients
     )

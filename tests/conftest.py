@@ -55,8 +55,10 @@ def _counted(monkeypatch, module, name):
 
 @pytest.fixture
 def member_calls(monkeypatch):
-    """The argument tuples of every ``is_member`` call."""
-    return _counted(monkeypatch, space, "is_member")
+    """The argument tuples of every membership test: each call of
+    ``is_member_cleared``, which ``is_member`` and ``tangent.analyse`` make
+    on a point's integer form."""
+    return _counted(monkeypatch, space, "is_member_cleared")
 
 
 @pytest.fixture

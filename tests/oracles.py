@@ -46,6 +46,15 @@ def divided(vectors, d) -> tuple:
 # naive polynomials: dict from exponent tuple to Fraction, zeros kept out
 
 
+def as_fractions(a: dict) -> dict:
+    """The term map with every coefficient a Fraction, zeros dropped."""
+    return {e: Fraction(c) for e, c in a.items() if c != 0}
+
+
+def naive_scale(a: dict, factor) -> dict:
+    return {e: c * Fraction(factor) for e, c in a.items() if c * factor != 0}
+
+
 def naive_add(a: dict, b: dict) -> dict:
     out = dict(a)
     for e, c in b.items():

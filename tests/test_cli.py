@@ -191,6 +191,48 @@ def test_out_writes_report_file(tmp_path, capsys):
     assert json.loads(target.read_text(encoding="utf-8"))["space"] == "sphere"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--point", "1,0,1"],
+        ["stratify"],
+        ["frame", "--point", "1,0,1"],
+        ["verify"],
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_out_exits_2(argv, where, tmp_path, capsys):
+    # exit 1 means a verdict failed; a report that cannot be written is
+    # an input error, and it was a traceback
+    target = tmp_path / "missing" / "x.json" if where == "missing directory" else tmp_path
+    command, *options = argv
+    code, out, err = run_cli(
+        [command, str(fixture_path("cone")), *options, "--out", str(target)], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: --out: cannot write {target}: ")
+    assert "Traceback" not in err
+
+
+def test_misspelt_field_exits_2(tmp_path, capsys):
+    # with "inequality" dropped, the half line sampled on [-2, 2] verified
+    # five regular records and exited 0
+    data = {
+        "name": "half",
+        "ambient_dim": 1,
+        "inequality": [{"poly": "x1", "strict": True}],
+        "samplers": [
+            {"param_dim": 1, "numerators": ["x1"], "box": [["-2", "2"]], "resolution": 5}
+        ],
+    }
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run_cli(["verify", str(path)], capsys)
+    assert (code, out, err) == (2, "", "error: $.inequality: unknown field\n")
+
+
 def test_radius_and_epsilon_overrides(capsys):
     code, out, _ = run_cli(
         [

@@ -7,10 +7,13 @@ complex literal, any ``float(...)`` or ``complex(...)`` call, any
 ones (``lcm``, ``gcd``, ``isqrt`` and the like), whether reached as
 ``math.name`` or imported by name.
 
-What syntax cannot show is not checked: true division of two ints
-(``a / b`` is a float when both are ints, a Fraction when either is one),
-and a power of a Fraction to a Fraction exponent, are told apart only by
-the types of their operands at run time.
+True division of two ints is a float (``a / b`` is a Fraction only when
+an operand is one), and syntax cannot tell the two apart, so the modules
+whose values may be plain ints (polynomial coefficients and integer
+forms), ``DIVISION_FREE``, may use no ``/`` at all.  What syntax cannot
+show is not checked elsewhere: a ``/`` in another module, and a power of
+a Fraction to a Fraction exponent, are told apart only by the types of
+their operands at run time.
 """
 
 import ast
@@ -23,6 +26,7 @@ import subcart
 SOURCES = sorted(Path(subcart.__file__).parent.glob("*.py"))
 QUARANTINE = {("frames", "_smooth_step"), ("frames", "bump")}
 EXACT_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm", "prod"}
+DIVISION_FREE = {"poly", "tangent", "stratify"}
 
 
 def inexact(source: str, module: str) -> list[str]:
@@ -46,6 +50,17 @@ def inexact(source: str, module: str) -> list[str]:
         def visit_Constant(self, node):
             if isinstance(node.value, (float, complex)):
                 found.append(f"{node.lineno}: literal {node.value!r}")
+
+        def visit_BinOp(self, node):
+            self.division(node)
+
+        def visit_AugAssign(self, node):
+            self.division(node)
+
+        def division(self, node):
+            if module in DIVISION_FREE and isinstance(node.op, ast.Div):
+                found.append(f"{node.lineno}: true division")
+            self.generic_visit(node)
 
         def visit_Call(self, node):
             if isinstance(node.func, ast.Name) and node.func.id in ("float", "complex"):
@@ -93,10 +108,20 @@ def test_no_floating_point_outside_the_bump(path):
         "from math import log\n",
         "import cmath\n",
         "def bump(b, point):\n    return 1.0\n",  # quarantined in frames only
+        "def f(a, d):\n    return a / d\n",
+        "def f(a, d):\n    a /= d\n    return a\n",
     ],
 )
 def test_the_guard_flags_each_inexact_form(source):
     assert inexact(source, "stratify")
+
+
+@pytest.mark.parametrize("module", sorted(DIVISION_FREE))
+def test_the_guard_refuses_true_division_where_values_may_be_ints(module):
+    source = "def f(a, d):\n    return a / d\n"
+    assert inexact(source, module) == ["2: true division"]
+    assert inexact(source, "space") == []
+    assert inexact("def f(a, d):\n    return a // d\n", module) == []
 
 
 def test_the_guard_passes_the_quarantine_and_exact_math():

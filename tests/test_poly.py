@@ -9,8 +9,18 @@ from hypothesis import given, settings, strategies as st
 from subcart import poly
 from subcart.errors import DimensionMismatchError, ParseError, SubcartError
 from subcart.poly import Polynomial, constant, parse, variable, zero
+from subcart.space import compose_cleared
 
-from oracles import naive_eval, naive_mul, naive_pow
+from oracles import (
+    as_fractions,
+    naive_add,
+    naive_compose_cleared,
+    naive_eval,
+    naive_mul,
+    naive_partial,
+    naive_pow,
+    naive_scale,
+)
 
 
 # -- parsing ---------------------------------------------------------------
@@ -289,6 +299,76 @@ def polynomial_pairs(draw):
 
 
 points = st.tuples(*[coefficients] * 3)
+
+
+# int coefficients: a coefficient is stored as an int exactly when it is
+# integral, and every operation agrees with all-Fraction arithmetic
+
+mixed_coefficients = st.one_of(st.integers(-6, 6), coefficients)
+
+
+def mixed_terms(dim, max_terms=4, max_exponent=3):
+    exponents = st.tuples(*[st.integers(0, max_exponent)] * dim)
+    return st.dictionaries(exponents, mixed_coefficients, max_size=max_terms)
+
+
+def assert_normal(p: Polynomial) -> None:
+    for c in p.terms.values():
+        assert type(c) in (int, F) and (type(c) is int) == (F(c).denominator == 1)
+
+
+@st.composite
+def mixed_cases(draw):
+    dim, param_dim = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    a, b = draw(mixed_terms(dim)), draw(mixed_terms(dim))
+    numerators = [draw(mixed_terms(param_dim, 3, 2)) for _ in range(dim)]
+    denominator = draw(mixed_terms(param_dim, 3, 2).filter(lambda t: any(t.values())))
+    factor = draw(mixed_coefficients)
+    return dim, param_dim, a, b, numerators, denominator, factor
+
+
+@settings(deadline=None, max_examples=200)
+@given(mixed_cases())
+def test_mixed_coefficients_match_all_fraction_arithmetic(case):
+    dim, param_dim, a, b, numerators, denominator, factor = case
+    p, q = Polynomial(dim, a), Polynomial(dim, b)
+    fa, fb = as_fractions(a), as_fractions(b)
+    results = {
+        "+": (p + q, naive_add(fa, fb)),
+        "-": (p - q, naive_add(fa, naive_scale(fb, -1))),
+        "*": (p * q, naive_mul(fa, fb)),
+        "scale": (p.scale(factor), naive_scale(fa, factor)),
+        "compose_cleared": (
+            compose_cleared(
+                p,
+                [Polynomial(param_dim, n) for n in numerators],
+                Polynomial(param_dim, denominator),
+            ),
+            naive_compose_cleared(
+                fa, [as_fractions(n) for n in numerators], as_fractions(denominator),
+                param_dim,
+            ),
+        ),
+    }
+    for i in range(1, dim + 1):
+        results[f"partial {i}"] = (p.partial(i), naive_partial(fa, i - 1))
+    for name, (result, expected) in results.items():
+        assert result.terms == expected, name
+        assert_normal(result)
+    assert_normal(p)
+    assert p == Polynomial(dim, fa) and hash(p) == hash(Polynomial(dim, fa))
+
+
+def test_integral_coefficients_are_stored_as_ints():
+    twin = Polynomial(2, {(1, 0): F(2)})
+    assert Polynomial(2, {(1, 0): 2}) == twin
+    assert hash(Polynomial(2, {(1, 0): 2})) == hash(twin)
+    assert type(twin.terms[(1, 0)]) is int
+    assert type(Polynomial(2, {(1, 0): F(3, 2)}).terms[(1, 0)]) is F
+    p = parse("(x1 + 1/2)^2 - 1/4 + 2*x2", 2)
+    assert p.terms == {(2, 0): 1, (1, 0): 1, (0, 1): 2}
+    assert all(type(c) is int for c in p.terms.values())
+    assert type(constant(F(4, 2), 1).terms[(0,)]) is int
 
 
 @settings(deadline=None, max_examples=150)

@@ -29,7 +29,7 @@ from subcart.space import (
     space_from_dict,
     validate_sampler,
 )
-from subcart.fixtures import fixture_path
+from subcart.fixtures import NAMES, fixture_path
 from subcart.poly import Polynomial
 
 from oracles import grid_points, naive_add, naive_compose_cleared, naive_eval
@@ -150,6 +150,38 @@ def test_cross_sampler_dedups_origin():
     # deterministic order: first sampler grid, then second, first occurrence kept
     assert points[0] == (F(-1), F(0))
     assert points[1] == (F(0), F(0))
+
+
+def test_samples_are_deduplicated_in_least_integer_form():
+    # the sampler's integer images share a factor (numerators 2*x1 and 0
+    # over 2), and the explicit points repeat its images with unreduced
+    # literals: integer-form deduplication must match Fraction deduplication
+    data = {
+        "name": "axis",
+        "ambient_dim": 2,
+        "equations": ["x2"],
+        "samplers": [
+            {
+                "param_dim": 1,
+                "numerators": ["2*x1", "0"],
+                "denominator": "2",
+                "box": [["-1", "1"]],
+                "resolution": 5,
+            }
+        ],
+        "sample_points": [["2/4", "0"], ["6/2", "0/7"], ["-4/4", "-0"], ["3", "0"]],
+    }
+    space = space_from_dict(data)
+    images = [(t, F(0)) for (t,) in grid_points([(F(-1), F(1))], 5)]
+    explicit = [tuple(F(c) for c in p) for p in data["sample_points"]]
+    expected = list(dict.fromkeys(images + explicit))
+    assert sample(space) == expected
+    assert len(expected) == 6  # (3, 0) is new, once
+    for loaded in [space] + [load_space(fixture_path(n)) for n in NAMES]:
+        points = sample(loaded)
+        assert len(loaded.cleared_samples) == len(points)
+        for form, point in zip(loaded.cleared_samples, points):
+            assert form == poly.clear_denominators(point)
 
 
 def test_sample_requires_a_source(plane):
@@ -576,6 +608,38 @@ def test_list_fields_must_be_arrays(tmp_path, field, value):
     path.write_text(json.dumps(data), encoding="utf-8")
     with pytest.raises(SpaceFormatError, match=rf"^{re.escape(name)}: expected list"):
         load_space(path)
+
+
+def _half_line_data():
+    return {
+        "name": "half",
+        "ambient_dim": 1,
+        "inequalities": [{"poly": "x1", "strict": True}],
+        "samplers": [
+            {"param_dim": 1, "numerators": ["x1"], "box": [["1", "2"]], "resolution": 5}
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "where, key, name",
+    [
+        (lambda d: d, "inequality", "$.inequality"),
+        (lambda d: d, "Name", "$.Name"),
+        (lambda d: d["samplers"][0], "denominators", "samplers[0].denominators"),
+        (lambda d: d["samplers"][0], "resolutions", "samplers[0].resolutions"),
+        (lambda d: d["inequalities"][0], "strictly", "inequalities[0].strictly"),
+    ],
+    ids=["$.inequality", "$.Name", "denominators", "resolutions", "strictly"],
+)
+def test_unknown_fields_are_refused_by_name(where, key, name):
+    # a misspelt optional field was dropped: "inequality" for
+    # "inequalities" left the half line unconstrained on [-2, 2]
+    data = _half_line_data()
+    space_from_dict(data)  # every field known
+    where(data)[key] = []
+    with pytest.raises(SpaceFormatError, match=rf"^{re.escape(name)}: unknown field$"):
+        space_from_dict(data)
 
 
 def test_unreadable_file_reports_input_error(tmp_path):

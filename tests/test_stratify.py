@@ -30,6 +30,7 @@ from subcart.stratify import (
 )
 from subcart.tangent import tangent_space
 
+from conftest import _counted
 from oracles import naive_max_nearest_gap, naive_neighbours, naive_sup
 
 
@@ -125,9 +126,9 @@ def test_classify_point_analyses_each_point_once(cone, monkeypatch, query, neigh
     eliminations = []
     bareiss = linalg.bareiss
 
-    def counting(space, point):
+    def counting(space, point, cleared):
         calls.append(point)
-        return analyse_member(space, point)
+        return analyse_member(space, point, cleared)
 
     def counting_bareiss(matrix):
         eliminations.append(matrix)
@@ -143,6 +144,19 @@ def test_classify_point_analyses_each_point_once(cone, monkeypatch, query, neigh
     assert len(calls) == neighbours == len(set(calls))
     # one rank elimination per analysed point, and no chart is solved
     assert len(eliminations) == neighbours
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_stratify_analyses_the_stored_integer_forms(name, monkeypatch):
+    # the samples were cleared once, at load: stratify clears none again
+    # and analyses each sample once, from the form the space stores
+    space = load_space(fixture_path(name))
+    clears = _counted(monkeypatch, poly, "clear_denominators")
+    calls = _counted(monkeypatch, tangent, "analyse_member")
+    stratify(space)
+    assert clears == []
+    assert [point for _, point, _ in calls] == sample(space)
+    assert [form for _, _, form in calls] == list(space.cleared_samples)
 
 
 def test_negative_radius_or_epsilon_is_rejected(cone):
