@@ -48,7 +48,7 @@ from typing import Sequence
 
 from .errors import DimensionMismatchError, FrameEvaluationError, SubcartError
 from .linalg import Kernel
-from .poly import Point, format_point
+from .poly import Point, divided, format_point
 from .space import Sampler, SpacePresentation
 from .stratify import StratificationReport, Verdict, label, stratify, sup_distance
 from .tangent import Basis, PointAnalysis, analyse
@@ -282,15 +282,15 @@ def anchored_frame(
     the anchor: no single trivialization covers the pair.
     """
     anchor = analyse(report.space, point)
-    near = report.index.near(anchor.point)
+    near = report.index.near(anchor.form)
     if label(anchor.dim, [report.analyses[j].dim for j in near]) == "singular":
         raise SubcartError(
             f"cannot anchor a frame at the singular point {format_point(anchor.point)}"
         )
     evaluations = []
-    for j in report.index.near(anchor.point, strict=True):
+    for j in report.index.near(anchor.form, strict=True):
         target, other = report.records[j], report.analyses[j]
-        if target.point == anchor.point or target.label != "regular" or target.dim != anchor.dim:
+        if target.form == anchor.form or target.label != "regular" or target.dim != anchor.dim:
             continue
         basis = other.basis(anchor.pivots)
         if basis is not None:
@@ -376,9 +376,9 @@ def _kernel_failure(
         for w in vectors:
             for row in other.jacobian:
                 if sum(map(mul, row, w)):
-                    v = tuple(Fraction(x, d) for x in w)
+                    v = divided(w, d)
                     return f"frame vector {v} fails annihilation at {format_point(other.point)}"
-        free = [c for c in range(len(other.point)) if c not in chart]
+        free = [c for c in range(other.ambient_dim) if c not in chart]
         for l, w in enumerate(vectors):
             if [w[f] for f in free] != [d * (k == l) for k in range(len(free))]:
                 break

@@ -80,6 +80,11 @@ def clear_denominators(point: Sequence[Fraction | int]) -> Cleared:
     return numerators, denominator
 
 
+def divided(numerators: Sequence[int], denominator: int) -> Point:
+    """The rational point a / D, which ``clear_denominators`` undoes."""
+    return tuple(Fraction(x, denominator) for x in numerators)
+
+
 def product(a: "Polynomial", b: "Polynomial") -> "Polynomial":
     """a * b, refused with a SubcartError before multiplying when it may
     have more than MAX_TERMS terms: when more than MAX_TERMS exponents are

@@ -15,11 +15,11 @@ field.  Samples are validated and deduplicated in integer form: each is
 kept as its least integer form (a, D), integer numerators a over the
 least positive common denominator D (``poly.clear_denominators`` of the
 rational point), which is canonical, so equal points have equal forms.
-The presentation caches the deduplicated forms once
-(``cleared_samples``, which ``stratify`` analyses) and the Fraction
-point of each (``_samples``), and ``sample`` copies the points.  A
-presentation built directly is validated on its first ``sample``, which
-reports the same failure as a ``SamplerInvariantError``.
+The presentation caches these forms once (``cleared_samples``) and
+builds no Fraction point: ``stratify`` reads the forms through
+``sample_forms``, and ``sample`` builds the points a / D on each call.
+A presentation built directly is validated on its first
+``sample_forms``, which reports a failure as a ``SamplerInvariantError``.
 A space file may have at most ``MAX_AMBIENT_DIM`` coordinates and
 parameters per sampler, may ask for at most ``MAX_GRID_POINTS`` grid
 points per file, and its equations and inequalities may have at most
@@ -29,11 +29,10 @@ of a sampler with an equation.
 Points are tested on integers, through ``poly.ClearedRow``s compiled
 once by their owners.  ``is_member`` puts a point over its least common
 denominator, and ``is_member_cleared`` reads the signs of one row at that
-integer form, ``cleared_constraints``.  A sampler's grid parameters go
-over their common denominator, and its numerators and denominator are
+integer form, ``cleared_constraints``.  A sampler's grid parameters are
+integers over one denominator, and its numerators and denominator are
 one row (``Sampler._cleared``), so each grid image is integer numerators
-over one denominator, tested as they are and then divided by their gcd;
-a Fraction is made only for each coordinate of a kept sample.
+over one denominator, tested as they are and then divided by their gcd.
 
 Equality of two polynomial representatives as functions on S is certified
 by caller-supplied witnesses: F and G agree on S when F - G is an explicit
@@ -65,7 +64,7 @@ from .errors import (
     SpaceFormatError,
     SubcartError,
 )
-from .poly import Cleared, Point, Polynomial, format_point
+from .poly import Cleared, Point, Polynomial, divided, format_point
 
 Inequality = tuple[Polynomial, bool]  # (polynomial, strict?)
 
@@ -106,20 +105,24 @@ class Sampler:
         if self.param_resolution < 1:
             raise ValueError("param_resolution must be >= 1")
 
-    def axis_values(self, axis: int) -> list[Fraction]:
-        lo, hi = self.param_box[axis]
-        if self.param_resolution == 1:
-            return [lo]
-        step = (hi - lo) / (self.param_resolution - 1)
-        return [lo + step * k for k in range(self.param_resolution)]
-
     def _integer_grid(self) -> tuple[int, Iterator[tuple[int, ...]]]:
         """The common denominator q of all grid parameters, and an iterator
         over each grid point's integer numerators over q, first axis
-        slowest (row-major)."""
-        axes = [self.axis_values(a) for a in range(self.param_dim)]
-        q = math.lcm(*[v.denominator for axis in axes for v in axis])
-        scaled = [[v.numerator * (q // v.denominator) for v in axis] for axis in axes]
+        slowest (row-major).  An axis's values lo + (hi - lo) k / steps are
+        integers over its endpoints' common denominator times steps,
+        divided by their gcd with it, so q is the lcm of their least
+        denominators."""
+        resolution = self.param_resolution
+        steps = max(resolution - 1, 1)
+        axes = []
+        for lo, hi in self.param_box:
+            common = math.lcm(lo.denominator, hi.denominator) * steps
+            a, b = (c.numerator * (common // c.denominator) for c in (lo, hi))
+            step = (b - a) // steps if resolution > 1 else 0
+            g = math.gcd(common, a, step)
+            axes.append((common // g, [(a + step * k) // g for k in range(resolution)]))
+        q = math.lcm(*(d for d, _ in axes))
+        scaled = [[x * (q // d) for x in values] for d, values in axes]
         return q, itertools.product(*scaled)
 
     @cached_property
@@ -146,7 +149,7 @@ class Sampler:
             raise SamplerInvariantError(
                 f"sampler denominator vanishes at parameters {format_point(params)}"
             )
-        return tuple(Fraction(x, den) for x in image)
+        return divided(image, den)
 
 
 @dataclass(frozen=True)
@@ -220,13 +223,6 @@ class SpacePresentation:
                 raise SpaceFormatError(f"sample_points[{i}]", "point is not a member")
             forms.append(form)
         return tuple(dict.fromkeys(forms))
-
-    @cached_property
-    def _samples(self) -> tuple[Point, ...]:
-        """The point a / D of each of ``cleared_samples``."""
-        return tuple(
-            tuple(Fraction(x, d) for x in a) for a, d in self.cleared_samples
-        )
 
 
 @dataclass(frozen=True)
@@ -314,23 +310,6 @@ def _horner(
     return result
 
 
-def validate_sampler(space: SpacePresentation, sampler: Sampler) -> bool:
-    """True iff the sampler's image provably lies on the space: the
-    identity den^deg(g) * g(nums/den) == 0 for every equation g, and a
-    nonzero denominator and a member image at every grid parameter point
-    (the per-sampler part of the one validation path)."""
-    if len(sampler.numerators) != space.ambient_dim:
-        raise DimensionMismatchError(
-            f"sampler has {len(sampler.numerators)} numerators, "
-            f"expected {space.ambient_dim}"
-        )
-    try:
-        _sampler_images(space, sampler, "sampler")
-    except SpaceFormatError:
-        return False
-    return True
-
-
 def _sampler_images(
     space: SpacePresentation, sampler: Sampler, path: str
 ) -> list[Cleared]:
@@ -354,12 +333,12 @@ def _sampler_images(
         if den == 0:
             raise SpaceFormatError(
                 f"{path}.denominator",
-                f"vanishes at grid parameters {_format_over(params, q)}",
+                f"vanishes at grid parameters {format_point(divided(params, q))}",
             )
         if not is_member_cleared(space, image, den):
             raise SpaceFormatError(
                 path,
-                f"grid image at parameters {_format_over(params, q)} violates the "
+                f"grid image at parameters {format_point(divided(params, q))} violates the "
                 "constraints",
             )
         common = math.gcd(den, *image)
@@ -367,8 +346,17 @@ def _sampler_images(
     return images
 
 
-def _format_over(numerators: Sequence[int], denominator: int) -> str:
-    return format_point([Fraction(a, denominator) for a in numerators])
+def sample_forms(space: SpacePresentation) -> tuple[Cleared, ...]:
+    """The least integer form (a, D) of every sample point, in ``sample``
+    order, with ``sample``'s errors."""
+    if not space.samplers and not space.sample_points:
+        raise NoSampleSourceError(
+            f"space {space.name!r} has no samplers and no explicit sample points"
+        )
+    try:
+        return space.cleared_samples
+    except SpaceFormatError as exc:  # only a presentation built directly fails here
+        raise SamplerInvariantError(f"space {space.name!r}: {exc}") from None
 
 
 def sample(space: SpacePresentation) -> list[Point]:
@@ -379,16 +367,9 @@ def sample(space: SpacePresentation) -> list[Point]:
     identity or denominator fails, or whose image is not a member (an
     inequality violation, since equation vanishing is identical), raises
     SamplerInvariantError.  Validation and deduplication happen once per
-    presentation (at load for a loaded one); each call returns a new list.
+    presentation (at load for a loaded one); each call builds new points.
     """
-    if not space.samplers and not space.sample_points:
-        raise NoSampleSourceError(
-            f"space {space.name!r} has no samplers and no explicit sample points"
-        )
-    try:
-        return list(space._samples)
-    except SpaceFormatError as exc:  # only a presentation built directly fails here
-        raise SamplerInvariantError(f"space {space.name!r}: {exc}") from None
+    return [divided(*form) for form in sample_forms(space)]
 
 
 def representatives_agree(
@@ -595,7 +576,7 @@ def space_from_dict(data: dict) -> SpacePresentation:
         sample_points=tuple(points),
     )
 
-    space._samples  # validated once, here; kept for ``sample``
+    space.cleared_samples  # validated once, here; kept for ``sample_forms``
     return space
 
 

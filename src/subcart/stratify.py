@@ -5,14 +5,15 @@ The structural dimension at a member point equals the dimension of the
 tangent space there, so it is computed exactly as
 ambient_dim - rank(Jacobian); ``stratify`` analyses each sample point
 once, on integers and without testing membership again (the samples were
-validated at load), from the integer form the space stores for it
-(``SpacePresentation.cleared_samples``), and keeps the analysis beside
-its record.  Kernel dimension is upper semicontinuous: approaching a
-point, dimensions can only stay or rise at the limit point, never
-persistently exceed it nearby.  Regularity (local constancy of the
-dimension) is therefore decided from sampled evidence asymmetrically, by
-the one rule ``label`` that ``stratify``, ``classify`` and the frame
-anchor check all apply:
+validated at load), from the integer form (a, D) the space stores for it
+(``SpacePresentation.cleared_samples``).  Its record and its analysis
+hold that form and build the point a / D only when it is read (for JSON
+records, failure messages and frame output).  Kernel dimension is upper
+semicontinuous: approaching a point, dimensions can only stay or rise at
+the limit point, never persistently exceed it nearby.  Regularity (local
+constancy of the dimension) is therefore decided from sampled evidence
+asymmetrically, by the one rule ``label`` that ``stratify``,
+``classify`` and the frame anchor check all apply:
 
 * a sampled neighbor of strictly LOWER dimension certifies that the
   dimension is not locally constant at x, so x is singular;
@@ -24,19 +25,21 @@ anchor check all apply:
 
 Every adjacency question (labels, usc, open, dense, the triviality
 targets, and classification of points that are not samples) is answered
-by one ``NeighbourIndex`` per radius.  It multiplies the coordinates and
-the radius by the lcm of their denominators and hashes the points into
-cells (``near`` needs only those; the samples' neighbour lists are found
-on the first ``neighbours`` call, each pair of points in adjacent cells
+by one ``NeighbourIndex`` per radius over one ``integer_table`` of the
+forms: the scale is the lcm of the D's, each point a * (scale / D),
+multiplied further only where the radius's denominator, or a query's,
+does not divide the scale.  The index hashes the points into cells
+(``near`` needs only those; the samples' neighbour lists are found on
+the first ``neighbours`` call, each pair of points in adjacent cells
 compared once and only up to its first coordinate beyond the radius), so
 every comparison is between integers and exact: a pair at exactly the
 radius is a neighbour for the ``<=`` questions (labels, usc, open, and
 dense with epsilon) and not for the strict ``<`` of the triviality
 targets, which keeps the coordinate cross's branches apart.  Default
 radius and epsilon are the maximum nearest-neighbor gap of the sample set
-(computed once, on the same integer coordinates), so the defaults scale
-with sampling density instead of being assumed.  A negative radius or epsilon, which would leave every
-point without evidence, is an input error; a radius that leaves some
+(computed once, on the same table), so the defaults scale with sampling
+density instead of being assumed.  A negative radius or epsilon, which
+would leave every point without evidence, is an input error; a radius that leaves some
 sample without any other sample within it is reported as a caveat, since
 those labels rest on no neighbour evidence.
 
@@ -56,11 +59,12 @@ from operator import add, sub
 from typing import Literal, Sequence
 
 from .errors import SubcartError
-from .poly import Point, format_point
-from .space import SpacePresentation, repeated_factor_caveats, sample
+from .poly import Cleared, Point, divided, format_point
+from .space import SpacePresentation, repeated_factor_caveats, sample_forms
 from .tangent import PointAnalysis, analyse, analyse_member
 
 Label = Literal["regular", "singular", "unknown"]
+IntegerTable = tuple[int, list[tuple[int, ...]]]  # (scale, each point times it)
 
 
 def sup_distance(
@@ -84,9 +88,13 @@ def label(dim: int, neighbor_dims: Sequence[int]) -> Label:
 
 @dataclass(frozen=True)
 class PointRecord:
-    point: Point
+    form: Cleared  # the point's least integer form (a, D)
     dim: int
     label: Label
+
+    @cached_property
+    def point(self) -> Point:  # a / D, built on its first read
+        return divided(*self.form)
 
     def to_json(self) -> dict:
         return {
@@ -157,18 +165,12 @@ class StratificationReport:
         }
 
 
-def _integer_points(
-    points: Sequence[Sequence[Fraction]], *extra: Fraction
-) -> tuple[int, list[tuple[int, ...]]]:
-    """The lcm of the denominators of the points and of ``extra``, and the
-    points multiplied by it: integer tuples whose sup-norm distances are
-    the rational ones times that scale."""
-    scale = math.lcm(
-        *(c.denominator for p in points for c in p), *(f.denominator for f in extra)
-    )
-    return scale, [
-        tuple(c.numerator * (scale // c.denominator) for c in p) for p in points
-    ]
+def integer_table(forms: Sequence[Cleared]) -> IntegerTable:
+    """The lcm of the forms' denominators, and each point a / D times it,
+    a * (scale / D): integer tuples whose sup-norm distances are the
+    rational ones times the scale."""
+    scale = math.lcm(*(d for _, d in forms))
+    return scale, [tuple(x * (scale // d) for x in a) for a, d in forms]
 
 
 def _axes(points: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
@@ -204,18 +206,18 @@ def _nearest_gap(
     return best
 
 
-def default_adjacency_radius(points: Sequence[Point]) -> Fraction:
-    """Maximum over sample points of the distance to the nearest other
-    sample point; 0 when fewer than two points exist.
+def default_adjacency_radius(table: IntegerTable) -> Fraction:
+    """Maximum over the points of an ``integer_table`` of the distance to
+    the nearest other point; 0 when fewer than two points exist.
 
-    Computed exactly on integer-scaled coordinates by a sweep along the
-    axis with the most distinct values; a point's search stops as soon as
-    it cannot raise the maximum found so far."""
+    Computed exactly on the table's integer coordinates by a sweep along
+    the axis with the most distinct values; a point's search stops as soon
+    as it cannot raise the maximum found so far."""
+    scale, points = table
     if len(points) < 2:
         return Fraction(0)
-    scale, scaled = _integer_points(points)
-    axis = _axes(scaled)[0]
-    order = sorted(scaled, key=lambda p: p[axis])
+    axis = _axes(points)[0]
+    order = sorted(points, key=lambda p: p[axis])
     worst = 0
     for k in range(len(order)):
         worst = max(worst, _nearest_gap(order, axis, k, worst))
@@ -225,26 +227,31 @@ def default_adjacency_radius(points: Sequence[Point]) -> Fraction:
 class NeighbourIndex:
     """Exact fixed-radius sup-norm neighbours of a point set.
 
-    Coordinates and radius are multiplied by the lcm of their
-    denominators, so distances are compared as integers.  Points are
-    hashed into cells of side max(scaled radius, 1) along at most three
-    axes (Bentley, Stanat & Williams 1977): two points within the radius
-    lie in the same or adjacent cells, so only those pairs are compared.
+    The points come as an ``integer_table``, its scale and coordinates
+    multiplied by the least factor that makes the radius an integer at
+    that scale, so distances are compared as integers.  Points are hashed
+    into cells of side max(scaled radius, 1) along at most three axes
+    (Bentley, Stanat & Williams 1977): two points within the radius lie in
+    the same or adjacent cells, so only those pairs are compared.
     ``near`` reads only the cells.  The first ``neighbours`` call stores
     each point's neighbours as ascending indices, once within the closed
     ball (``<=`` radius) and once within the open ball (``<``).
     """
 
-    def __init__(self, points: Sequence[Sequence[Fraction]], radius: Fraction):
+    def __init__(self, table: IntegerTable, radius: Fraction):
         self.radius = radius
-        self._scale, self._points = _integer_points(points, radius)
+        scale, points = table
+        grow = radius.denominator // math.gcd(scale, radius.denominator)
+        self._scale = scale * grow
+        self._points = points if grow == 1 else [tuple(x * grow for x in p) for p in points]
         self._reach = radius.numerator * (self._scale // radius.denominator)
         self._side = max(self._reach, 1)
         self._axes = _axes(self._points)
         self._offsets = tuple(product((-1, 0, 1), repeat=len(self._axes)))
         self._cells: dict[tuple[int, ...], list[int]] = {}
         for i, p in enumerate(self._points):
-            self._cells.setdefault(self._cell(p), []).append(i)
+            key = tuple(p[a] // self._side for a in self._axes)
+            self._cells.setdefault(key, []).append(i)
 
     @cached_property
     def _lists(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -274,38 +281,36 @@ class NeighbourIndex:
             tuple(tuple(sorted(c)) for c in strict),
         )
 
-    def _cell(self, scaled: Sequence[Fraction | int]) -> tuple[int, ...]:
-        return tuple(scaled[a] // self._side for a in self._axes)
-
-    def _candidates(self, scaled: Sequence[Fraction | int]) -> list[int]:
-        """Indices of the points in the cells adjacent to the point's cell."""
-        key = self._cell(scaled)
-        found = []
-        for offset in self._offsets:
-            found += self._cells.get(tuple(map(add, key, offset)), ())
-        return found
-
     def neighbours(self, i: int, strict: bool = False) -> tuple[int, ...]:
         """Ascending indices j != i of the points within the radius of
         point i (closer than the radius when ``strict``)."""
         closed, open_ = self._lists
         return open_[i] if strict else closed[i]
 
-    def near(self, point: Sequence[Fraction], strict: bool = False) -> list[int]:
-        """Ascending indices of the points within the radius of any point
-        (closer than the radius when ``strict``); an indexed point equal
-        to it is included."""
-        scaled = [c * self._scale for c in point]
-        found = _within(scaled, self._points, self._candidates(scaled), self._reach)
-        return sorted(j for j, d in found if not strict or d < self._reach)
+    def near(self, form: Cleared, strict: bool = False) -> list[int]:
+        """Ascending indices of the points within the radius (closer than
+        it when ``strict``) of any point of integer form (a, D), an indexed
+        point equal to it included; compared at the least multiple of the
+        scale that D divides."""
+        numerators, denominator = form
+        grow = denominator // math.gcd(self._scale, denominator)
+        query = [x * (self._scale * grow // denominator) for x in numerators]
+        key = [query[a] // (self._side * grow) for a in self._axes]
+        candidates = []
+        for offset in self._offsets:
+            candidates += self._cells.get(tuple(map(add, key, offset)), ())
+        points = {j: tuple(x * grow for x in self._points[j]) for j in candidates}
+        reach = self._reach * grow
+        found = _within(query, points, candidates, reach)
+        return sorted(j for j, d in found if not strict or d < reach)
 
 
 def _within(
-    p: Sequence[Fraction | int],
-    points: Sequence[tuple[int, ...]],
+    p: Sequence[int],
+    points: Sequence[tuple[int, ...]] | dict[int, tuple[int, ...]],
     candidates: Sequence[int],
     reach: int,
-) -> list[tuple[int, Fraction | int]]:
+) -> list[tuple[int, int]]:
     """(j, distance) for each candidate index j whose point is within
     ``reach`` of ``p`` in the sup norm, in candidate order.  A pair's
     comparison stops at its first coordinate further apart than ``reach``."""
@@ -391,16 +396,17 @@ def verify_dense(records: Sequence[PointRecord], index: NeighbourIndex) -> Verdi
     return Verdict("dense", True)
 
 
-def _radii(points: Sequence[Point], **radii: Fraction | None) -> list[Fraction]:
+def _radii(table: IntegerTable, **radii: Fraction | None) -> list[Fraction]:
     """The given radii, by parameter name, with None replaced by the
-    default adjacency radius, computed at most once.  A radius that is not
-    an int or a Fraction, or is negative, is an input error naming it."""
+    default adjacency radius of the table, computed at most once.  A
+    radius that is not an int or a Fraction, or is negative, is an input
+    error naming it."""
     for name, r in radii.items():
         if r is not None and (isinstance(r, bool) or not isinstance(r, (int, Fraction))):
             raise SubcartError(f"{name} must be an int or a Fraction, got {r!r}")
         if r is not None and r < 0:
             raise SubcartError(f"{name} must be nonnegative, got {r}")
-    default = default_adjacency_radius(points) if None in radii.values() else None
+    default = default_adjacency_radius(table) if None in radii.values() else None
     return [default if r is None else r for r in radii.values()]
 
 
@@ -413,14 +419,14 @@ def classify(
     ``stratify`` record, so a sample's record is reproduced exactly.  The
     query is analysed once, also when it is one of the samples."""
     x = analyse(space, point)
-    points = sample(space)
-    (radius,) = _radii(points, radius=radius)
-    forms = space.cleared_samples
+    forms = sample_forms(space)
+    table = integer_table(forms)
+    (radius,) = _radii(table, radius=radius)
     neighbor_dims = [
-        x.dim if points[j] == x.point else analyse_member(space, points[j], forms[j]).dim
-        for j in NeighbourIndex(points, radius).near(x.point)
+        x.dim if forms[j] == x.form else analyse_member(space, forms[j]).dim
+        for j in NeighbourIndex(table, radius).near(x.form)
     ]
-    return PointRecord(x.point, x.dim, label(x.dim, neighbor_dims))
+    return PointRecord(x.form, x.dim, label(x.dim, neighbor_dims))
 
 
 def stratify(
@@ -428,24 +434,25 @@ def stratify(
     radius: Fraction | None = None,
     epsilon: Fraction | None = None,
 ) -> StratificationReport:
-    """Full pipeline: sample, analyse each point once, index the
-    neighbours once per distinct radius, classify, build strata, and run
-    the usc / open / dense verifiers."""
-    points = sample(space)
-    radius, epsilon = _radii(points, radius=radius, epsilon=epsilon)
-    analyses = tuple(map(analyse_member, repeat(space), points, space.cleared_samples))
+    """Full pipeline: analyse each sample's integer form once, index the
+    neighbours once per distinct radius over one integer table, classify,
+    build strata, and run the usc / open / dense verifiers."""
+    forms = sample_forms(space)
+    table = integer_table(forms)
+    radius, epsilon = _radii(table, radius=radius, epsilon=epsilon)
+    analyses = tuple(map(analyse_member, repeat(space), forms))
     dims = [a.dim for a in analyses]
-    index = NeighbourIndex(points, radius)
-    dense_index = index if epsilon == radius else NeighbourIndex(points, epsilon)
+    index = NeighbourIndex(table, radius)
+    dense_index = index if epsilon == radius else NeighbourIndex(table, epsilon)
     # a sample is evidence for itself, so isolated samples are regular
     # rather than unknown
     records = tuple(
         PointRecord(
-            p,
+            form,
             dims[i],
             label(dims[i], [dims[i]] + [dims[j] for j in index.neighbours(i)]),
         )
-        for i, p in enumerate(points)
+        for i, form in enumerate(forms)
     )
 
     strata = tuple(
@@ -458,10 +465,10 @@ def stratify(
         verify_dense(records, dense_index),
     )
     caveats = repeated_factor_caveats(space)
-    isolated = sum(1 for i in range(len(points)) if not index.neighbours(i))
-    if len(points) > 1 and isolated:
+    isolated = sum(1 for i in range(len(forms)) if not index.neighbours(i))
+    if len(forms) > 1 and isolated:
         caveats.append(
-            f"{isolated} of {len(points)} records have no other sample within "
+            f"{isolated} of {len(forms)} records have no other sample within "
             f"radius {radius}: their labels rest on no neighbour evidence"
         )
     return StratificationReport(

@@ -33,7 +33,8 @@ submatrix has full rank, are decided by the integer rank of each
 submatrix only on a read of ``charts``; two points share a frame chart
 iff their ranks agree and their chart sets intersect, which
 ``shares_chart`` first tries to prove with a Cauchy-Binet probe.
-``jacobian`` is the rational Jacobian of a member point.
+``jacobian`` is the rational Jacobian of a member point.  An analysis
+holds the form (a, D) and builds its ``point`` a / D on the first read.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from typing import Sequence
 
 from . import linalg
 from .errors import DimensionMismatchError, NonMemberError
-from .poly import Cleared, Point, Polynomial, clear_denominators, format_point
+from .poly import Cleared, Point, Polynomial, clear_denominators, divided, format_point
 from .space import RingElement, SpacePresentation, is_member_cleared
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -58,34 +59,37 @@ Basis = tuple[tuple[Fraction, ...], ...]
 def jacobian(space: SpacePresentation, point: Sequence[Fraction]) -> Matrix:
     """Exact generator Jacobian at a member point: row j is the gradient
     of equation j."""
-    point, _ = _member(space, point)
+    point = tuple(Fraction(x) for x in point)
+    _member(space, point)
     return tuple(tuple(d.evaluate(point) for d in row) for row in space.gradients)
 
 
-def _member(
-    space: SpacePresentation, point: Sequence[Fraction]
-) -> tuple[Point, Cleared]:
-    """The point as Fractions and its integer form, which decided its
-    membership; NonMemberError when it is not on the space."""
+def _member(space: SpacePresentation, point: Sequence[Fraction]) -> Cleared:
+    """The point's integer form, which decided its membership;
+    NonMemberError when it is not on the space."""
     point = tuple(Fraction(x) for x in point)
     form = clear_denominators(point)
     if not is_member_cleared(space, *form):
         raise NonMemberError(
             f"point {format_point(point)} is not a member of {space.name!r}"
         )
-    return point, form
+    return form
 
 
 @dataclass(frozen=True)
 class PointAnalysis:
-    """The linear algebra of one member point: integer Jacobian rows, each
-    the gradient times a positive integer, their leftmost pivots, and the
-    pivot rows of their Bareiss elimination."""
+    """The linear algebra of one member point of least integer form (a, D):
+    integer Jacobian rows, each the gradient times a positive integer,
+    their leftmost pivots, and the pivot rows of their Bareiss elimination."""
 
-    point: Point
+    form: Cleared
     jacobian: IntegerMatrix
     pivots: tuple[int, ...]  # 0-based, ascending
     pivot_rows: IntegerMatrix = field(compare=False, repr=False)
+
+    @cached_property
+    def point(self) -> Point:  # a / D, built on its first read
+        return divided(*self.form)
 
     @cached_property
     def charts(self) -> frozenset[tuple[int, ...]]:
@@ -94,7 +98,7 @@ class PointAnalysis:
         r = self.rank
         return frozenset(
             columns
-            for columns in itertools.combinations(range(len(self.point)), r)
+            for columns in itertools.combinations(range(self.ambient_dim), r)
             if len(linalg.bareiss(linalg.submatrix_columns(self.jacobian, columns))[1]) == r
         )
 
@@ -110,9 +114,9 @@ class PointAnalysis:
         kernel is read off the pivot rows; other charts are solved."""
         if columns not in self._kernels:
             self._kernels[columns] = (
-                linalg.reduced_kernel(self.pivot_rows, range(len(self.point)), columns)
+                linalg.reduced_kernel(self.pivot_rows, range(self.ambient_dim), columns)
                 if columns == self.pivots
-                else linalg.solve_with_pivots(self.jacobian, len(self.point), columns)
+                else linalg.solve_with_pivots(self.jacobian, self.ambient_dim, columns)
             )
         return self._kernels[columns]
 
@@ -124,7 +128,11 @@ class PointAnalysis:
         if kernel is None:
             return None
         vectors, d = kernel
-        return tuple(tuple(Fraction(x, d) for x in w) for w in vectors)
+        return tuple(divided(w, d) for w in vectors)
+
+    @property
+    def ambient_dim(self) -> int:
+        return len(self.form[0])
 
     @property
     def rank(self) -> int:
@@ -133,7 +141,7 @@ class PointAnalysis:
     @property
     def dim(self) -> int:
         """Structural dimension: ambient_dim - rank of the Jacobian."""
-        return len(self.point) - self.rank
+        return self.ambient_dim - self.rank
 
     def shares_chart(self, other: "PointAnalysis") -> bool:
         """True iff one pivot chart is valid at both points.  By Cauchy-Binet
@@ -150,14 +158,12 @@ class PointAnalysis:
 
 def analyse(space: SpacePresentation, point: Sequence[Fraction]) -> PointAnalysis:
     """The analysis of a point, after testing that it is a member."""
-    return analyse_member(space, *_member(space, point))
+    return analyse_member(space, _member(space, point))
 
 
-def analyse_member(
-    space: SpacePresentation, point: Point, cleared: Cleared
-) -> PointAnalysis:
+def analyse_member(space: SpacePresentation, cleared: Cleared) -> PointAnalysis:
     """The integer Jacobian rows at a point known to be a member (such as
-    a validated sample), given with its integer form ``cleared`` (the
+    a validated sample), given by its least integer form ``cleared`` (the
     ``clear_denominators`` of the point), and their Bareiss pivots."""
     numerators, denominator = cleared
     J = tuple(
@@ -165,7 +171,7 @@ def analyse_member(
     )
     reduced, pivots = linalg.bareiss(J)
     rows = tuple(map(tuple, reduced[: len(pivots)]))
-    return PointAnalysis(point, J, tuple(pivots), rows)
+    return PointAnalysis(cleared, J, tuple(pivots), rows)
 
 
 @dataclass(frozen=True)

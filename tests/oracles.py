@@ -8,6 +8,7 @@ implementations they check.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -124,6 +125,19 @@ def grid_points(box, resolution: int):
 
 
 # naive neighbours: every pair compared in exact rationals
+
+
+def integer_points(points, *extra) -> tuple[int, list[tuple[int, ...]]]:
+    """The lcm of the denominators of the points and of ``extra``, and the
+    points multiplied by it: integer tuples whose sup-norm distances are
+    the rational ones times that scale."""
+    scale = math.lcm(
+        *(c.denominator for p in points for c in p), *(f.denominator for f in extra)
+    )
+    return scale, [
+        tuple(c.numerator * (scale // c.denominator) for c in p) for p in points
+    ]
+
 
 
 def naive_sup(p, q) -> Fraction:

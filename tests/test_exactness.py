@@ -9,11 +9,11 @@ ones (``lcm``, ``gcd``, ``isqrt`` and the like), whether reached as
 
 True division of two ints is a float (``a / b`` is a Fraction only when
 an operand is one), and syntax cannot tell the two apart, so the modules
-whose values may be plain ints (polynomial coefficients and integer
-forms), ``DIVISION_FREE``, may use no ``/`` at all.  What syntax cannot
-show is not checked elsewhere: a ``/`` in another module, and a power of
-a Fraction to a Fraction exponent, are told apart only by the types of
-their operands at run time.
+whose values may be plain ints (polynomial coefficients, grid parameters
+and integer forms), ``DIVISION_FREE``, may use no ``/`` at all.  What
+syntax cannot show is not checked elsewhere: a ``/`` in another module,
+and a power of a Fraction to a Fraction exponent, are told apart only by
+the types of their operands at run time.
 """
 
 import ast
@@ -26,7 +26,7 @@ import subcart
 SOURCES = sorted(Path(subcart.__file__).parent.glob("*.py"))
 QUARANTINE = {("frames", "_smooth_step"), ("frames", "bump")}
 EXACT_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm", "prod"}
-DIVISION_FREE = {"poly", "tangent", "stratify"}
+DIVISION_FREE = {"poly", "space", "tangent", "stratify"}
 
 
 def inexact(source: str, module: str) -> list[str]:
@@ -120,7 +120,7 @@ def test_the_guard_flags_each_inexact_form(source):
 def test_the_guard_refuses_true_division_where_values_may_be_ints(module):
     source = "def f(a, d):\n    return a / d\n"
     assert inexact(source, module) == ["2: true division"]
-    assert inexact(source, "space") == []
+    assert inexact(source, "frames") == []
     assert inexact("def f(a, d):\n    return a // d\n", module) == []
 
 

@@ -27,7 +27,6 @@ from subcart.space import (
     representatives_agree,
     sample,
     space_from_dict,
-    validate_sampler,
 )
 from subcart.fixtures import NAMES, fixture_path
 from subcart.poly import Polynomial
@@ -224,12 +223,19 @@ def test_sampler_inequality_violation_raises():
 # -- sampler validation -----------------------------------------------------------
 
 
+def sampled_by(space, sampler):
+    """``sample`` of a presentation built directly from the space's
+    equations and inequalities and the one sampler, so it is validated
+    here: its points, or a SamplerInvariantError."""
+    return sample(replace(space, samplers=(sampler,), sample_points=()))
+
+
 def test_validate_cone_sampler(cone):
-    assert validate_sampler(cone, cone.samplers[0])
+    assert sampled_by(cone, cone.samplers[0]) == sample(cone)
 
 
 def test_validate_stereographic_sphere_sampler(sphere):
-    assert validate_sampler(sphere, sphere.samplers[0])
+    assert sampled_by(sphere, sphere.samplers[0]) == sample(sphere)
 
 
 def test_validate_rejects_off_variety_sampler(cone):
@@ -244,7 +250,8 @@ def test_validate_rejects_off_variety_sampler(cone):
         param_box=((F(-1), F(1)), (F(-1), F(1))),
         param_resolution=3,
     )
-    assert not validate_sampler(cone, bad)
+    with pytest.raises(SamplerInvariantError, match="not identically zero"):
+        sampled_by(cone, bad)
 
 
 def test_validate_rejects_sampler_violating_inequalities():
@@ -253,8 +260,11 @@ def test_validate_rejects_sampler_violating_inequalities():
         ambient_dim=1,
         inequalities=((poly.parse("x1", 1), False),),
     )
-    assert not validate_sampler(half_line, line_sampler(["x1"], -1, 1, 3))
-    assert validate_sampler(half_line, line_sampler(["x1"], 0, 1, 3))
+    with pytest.raises(SamplerInvariantError, match="violates the constraints"):
+        sampled_by(half_line, line_sampler(["x1"], -1, 1, 3))
+    assert sampled_by(half_line, line_sampler(["x1"], 0, 1, 3)) == [
+        (F(0),), (F(1, 2),), (F(1),)
+    ]
 
 
 def test_compose_cleared_matches_direct_substitution(sphere):

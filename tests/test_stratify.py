@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 from fractions import Fraction as F
@@ -20,6 +21,7 @@ from subcart.stratify import (
     PointRecord,
     classify,
     default_adjacency_radius,
+    integer_table,
     label,
     stratify,
     structural_dim,
@@ -31,15 +33,23 @@ from subcart.stratify import (
 from subcart.tangent import tangent_space
 
 from conftest import _counted
-from oracles import naive_max_nearest_gap, naive_neighbours, naive_sup
+from oracles import integer_points, naive_max_nearest_gap, naive_neighbours, naive_sup
+
+
+def form_of(point):
+    return poly.clear_denominators([F(c) for c in point])
+
+
+def table_of(points):
+    return integer_table([form_of(p) for p in points])
 
 
 def record(point, dim, label="regular"):
-    return PointRecord(tuple(F(c) for c in point), dim, label)
+    return PointRecord(form_of(point), dim, label)
 
 
 def index_of(records, radius):
-    return NeighbourIndex([r.point for r in records], radius)
+    return NeighbourIndex(integer_table([r.form for r in records]), radius)
 
 
 def label_against(space, point, neighbors):
@@ -119,16 +129,17 @@ def test_stratify_classify_and_frame_agree_on_every_record(name):
 )
 def test_classify_point_analyses_each_point_once(cone, monkeypatch, query, neighbours):
     points = sample(cone)
-    near = NeighbourIndex(points, default_adjacency_radius(points)).near(query)
+    table = integer_table(cone.cleared_samples)
+    near = NeighbourIndex(table, default_adjacency_radius(table)).near(form_of(query))
     assert len(near) == neighbours and query in [points[j] for j in near]
     calls = []
     analyse_member = tangent.analyse_member
     eliminations = []
     bareiss = linalg.bareiss
 
-    def counting(space, point, cleared):
-        calls.append(point)
-        return analyse_member(space, point, cleared)
+    def counting(space, cleared):
+        calls.append(cleared)
+        return analyse_member(space, cleared)
 
     def counting_bareiss(matrix):
         eliminations.append(matrix)
@@ -155,8 +166,39 @@ def test_stratify_analyses_the_stored_integer_forms(name, monkeypatch):
     calls = _counted(monkeypatch, tangent, "analyse_member")
     stratify(space)
     assert clears == []
-    assert [point for _, point, _ in calls] == sample(space)
-    assert [form for _, _, form in calls] == list(space.cleared_samples)
+    forms = [form for _, form in calls]
+    assert [tuple(F(x, d) for x in a) for a, d in forms] == sample(space)
+    assert forms == list(space.cleared_samples)
+
+
+SAMPLED = [n for n in NAMES if json.loads(fixture_path(n).read_text("utf-8")).get("samplers")]
+
+
+def fractions_in(value) -> bool:
+    if isinstance(value, F):
+        return True
+    return isinstance(value, (tuple, list)) and any(map(fractions_in, value))
+
+
+@pytest.mark.parametrize("name", SAMPLED)
+def test_load_and_a_passing_verify_build_no_sample_point(name):
+    # the samples stay integer forms from load to verdict: the space
+    # caches no Fraction copy of them, and no record or analysis builds
+    # its point, which only JSON records, failure messages and frame
+    # output read
+    space = load_space(fixture_path(name))
+    report = frames.verify(space)
+    assert report.all_pass()
+    report.summary_json()  # the ``verify`` report
+    fields = {f.name for f in dataclasses.fields(space)}
+    cached = {key: value for key, value in vars(space).items() if key not in fields}
+    assert "cleared_samples" in cached
+    assert not any(map(fractions_in, cached.values()))
+    for item in report.records + report.analyses:
+        assert "point" not in vars(item)
+    points = [tuple(F(x, d) for x in a) for a, d in space.cleared_samples]
+    assert sample(space) == points == [r.point for r in report.records]
+    assert [a.point for a in report.analyses] == points
 
 
 def test_negative_radius_or_epsilon_is_rejected(cone):
@@ -196,7 +238,7 @@ def test_higher_dimensional_neighbors_do_not_make_a_point_singular(cone):
 
 def test_default_radius_is_max_nearest_neighbor_gap(cone):
     points = sample(cone)
-    radius = default_adjacency_radius(points)
+    radius = default_adjacency_radius(integer_table(cone.cleared_samples))
     assert radius == 2
     # every point then has at least one neighbor within the radius
     for i, p in enumerate(points):
@@ -206,8 +248,8 @@ def test_default_radius_is_max_nearest_neighbor_gap(cone):
 
 
 def test_default_radius_degenerates_to_zero():
-    assert default_adjacency_radius([(F(0),)]) == 0
-    assert default_adjacency_radius([]) == 0
+    assert default_adjacency_radius(table_of([(F(0),)])) == 0
+    assert default_adjacency_radius(table_of([])) == 0
 
 
 # -- neighbour index ---------------------------------------------------------------
@@ -240,41 +282,52 @@ def neighbour_lists(index, count, strict):
 
 
 @given(point_sets())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_integer_table_matches_the_fraction_reference(case):
+    # the table built from the integer forms, and the index's table once
+    # rescaled for the radius, are the Fraction points times the lcm
+    _, points, radius, _ = case
+    assert table_of(points) == integer_points(points)
+    index = NeighbourIndex(table_of(points), radius)
+    assert (index._scale, index._points) == integer_points(points, radius)
+
+
+@given(point_sets())
 @settings(max_examples=200, deadline=None)
 def test_neighbour_index_matches_all_pairs_oracle(case):
     _, points, radius, query = case
-    index = NeighbourIndex(points, radius)
+    index = NeighbourIndex(table_of(points), radius)
     for strict in (False, True):
         assert neighbour_lists(index, len(points), strict) == naive_neighbours(
             points, radius, strict
         )
         for q in [query, *points]:
-            assert index.near(q, strict) == [
+            assert index.near(form_of(q), strict) == [
                 j
                 for j, p in enumerate(points)
                 if (naive_sup(q, p) < radius if strict else naive_sup(q, p) <= radius)
             ]
-    assert default_adjacency_radius(points) == naive_max_nearest_gap(points)
+    assert default_adjacency_radius(table_of(points)) == naive_max_nearest_gap(points)
 
 
 @given(point_sets(), RATIONALS.filter(bool), st.randoms(use_true_random=False))
 @settings(max_examples=100, deadline=None)
 def test_neighbour_lists_survive_scaling_and_coordinate_permutation(case, c, rng):
     dim, points, radius, _ = case
-    index = NeighbourIndex(points, radius)
+    index = NeighbourIndex(table_of(points), radius)
     scaled = [tuple(c * x for x in p) for p in points]
     order = list(range(dim))
     rng.shuffle(order)
     permuted = [tuple(p[k] for k in order) for p in points]
     for strict in (False, True):
         expected = neighbour_lists(index, len(points), strict)
-        scaled_index = NeighbourIndex(scaled, abs(c) * radius)
+        scaled_index = NeighbourIndex(table_of(scaled), abs(c) * radius)
         assert neighbour_lists(scaled_index, len(points), strict) == expected
-        permuted_index = NeighbourIndex(permuted, radius)
+        permuted_index = NeighbourIndex(table_of(permuted), radius)
         assert neighbour_lists(permuted_index, len(points), strict) == expected
-    gap = default_adjacency_radius(points)
-    assert default_adjacency_radius(scaled) == abs(c) * gap
-    assert default_adjacency_radius(permuted) == gap
+    gap = default_adjacency_radius(table_of(points))
+    assert default_adjacency_radius(table_of(scaled)) == abs(c) * gap
+    assert default_adjacency_radius(table_of(permuted)) == gap
 
 
 def test_neighbour_index_compares_points_only_when_asked(monkeypatch):
@@ -282,8 +335,10 @@ def test_neighbour_index_compares_points_only_when_asked(monkeypatch):
     data = json.loads(fixture_path("whitney_umbrella").read_text(encoding="utf-8"))
     for sampler in data["samplers"]:
         sampler["resolution"] = 15
-    points = sample(space_from_dict(data))
-    radius = default_adjacency_radius(points)
+    space = space_from_dict(data)
+    points = sample(space)
+    table = integer_table(space.cleared_samples)
+    radius = default_adjacency_radius(table)
     compared = []
     # the module, not the ``subcart.stratify`` function the package exports
     module = importlib.import_module("subcart.stratify")
@@ -295,13 +350,13 @@ def test_neighbour_index_compares_points_only_when_asked(monkeypatch):
         return within(p, scaled, candidates, reach)
 
     monkeypatch.setattr(module, "_within", counting)
-    index = NeighbourIndex(points, radius)
+    index = NeighbourIndex(table, radius)
     assert compared == []
     # a query is compared with the points of its own and the adjacent
     # cells only: every point within the radius, none two radii away
     for q in points[:: len(points) // 4]:
         compared.clear()
-        found = index.near(q)
+        found = index.near(form_of(q))
         close = [p for p in points if naive_sup(q, p) < 2 * radius]
         assert len(found) <= len(compared) <= len(close) < len(points)
     compared.clear()
