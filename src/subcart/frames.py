@@ -19,6 +19,7 @@ the analysis keeps for that chart.  ``FrameSection.evaluate``,
 ``pivot_valid_at`` and ``anchored_frame`` all read it from one analysis.
 ``anchored_frame`` (the ``frame`` command) walks one anchor's targets:
 its strict (``<`` radius) neighbours in the report's ``NeighbourIndex``,
+read off the one ``near`` scan whose closed neighbours label the anchor,
 so that at the default radius the cross-branch pairs of the coordinate
 cross, exactly at the radius, are excluded.  It reads each target's basis
 at the anchor's pivots and asks ``shares_chart`` only where that is None.
@@ -28,18 +29,10 @@ integer check per group, ``shares_chart`` only where neither point's
 pivots are a chart of the other, and of several failures the one that
 the anchor-by-anchor walk meets first.  Both read the report's space.
 ``verify`` is ``stratify`` with the local-triviality verdict appended.
-
-The bump function is the single non-rational evaluation in the package
-(the standard exp(-1/t) smooth step on the sup-norm radial variable) and
-is quarantined here; gluing multiplies by the exact dyadic value of the
-computed float, so glued sections remain exact rationals, equal to the
-raw frame on the inner plateau and identically zero outside the outer
-radius.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -50,7 +43,7 @@ from .errors import DimensionMismatchError, FrameEvaluationError, SubcartError
 from .linalg import Kernel
 from .poly import Point, divided, format_point
 from .space import Sampler, SpacePresentation
-from .stratify import StratificationReport, Verdict, label, stratify, sup_distance
+from .stratify import StratificationReport, Verdict, label, stratify
 from .tangent import Basis, PointAnalysis, analyse
 
 
@@ -68,10 +61,6 @@ class FrameSection:
         return tuple(
             c for c in range(self.space.ambient_dim) if c not in self.pivot_columns
         )
-
-    @property
-    def dimension(self) -> int:
-        return len(self.free_columns)
 
     def pivot_valid_at(self, point: Sequence[Fraction]) -> bool:
         """True iff the frozen pivot pattern is one of the point's charts:
@@ -135,77 +124,6 @@ def common_pivot_exists(
     cone one always does.
     """
     return analyse(space, a).shares_chart(analyse(space, b))
-
-
-# -- bump functions -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BumpFunction:
-    """Smooth cutoff: 1 on the closed inner sup-norm ball, 0 outside the
-    open outer ball, strictly between on the shell."""
-
-    center: Point
-    r_inner: Fraction
-    r_outer: Fraction
-
-    def __post_init__(self):
-        if not self.r_inner < self.r_outer:
-            raise ValueError("bump radii must satisfy r_inner < r_outer")
-        if self.r_inner < 0:
-            raise ValueError("bump radii must be nonnegative")
-
-
-def _distance(b: BumpFunction, point: Sequence[Fraction]) -> Fraction:
-    """Sup-norm distance of a point of the center's length from the center."""
-    if len(point) != len(b.center):
-        raise DimensionMismatchError(
-            f"point has length {len(point)}, expected {len(b.center)}"
-        )
-    return sup_distance(point, b.center)
-
-
-def _smooth_step(t: float) -> float:
-    # s(t) = phi(t) / (phi(t) + phi(1-t)) with phi(t) = exp(-1/t) for t > 0
-    def phi(u: float) -> float:
-        return math.exp(-1.0 / u) if u > 0.0 else 0.0
-
-    return phi(t) / (phi(t) + phi(1.0 - t))
-
-
-def bump(b: BumpFunction, point: Sequence[Fraction]) -> float:
-    """Approximate real bump value; every other operation stays exact.
-
-    Exactly 1.0 on the plateau and exactly 0.0 at or beyond the outer
-    radius, since those branches never touch the transcendental step.
-    """
-    distance = _distance(b, point)
-    if distance <= b.r_inner:
-        return 1.0
-    if distance >= b.r_outer:
-        return 0.0
-    t = (distance - b.r_inner) / (b.r_outer - b.r_inner)
-    return _smooth_step(1.0 - float(t))
-
-
-def glued_section(
-    frame: FrameSection, b: BumpFunction, point: Sequence[Fraction]
-) -> Basis:
-    """Frame vectors cut off by the bump: exact zero vectors at or beyond
-    the outer radius, the raw frame exactly on the plateau, and the frame
-    scaled by the exact dyadic value of the bump on the shell.
-
-    An evaluation failure strictly inside the outer radius propagates: it
-    means the bump radii cross the frame's rank boundary.  A point not of
-    the center's length raises DimensionMismatchError, as in ``bump``.
-    """
-    n = frame.space.ambient_dim
-    if _distance(b, point) >= b.r_outer:
-        zero = tuple(Fraction(0) for _ in range(n))
-        return tuple(zero for _ in range(frame.dimension))
-    vectors = frame.evaluate(point)
-    factor = Fraction(bump(b, point))  # floats are dyadic: exact conversion
-    return tuple(tuple(c * factor for c in v) for v in vectors)
 
 
 # -- smoothness ----------------------------------------------------------------
@@ -283,14 +201,19 @@ def anchored_frame(
     """
     anchor = analyse(report.space, point)
     near = report.index.near(anchor.form)
-    if label(anchor.dim, [report.analyses[j].dim for j in near]) == "singular":
+    if label(anchor.dim, [report.analyses[j].dim for j, _ in near]) == "singular":
         raise SubcartError(
             f"cannot anchor a frame at the singular point {format_point(anchor.point)}"
         )
     evaluations = []
-    for j in report.index.near(anchor.form, strict=True):
+    for j, inside in near:
         target, other = report.records[j], report.analyses[j]
-        if target.form == anchor.form or target.label != "regular" or target.dim != anchor.dim:
+        if (
+            not inside
+            or target.form == anchor.form
+            or target.label != "regular"
+            or target.dim != anchor.dim
+        ):
             continue
         basis = other.basis(anchor.pivots)
         if basis is not None:

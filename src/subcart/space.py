@@ -34,11 +34,6 @@ integers over one denominator, and its numerators and denominator are
 one row (``Sampler._cleared``), so each grid image is integer numerators
 over one denominator, tested as they are and then divided by their gcd.
 
-Equality of two polynomial representatives as functions on S is certified
-by caller-supplied witnesses: F and G agree on S when F - G is an explicit
-combination sum(a_i * g_i) of the presented generators.  No general ideal
-membership is attempted.
-
 Caveat: when the presented generators generate a strictly smaller ideal
 than the full vanishing ideal of S (for example a generator with a
 repeated factor, like x1^2), tangent spaces computed downstream
@@ -225,27 +220,6 @@ class SpacePresentation:
         return tuple(dict.fromkeys(forms))
 
 
-@dataclass(frozen=True)
-class RingElement:
-    """A function on S given by a polynomial representative."""
-
-    space: SpacePresentation
-    representative: Polynomial
-
-    def __post_init__(self):
-        if self.representative.ambient_dim != self.space.ambient_dim:
-            raise DimensionMismatchError(
-                "representative must live in the space's ambient ring"
-            )
-
-
-@dataclass(frozen=True)
-class IdealWitness:
-    """Coefficients a_1..a_k certifying F - G = sum(a_i * g_i)."""
-
-    coefficients: tuple[Polynomial, ...]
-
-
 def is_member(space: SpacePresentation, point: Sequence[Fraction]) -> bool:
     """Exact membership: all equations vanish and all inequalities hold."""
     return is_member_cleared(
@@ -370,25 +344,6 @@ def sample(space: SpacePresentation) -> list[Point]:
     presentation (at load for a loaded one); each call builds new points.
     """
     return [divided(*form) for form in sample_forms(space)]
-
-
-def representatives_agree(
-    f: RingElement, g: RingElement, witness: IdealWitness
-) -> bool:
-    """True iff F - G = sum(a_i * g_i) holds as an exact polynomial identity."""
-    if f.space != g.space:
-        raise DimensionMismatchError("ring elements live on different spaces")
-    equations = f.space.equations
-    if len(witness.coefficients) != len(equations):
-        raise DimensionMismatchError(
-            f"witness has {len(witness.coefficients)} coefficients, "
-            f"expected {len(equations)}"
-        )
-    difference = f.representative - g.representative
-    combo = poly.zero(f.space.ambient_dim)
-    for a, gen in zip(witness.coefficients, equations):
-        combo = combo + a * gen
-    return difference == combo
 
 
 def repeated_factor_caveats(space: SpacePresentation) -> list[str]:

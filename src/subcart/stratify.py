@@ -287,11 +287,12 @@ class NeighbourIndex:
         closed, open_ = self._lists
         return open_[i] if strict else closed[i]
 
-    def near(self, form: Cleared, strict: bool = False) -> list[int]:
-        """Ascending indices of the points within the radius (closer than
-        it when ``strict``) of any point of integer form (a, D), an indexed
-        point equal to it included; compared at the least multiple of the
-        scale that D divides."""
+    def near(self, form: Cleared) -> list[tuple[int, bool]]:
+        """(j, inside) for each index j, ascending, of the points within the
+        radius of any point of integer form (a, D), an indexed point equal
+        to it included, ``inside`` telling whether j is closer than the
+        radius; compared at the least multiple of the scale that D divides,
+        in one scan."""
         numerators, denominator = form
         grow = denominator // math.gcd(self._scale, denominator)
         query = [x * (self._scale * grow // denominator) for x in numerators]
@@ -302,7 +303,7 @@ class NeighbourIndex:
         points = {j: tuple(x * grow for x in self._points[j]) for j in candidates}
         reach = self._reach * grow
         found = _within(query, points, candidates, reach)
-        return sorted(j for j, d in found if not strict or d < reach)
+        return sorted((j, d < reach) for j, d in found)
 
 
 def _within(
@@ -424,7 +425,7 @@ def classify(
     (radius,) = _radii(table, radius=radius)
     neighbor_dims = [
         x.dim if forms[j] == x.form else analyse_member(space, forms[j]).dim
-        for j in NeighbourIndex(table, radius).near(x.form)
+        for j, _ in NeighbourIndex(table, radius).near(x.form)
     ]
     return PointRecord(x.form, x.dim, label(x.dim, neighbor_dims))
 

@@ -48,8 +48,8 @@ from typing import Sequence
 
 from . import linalg
 from .errors import DimensionMismatchError, NonMemberError
-from .poly import Cleared, Point, Polynomial, clear_denominators, divided, format_point
-from .space import RingElement, SpacePresentation, is_member_cleared
+from .poly import Cleared, Point, clear_denominators, divided, format_point
+from .space import SpacePresentation, is_member_cleared
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 IntegerMatrix = tuple[tuple[int, ...], ...]
@@ -174,47 +174,6 @@ def analyse_member(space: SpacePresentation, cleared: Cleared) -> PointAnalysis:
     return PointAnalysis(cleared, J, tuple(pivots), rows)
 
 
-@dataclass(frozen=True)
-class TangentVector:
-    """A derivation at ``base``, identified with its component vector."""
-
-    space: SpacePresentation
-    base: Point
-    components: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        base = tuple(Fraction(x) for x in self.base)
-        object.__setattr__(self, "base", base)
-        components = tuple(Fraction(x) for x in self.components)
-        object.__setattr__(self, "components", components)
-        if not is_tangent(self.space, base, components):
-            raise ValueError(
-                f"components {components} do not annihilate the generators at {base}"
-            )
-
-
-@dataclass(frozen=True)
-class TangentBasis:
-    """Pivot-normalized basis of the tangent space at ``base``."""
-
-    space: SpacePresentation
-    base: Point
-    basis: tuple[tuple[Fraction, ...], ...]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.basis)
-
-    def vectors(self) -> list[TangentVector]:
-        return [TangentVector(self.space, self.base, v) for v in self.basis]
-
-
-def tangent_space(space: SpacePresentation, point: Sequence[Fraction]) -> TangentBasis:
-    """Tangent space at a member point as the exact kernel of the Jacobian."""
-    a = analyse(space, point)
-    return TangentBasis(space=space, base=a.point, basis=a.basis(a.pivots))
-
-
 def is_tangent(
     space: SpacePresentation, point: Sequence[Fraction], components: Sequence[Fraction]
 ) -> bool:
@@ -225,64 +184,3 @@ def is_tangent(
             f"components have length {len(components)}, expected {space.ambient_dim}"
         )
     return all(x == 0 for x in linalg.matrix_vector(J, components))
-
-
-def apply_derivation(v: TangentVector, f: RingElement) -> Fraction:
-    """Apply the derivation: sum_i v_i * (d_i F)(x) for the representative F.
-
-    Independent of the choice of representative whenever the
-    representatives agree on the space (witnessed equality).
-    """
-    if v.space != f.space:
-        raise DimensionMismatchError("tangent vector and function live on different spaces")
-    F = f.representative
-    return sum(
-        (
-            c * F.partial(i + 1).evaluate(v.base)
-            for i, c in enumerate(v.components)
-        ),
-        Fraction(0),
-    )
-
-
-@dataclass(frozen=True)
-class BundlePoint:
-    """A point of the tangent bundle inside R^(2n): base on S, fiber in
-    the kernel at the base."""
-
-    base: Point
-    fiber: tuple[Fraction, ...]
-
-
-def bundle_member(
-    space: SpacePresentation, base: Sequence[Fraction], fiber: Sequence[Fraction]
-) -> bool:
-    """True iff base is on S and fiber is tangent at base."""
-    base = tuple(Fraction(x) for x in base)
-    fiber = tuple(Fraction(x) for x in fiber)
-    if len(base) != space.ambient_dim or len(fiber) != space.ambient_dim:
-        raise DimensionMismatchError(
-            f"base and fiber must each have length {space.ambient_dim}"
-        )
-    try:
-        return is_tangent(space, base, fiber)  # its ``jacobian`` tests membership
-    except NonMemberError:
-        return False
-
-
-def eval_bundle_function(
-    space: SpacePresentation, H: Polynomial, point: BundlePoint
-) -> Fraction:
-    """Evaluate a polynomial in 2n variables (x1..xn, v1..vn) at a bundle
-    point; this realizes functions of the base coordinates and the
-    coordinate differentials."""
-    n = space.ambient_dim
-    if H.ambient_dim != 2 * n:
-        raise DimensionMismatchError(
-            f"bundle function must have ambient_dim {2 * n}, got {H.ambient_dim}"
-        )
-    if not bundle_member(space, point.base, point.fiber):
-        raise NonMemberError(
-            f"({point.base}, {point.fiber}) is not a point of the tangent bundle"
-        )
-    return H.evaluate(tuple(point.base) + tuple(point.fiber))

@@ -1,4 +1,5 @@
-"""Pins the answers the benchmark checks, and its tracer's hook points.
+"""Pins the answers the benchmark checks, its tracer's hook points and the
+package names it calls.
 
 The SHA-256 and exit code of every shipped fixture's ``verify`` and
 ``stratify`` report, and of the ``verify`` reports of the two scaled
@@ -16,10 +17,13 @@ from pathlib import Path
 
 import pytest
 
+import subcart
 from subcart.cli import main
 from subcart.fixtures import NAMES, fixture_path
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+# the package names that benchmarks/run.py calls, from ``subcart``
+BENCHMARK_CALLS = ("is_tangent", "load_space", "cli.main", "fixtures.fixture_path")
 
 # fixture: (verify exit, verify sha256, stratify exit, stratify sha256)
 GOLDEN = {
@@ -124,3 +128,15 @@ def test_tracer_targets_resolve():
     for module, attr, name in tracer.SPANS + tracer.LEAVES:
         owner, last = tracer.target(module, attr)
         assert callable(vars(owner).get(last)), (module, attr, name)
+
+
+def test_benchmark_calls_resolve():
+    # without this, deleting a name the benchmark calls (``is_tangent``
+    # checks its ``frame`` answers) passes tier 1 and fails only there
+    source = (BENCHMARKS / "run.py").read_text(encoding="utf-8")
+    for name in BENCHMARK_CALLS:
+        assert f"subcart.{name}(" in source, name
+        owner = subcart
+        for part in name.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), name

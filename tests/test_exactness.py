@@ -1,5 +1,5 @@
-"""Static guard for exactness: no floating point in the package source
-outside the quarantined bump (``frames._smooth_step`` and ``frames.bump``).
+"""Static guard for exactness: no floating point anywhere in the package
+source.
 
 Each module of ``subcart`` is parsed, and the guard fails on any float or
 complex literal, any ``float(...)`` or ``complex(...)`` call, any
@@ -24,14 +24,12 @@ import pytest
 import subcart
 
 SOURCES = sorted(Path(subcart.__file__).parent.glob("*.py"))
-QUARANTINE = {("frames", "_smooth_step"), ("frames", "bump")}
 EXACT_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm", "prod"}
 DIVISION_FREE = {"poly", "space", "tangent", "stratify"}
 
 
 def inexact(source: str, module: str) -> list[str]:
-    """``line: what`` for each inexact construct of a module's source,
-    outside its quarantined functions."""
+    """``line: what`` for each inexact construct of a module's source."""
     tree = ast.parse(source)
     aliases = {
         alias.asname or alias.name
@@ -43,10 +41,6 @@ def inexact(source: str, module: str) -> list[str]:
     found = []
 
     class Visitor(ast.NodeVisitor):
-        def visit_FunctionDef(self, node):
-            if (module, node.name) not in QUARANTINE:
-                self.generic_visit(node)
-
         def visit_Constant(self, node):
             if isinstance(node.value, (float, complex)):
                 found.append(f"{node.lineno}: literal {node.value!r}")
@@ -107,7 +101,7 @@ def test_no_floating_point_outside_the_bump(path):
         "import math as m\n\ndef f(x):\n    return m.sqrt(x)\n",
         "from math import log\n",
         "import cmath\n",
-        "def bump(b, point):\n    return 1.0\n",  # quarantined in frames only
+        "def bump(b, point):\n    return 1.0\n",
         "def f(a, d):\n    return a / d\n",
         "def f(a, d):\n    a /= d\n    return a\n",
     ],
@@ -125,6 +119,8 @@ def test_the_guard_refuses_true_division_where_values_may_be_ints(module):
 
 
 def test_the_guard_passes_the_quarantine_and_exact_math():
-    quarantined = "import math\n\ndef _smooth_step(t):\n    return math.exp(-1.0 / t)\n"
-    assert inexact(quarantined, "frames") == []
+    # nothing is quarantined: a float smooth step is flagged in ``frames``
+    # as anywhere else
+    smooth_step = "import math\n\ndef _smooth_step(t):\n    return math.exp(-1.0 / t)\n"
+    assert inexact(smooth_step, "frames") == ["4: math.exp", "4: literal 1.0"]
     assert inexact("import math\n\nscale = math.lcm(2, 3)\n", "stratify") == []

@@ -10,16 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from subcart import linalg, poly
 from subcart.cli import main
-from subcart.errors import DimensionMismatchError, FrameEvaluationError
+from subcart.errors import FrameEvaluationError
 from subcart.frames import (
-    BumpFunction,
     FrameSection,
     anchored_frame,
-    bump,
     common_pivot_exists,
     frame_at,
     frame_smoothness_check,
-    glued_section,
     verify,
     verify_local_triviality,
 )
@@ -177,73 +174,6 @@ def test_chart_probe_cancellation_falls_back_to_chart_sets():
     assert (x.pivot_rows, y.pivot_rows) == (((1, 1, 0),), ((3, -2, 0),))
     assert x.shares_chart(y)
     assert "charts" in vars(x) and x.charts == y.charts == {(0,), (1,)}
-
-
-# -- bump functions -----------------------------------------------------------------
-
-
-def test_bump_contract():
-    b = BumpFunction(center=(F(0), F(0)), r_inner=F(1), r_outer=F(2))
-    assert bump(b, (F(1, 2), F(-1, 2))) == 1.0
-    assert bump(b, (F(1), F(1))) == 1.0  # sup-norm distance exactly r_inner
-    assert bump(b, (F(2), F(0))) == 0.0
-    assert bump(b, (F(0), F(-5))) == 0.0
-    assert abs(bump(b, (F(3, 2), F(0))) - 0.5) < 1e-12  # midpoint of the shell
-    for x in (F(11, 10), F(5, 4), F(7, 5), F(8, 5), F(19, 10)):
-        value = bump(b, (x, F(0)))
-        assert 0.0 <= value <= 1.0
-
-
-def test_bump_rejects_degenerate_radii():
-    with pytest.raises(ValueError):
-        BumpFunction(center=(F(0),), r_inner=F(1), r_outer=F(1))
-
-
-def test_bump_step_is_monotone_on_the_shell():
-    b = BumpFunction(center=(F(0),), r_inner=F(0), r_outer=F(1))
-    values = [bump(b, (F(k, 10),)) for k in range(11)]
-    assert values[0] == 1.0 and values[-1] == 0.0
-    assert all(a >= c for a, c in zip(values, values[1:]))
-
-
-# -- glued sections -----------------------------------------------------------------
-
-
-def test_glued_section_plateau_support_and_midpoint(cone):
-    anchor = (F(1), F(0), F(1))
-    frame = frame_at(cone, anchor)
-    b = BumpFunction(center=anchor, r_inner=F(1, 8), r_outer=F(3, 8))
-
-    raw = frame.evaluate(anchor)
-    assert glued_section(frame, b, anchor) == raw  # bump is exactly 1 here
-
-    far = (F(0), F(8), F(8))
-    zeros = glued_section(frame, b, far)
-    assert zeros == ((F(0),) * 3, (F(0),) * 3)
-
-    # midpoint of the shell along the sampler image direction x = (s^2, 0, s^2)
-    mid = (F(5, 4), F(0), F(5, 4))  # distance 1/4 = (1/8 + 3/8) / 2
-    halves = glued_section(frame, b, mid)
-    raw_mid = frame.evaluate(mid)
-    assert halves == tuple(tuple(c / 2 for c in v) for v in raw_mid)
-
-
-def test_glued_section_propagates_rank_boundary_errors(cross):
-    frame = frame_at(cross, (F(1, 4), F(0)))
-    b = BumpFunction(center=(F(1, 4), F(0)), r_inner=F(1, 8), r_outer=F(1))
-    with pytest.raises(FrameEvaluationError):
-        glued_section(frame, b, (F(0), F(1, 2)))  # other branch, inside r_outer
-
-
-def test_glued_section_refuses_a_point_of_the_wrong_length(cone):
-    anchor = (F(1), F(0), F(1))
-    frame = frame_at(cone, anchor)
-    b = BumpFunction(center=anchor, r_inner=F(1, 4), r_outer=F(1, 2))
-    short = (F(5), F(0))  # beyond the outer radius on the coordinates it has
-    with pytest.raises(DimensionMismatchError, match="point has length 2, expected 3"):
-        bump(b, short)
-    with pytest.raises(DimensionMismatchError, match="point has length 2, expected 3"):
-        glued_section(frame, b, short)
 
 
 # -- smoothness ---------------------------------------------------------------------

@@ -16,15 +16,12 @@ from subcart.errors import (
 )
 from subcart.space import (
     MAX_AMBIENT_DIM,
-    IdealWitness,
-    RingElement,
     Sampler,
     SpacePresentation,
     compose_cleared,
     is_member,
     load_space,
     repeated_factor_caveats,
-    representatives_agree,
     sample,
     space_from_dict,
 )
@@ -451,38 +448,6 @@ def test_constraint_terms_are_capped_before_composition(monkeypatch):
     with pytest.raises(SpaceFormatError, match=r"^equations: "):
         space_from_dict(data)
     assert len(calls) == 1
-
-
-# -- representative equality -----------------------------------------------------
-
-
-def test_cone_representatives_agree(cone):
-    f = RingElement(cone, poly.parse("x3^2", 3))
-    g = RingElement(cone, poly.parse("x1^2 + x2^2", 3))
-    witness = IdealWitness((poly.parse("-1", 3),))
-    assert representatives_agree(f, g, witness)
-    # restriction to S is then well-defined on every sampled point
-    for point in sample(cone):
-        assert f.representative.evaluate(point) == g.representative.evaluate(point)
-
-
-def test_identical_representatives_with_zero_witness(cone):
-    f = RingElement(cone, poly.parse("x1*x2 - 1/3", 3))
-    witness = IdealWitness((poly.parse("0", 3),))
-    assert representatives_agree(f, f, witness)
-
-
-def test_disagreeing_representatives(cone):
-    f = RingElement(cone, poly.parse("x1", 3))
-    g = RingElement(cone, poly.parse("x2", 3))
-    witness = IdealWitness((poly.parse("0", 3),))
-    assert not representatives_agree(f, g, witness)
-
-
-def test_witness_length_mismatch(cone):
-    f = RingElement(cone, poly.parse("x1", 3))
-    with pytest.raises(DimensionMismatchError):
-        representatives_agree(f, f, IdealWitness(()))
 
 
 # -- caveat heuristic ---------------------------------------------------------------

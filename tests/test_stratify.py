@@ -30,7 +30,6 @@ from subcart.stratify import (
     verify_open,
     verify_usc,
 )
-from subcart.tangent import tangent_space
 
 from conftest import _counted
 from oracles import integer_points, naive_max_nearest_gap, naive_neighbours, naive_sup
@@ -83,7 +82,8 @@ def test_dim_is_ambient_for_unconstrained_spaces():
 def test_dim_matches_tangent_basis_count(cone, cross, umbrella):
     for space in (cone, cross, umbrella):
         for point in sample(space):
-            assert structural_dim(space, point) == tangent_space(space, point).dimension
+            a = tangent.analyse(space, point)
+            assert structural_dim(space, point) == len(a.basis(a.pivots))
 
 
 # -- classification -----------------------------------------------------------------
@@ -131,7 +131,7 @@ def test_classify_point_analyses_each_point_once(cone, monkeypatch, query, neigh
     points = sample(cone)
     table = integer_table(cone.cleared_samples)
     near = NeighbourIndex(table, default_adjacency_radius(table)).near(form_of(query))
-    assert len(near) == neighbours and query in [points[j] for j in near]
+    assert len(near) == neighbours and query in [points[j] for j, _ in near]
     calls = []
     analyse_member = tangent.analyse_member
     eliminations = []
@@ -302,7 +302,7 @@ def test_neighbour_index_matches_all_pairs_oracle(case):
             points, radius, strict
         )
         for q in [query, *points]:
-            assert index.near(form_of(q), strict) == [
+            assert [j for j, inside in index.near(form_of(q)) if inside or not strict] == [
                 j
                 for j, p in enumerate(points)
                 if (naive_sup(q, p) < radius if strict else naive_sup(q, p) <= radius)
@@ -368,6 +368,27 @@ def test_neighbour_index_compares_points_only_when_asked(monkeypatch):
     compared.clear()
     index.neighbours(len(points) - 1, strict=True)
     assert compared == []
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_frame_scans_the_anchors_candidates_once(name, monkeypatch):
+    # the anchor's label and its strict targets are read off one ``near``
+    # scan, whether the frame is returned, refused or fails at a target
+    space = load_space(fixture_path(name))
+    report = stratify(space)
+    module = importlib.import_module("subcart.stratify")
+    within = module._within
+    scans = []
+
+    def counting(*args):
+        scans.append(args)
+        return within(*args)
+
+    monkeypatch.setattr(module, "_within", counting)
+    for r in report.records:
+        scans.clear()
+        _frame_refused(space, report, r.point)
+        assert len(scans) == 1
 
 
 # -- full pipeline ----------------------------------------------------------------
