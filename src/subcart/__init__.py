@@ -19,7 +19,6 @@ from .frames import (
     FrameSection,
     common_pivot_exists,
     frame_at,
-    frame_smoothness_check,
     verify,
     verify_local_triviality,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "constant",
     "default_adjacency_radius",
     "frame_at",
-    "frame_smoothness_check",
     "integer_table",
     "is_member",
     "is_tangent",

@@ -18,9 +18,10 @@ option (``--radius: ``, ``--epsilon: `` or ``--point coordinate K: ``).
 Exit codes: 0 when every verdict passes, 1 when any verdict fails, 2 on
 input errors: unreadable or malformed files, an ``--out`` path that
 cannot be written, non-member points, an unparsable or negative
-``--radius`` or ``--epsilon``, a ``frame``
-anchor that the regular/singular rule labels singular, and frame
-evaluation outside its rank-constant neighborhood.
+``--radius`` or ``--epsilon``, a ``--radius`` of 0 on a space of more
+than one sample, a ``frame`` anchor that the regular/singular rule
+labels singular, and frame evaluation outside its rank-constant
+neighborhood.
 
 Reports are JSON with rational-string coordinates and are byte-identical
 across runs on identical inputs: term order, grid order, and pivot choice

@@ -15,8 +15,11 @@ respect to.
 
 The frozen pivots are valid at a point iff they are one of its charts
 (``tangent.PointAnalysis``), and the frame's vectors there are the kernel
-the analysis keeps for that chart.  ``FrameSection.evaluate``,
-``pivot_valid_at`` and ``anchored_frame`` all read it from one analysis.
+the analysis keeps for that chart.  By Cramer's rule each frame component
+is a rational function whose denominator is the frozen pivots' chart
+minor, so the frame is smooth exactly where ``pivot_valid_at`` holds.
+``FrameSection.evaluate``, ``pivot_valid_at`` and ``anchored_frame`` all
+read it from one analysis.
 ``anchored_frame`` (the ``frame`` command) walks one anchor's targets:
 its strict (``<`` radius) neighbours in the report's ``NeighbourIndex``,
 read off the one ``near`` scan whose closed neighbours label the anchor,
@@ -39,10 +42,10 @@ from functools import cached_property
 from operator import mul
 from typing import Sequence
 
-from .errors import DimensionMismatchError, FrameEvaluationError, SubcartError
+from .errors import FrameEvaluationError, SubcartError
 from .linalg import Kernel
 from .poly import Point, divided, format_point
-from .space import Sampler, SpacePresentation
+from .space import SpacePresentation
 from .stratify import StratificationReport, Verdict, label, stratify
 from .tangent import Basis, PointAnalysis, analyse
 
@@ -124,61 +127,6 @@ def common_pivot_exists(
     cone one always does.
     """
     return analyse(space, a).shares_chart(analyse(space, b))
-
-
-# -- smoothness ----------------------------------------------------------------
-
-
-def frame_smoothness_check(
-    frame: FrameSection, sampler: Sampler, params: Sequence[Fraction], step: Fraction
-) -> Verdict:
-    """Certify smoothness of the frame components along every sampler
-    parameter direction by finite-difference convergence order.
-
-    For each component, the symmetric second difference at steps h and h/2
-    must either vanish exactly at both (polynomial of degree <= 1 along
-    the probe: exactly smooth) or contract by a factor in [7/2, 9/2],
-    the signature of order-h^2 convergence of a smooth non-linear
-    function.  All probe evaluations are exact rationals, the unshifted
-    midpoint's once per call; only the final ratio meets the window.  A
-    zero step, whose differences all vanish, is refused with ValueError.
-    """
-    if step == 0:
-        raise ValueError("the smoothness step must be nonzero")
-    params = tuple(Fraction(x) for x in params)
-    if len(params) != sampler.param_dim:
-        raise DimensionMismatchError(
-            f"expected {sampler.param_dim} parameters, got {len(params)}"
-        )
-    lo, hi = Fraction(7, 2), Fraction(9, 2)
-
-    def components_at(shift: Sequence[Fraction]) -> list[Fraction]:
-        point = sampler.image([p + s for p, s in zip(params, shift)])
-        return [c for vector in frame.evaluate(point) for c in vector]
-
-    mid = components_at([Fraction(0)] * sampler.param_dim)
-    for direction in range(sampler.param_dim):
-        def second_difference(h: Fraction) -> list[Fraction]:
-            offset = [Fraction(0)] * sampler.param_dim
-            offset[direction] = h
-            plus = components_at(offset)
-            minus = components_at([-x for x in offset])
-            return [a - 2 * m + b for a, m, b in zip(plus, mid, minus)]
-
-        coarse = second_difference(Fraction(step))
-        fine = second_difference(Fraction(step) / 2)
-        for index, (a, b) in enumerate(zip(coarse, fine)):
-            if a == 0 and b == 0:
-                continue
-            if b == 0 or not lo <= abs(a / b) <= hi:
-                ratio = "undefined" if b == 0 else str(abs(a / b))
-                return Verdict(
-                    "smoothness",
-                    False,
-                    f"component {index} along parameter {direction + 1}: "
-                    f"second-difference ratio {ratio} outside [{lo}, {hi}]",
-                )
-    return Verdict("smoothness", True)
 
 
 # -- local triviality ----------------------------------------------------------

@@ -184,18 +184,13 @@ class SpacePresentation:
                 )
 
     @cached_property
-    def gradients(self) -> tuple[tuple[Polynomial, ...], ...]:
-        """Row j is the gradient of equation j, differentiated once per space."""
-        return tuple(
-            tuple(g.partial(i + 1) for i in range(self.ambient_dim))
-            for g in self.equations
-        )
-
-    @cached_property
     def cleared_gradients(self) -> tuple[poly.ClearedRow, ...]:
-        """``gradients`` for integer evaluation, each row over one positive
-        scale, compiled once per space."""
-        return tuple(poly.ClearedRow(self.ambient_dim, row) for row in self.gradients)
+        """Row j is the gradient of equation j, differentiated and compiled
+        for integer evaluation once per space, over one positive scale."""
+        n = self.ambient_dim
+        return tuple(
+            poly.ClearedRow(n, [g.partial(i + 1) for i in range(n)]) for g in self.equations
+        )
 
     @cached_property
     def cleared_constraints(self) -> poly.ClearedRow:

@@ -401,12 +401,15 @@ def _radii(table: IntegerTable, **radii: Fraction | None) -> list[Fraction]:
     """The given radii, by parameter name, with None replaced by the
     default adjacency radius of the table, computed at most once.  A
     radius that is not an int or a Fraction, or is negative, is an input
-    error naming it."""
+    error naming it, and so is an adjacency radius 0 over more than one
+    point, which leaves every point alone (over one it is the default)."""
     for name, r in radii.items():
         if r is not None and (isinstance(r, bool) or not isinstance(r, (int, Fraction))):
             raise SubcartError(f"{name} must be an int or a Fraction, got {r!r}")
         if r is not None and r < 0:
             raise SubcartError(f"{name} must be nonnegative, got {r}")
+    if radii.get("radius") == 0 and len(table[1]) > 1:
+        raise SubcartError("radius must be positive, got 0")
     default = default_adjacency_radius(table) if None in radii.values() else None
     return [default if r is None else r for r in radii.values()]
 

@@ -33,8 +33,9 @@ submatrix has full rank, are decided by the integer rank of each
 submatrix only on a read of ``charts``; two points share a frame chart
 iff their ranks agree and their chart sets intersect, which
 ``shares_chart`` first tries to prove with a Cauchy-Binet probe.
-``jacobian`` is the rational Jacobian of a member point.  An analysis
-holds the form (a, D) and builds its ``point`` a / D on the first read.
+``jacobian`` is the rational Jacobian of a member point: the same integer
+rows, each divided by its scale.  An analysis holds the form (a, D) and
+builds its ``point`` a / D on the first read.
 """
 
 from __future__ import annotations
@@ -58,10 +59,14 @@ Basis = tuple[tuple[Fraction, ...], ...]
 
 def jacobian(space: SpacePresentation, point: Sequence[Fraction]) -> Matrix:
     """Exact generator Jacobian at a member point: row j is the gradient
-    of equation j."""
-    point = tuple(Fraction(x) for x in point)
-    _member(space, point)
-    return tuple(tuple(d.evaluate(point) for d in row) for row in space.gradients)
+    of equation j, its integer row at the point's form (a, D) divided by
+    the row's positive scale S * D^d."""
+    numerators, denominator = _member(space, point)
+    rows = []
+    for row in space.cleared_gradients:
+        scale = row.scale * denominator**row.degree
+        rows.append(tuple(Fraction(v, scale) for v in row.evaluate(numerators, denominator)))
+    return tuple(rows)
 
 
 def _member(space: SpacePresentation, point: Sequence[Fraction]) -> Cleared:

@@ -404,7 +404,39 @@ def test_frame_refuses_a_singular_anchor_that_is_not_a_sample(capsys):
     assert "singular" in err
 
 
-@pytest.mark.parametrize("radius", ["0", "1/100"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--point", "0,0,0", "--radius=0"],
+        ["stratify", "--radius=0"],
+        ["frame", "--point", "1,0,1", "--radius=0"],
+        ["verify", "--radius=0"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_zero_radius_exits_2(argv, capsys):
+    # within radius 0 every cone sample would be alone, so every label
+    # would rest on no neighbour evidence
+    command, *options = argv
+    code, out, err = run_cli([command, str(fixture_path("cone")), *options], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: radius must be positive, got 0\n"
+
+
+def test_zero_radius_is_the_default_over_one_sample(capsys):
+    path = str(fixture_path("single_point"))
+    assert run_cli(["verify", path, "--radius=0"], capsys) == run_cli(["verify", path], capsys)
+
+
+def test_zero_epsilon_fails_dense_on_the_cone(capsys):
+    code, out, _ = run_cli(["verify", str(fixture_path("cone")), "--epsilon=0"], capsys)
+    assert code == 1
+    verdicts = json.loads(out)["verdicts"]
+    assert [name for name, v in verdicts.items() if not v["pass"]] == ["dense"]
+
+
+@pytest.mark.parametrize("radius", ["1/100"])
 def test_vacuous_radius_is_a_caveat(radius, capsys):
     # every cone sample is alone within the radius: the apex comes out
     # regular and every verdict passes, on no neighbour evidence at all

@@ -25,7 +25,7 @@ import subcart
 
 SOURCES = sorted(Path(subcart.__file__).parent.glob("*.py"))
 EXACT_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm", "prod"}
-DIVISION_FREE = {"poly", "space", "tangent", "stratify"}
+DIVISION_FREE = {"poly", "space", "tangent", "stratify", "frames"}
 
 
 def inexact(source: str, module: str) -> list[str]:
@@ -114,13 +114,15 @@ def test_the_guard_flags_each_inexact_form(source):
 def test_the_guard_refuses_true_division_where_values_may_be_ints(module):
     source = "def f(a, d):\n    return a / d\n"
     assert inexact(source, module) == ["2: true division"]
-    assert inexact(source, "frames") == []
+    assert inexact(source, "linalg") == []
     assert inexact("def f(a, d):\n    return a // d\n", module) == []
 
 
-def test_the_guard_passes_the_quarantine_and_exact_math():
+def test_the_guard_flags_frames_and_passes_exact_math():
     # nothing is quarantined: a float smooth step is flagged in ``frames``
     # as anywhere else
     smooth_step = "import math\n\ndef _smooth_step(t):\n    return math.exp(-1.0 / t)\n"
-    assert inexact(smooth_step, "frames") == ["4: math.exp", "4: literal 1.0"]
+    assert inexact(smooth_step, "frames") == [
+        "4: math.exp", "4: true division", "4: literal 1.0"
+    ]
     assert inexact("import math\n\nscale = math.lcm(2, 3)\n", "stratify") == []

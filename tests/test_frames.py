@@ -16,7 +16,6 @@ from subcart.frames import (
     anchored_frame,
     common_pivot_exists,
     frame_at,
-    frame_smoothness_check,
     verify,
     verify_local_triviality,
 )
@@ -177,21 +176,29 @@ def test_chart_probe_cancellation_falls_back_to_chart_sets():
 
 
 # -- smoothness ---------------------------------------------------------------------
+# By Cramer's rule a frame's components are rational functions whose
+# denominator is its frozen pivots' chart minor: the frame is smooth exactly
+# where ``pivot_valid_at`` holds, and ``evaluate`` raises everywhere else.
 
 
 def test_cone_frame_smoothness_along_both_parameters(cone):
     sampler = cone.samplers[0]
-    params = (F(1), F(1, 2))
-    frame = frame_at(cone, sampler.image(params))
-    verdict = frame_smoothness_check(frame, sampler, params, F(1, 8))
-    assert verdict.passed
+    frame = frame_at(cone, sampler.image((F(1), F(1, 2))))
+    assert frame.pivot_columns == (0,)
+    for h in (F(1, 8), F(1, 16), F(-1, 16), F(-1, 8)):
+        for params in ((1 + h, F(1, 2)), (F(1), F(1, 2) + h)):
+            point = sampler.image(params)
+            assert frame.pivot_valid_at(point)
+            assert frame.evaluate(point) == _rref_basis(jacobian(cone, point), 3, (0,))
 
 
-def test_constant_frame_has_exactly_zero_differences(half_line):
-    sampler = half_line.samplers[0]
-    params = (F(1),)
-    frame = frame_at(half_line, sampler.image(params))
-    assert frame_smoothness_check(frame, sampler, params, F(1, 8)).passed
+def test_constant_frame_is_the_same_at_every_grid_image(half_line):
+    frame = frame_at(half_line, half_line.samplers[0].image((F(1),)))
+    points = sample(half_line)
+    assert len(points) == 9
+    for point in points:
+        assert frame.pivot_valid_at(point)
+        assert frame.evaluate(point) == ((F(1),),)
 
 
 def test_forced_wrong_pivot_fails_or_errors(cone):
@@ -202,34 +209,25 @@ def test_forced_wrong_pivot_fails_or_errors(cone):
         anchor=(F(1), F(0), F(1)),
         pivot_columns=(1,),  # gradient (2, 0, -2): column 2 is zero
     )
+    assert not broken.pivot_valid_at((F(1), F(0), F(1)))
     with pytest.raises(FrameEvaluationError):
         broken.evaluate((F(1), F(0), F(1)))
+
+
+def test_frame_is_exact_up_to_the_chart_boundary(cone):
+    # the frame anchored at s(21/32, 1/2) freezes column 1, whose gradient
+    # entry 2 x1 = 2 (u^2 - v^2) vanishes on the line u = v of parameters
     sampler = cone.samplers[0]
-    # probing through the anchor's parameters crosses the broken pattern
-    with pytest.raises(FrameEvaluationError):
-        frame_smoothness_check(broken, sampler, (F(1), F(0)), F(1, 8))
-
-
-def test_smoothness_fails_near_the_chart_boundary(cone):
-    # probes straddling close to the u = v pivot boundary keep exact
-    # rational values but lose the order-h^2 contraction
-    sampler = cone.samplers[0]
-    params = (F(21, 32), F(1, 2))
-    frame = frame_at(cone, sampler.image(params))
-    verdict = frame_smoothness_check(frame, sampler, params, F(1, 8))
-    assert not verdict.passed
-    assert "ratio" in verdict.detail
-
-
-def test_smoothness_refuses_a_zero_step(cone):
-    # where step 1/8 fails, every second difference at step 0 is exactly 0,
-    # which would pass vacuously
-    sampler = cone.samplers[0]
-    params = (F(21, 32), F(1, 2))
-    frame = frame_at(cone, sampler.image(params))
-    for step in (F(0), 0):
-        with pytest.raises(ValueError, match="step must be nonzero"):
-            frame_smoothness_check(frame, sampler, params, step)
+    frame = frame_at(cone, sampler.image((F(21, 32), F(1, 2))))
+    assert frame.pivot_columns == (0,)
+    inside = sampler.image((F(17, 32), F(1, 2)))
+    assert frame.pivot_valid_at(inside)
+    assert frame.evaluate(inside) == _rref_basis(jacobian(cone, inside), 3, (0,))
+    boundary = sampler.image((F(1, 2), F(1, 2)))
+    assert boundary == (F(0), F(1, 2), F(1, 2))
+    assert not frame.pivot_valid_at(boundary)
+    with pytest.raises(FrameEvaluationError, match="pivot pattern"):
+        frame.evaluate(boundary)
 
 
 # -- local triviality ----------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from subcart import linalg
 from subcart.errors import NonMemberError
+from subcart.poly import parse
 from subcart.fixtures import NAMES, fixture_path
 from subcart.space import SpacePresentation, load_space, sample
 from subcart.tangent import analyse, is_tangent, jacobian
@@ -33,6 +34,20 @@ def test_jacobian_at_smooth_cone_point(cone):
 
 def test_jacobian_on_cross(cross):
     assert jacobian(cross, (F(1), F(0))) == ((F(0), F(1)),)
+
+
+def test_jacobian_divides_each_row_by_its_own_scale():
+    # rows of other coefficient denominators and degrees, at a point over 8
+    parabola = SpacePresentation(
+        name="parabola",
+        ambient_dim=2,
+        equations=(parse("1/2*x1^2 - 1/3*x2", 2), parse("x2 - 3/2*x1^2", 2)),
+    )
+    point = (F(1, 2), F(3, 8))
+    assert jacobian(parabola, point) == ((F(1, 2), F(-1, 3)), (F(-3, 2), F(1)))
+    assert jacobian(parabola, point) == tuple(
+        tuple(g.partial(i).evaluate(point) for i in (1, 2)) for g in parabola.equations
+    )
 
 
 def test_jacobian_rejects_non_member(cone):
