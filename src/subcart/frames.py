@@ -44,7 +44,7 @@ from typing import Sequence
 
 from .errors import FrameEvaluationError, SubcartError
 from .linalg import Kernel
-from .poly import Point, divided, format_point
+from .poly import Point, divided, format_point, rational_text
 from .space import SpacePresentation
 from .stratify import StratificationReport, Verdict, label, stratify
 from .tangent import Basis, PointAnalysis, analyse
@@ -91,13 +91,13 @@ class FrameSection:
     def to_json(self, evaluations: Sequence[tuple[Point, Basis]]) -> dict:
         """The ``frame`` report: this frame and its (point, basis) evaluations."""
         return {
-            "anchor": [str(c) for c in self.anchor],
+            "anchor": [rational_text(c) for c in self.anchor],
             "pivots": [c + 1 for c in self.pivot_columns],
             "free": [c + 1 for c in self.free_columns],
             "evaluations": [
                 {
-                    "point": [str(c) for c in point],
-                    "basis": [[str(c) for c in v] for v in basis],
+                    "point": [rational_text(c) for c in point],
+                    "basis": [[rational_text(c) for c in v] for v in basis],
                 }
                 for point, basis in evaluations
             ],
@@ -247,7 +247,7 @@ def _kernel_failure(
         for w in vectors:
             for row in other.jacobian:
                 if sum(map(mul, row, w)):
-                    v = divided(w, d)
+                    v = format_point(divided(w, d))
                     return f"frame vector {v} fails annihilation at {format_point(other.point)}"
         free = [c for c in range(other.ambient_dim) if c not in chart]
         for l, w in enumerate(vectors):

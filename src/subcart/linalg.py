@@ -1,6 +1,6 @@
 """Exact linear algebra: fraction-free elimination, the one chart solver
 for pivot-normalized null-space bases, and the rational reduced row
-echelon form.
+echelon form read off it.
 
 ``bareiss`` eliminates an integer matrix without fractions (Bareiss 1968,
 *Math. Comp.* 22): each division is exact, so the entries stay integers.
@@ -13,7 +13,7 @@ it on integers: vectors W and one positive integer d, W / d being the
 pivot-normalized basis, because every pivot row of the reduced matrix
 carries the same last pivot; it makes no Fraction.  It reads a point's
 own leftmost pivots' kernel off the point's first elimination just as
-well.  ``rref`` is the rational Gauss-Jordan form.
+well.  ``rref`` reads the rational RREF off one ``bareiss`` elimination.
 
 Matrices are sequences of equal-length rows.  Everything here is
 deterministic: pivots are chosen by the leftmost-column rule, breaking
@@ -26,45 +26,24 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from .poly import clear_denominators
+
 Matrix = Sequence[Sequence[Fraction | int]]
 Kernel = tuple[tuple[tuple[int, ...], ...], int]  # (W, d): the basis W / d
 
 
 def rref(matrix: Matrix) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form via exact Gauss-Jordan elimination.
-
-    Returns the reduced matrix and the list of pivot column indices
-    (0-based, ascending).
-    """
-    rows = [list(map(Fraction, row)) for row in matrix]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    row_at = 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(row_at, len(rows)):
-            if rows[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        rows[row_at], rows[pivot_row] = rows[pivot_row], rows[row_at]
-        pivot = rows[row_at][col]
-        rows[row_at] = [x / pivot for x in rows[row_at]]
-        for r in range(len(rows)):
-            if r != row_at and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[row_at])]
-        pivots.append(col)
-        row_at += 1
-    return rows, pivots
+    """Reduced row echelon form and its pivot columns (0-based, ascending):
+    the ``bareiss`` rows of the rows over their least common denominators,
+    divided by the last pivot."""
+    reduced, pivots = bareiss([clear_denominators(row)[0] for row in matrix])
+    last = reduced[len(pivots) - 1][pivots[-1]] if pivots else 1
+    return [[Fraction(x, last) for x in row] for row in reduced], pivots
 
 
 def bareiss(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
     """Fraction-free Gauss-Jordan elimination of an integer matrix, and
-    its pivot columns (0-based, ascending; chosen as in ``rref``).
+    its pivot columns (0-based, ascending; the leftmost-column rule).
 
     After k pivots the pivot rows hold k-by-k minors of the input and the
     other rows (k+1)-by-(k+1) minors (Sylvester's identity), so each

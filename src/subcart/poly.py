@@ -25,8 +25,8 @@ reads one rational, ``'-'? uint ('/' uint)?``, and only whitespace
 around it.  Four caps bound the cost of a parse, each a ParseError when
 passed: MAX_DIGITS digits in a literal or in any coefficient, total
 degree MAX_DEGREE (checked before a product or power is expanded),
-MAX_TERMS terms after each summand and, bounded before multiplying
-(``product``), in each product and step of a power, and MAX_DEPTH
+MAX_TERMS terms after each summand and in each product and step of a
+power (``Polynomial.__mul__`` refuses a product row by row), and MAX_DEPTH
 nested parentheses (at the first '(' past it), which also bounds the
 parser's recursion.  A sum is accumulated in one term map, checking only
 the coefficients each summand changes, so it parses in time linear in
@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from operator import add
 from typing import Iterator, Mapping, NamedTuple, Sequence
@@ -68,8 +69,18 @@ _TOKEN = re.compile(r"(\s+)|([-+*/^()])|(x)?([0-9]+)?")
 _RATIONAL = re.compile(r"\s*-?([0-9]+)(?:/([0-9]*[1-9][0-9]*))?\s*")
 
 
+def rational_text(value: Fraction | int) -> str:
+    """``str(value)``, the one way a rational becomes report or message
+    text; a SubcartError when a part has more digits than ints print."""
+    try:
+        return str(value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise SubcartError(f"a rational has more than {limit} digits to print") from None
+
+
 def format_point(point: Sequence[Fraction]) -> str:
-    return "(" + ", ".join(str(c) for c in point) + ")"
+    return "(" + ", ".join(map(rational_text, point)) + ")"
 
 
 def clear_denominators(point: Sequence[Fraction | int]) -> Cleared:
@@ -83,19 +94,6 @@ def clear_denominators(point: Sequence[Fraction | int]) -> Cleared:
 def divided(numerators: Sequence[int], denominator: int) -> Point:
     """The rational point a / D, which ``clear_denominators`` undoes."""
     return tuple(Fraction(x, denominator) for x in numerators)
-
-
-def product(a: "Polynomial", b: "Polynomial") -> "Polynomial":
-    """a * b, refused with a SubcartError before multiplying when it may
-    have more than MAX_TERMS terms: when more than MAX_TERMS exponents are
-    the sum of one of a's and one of b's.  At least len(a) + len(b) - 1
-    are (in lexicographic order), so past that only one row is formed."""
-    sums: set[Exponent] = set()
-    for ea in a._terms:
-        sums.update(tuple(map(add, ea, eb)) for eb in b._terms)
-        if max(len(sums), len(a._terms) + len(b._terms) - 1) > MAX_TERMS:
-            raise SubcartError(f"more than {MAX_TERMS} terms")
-    return a * b
 
 
 def _grlex_key(exponent: Exponent) -> tuple:
@@ -183,12 +181,17 @@ class Polynomial:
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
+        """The product; a SubcartError after the first row (one term of
+        ``self`` times ``other``) at which the exponent sums so far, or the
+        least count len(self) + len(other) - 1, pass MAX_TERMS."""
         self._check_same_dim(other)
         out: dict[Exponent, Fraction | int] = {}
         for ea, ca in self._terms.items():
             for eb, cb in other._terms.items():
                 exponent = tuple(map(add, ea, eb))
                 out[exponent] = out[exponent] + ca * cb if exponent in out else ca * cb
+            if max(len(out), len(self._terms) + len(other._terms) - 1) > MAX_TERMS:
+                raise SubcartError(f"more than {MAX_TERMS} terms")
         return Polynomial(self.ambient_dim, out)
 
     def scale(self, factor: Fraction | int) -> "Polynomial":
@@ -386,9 +389,9 @@ class _Parser:
                 self.fail(f"a coefficient has more than {MAX_DIGITS} digits", token)
 
     def multiply(self, a: Polynomial, b: Polynomial, token: _Token) -> Polynomial:
-        """``product``, its refusal or a passed digit cap a ParseError at ``token``."""
+        """a * b, its refusal or a passed digit cap a ParseError at ``token``."""
         try:
-            result = product(a, b)
+            result = a * b
         except SubcartError as exc:
             self.fail(str(exc), token)
         self.checked(0, result._terms.values(), token)

@@ -21,10 +21,11 @@ builds no Fraction point: ``stratify`` reads the forms through
 A presentation built directly is validated on its first
 ``sample_forms``, which reports a failure as a ``SamplerInvariantError``.
 A space file may have at most ``MAX_AMBIENT_DIM`` coordinates and
-parameters per sampler, may ask for at most ``MAX_GRID_POINTS`` grid
-points per file, and its equations and inequalities may have at most
-``poly.MAX_TERMS`` terms together, as may each product in the composition
-of a sampler with an equation.
+parameters per sampler, ``MAX_GRID_POINTS`` grid and explicit sample
+points, and ``MAX_TABLE_BITS`` in its integer sample table (see
+``cleared_samples``); its equations and inequalities may have at most
+``poly.MAX_TERMS`` terms together, as may each product in the
+composition of a sampler with an equation.
 
 Points are tested on integers, through ``poly.ClearedRow``s compiled
 once by their owners.  ``is_member`` puts a point over its least common
@@ -63,7 +64,8 @@ from .poly import Cleared, Point, Polynomial, divided, format_point
 
 Inequality = tuple[Polynomial, bool]  # (polynomial, strict?)
 
-MAX_GRID_POINTS = 100_000  # over all samplers of a space file
+MAX_GRID_POINTS = 100_000  # grid and explicit sample points of a space file
+MAX_TABLE_BITS = 100_000_000  # distinct samples times the bits of their denominators' lcm
 MAX_AMBIENT_DIM = 12  # of a space file: a point has at most C(12, 6) = 924 charts
 _SPACE_FIELDS = (
     "name", "ambient_dim", "equations", "inequalities", "samplers", "sample_points"
@@ -202,17 +204,18 @@ class SpacePresentation:
     def cleared_samples(self) -> tuple[Cleared, ...]:
         """The least integer form (a, D) of every sampler's validated grid
         images in grid order, then of the explicit sample points,
-        deduplicated keeping first occurrences; raises SpaceFormatError,
-        naming the space-file field, at the first failure."""
-        forms = []
-        for i, sampler in enumerate(self.samplers):
-            forms += _sampler_images(self, sampler, f"samplers[{i}]")
-        for i, point in enumerate(self.sample_points):
-            form = poly.clear_denominators([Fraction(x) for x in point])
-            if not is_member_cleared(self, *form):
-                raise SpaceFormatError(f"sample_points[{i}]", "point is not a member")
-            forms.append(form)
-        return tuple(dict.fromkeys(forms))
+        deduplicated keeping first occurrences; a SpaceFormatError naming
+        the space-file field at the first failure, and at the first sample
+        past MAX_TABLE_BITS (``stratify`` puts them over the lcm of the D's)."""
+        forms: dict[Cleared, None] = {}
+        scale = 1  # the lcm of the D's so far
+        for path, form in _validated_forms(self):
+            forms[form] = None
+            scale = math.lcm(scale, form[1])
+            if len(forms) * scale.bit_length() > MAX_TABLE_BITS:
+                message = f"{len(forms)} samples over a {scale.bit_length()}-bit denominator"
+                raise SpaceFormatError(path, f"{message} pass {MAX_TABLE_BITS} bits")
+        return tuple(forms)
 
 
 def is_member(space: SpacePresentation, point: Sequence[Fraction]) -> bool:
@@ -249,12 +252,12 @@ def compose_cleared(
     where d is the total degree of g.  It is evaluated by Horner's rule in
     each variable of g in turn, so each product multiplies a partial sum by
     one numerator, and the powers of the denominator come from one table.
-    Each product is a ``poly.product``, refused before it is expanded.
+    Each product is bounded by ``Polynomial.__mul__``, row by row.
     """
     d = equation.total_degree()
     den_powers = [poly.constant(1, denominator.ambient_dim)]
     for _ in range(d):
-        den_powers.append(poly.product(den_powers[-1], denominator))
+        den_powers.append(den_powers[-1] * denominator)
     return _horner(equation.terms, numerators, den_powers, d)
 
 
@@ -272,7 +275,7 @@ def _horner(
         by_power.setdefault(exponent[0], {})[exponent[1:]] = coeff
     result = poly.zero(den_powers[0].ambient_dim)
     for e in range(max(by_power, default=-1), -1, -1):
-        result = poly.product(result, numerators[0])
+        result = result * numerators[0]
         if e in by_power:
             inner = _horner(by_power[e], numerators[1:], den_powers, degree - e)
             result = result + inner
@@ -281,11 +284,10 @@ def _horner(
 
 def _sampler_images(
     space: SpacePresentation, sampler: Sampler, path: str
-) -> list[Cleared]:
-    """The least integer forms of the sampler's grid images in grid order.
-    Composes it with each equation once and tests each denominator and
-    image once; raises SpaceFormatError, naming the sampler's field
-    ``path``, at the first failure."""
+) -> Iterator[tuple[str, Cleared]]:
+    """(``path``, least integer form) of each grid image, in grid order, after
+    composing the sampler with each equation once; each denominator and image
+    is tested once, and the first failure is a SpaceFormatError naming ``path``."""
     for gi, g in enumerate(space.equations):
         try:
             composed = compose_cleared(g, sampler.numerators, sampler.denominator)
@@ -295,7 +297,6 @@ def _sampler_images(
             raise SpaceFormatError(
                 path, f"composition with equations[{gi}] is not identically zero"
             )
-    images = []
     q, grid = sampler._integer_grid()
     for params in grid:
         image, den = sampler._cleared_image(params, q)
@@ -311,8 +312,20 @@ def _sampler_images(
                 "constraints",
             )
         common = math.gcd(den, *image)
-        images.append((tuple(x // common for x in image), den // common))
-    return images
+        yield path, (tuple(x // common for x in image), den // common)
+
+
+def _validated_forms(space: SpacePresentation) -> Iterator[tuple[str, Cleared]]:
+    """(space-file field, least integer form) of each sample in ``sample``
+    order before deduplication, validated one by one: a SpaceFormatError
+    naming the field at the first failure."""
+    for i, sampler in enumerate(space.samplers):
+        yield from _sampler_images(space, sampler, f"samplers[{i}]")
+    for i, point in enumerate(space.sample_points):
+        form = poly.clear_denominators([Fraction(x) for x in point])
+        if not is_member_cleared(space, *form):
+            raise SpaceFormatError(f"sample_points[{i}]", "point is not a member")
+        yield f"sample_points[{i}]", form
 
 
 def sample_forms(space: SpacePresentation) -> tuple[Cleared, ...]:
@@ -408,6 +421,14 @@ def _parse_rational(text, path: str) -> Fraction:
         raise SpaceFormatError(path, str(exc)) from None
 
 
+def _counted_points(points: int, path: str) -> int:
+    """``points``, refused naming ``path`` when more than MAX_GRID_POINTS."""
+    if points > MAX_GRID_POINTS:
+        message = f"the samplers' grids and sample points have more than {MAX_GRID_POINTS}"
+        raise SpaceFormatError(path, message + " points together")
+    return points
+
+
 def space_from_dict(data: dict) -> SpacePresentation:
     """Build and fully validate a presentation from the JSON schema."""
     if not isinstance(data, dict):
@@ -455,7 +476,7 @@ def space_from_dict(data: dict) -> SpacePresentation:
         inequalities.append((h, strict))
 
     samplers = []
-    grid_points = 0  # over all samplers, checked before any grid is built
+    points = 0  # grid and explicit sample points, checked before any grid is built
     for i, entry in enumerate(_optional_list(data, "samplers", "$")):
         path = f"samplers[{i}]"
         if not isinstance(entry, dict):
@@ -492,12 +513,7 @@ def space_from_dict(data: dict) -> SpacePresentation:
         resolution = _want(entry, "resolution", int, path)
         if resolution < 1:
             raise SpaceFormatError(f"{path}.resolution", "must be >= 1")
-        grid_points += resolution**param_dim
-        if grid_points > MAX_GRID_POINTS:
-            raise SpaceFormatError(
-                f"{path}.resolution",
-                f"the samplers' grids have more than {MAX_GRID_POINTS} points together",
-            )
+        points = _counted_points(points + resolution**param_dim, f"{path}.resolution")
         samplers.append(
             Sampler(
                 param_dim=param_dim,
@@ -508,12 +524,13 @@ def space_from_dict(data: dict) -> SpacePresentation:
             )
         )
 
-    points = []
+    explicit = []
     for i, coords in enumerate(_optional_list(data, "sample_points", "$")):
         path = f"sample_points[{i}]"
+        points = _counted_points(points + 1, path)
         if not isinstance(coords, list) or len(coords) != ambient_dim:
             raise SpaceFormatError(path, f"expected {ambient_dim} rational strings")
-        points.append(
+        explicit.append(
             tuple(_parse_rational(c, f"{path}[{j}]") for j, c in enumerate(coords))
         )
 
@@ -523,7 +540,7 @@ def space_from_dict(data: dict) -> SpacePresentation:
         equations=equations,
         inequalities=tuple(inequalities),
         samplers=tuple(samplers),
-        sample_points=tuple(points),
+        sample_points=tuple(explicit),
     )
 
     space.cleared_samples  # validated once, here; kept for ``sample_forms``
@@ -538,7 +555,7 @@ def load_space(path: str | Path) -> SpacePresentation:
         raise SpaceFormatError("$", f"cannot read {path}: {exc}") from None
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
         raise SpaceFormatError("$", f"invalid JSON: {exc}") from None
     except RecursionError:
         raise SpaceFormatError("$", "invalid JSON: nested too deeply") from None

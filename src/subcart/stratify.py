@@ -59,7 +59,7 @@ from operator import add, sub
 from typing import Literal, Sequence
 
 from .errors import SubcartError
-from .poly import Cleared, Point, divided, format_point
+from .poly import Cleared, Point, divided, format_point, rational_text
 from .space import SpacePresentation, repeated_factor_caveats, sample_forms
 from .tangent import PointAnalysis, analyse, analyse_member
 
@@ -98,7 +98,7 @@ class PointRecord:
 
     def to_json(self) -> dict:
         return {
-            "point": [str(c) for c in self.point],
+            "point": [rational_text(c) for c in self.point],
             "dim": self.dim,
             "label": self.label,
         }
@@ -150,7 +150,7 @@ class StratificationReport:
             "records": [r.to_json() for r in self.records],
             "strata": {str(i): len(members) for i, members in enumerate(self.strata)},
             "verdicts": {v.name: v.to_json() for v in self.verdicts},
-            "params": {"radius": str(self.radius), "epsilon": str(self.epsilon)},
+            "params": dict(radius=rational_text(self.radius), epsilon=rational_text(self.epsilon)),
             "caveats": list(self.caveats),
         }
 
@@ -159,7 +159,7 @@ class StratificationReport:
         return {
             "space": self.space.name,
             "verdicts": {v.name: v.to_json() for v in self.verdicts},
-            "params": {"radius": str(self.radius), "epsilon": str(self.epsilon)},
+            "params": dict(radius=rational_text(self.radius), epsilon=rational_text(self.epsilon)),
             "counts": self.counts(),
             "caveats": list(self.caveats),
         }
@@ -347,7 +347,7 @@ def verify_usc(records: Sequence[PointRecord], index: NeighbourIndex) -> Verdict
                 False,
                 f"point {format_point(record.point)} of dimension {record.dim} is "
                 f"approximated only by higher-dimensional samples within radius "
-                f"{index.radius}",
+                f"{rational_text(index.radius)}",
             )
     return Verdict("usc", True)
 
@@ -373,7 +373,7 @@ def verify_open(records: Sequence[PointRecord], index: NeighbourIndex) -> Verdic
                     False,
                     f"regular point {format_point(record.point)} has "
                     f"{other.label} neighbor {format_point(other.point)} of "
-                    f"dimension {other.dim} within radius {index.radius}",
+                    f"dimension {other.dim} within radius {rational_text(index.radius)}",
                 )
     return Verdict("open", True)
 
@@ -391,7 +391,7 @@ def verify_dense(records: Sequence[PointRecord], index: NeighbourIndex) -> Verdi
             return Verdict(
                 "dense",
                 False,
-                f"no regular sample within {index.radius} of "
+                f"no regular sample within {rational_text(index.radius)} of "
                 f"{format_point(record.point)}",
             )
     return Verdict("dense", True)
@@ -407,7 +407,7 @@ def _radii(table: IntegerTable, **radii: Fraction | None) -> list[Fraction]:
         if r is not None and (isinstance(r, bool) or not isinstance(r, (int, Fraction))):
             raise SubcartError(f"{name} must be an int or a Fraction, got {r!r}")
         if r is not None and r < 0:
-            raise SubcartError(f"{name} must be nonnegative, got {r}")
+            raise SubcartError(f"{name} must be nonnegative, got {rational_text(r)}")
     if radii.get("radius") == 0 and len(table[1]) > 1:
         raise SubcartError("radius must be positive, got 0")
     default = default_adjacency_radius(table) if None in radii.values() else None
@@ -473,7 +473,7 @@ def stratify(
     if len(forms) > 1 and isolated:
         caveats.append(
             f"{isolated} of {len(forms)} records have no other sample within "
-            f"radius {radius}: their labels rest on no neighbour evidence"
+            f"radius {rational_text(radius)}: their labels rest on no neighbour evidence"
         )
     return StratificationReport(
         space=space,

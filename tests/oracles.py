@@ -1,9 +1,10 @@
 """Independent oracles used to cross-check the package.
 
 Deliberately written against plain data structures with naive algorithms
-(Laplace determinants, exhaustive minor enumeration, dict-based term
-bookkeeping, all-pairs distances) so they share no code path with the
-implementations they check.
+(Laplace determinants, exhaustive minor enumeration, rational
+Gauss-Jordan elimination, dict-based term bookkeeping, all-pairs
+distances) so they share no code path with the implementations they
+check.
 """
 
 from __future__ import annotations
@@ -37,6 +38,28 @@ def minor_rank(m) -> int:
                 if laplace_det([[m[r][c] for c in cols] for r in rows]) != 0:
                     return size
     return 0
+
+
+def gauss_jordan(matrix) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form by rational Gauss-Jordan elimination, and
+    its pivot columns (0-based, ascending): each pivot row is divided by
+    its pivot and the pivot's column cleared in every other row."""
+    rows = [list(map(Fraction, row)) for row in matrix]
+    pivots: list[int] = []
+    for col in range(len(rows[0]) if rows else 0):
+        top = len(pivots)
+        below = [r for r in range(top, len(rows)) if rows[r][col] != 0]
+        if not below:
+            continue
+        rows[top], rows[below[0]] = rows[below[0]], rows[top]
+        pivot = rows[top][col]
+        rows[top] = [x / pivot for x in rows[top]]
+        for r in range(len(rows)):
+            if r != top and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[top])]
+        pivots.append(col)
+    return rows, pivots
 
 
 def divided(vectors, d) -> tuple:
@@ -222,7 +245,7 @@ def per_anchor_triviality(report):
                 return not_identity
             for w in vectors:
                 if any(sum(a * b for a, b in zip(row, w)) for row in other.jacobian):
-                    v = tuple(Fraction(x, d) for x in w)
+                    v = format_point(tuple(Fraction(x, d) for x in w))
                     return failed(f"frame vector {v} fails annihilation at {at}")
             for k, f in enumerate(free):
                 for l, w in enumerate(vectors):

@@ -470,3 +470,42 @@ def test_constraints_past_the_term_cap_exit_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: equations: ")
+
+
+def _long_integers(kind):
+    """(space file text, argv after its path) of a small file whose answer
+    holds, or whose text is, an integer longer than the interpreter turns
+    into text or back (4,300 digits by default)."""
+    big = 10**999
+    if kind == "json":  # ambient_dim has 5,001 digits
+        return '{"name": "long", "ambient_dim": 1' + "0" * 5000 + "}", ["verify"]
+    if kind in ("verify", "stratify"):  # the grid image (1/(10^998 + 7))^5
+        data = {"name": "long", "ambient_dim": 1, "samplers": [{
+            "param_dim": 1, "numerators": ["x1^5"],
+            "box": [["0", f"1/{big // 10 + 7}"]], "resolution": 2,
+        }]}
+        return json.dumps(data), [kind]
+    # frame: the basis at the second point has entries of 6,000 digits
+    data = {
+        "name": "long", "ambient_dim": 3, "equations": ["x2 - x1^6 + x3^6"],
+        "sample_points": [[str(big), "0", str(big)], [str(big + 1), "0", str(big + 1)]],
+    }
+    return json.dumps(data), ["frame", "--radius=2", "--point", f"{big},0,{big}"]
+
+
+@pytest.mark.parametrize("kind", ["json", "verify", "stratify", "frame"])
+def test_integers_too_long_to_print_exit_2_without_a_traceback(kind, tmp_path):
+    text, argv = _long_integers(kind)
+    path = tmp_path / "long.json"
+    path.write_text(text, encoding="utf-8")
+    command, *options = argv
+    proc = run_subprocess([command, str(path), *options])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    [line] = proc.stderr.splitlines()
+    limit = sys.get_int_max_str_digits()
+    if kind == "json":
+        assert line.startswith(f"error: $: invalid JSON: Exceeds the limit ({limit} digits)")
+    else:
+        assert line == f"error: a rational has more than {limit} digits to print"

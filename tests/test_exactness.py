@@ -8,12 +8,12 @@ ones (``lcm``, ``gcd``, ``isqrt`` and the like), whether reached as
 ``math.name`` or imported by name.
 
 True division of two ints is a float (``a / b`` is a Fraction only when
-an operand is one), and syntax cannot tell the two apart, so the modules
-whose values may be plain ints (polynomial coefficients, grid parameters
-and integer forms), ``DIVISION_FREE``, may use no ``/`` at all.  What
-syntax cannot show is not checked elsewhere: a ``/`` in another module,
-and a power of a Fraction to a Fraction exponent, are told apart only by
-the types of their operands at run time.
+an operand is one), and syntax cannot tell the two apart, so no module,
+whose values may always be plain ints (polynomial coefficients, grid
+parameters, integer forms and matrix entries), may use ``/`` at all: a
+Fraction is built as ``Fraction(a, d)``.  What syntax cannot show is not
+checked: a power of a Fraction to a Fraction exponent is told apart only
+by the types of its operands at run time.
 """
 
 import ast
@@ -25,10 +25,9 @@ import subcart
 
 SOURCES = sorted(Path(subcart.__file__).parent.glob("*.py"))
 EXACT_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm", "prod"}
-DIVISION_FREE = {"poly", "space", "tangent", "stratify", "frames"}
 
 
-def inexact(source: str, module: str) -> list[str]:
+def inexact(source: str) -> list[str]:
     """``line: what`` for each inexact construct of a module's source."""
     tree = ast.parse(source)
     aliases = {
@@ -52,7 +51,7 @@ def inexact(source: str, module: str) -> list[str]:
             self.division(node)
 
         def division(self, node):
-            if module in DIVISION_FREE and isinstance(node.op, ast.Div):
+            if isinstance(node.op, ast.Div):
                 found.append(f"{node.lineno}: true division")
             self.generic_visit(node)
 
@@ -88,8 +87,8 @@ def inexact(source: str, module: str) -> list[str]:
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
-def test_no_floating_point_outside_the_bump(path):
-    assert inexact(path.read_text(encoding="utf-8"), path.stem) == []
+def test_no_floating_point_or_true_division(path):
+    assert inexact(path.read_text(encoding="utf-8")) == []
 
 
 @pytest.mark.parametrize(
@@ -107,22 +106,23 @@ def test_no_floating_point_outside_the_bump(path):
     ],
 )
 def test_the_guard_flags_each_inexact_form(source):
-    assert inexact(source, "stratify")
+    assert inexact(source)
 
 
-@pytest.mark.parametrize("module", sorted(DIVISION_FREE))
-def test_the_guard_refuses_true_division_where_values_may_be_ints(module):
-    source = "def f(a, d):\n    return a / d\n"
-    assert inexact(source, module) == ["2: true division"]
-    assert inexact(source, "linalg") == []
-    assert inexact("def f(a, d):\n    return a // d\n", module) == []
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_the_guard_refuses_true_division_where_values_may_be_ints(path):
+    # a ``/`` added to any module is refused, and a ``//`` passes
+    source = path.read_text(encoding="utf-8")
+    line = source.count("\n") + 2
+    assert inexact(f"{source}def f(a, d):\n    return a / d\n") == [f"{line}: true division"]
+    assert inexact(f"{source}def f(a, d):\n    return a // d\n") == []
 
 
 def test_the_guard_flags_frames_and_passes_exact_math():
-    # nothing is quarantined: a float smooth step is flagged in ``frames``
-    # as anywhere else
+    # nothing is quarantined: the float smooth step that ``frames`` once
+    # had is flagged as any other inexact source
     smooth_step = "import math\n\ndef _smooth_step(t):\n    return math.exp(-1.0 / t)\n"
-    assert inexact(smooth_step, "frames") == [
+    assert inexact(smooth_step) == [
         "4: math.exp", "4: true division", "4: literal 1.0"
     ]
-    assert inexact("import math\n\nscale = math.lcm(2, 3)\n", "stratify") == []
+    assert inexact("import math\n\nscale = math.lcm(2, 3)\n") == []

@@ -1,7 +1,9 @@
 import itertools
 import math
+import sys
 import time
 from fractions import Fraction as F
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -102,18 +104,55 @@ def test_products_are_bounded_before_they_are_expanded():
     p = parse(text, 3)
     start = time.perf_counter()
     with pytest.raises(SubcartError, match="^more than 2000 terms$"):
-        poly.product(p, p)
+        p * p
     assert time.perf_counter() - start < 0.1
     with pytest.raises(ParseError, match="more than 2000 terms") as info:
         parse(f"{text}*{text}", 3)
     assert info.value.position == len(text)
     # 3 * 680 pairs, but only C(19, 3) = 969 monomials of degree at most 16
     q, r = parse("x1^2+x2^2-x3^2", 3), parse("(x1+x2+x3+1)^14", 3)
-    assert len(poly.product(q, r).terms) == 934
-    assert poly.product(q, r) == q * r
+    assert len((q * r).terms) == 934
+    assert (q * r).terms == naive_mul(q.terms, r.terms)
     # 51 * 51 pairs in one variable, but only 101 monomials
-    square = poly.product(parse("(x1+1)^50", 1), parse("(x1-1)^50", 1))
+    square = parse("(x1+1)^50", 1) * parse("(x1-1)^50", 1)
     assert square.terms == naive_pow({(2,): F(1), (0,): F(-1)}, 50, 1)
+
+
+@st.composite
+def capped_products(draw):
+    """(a, b, cap): two polynomials in 1-2 variables, with no cancelling
+    coefficients, and a term cap for their product."""
+    dim = draw(st.integers(1, 2))
+    exponents = st.tuples(*[st.integers(0, 3)] * dim)
+    a, b = (draw(st.dictionaries(exponents, st.integers(1, 3), max_size=5)) for _ in "ab")
+    return Polynomial(dim, a), Polynomial(dim, b), draw(st.integers(1, 12))
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(capped_products())
+def test_a_product_is_refused_exactly_when_it_may_pass_the_term_cap(case):
+    # refused iff more than the cap exponents are the sum of one of each,
+    # or len(a) + len(b) - 1 (their least count) is more than the cap
+    a, b, cap = case
+    sums = {tuple(map(sum, zip(ea, eb))) for ea in a.terms for eb in b.terms}
+    refused = bool(a.terms) and max(len(sums), len(a.terms) + len(b.terms) - 1) > cap
+    with patch.object(poly, "MAX_TERMS", cap):
+        if refused:
+            with pytest.raises(SubcartError, match=f"^more than {cap} terms$"):
+                a * b
+        else:
+            assert (a * b).terms == naive_mul(a.terms, b.terms)
+
+
+def test_a_rational_too_long_to_print_is_refused():
+    # str refuses an int of more digits than the interpreter's limit
+    limit = sys.get_int_max_str_digits()
+    assert poly.rational_text(F(-1, 10 ** (limit - 1))) == "-1/1" + "0" * (limit - 1)
+    for value in (10**limit, F(1, 10**limit)):
+        with pytest.raises(SubcartError, match=rf"^a rational has more than {limit} digits"):
+            poly.rational_text(value)
+    with pytest.raises(SubcartError, match=rf"more than {limit} digits"):
+        poly.format_point((F(0), F(1, 10**limit)))
 
 
 def test_a_long_sum_parses_in_linear_time():

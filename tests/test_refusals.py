@@ -1,0 +1,188 @@
+"""Every refusal of bad input, each pinned by the error it raises: the
+loader's field checks as mutations of a shipped fixture (each a
+``SpaceFormatError`` naming its field, and exit 2 through ``cli.main``),
+the checks of directly built samplers and presentations, the polynomial
+constructor and parser, and the few checks of the CLI and the report.
+
+A sampler resolution below 1 and a negative exponent raise a plain
+``ValueError``, not a ``SubcartError``; the tables pin that as it is.
+"""
+
+import json
+from fractions import Fraction as F
+
+import pytest
+
+from subcart import cli, stratify
+from subcart.errors import (
+    DimensionMismatchError,
+    ParseError,
+    SamplerInvariantError,
+    SpaceFormatError,
+    SubcartError,
+)
+from subcart.fixtures import fixture_path
+from subcart.poly import Polynomial, parse, variable
+from subcart.space import Sampler, SpacePresentation, load_space
+from subcart.tangent import is_tangent
+
+
+def _set(path, value):
+    """A mutation of the cone's space file: the file with the field at
+    ``path`` (keys and indices) set to ``value``."""
+
+    def mutate(data):
+        *parents, last = path
+        owner = data
+        for key in parents:
+            owner = owner[key]
+        owner[last] = value
+        return data
+
+    return mutate
+
+
+# (mutation of the cone's space file, the field its SpaceFormatError names)
+LOADER_REFUSALS = {
+    "not an object": (lambda data: [data], "$"),
+    "ambient_dim 0": (_set(["ambient_dim"], 0), "$.ambient_dim"),
+    "equation not a string": (_set(["equations"], [5]), "equations[0]"),
+    "inequality not an object": (_set(["inequalities"], ["x1"]), "inequalities[0]"),
+    "strict not a boolean": (
+        _set(["inequalities"], [{"poly": "x3", "strict": "yes"}]), "inequalities[0].strict"
+    ),
+    "sampler not an object": (_set(["samplers"], [3]), "samplers[0]"),
+    "two numerators": (
+        _set(["samplers", 0, "numerators"], ["x1", "x2"]), "samplers[0].numerators"
+    ),
+    "one box entry": (_set(["samplers", 0, "box"], [["-2", "2"]]), "samplers[0].box"),
+    "box entry not a pair": (_set(["samplers", 0, "box", 0], ["-2"]), "samplers[0].box[0]"),
+    "box lo above hi": (_set(["samplers", 0, "box", 0], ["2", "-2"]), "samplers[0].box[0]"),
+    "box end not a string": (
+        _set(["samplers", 0, "box", 0], [-2, "2"]), "samplers[0].box[0][0]"
+    ),
+    "resolution 0": (_set(["samplers", 0, "resolution"], 0), "samplers[0].resolution"),
+    # the cone's equation is homogeneous, so x1 passes the composition
+    # and vanishes at the grid parameter x1 = 0
+    "denominator vanishes": (
+        _set(["samplers", 0, "denominator"], "x1"), "samplers[0].denominator"
+    ),
+    "short sample point": (_set(["sample_points"], [["0", "0"]]), "sample_points[0]"),
+}
+
+
+@pytest.mark.parametrize("mutate, field", LOADER_REFUSALS.values(), ids=list(LOADER_REFUSALS))
+def test_each_loader_refusal_names_its_field_and_exits_2(mutate, field, tmp_path, capsys):
+    data = mutate(json.loads(fixture_path("cone").read_text(encoding="utf-8")))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(SpaceFormatError) as info:
+        load_space(path)
+    assert info.value.field == field
+    assert cli.main(["verify", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {info.value}\n" and err.startswith(f"error: {field}: ")
+
+
+def _sampler(**changes):
+    fields = {
+        "param_dim": 1,
+        "numerators": (parse("x1", 1),),
+        "denominator": parse("x1", 1),
+        "param_box": ((F(0), F(1)),),
+        "param_resolution": 2,
+    }
+    return Sampler(**{**fields, **changes})
+
+
+def _space(**changes):
+    return SpacePresentation(**{"name": "line", "ambient_dim": 1, **changes})
+
+
+# (build, the error it raises, a part of its message)
+CONSTRUCTION_REFUSALS = {
+    "box of two entries": (
+        lambda: _sampler(param_box=((F(0), F(1)),) * 2),
+        DimensionMismatchError, "param_box has 2 entries, expected 1",
+    ),
+    "numerator off the parameter ring": (
+        lambda: _sampler(numerators=(parse("x1", 2),)),
+        DimensionMismatchError, "must live in the parameter ring",
+    ),
+    "resolution 0": (
+        lambda: _sampler(param_resolution=0), ValueError, "param_resolution must be >= 1"
+    ),
+    "equation of another dimension": (
+        lambda: _space(equations=(parse("x2", 2),)),
+        DimensionMismatchError, "equation x2 has ambient_dim 2, expected 1",
+    ),
+    "inequality of another dimension": (
+        lambda: _space(inequalities=((parse("x2", 2), True),)),
+        DimensionMismatchError, "inequality x2 has ambient_dim 2, expected 1",
+    ),
+    "sampler of two numerators": (
+        lambda: _space(samplers=(_sampler(numerators=(parse("x1", 1),) * 2),)),
+        DimensionMismatchError, "sampler has 2 numerators, expected 1",
+    ),
+    "sample point of length 2": (
+        lambda: _space(sample_points=((F(0), F(0)),)),
+        DimensionMismatchError, "has length 2, expected 1",
+    ),
+    "image where the denominator vanishes": (
+        lambda: _sampler().image((F(0),)),
+        SamplerInvariantError, "sampler denominator vanishes at parameters (0)",
+    ),
+    "no variables": (
+        lambda: Polynomial(0, {}), DimensionMismatchError, "ambient_dim must be >= 1"
+    ),
+    "exponent of another length": (
+        lambda: Polynomial(2, {(1,): 1}),
+        DimensionMismatchError, "exponent vector (1,) has length 1, expected 2",
+    ),
+    "negative exponent": (
+        lambda: Polynomial(1, {(-1,): 1}), ValueError, "negative exponent in (-1,)"
+    ),
+    "variable out of range": (
+        lambda: variable(3, 2), DimensionMismatchError, "variable index 3 out of range 1..2"
+    ),
+    "x without an index": (
+        lambda: parse("x + 1", 1), ParseError, "expected variable index after 'x'"
+    ),
+    "denominator not an integer": (
+        lambda: parse("1/x1", 1), ParseError, "expected integer denominator after '/'"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "build, error, message", CONSTRUCTION_REFUSALS.values(), ids=list(CONSTRUCTION_REFUSALS)
+)
+def test_each_construction_refusal_raises_its_error(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error
+    assert message in str(info.value)
+
+
+def test_a_polynomial_is_immutable():
+    p = parse("x1", 1)
+    with pytest.raises(AttributeError, match="^Polynomial is immutable$"):
+        p.ambient_dim = 2
+    assert p == variable(1, 1)
+
+
+def test_a_point_of_the_wrong_length_is_refused(cone, capsys):
+    with pytest.raises(SubcartError, match="^--point has 2 coordinates, expected 3$"):
+        cli._parse_point("1,0", 3)
+    assert cli.main(["classify", str(fixture_path("cone")), "--point", "1,0"]) == 2
+    assert capsys.readouterr() == ("", "error: --point has 2 coordinates, expected 3\n")
+    with pytest.raises(DimensionMismatchError, match="components have length 2, expected 3"):
+        is_tangent(cone, (F(1), F(0), F(1)), (F(0), F(1)))
+
+
+def test_an_unknown_verdict_is_a_key_error(cone):
+    report = stratify(cone)
+    assert report.verdict("usc").passed
+    with pytest.raises(KeyError, match="local_triviality"):
+        report.verdict("local_triviality")

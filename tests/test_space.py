@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import time
 from dataclasses import replace
@@ -7,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subcart import poly, space as space_module, stratify, verify
+from subcart import cli, poly, space as space_module, stratify, verify
 from subcart.errors import (
     DimensionMismatchError,
     NoSampleSourceError,
@@ -686,3 +687,56 @@ def test_grid_size_is_capped_at_load(tmp_path):
     with pytest.raises(SpaceFormatError, match=r"samplers\[0\]\.resolution"):
         load_space(path)
     assert time.perf_counter() - start < 1
+
+
+def test_explicit_points_count_toward_the_grid_cap():
+    # 99,990 grid points and 11 explicit ones: the 11th passes the cap
+    data = {
+        "name": "line",
+        "ambient_dim": 1,
+        "samplers": [
+            {"param_dim": 1, "numerators": ["x1"], "box": [["0", "1"]], "resolution": 99_990}
+        ],
+        "sample_points": [[str(k)] for k in range(2, 13)],
+    }
+    start = time.perf_counter()
+    with pytest.raises(SpaceFormatError, match=r"^sample_points\[10\]: the samplers' grids"):
+        space_from_dict(data)
+    assert time.perf_counter() - start < 1
+    data["sample_points"].pop()
+    assert space_from_dict(data).sample_points[-1] == (F(11),)
+
+
+def test_the_integer_sample_table_is_bounded_at_load(tmp_path, capsys):
+    # 400 points 1/(10^999 + i): their common denominator grows by 1,000
+    # digits a point, so the table over it grows quadratically (400 points
+    # took about 12 s and 85 MB to verify)
+    big = 10**999
+    data = {"name": "line", "ambient_dim": 1,
+            "sample_points": [[f"1/{big + i}"] for i in range(400)]}
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    start = time.perf_counter()
+    assert cli.main(["verify", str(path)]) == 2
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    # k samples over about 3,322 k bits pass MAX_TABLE_BITS = 10^8 at k = 174
+    assert err == (
+        "error: sample_points[173]: 174 samples over a 576501-bit denominator pass "
+        "100000000 bits\n"
+    )
+    data["sample_points"] = data["sample_points"][:173]
+    assert len(space_from_dict(data).cleared_samples) == 173
+
+
+@pytest.mark.parametrize("name", ["sphere", "whitney_umbrella", "cone"])
+def test_fixtures_at_resolution_99_load_under_the_table_bound(name):
+    # the sphere's common denominator has 1,817 digits (6,034 bits) at
+    # resolution 99, against at most 5 digits for each sample's
+    data = json.loads(fixture_path(name).read_text(encoding="utf-8"))
+    for sampler in data["samplers"]:
+        sampler["resolution"] = 99
+    forms = space_from_dict(data).cleared_samples
+    scale = math.lcm(*(d for _, d in forms))
+    assert len(forms) * scale.bit_length() <= space_module.MAX_TABLE_BITS

@@ -13,7 +13,7 @@ from subcart.fixtures import NAMES, fixture_path
 from subcart.space import SpacePresentation, load_space, sample
 from subcart.tangent import analyse, is_tangent, jacobian
 
-from oracles import divided, minor_rank
+from oracles import divided, gauss_jordan, minor_rank
 
 
 @pytest.fixture
@@ -106,7 +106,7 @@ def _rref_basis(matrix, ncols, chart):
     """The kernel basis normalized to the identity off ``chart``, read from
     the rational RREF with the chart's columns moved to the front."""
     free = [c for c in range(ncols) if c not in chart]
-    reduced, pivots = linalg.rref(linalg.submatrix_columns(matrix, [*chart, *free]))
+    reduced, pivots = gauss_jordan(linalg.submatrix_columns(matrix, [*chart, *free]))
     assert pivots == list(range(len(chart)))
     basis = []
     for k, f in enumerate(free):
@@ -133,12 +133,12 @@ def test_integer_analysis_matches_rational_elimination(name):
             ratios = {F(x) / y for x, y in zip(scaled, row) if y}
             assert len(ratios) <= 1 and all(r > 0 and r.denominator == 1 for r in ratios)
             assert [x == 0 for x in scaled] == [y == 0 for y in row]
-        _, pivots = linalg.rref(J)
+        _, pivots = gauss_jordan(J)
         assert a.pivots == tuple(pivots) and a.dim == n - len(pivots)
         charts = {
             cols
             for cols in combinations(range(n), len(pivots))
-            if len(linalg.rref(linalg.submatrix_columns(J, cols))[1]) == len(pivots)
+            if len(gauss_jordan(linalg.submatrix_columns(J, cols))[1]) == len(pivots)
         }
         assert a.charts == charts
         for chart in charts:
@@ -175,7 +175,7 @@ integer_matrices = st.integers(0, 4).flatmap(
 def test_bareiss_is_a_scaled_rref(sized):
     _, matrix = sized
     reduced, pivots = linalg.bareiss(matrix)
-    rational, rational_pivots = linalg.rref(matrix)
+    rational, rational_pivots = gauss_jordan(matrix)
     assert pivots == rational_pivots
     assert all(type(x) is int for row in reduced for x in row)
     # every pivot row is the last pivot times its RREF row; the rest vanish
@@ -183,6 +183,31 @@ def test_bareiss_is_a_scaled_rref(sized):
     for k, (row, rational_row) in enumerate(zip(reduced, rational)):
         expected = [last * x for x in rational_row] if k < len(pivots) else [0] * len(row)
         assert row == expected
+
+
+# (column count, small rational matrix with that many columns and 0-4 rows)
+rational_matrices = st.integers(0, 4).flatmap(
+    lambda ncols: st.tuples(
+        st.just(ncols),
+        st.lists(
+            st.lists(
+                st.fractions(F(-4), F(4), max_denominator=6), min_size=ncols, max_size=ncols
+            ),
+            max_size=4,
+        ),
+    )
+)
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(rational_matrices)
+def test_rref_is_the_gauss_jordan_form(sized):
+    # ``linalg.rref`` reads the form off one ``bareiss`` elimination of the
+    # rows over their common denominators
+    _, matrix = sized
+    reduced, pivots = linalg.rref(matrix)
+    assert (reduced, pivots) == gauss_jordan(matrix)
+    assert all(type(x) is F for row in reduced for x in row)
 
 
 @settings(deadline=None, max_examples=300)
