@@ -46,7 +46,7 @@ from .stratify import (
     verify_open,
     verify_usc,
 )
-from .tangent import is_tangent, jacobian
+from .tangent import is_tangent
 
 __version__ = "0.1.0"
 
@@ -75,7 +75,6 @@ __all__ = [
     "integer_table",
     "is_member",
     "is_tangent",
-    "jacobian",
     "label",
     "load_space",
     "parse",

@@ -8,7 +8,7 @@ Commands::
     subcart verify    FILE [--radius R] [--epsilon E] [--out PATH]
 
 Each command loads the space, parses its options, makes one library call
-(``classify``, ``stratify``, ``verify`` or ``anchored_frame``) and
+(``classify``, ``stratify``, ``verify`` or ``frame_at``) and
 emits the JSON that the library builds; ``_emit`` is the one serializer.
 A ``--radius`` or ``--epsilon`` that is given is always parsed, so an
 empty one is an input error; only a missing one means the default.  An
@@ -105,7 +105,7 @@ def _cmd_verify(args) -> int:
 def _cmd_frame(args) -> int:
     space = load_space(args.file)
     anchor = _parse_point(args.point, space.ambient_dim)
-    frame, evaluations = frames.anchored_frame(stratify(space, args.radius), anchor)
+    frame, evaluations = frames.frame_at(stratify(space, args.radius), anchor)
     _emit(frame.to_json(evaluations), args.out)
     return EXIT_PASS
 

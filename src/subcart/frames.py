@@ -13,24 +13,27 @@ never a silent re-pivot: re-pivoting would destroy smoothness of the
 sections and mask the rank boundary that local triviality is local with
 respect to.
 
-The frozen pivots are valid at a point iff they are one of its charts
-(``tangent.PointAnalysis``), and the frame's vectors there are the kernel
-the analysis keeps for that chart.  By Cramer's rule each frame component
-is a rational function whose denominator is the frozen pivots' chart
-minor, so the frame is smooth exactly where ``pivot_valid_at`` holds.
-``FrameSection.evaluate``, ``pivot_valid_at`` and ``anchored_frame`` all
-read it from one analysis.
-``anchored_frame`` (the ``frame`` command) walks one anchor's targets:
-its strict (``<`` radius) neighbours in the report's ``NeighbourIndex``,
-read off the one ``near`` scan whose closed neighbours label the anchor,
-so that at the default radius the cross-branch pairs of the coordinate
-cross, exactly at the radius, are excluded.  It reads each target's basis
-at the anchor's pivots and asks ``shares_chart`` only where that is None.
-``verify_local_triviality`` asks the same questions target by target,
-grouping each target's anchors by their pivots: one kernel read and one
-integer check per group, ``shares_chart`` only where neither point's
-pivots are a chart of the other, and of several failures the one that
-the anchor-by-anchor walk meets first.  Both read the report's space.
+The frozen pivots are valid at a point iff they are one of its charts,
+and the frame's vectors there are the kernel that the point's
+``tangent.PointAnalysis`` keeps for that chart.  By Cramer's rule each
+frame component is a rational function whose denominator is the frozen
+pivots' chart minor, so the frame is smooth exactly where
+``FrameSection.pivot_valid_at`` holds; ``FrameSection.evaluate`` reads the
+basis there.  Both take the point's analysis, so no point is analysed
+twice.  ``common_pivot_exists`` is the one shared-chart test of two
+analysed points: a Cauchy-Binet probe, then the chart sets.
+``frame_at`` (the ``frame`` command) walks one anchor's targets: its
+strict (``<`` radius) neighbours in the report's ``NeighbourIndex``, read
+off the one ``near`` scan whose closed neighbours label the anchor, so
+that at the default radius the cross-branch pairs of the coordinate
+cross, exactly at the radius, are excluded.  It evaluates the frame at
+each target where its pivots are valid and asks ``common_pivot_exists``
+only where they are not.  ``verify_local_triviality`` asks the same
+questions target by target, grouping each target's anchors by their
+pivots: one kernel read and one integer check per group,
+``common_pivot_exists`` only where neither point's pivots are a chart of
+the other, and of several failures the one that the anchor-by-anchor
+walk meets first.  Both read the report's space and analyses.
 ``verify`` is ``stratify`` with the local-triviality verdict appended.
 """
 
@@ -43,50 +46,49 @@ from operator import mul
 from typing import Sequence
 
 from .errors import FrameEvaluationError, SubcartError
-from .linalg import Kernel
+from .linalg import Kernel, bareiss
 from .poly import Point, divided, format_point, rational_text
 from .space import SpacePresentation
 from .stratify import StratificationReport, Verdict, label, stratify
-from .tangent import Basis, PointAnalysis, analyse
+from .tangent import PointAnalysis, analyse
+
+Basis = tuple[tuple[Fraction, ...], ...]
 
 
 @dataclass(frozen=True)
 class FrameSection:
     """Pivot-normalized kernel frame anchored at a regular member point."""
 
-    space: SpacePresentation
     anchor: Point
     pivot_columns: tuple[int, ...]  # 0-based, ascending
 
     @cached_property
     def free_columns(self) -> tuple[int, ...]:
         """The columns off the pivots, 0-based and ascending."""
-        return tuple(
-            c for c in range(self.space.ambient_dim) if c not in self.pivot_columns
-        )
+        return tuple(c for c in range(len(self.anchor)) if c not in self.pivot_columns)
 
-    def pivot_valid_at(self, point: Sequence[Fraction]) -> bool:
-        """True iff the frozen pivot pattern is one of the point's charts:
-        rank is unchanged and the pivot submatrix has full rank.  One
-        elimination decides it."""
-        return analyse(self.space, point).kernel(self.pivot_columns) is not None
+    def pivot_valid_at(self, analysis: PointAnalysis) -> bool:
+        """True iff the frozen pivot pattern is one of the analysed point's
+        charts: rank is unchanged and the pivot submatrix has full rank."""
+        return analysis.kernel(self.pivot_columns) is not None
 
-    def evaluate(self, point: Sequence[Fraction]) -> Basis:
-        """Exact frame vectors at a member point, identity on free columns:
-        the point's analysis's basis for the frozen pivots.
+    def evaluate(self, analysis: PointAnalysis) -> Basis:
+        """Exact frame vectors at the analysed member point, identity on
+        free columns: W / d of the analysis's kernel for the frozen pivots.
 
         Raises FrameEvaluationError when the rank or the frozen pivot
         pattern differs from the anchor: the point lies outside the
         rank-constant neighborhood this frame trivializes.
         """
-        basis = analyse(self.space, point).basis(self.pivot_columns)
-        if basis is None:
+        kernel = analysis.kernel(self.pivot_columns)
+        if kernel is None:
             raise FrameEvaluationError(
-                f"rank or pivot pattern at {format_point(point)} differs from the "
-                f"anchor {format_point(self.anchor)} (pivot columns "
+                f"rank or pivot pattern at {format_point(analysis.point)} differs "
+                f"from the anchor {format_point(self.anchor)} (pivot columns "
                 f"{[c + 1 for c in self.pivot_columns]})"
             )
-        return basis
+        vectors, d = kernel
+        return tuple(divided(w, d) for w in vectors)
 
     def to_json(self, evaluations: Sequence[tuple[Point, Basis]]) -> dict:
         """The ``frame`` report: this frame and its (point, basis) evaluations."""
@@ -104,46 +106,44 @@ class FrameSection:
         }
 
 
-def frame_at(space: SpacePresentation, point: Sequence[Fraction]) -> FrameSection:
-    """Build the frame at a member point (caller asserts regularity).
-
-    Pivot columns are the leftmost pivots that ``linalg.bareiss`` finds on
-    the Jacobian's integer rows, those of its reduced row echelon form, so
-    the construction is deterministic.
-    """
-    a = analyse(space, point)
-    return FrameSection(space, a.point, a.pivots)
-
-
-def common_pivot_exists(
-    space: SpacePresentation, a: Sequence[Fraction], b: Sequence[Fraction]
-) -> bool:
-    """True iff some single pivot-column set is valid at both points.
+def common_pivot_exists(a: PointAnalysis, b: PointAnalysis) -> bool:
+    """True iff some single pivot-column set is a chart of both analysed
+    points.
 
     This is the pairwise sampled form of local triviality: the kernels at
     two nearby equal-rank points admit a shared normalization exactly when
     one frame chart covers both.  Across the branches of the coordinate
     cross no shared chart exists; across the pivot-chart boundary of the
-    cone one always does.
+    cone one always does.  By Cauchy-Binet det(A X B^T), for pivot rows A
+    and B and X = diag(c + 2), is the sum of det(A_S) det(B_S)
+    prod(c + 2 for c in S) over column sets S: if it is nonzero a chart is
+    shared, else the chart sets are compared.
     """
-    return analyse(space, a).shares_chart(analyse(space, b))
+    if a.rank != b.rank:
+        return False
+    weighted = [[(c + 2) * x for c, x in enumerate(row)] for row in a.pivot_rows]
+    product = [[sum(map(mul, w, r)) for r in b.pivot_rows] for w in weighted]
+    return len(bareiss(product)[1]) == a.rank or not a.charts.isdisjoint(b.charts)
 
 
 # -- local triviality ----------------------------------------------------------
 
 
-def anchored_frame(
+def frame_at(
     report: StratificationReport, point: Sequence[Fraction]
 ) -> tuple[FrameSection, list[tuple[Point, Basis]]]:
     """The frame anchored at a member point, sample point or not, and its
     exact bases at its targets (the regular records of its dimension
     strictly within the report's radius, its own sample excluded) where
-    its frozen pivots are a chart, as (point, basis) pairs.
+    its frozen pivots are valid, as (point, basis) pairs.
 
-    Only at a target with no such basis are the chart sets compared.
-    Raises SubcartError when the point is labelled singular against the
-    report's samples, by the same rule that labels the records (a sample
-    at the point counts as evidence, as it does for the record), and
+    Pivot columns are the leftmost pivots that ``linalg.bareiss`` finds on
+    the Jacobian's integer rows, those of its reduced row echelon form, so
+    the construction is deterministic.  Only at a target where they are
+    not valid are the points asked for a common chart.  Raises
+    SubcartError when the point is labelled singular against the report's
+    samples, by the same rule that labels the records (a sample at the
+    point counts as evidence, as it does for the record), and
     FrameEvaluationError at the first target that shares no chart with
     the anchor: no single trivialization covers the pair.
     """
@@ -153,6 +153,7 @@ def anchored_frame(
         raise SubcartError(
             f"cannot anchor a frame at the singular point {format_point(anchor.point)}"
         )
+    frame = FrameSection(anchor.point, anchor.pivots)
     evaluations = []
     for j, inside in near:
         target, other = report.records[j], report.analyses[j]
@@ -163,12 +164,11 @@ def anchored_frame(
             or target.dim != anchor.dim
         ):
             continue
-        basis = other.basis(anchor.pivots)
-        if basis is not None:
-            evaluations.append((target.point, basis))
-        elif not anchor.shares_chart(other):
+        if frame.pivot_valid_at(other):
+            evaluations.append((target.point, frame.evaluate(other)))
+        elif not common_pivot_exists(anchor, other):
             raise FrameEvaluationError(_no_common_chart(anchor, other))
-    return FrameSection(report.space, anchor.point, anchor.pivots), evaluations
+    return frame, evaluations
 
 
 def verify_local_triviality(report: StratificationReport) -> Verdict:
@@ -223,7 +223,11 @@ def verify_local_triviality(report: StratificationReport) -> Verdict:
                 continue
             for i, c in zip(near, read):
                 anchor = analyses[i]  # its kernel at j's pivots is read anyway, i as target
-                if c == chart and anchor.kernel(own) is None and not anchor.shares_chart(other):
+                if (
+                    c == chart
+                    and anchor.kernel(own) is None
+                    and not common_pivot_exists(anchor, other)
+                ):
                     failure = min(failure, (i, 0, j, _no_common_chart(anchor, other)))
                     break
     if failure[3]:

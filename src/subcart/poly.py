@@ -118,7 +118,7 @@ class Polynomial:
                     f"expected {ambient_dim}"
                 )
             if any(e < 0 for e in exponent):
-                raise ValueError(f"negative exponent in {exponent}")
+                raise SubcartError(f"negative exponent in {exponent}")
             if type(coeff) is not int:
                 coeff = Fraction(coeff)
                 if coeff.denominator == 1:

@@ -100,7 +100,7 @@ class Sampler:
                     "sampler polynomials must live in the parameter ring"
                 )
         if self.param_resolution < 1:
-            raise ValueError("param_resolution must be >= 1")
+            raise SubcartError("param_resolution must be >= 1")
 
     def _integer_grid(self) -> tuple[int, Iterator[tuple[int, ...]]]:
         """The common denominator q of all grid parameters, and an iterator

@@ -338,7 +338,7 @@ def verify_usc(records: Sequence[PointRecord], index: NeighbourIndex) -> Verdict
     upward jump in the limit.  ``index`` holds the records' points.
     """
     if not records:
-        raise ValueError("verify_usc requires at least one record")
+        raise SubcartError("verify_usc requires at least one record")
     for i, record in enumerate(records):
         neighbor_dims = [records[j].dim for j in index.neighbours(i)]
         if neighbor_dims and all(d > record.dim for d in neighbor_dims):
@@ -361,7 +361,7 @@ def verify_open(records: Sequence[PointRecord], index: NeighbourIndex) -> Verdic
     ``index`` holds the records' points.
     """
     if not records:
-        raise ValueError("verify_open requires at least one record")
+        raise SubcartError("verify_open requires at least one record")
     for i, record in enumerate(records):
         if record.label != "regular":
             continue
@@ -383,7 +383,7 @@ def verify_dense(records: Sequence[PointRecord], index: NeighbourIndex) -> Verdi
     included) has a regular-labeled sample within epsilon, the radius of
     ``index``, which holds the records' points."""
     if not records:
-        raise ValueError("verify_dense requires at least one record")
+        raise SubcartError("verify_dense requires at least one record")
     for i, record in enumerate(records):
         if record.label != "regular" and not any(
             records[j].label == "regular" for j in index.neighbours(i)

@@ -11,31 +11,32 @@ kernel.
 Kernel bases are pivot-normalized (leftmost pivots, deterministic), which
 makes results canonical and feeds the frame construction directly.
 
-``analyse`` puts the point over its least common denominator D once
+``jacobian`` is the one Jacobian evaluator: the integer rows at a member
+point's least integer form (a, D), row j being the gradient of equation j
+times one positive integer (from ``SpacePresentation.cleared_gradients``,
+compiled once per space).  It trusts its form and tests no membership.
+Positive row scales keep the rank, the pivots, the charts, the
+normalized bases and which vectors annihilate the rows.  ``analyse``
+puts the point over its least common denominator D once
 (``poly.clear_denominators``), tests membership on that integer form and
 analyses the point from it (``analyse_member``, which ``stratify`` and
 ``classify`` call directly on the load-validated samples with the forms
 that the space stores, ``SpacePresentation.cleared_samples``, so no
-sample is cleared again).  ``PointAnalysis.jacobian`` holds the Jacobian's
-integer rows, row j being the gradient of equation j times one positive
-integer (from ``SpacePresentation.cleared_gradients``, compiled once per
-space).  Positive row scales keep the rank, the pivots, the charts and
-the normalized bases.  Rank, leftmost pivots and pivot rows come from
-one fraction-free ``linalg.bareiss`` elimination.  ``PointAnalysis.kernel``
-keeps each chart's pivot-normalized kernel on integers (W, d, with W / d
-the basis), None for a column set that is no chart.  It reads the own
-pivots' kernel off the pivot rows: Bareiss meets only zeros at and below
-the current row in a non-pivot column, so ``linalg.solve_with_pivots``,
-which moves the chart's columns to the front and decides and solves any
-other chart in one elimination, would make the same row operations and
-return the same W and d.  The charts, the column sets whose Jacobian
-submatrix has full rank, are decided by the integer rank of each
-submatrix only on a read of ``charts``; two points share a frame chart
-iff their ranks agree and their chart sets intersect, which
-``shares_chart`` first tries to prove with a Cauchy-Binet probe.
-``jacobian`` is the rational Jacobian of a member point: the same integer
-rows, each divided by its scale.  An analysis holds the form (a, D) and
-builds its ``point`` a / D on the first read.
+sample is cleared again); ``is_tangent`` tests membership the same way.
+Rank, leftmost pivots and pivot rows come from one fraction-free
+``linalg.bareiss`` elimination of the ``jacobian`` rows.
+``PointAnalysis.kernel`` keeps each chart's pivot-normalized kernel on
+integers (W, d, with W / d the basis), None for a column set that is no
+chart.  It reads the own pivots' kernel off the pivot rows: Bareiss meets
+only zeros at and below the current row in a non-pivot column, so
+``linalg.solve_with_pivots``, which moves the chart's columns to the
+front and decides and solves any other chart in one elimination, would
+make the same row operations and return the same W and d.  The charts,
+the column sets whose Jacobian submatrix has full rank, are decided by
+the integer rank of each submatrix only on a read of ``charts``, which
+``frames.common_pivot_exists`` makes when its Cauchy-Binet probe cannot
+prove a shared chart.  An analysis holds the form (a, D) and builds its
+``point`` a / D on the first read.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
 from typing import Sequence
 
 from . import linalg
@@ -52,21 +52,17 @@ from .errors import DimensionMismatchError, NonMemberError
 from .poly import Cleared, Point, clear_denominators, divided, format_point
 from .space import SpacePresentation, is_member_cleared
 
-Matrix = tuple[tuple[Fraction, ...], ...]
 IntegerMatrix = tuple[tuple[int, ...], ...]
-Basis = tuple[tuple[Fraction, ...], ...]
 
 
-def jacobian(space: SpacePresentation, point: Sequence[Fraction]) -> Matrix:
-    """Exact generator Jacobian at a member point: row j is the gradient
-    of equation j, its integer row at the point's form (a, D) divided by
-    the row's positive scale S * D^d."""
-    numerators, denominator = _member(space, point)
-    rows = []
-    for row in space.cleared_gradients:
-        scale = row.scale * denominator**row.degree
-        rows.append(tuple(Fraction(v, scale) for v in row.evaluate(numerators, denominator)))
-    return tuple(rows)
+def jacobian(space: SpacePresentation, form: Cleared) -> IntegerMatrix:
+    """The integer Jacobian rows at a member point of least integer form
+    ``form`` (a, D), which it trusts: row j is the gradient of equation j
+    at a / D times the positive integer S * D^d of its compiled row."""
+    numerators, denominator = form
+    return tuple(
+        tuple(row.evaluate(numerators, denominator)) for row in space.cleared_gradients
+    )
 
 
 def _member(space: SpacePresentation, point: Sequence[Fraction]) -> Cleared:
@@ -125,16 +121,6 @@ class PointAnalysis:
             )
         return self._kernels[columns]
 
-    def basis(self, columns: tuple[int, ...]) -> Basis | None:
-        """The kernel basis normalized to the identity off the chart
-        ``columns``, as Fractions: W / d of ``kernel``; None when
-        ``columns`` is not a chart."""
-        kernel = self.kernel(columns)
-        if kernel is None:
-            return None
-        vectors, d = kernel
-        return tuple(divided(w, d) for w in vectors)
-
     @property
     def ambient_dim(self) -> int:
         return len(self.form[0])
@@ -148,18 +134,6 @@ class PointAnalysis:
         """Structural dimension: ambient_dim - rank of the Jacobian."""
         return self.ambient_dim - self.rank
 
-    def shares_chart(self, other: "PointAnalysis") -> bool:
-        """True iff one pivot chart is valid at both points.  By Cauchy-Binet
-        det(A X B^T), for pivot rows A and B and X = diag(c + 2), is the sum
-        of det(A_S) det(B_S) prod(c + 2 for c in S) over column sets S: if
-        it is nonzero a chart is shared, else the chart sets are compared."""
-        if self.rank != other.rank:
-            return False
-        weighted = [[(c + 2) * x for c, x in enumerate(row)] for row in self.pivot_rows]
-        product = [[sum(map(mul, w, b)) for b in other.pivot_rows] for w in weighted]
-        probe = len(linalg.bareiss(product)[1]) == self.rank
-        return probe or not self.charts.isdisjoint(other.charts)
-
 
 def analyse(space: SpacePresentation, point: Sequence[Fraction]) -> PointAnalysis:
     """The analysis of a point, after testing that it is a member."""
@@ -170,10 +144,7 @@ def analyse_member(space: SpacePresentation, cleared: Cleared) -> PointAnalysis:
     """The integer Jacobian rows at a point known to be a member (such as
     a validated sample), given by its least integer form ``cleared`` (the
     ``clear_denominators`` of the point), and their Bareiss pivots."""
-    numerators, denominator = cleared
-    J = tuple(
-        tuple(row.evaluate(numerators, denominator)) for row in space.cleared_gradients
-    )
+    J = jacobian(space, cleared)
     reduced, pivots = linalg.bareiss(J)
     rows = tuple(map(tuple, reduced[: len(pivots)]))
     return PointAnalysis(cleared, J, tuple(pivots), rows)
@@ -182,8 +153,9 @@ def analyse_member(space: SpacePresentation, cleared: Cleared) -> PointAnalysis:
 def is_tangent(
     space: SpacePresentation, point: Sequence[Fraction], components: Sequence[Fraction]
 ) -> bool:
-    """True iff the component vector annihilates every generator at the point."""
-    J = jacobian(space, point)
+    """True iff the component vector annihilates every generator at the
+    point, which must be a member."""
+    J = jacobian(space, _member(space, point))
     if len(components) != space.ambient_dim:
         raise DimensionMismatchError(
             f"components have length {len(components)}, expected {space.ambient_dim}"

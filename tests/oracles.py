@@ -122,6 +122,15 @@ def naive_partial(a: dict, index0: int) -> dict:
     return {e: c for e, c in out.items() if c != 0}
 
 
+def naive_jacobian(space, point) -> list[list[Fraction]]:
+    """The rational generator Jacobian at a point: row j holds the partials
+    of equation j, each differentiated and evaluated term by term."""
+    return [
+        [naive_eval(naive_partial(g.terms, i), point) for i in range(space.ambient_dim)]
+        for g in space.equations
+    ]
+
+
 def naive_compose_cleared(equation: dict, numerators, denominator: dict, dim: int) -> dict:
     """den^d * g(nums / den) expanded term by term: each term c * x^e of g
     (of total degree d) becomes c * prod(num_i^e_i) * den^(d - |e|)."""
@@ -201,6 +210,7 @@ def per_anchor_triviality(report):
     pivots is checked, and each (target, chart) kernel is checked at its
     first read only.  Kernels and shared charts come from the report's
     analyses, so a corrupted stored kernel reaches this walk too."""
+    from subcart.frames import common_pivot_exists
     from subcart.poly import format_point
     from subcart.stratify import Verdict
 
@@ -221,7 +231,7 @@ def per_anchor_triviality(report):
             kernel = other.kernel(chart)
             if kernel is not None:
                 read.append((j, kernel))
-            elif not anchor.shares_chart(other):
+            elif not common_pivot_exists(anchor, other):
                 return failed(
                     f"no common pivot chart covers {format_point(anchor.point)} "
                     f"and {format_point(other.point)}: the bundle is not "

@@ -7,7 +7,10 @@ inputs (the Whitney umbrella at resolution 15, the sphere at resolution
 11), are the values recorded in ``benchmarks/spec.json`` (with the
 ``stratify`` exit codes of the same commit), so a change that moves any
 answer fails here, in tier 1, not only in the benchmark.  A few ``frame``
-and ``classify`` reports are pinned the same way.
+and ``classify`` reports are pinned the same way.  The names that
+``benchmarks/tracer.py`` wraps must resolve, and those that its per-layer
+counters read must count live work: a name that the package stops
+calling leaves its counter at 0 without failing any run.
 """
 
 import hashlib
@@ -105,15 +108,21 @@ def test_point_reports_match_golden_hashes(command, name, point, tmp_path, capsy
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("name,resolution", sorted(SCALED_GOLDEN))
-def test_scaled_reports_match_golden_hashes(name, resolution, tmp_path, capsys):
-    # the benchmark's inputs: the fixture with every sampler's resolution
-    # rewritten, so the samples spread over many neighbour-index cells
+def _scaled(name, resolution, tmp_path):
+    """The fixture's space file with every sampler's resolution rewritten."""
     data = json.loads(fixture_path(name).read_text(encoding="utf-8"))
     for sampler in data["samplers"]:
         sampler["resolution"] = resolution
     space = tmp_path / f"{name}.json"
     space.write_text(json.dumps(data, indent=2), encoding="utf-8")
+    return space
+
+
+@pytest.mark.parametrize("name,resolution", sorted(SCALED_GOLDEN))
+def test_scaled_reports_match_golden_hashes(name, resolution, tmp_path, capsys):
+    # the benchmark's inputs: the fixture with every sampler's resolution
+    # rewritten, so the samples spread over many neighbour-index cells
+    space = _scaled(name, resolution, tmp_path)
     out = tmp_path / "verify.json"
     exit_code, sha = SCALED_GOLDEN[name, resolution]
     assert main(["verify", str(space), "--out", str(out)]) == exit_code
@@ -121,13 +130,45 @@ def test_scaled_reports_match_golden_hashes(name, resolution, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_tracer_targets_resolve():
+def _tracer():
+    """``benchmarks/tracer.py``, loaded as a module without running anything."""
     spec = importlib.util.spec_from_file_location("tracer", BENCHMARKS / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_tracer_targets_resolve():
+    tracer = _tracer()
     for module, attr, name in tracer.SPANS + tracer.LEAVES:
         owner, last = tracer.target(module, attr)
         assert callable(vars(owner).get(last)), (module, attr, name)
+
+
+def test_traced_names_count_live_work(tmp_path, capsys):
+    # one traced operation each: a verify of the umbrella-verify input, a
+    # frame of fixtures-cli, and a verify of the cone, whose triviality
+    # walk asks for a shared chart where the frozen pivots miss
+    tracer = _tracer()
+    umbrella = _scaled("whitney_umbrella", 15, tmp_path)
+    runs = {
+        "umbrella": ["verify", str(umbrella)],
+        "frame": ["frame", str(fixture_path("cone")), "--point", "1,0,1"],
+        "cone": ["verify", str(fixture_path("cone"))],
+    }
+    calls = {}
+    with tracer.Tracer() as t:
+        for key, argv in runs.items():
+            first = len(t.spans)
+            with t.operation():
+                assert main(argv + ["--out", str(tmp_path / f"{key}.json")]) == 0
+            calls[key] = tracer.summarize(t.spans, first, len(t.spans))["calls"]
+    report = json.loads((tmp_path / "umbrella.json").read_text(encoding="utf-8"))
+    assert calls["umbrella"].get("tangent.jacobian") == report["counts"]["records"] == 218
+    for name in ("frames.frame_at", "frames.pivot_valid", "frames.evaluate"):
+        assert calls["frame"].get(name, 0) >= 1, name
+    assert calls["cone"].get("frames.common_pivot", 0) >= 1
+    capsys.readouterr()
 
 
 def test_benchmark_calls_resolve():

@@ -11,9 +11,13 @@ True division of two ints is a float (``a / b`` is a Fraction only when
 an operand is one), and syntax cannot tell the two apart, so no module,
 whose values may always be plain ints (polynomial coefficients, grid
 parameters, integer forms and matrix entries), may use ``/`` at all: a
-Fraction is built as ``Fraction(a, d)``.  What syntax cannot show is not
-checked: a power of a Fraction to a Fraction exponent is told apart only
-by the types of its operands at run time.
+Fraction is built as ``Fraction(a, d)``.  For the same reason the guard
+fails on ``operator.truediv`` and ``operator.itruediv``, whether reached
+as an attribute or imported by name, and on a ``**`` or a two-argument
+``pow`` whose exponent is a negative numeric literal (``2 ** -1`` is a
+float).  What syntax cannot show is not checked: a power of a Fraction
+to a Fraction exponent is told apart only by the types of its operands
+at run time.
 """
 
 import ast
@@ -25,18 +29,28 @@ import subcart
 
 SOURCES = sorted(Path(subcart.__file__).parent.glob("*.py"))
 EXACT_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm", "prod"}
+TRUE_DIVISION = {"truediv", "itruediv"}
+
+
+def _negative_literal(node) -> bool:
+    return (
+        isinstance(node, ast.UnaryOp)
+        and isinstance(node.op, ast.USub)
+        and isinstance(node.operand, ast.Constant)
+        and type(node.operand.value) in (int, float)
+        and node.operand.value > 0
+    )
 
 
 def inexact(source: str) -> list[str]:
     """``line: what`` for each inexact construct of a module's source."""
     tree = ast.parse(source)
-    aliases = {
-        alias.asname or alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Import)
-        for alias in node.names
-        if alias.name == "math"
-    }
+    aliases = {"math": set(), "operator": set()}  # module: the names it is bound to
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name in aliases:
+                    aliases[alias.name].add(alias.asname or alias.name)
     found = []
 
     class Visitor(ast.NodeVisitor):
@@ -53,20 +67,30 @@ def inexact(source: str) -> list[str]:
         def division(self, node):
             if isinstance(node.op, ast.Div):
                 found.append(f"{node.lineno}: true division")
+            if isinstance(node.op, ast.Pow) and _negative_literal(
+                node.right if isinstance(node, ast.BinOp) else node.value
+            ):
+                found.append(f"{node.lineno}: negative power")
             self.generic_visit(node)
 
         def visit_Call(self, node):
             if isinstance(node.func, ast.Name) and node.func.id in ("float", "complex"):
                 found.append(f"{node.lineno}: {node.func.id}(...)")
+            if (
+                isinstance(node.func, ast.Name)
+                and node.func.id == "pow"
+                and len(node.args) == 2
+                and _negative_literal(node.args[1])
+            ):
+                found.append(f"{node.lineno}: negative power")
             self.generic_visit(node)
 
         def visit_Attribute(self, node):
-            if (
-                isinstance(node.value, ast.Name)
-                and node.value.id in aliases
-                and node.attr not in EXACT_MATH
-            ):
-                found.append(f"{node.lineno}: math.{node.attr}")
+            if isinstance(node.value, ast.Name):
+                if node.value.id in aliases["math"] and node.attr not in EXACT_MATH:
+                    found.append(f"{node.lineno}: math.{node.attr}")
+                if node.value.id in aliases["operator"] and node.attr in TRUE_DIVISION:
+                    found.append(f"{node.lineno}: operator.{node.attr}")
             self.generic_visit(node)
 
         def visit_Import(self, node):
@@ -81,6 +105,10 @@ def inexact(source: str) -> list[str]:
                 for alias in node.names:
                     if alias.name not in EXACT_MATH:
                         found.append(f"{node.lineno}: from math import {alias.name}")
+            if node.module == "operator":
+                for alias in node.names:
+                    if alias.name in TRUE_DIVISION:
+                        found.append(f"{node.lineno}: from operator import {alias.name}")
 
     Visitor().visit(tree)
     return found
@@ -103,6 +131,14 @@ def test_no_floating_point_or_true_division(path):
         "def bump(b, point):\n    return 1.0\n",
         "def f(a, d):\n    return a / d\n",
         "def f(a, d):\n    a /= d\n    return a\n",
+        "from operator import truediv\n",
+        "from operator import itruediv as div\n",
+        "import operator\n\nhalf = operator.truediv(1, 2)\n",
+        "import operator as op\n\nhalf = op.itruediv(1, 2)\n",
+        "half = 2 ** -1\n",
+        "half = 2 ** (-1)\n",
+        "def f(a):\n    a **= -1\n    return a\n",
+        "half = pow(2, -1)\n",
     ],
 )
 def test_the_guard_flags_each_inexact_form(source):
@@ -126,3 +162,7 @@ def test_the_guard_flags_frames_and_passes_exact_math():
         "4: math.exp", "4: true division", "4: literal 1.0"
     ]
     assert inexact("import math\n\nscale = math.lcm(2, 3)\n") == []
+    # an int to a non-negative power, a modular inverse and ``floordiv``
+    # are exact
+    exact = "import operator\n\na = 2 ** 3\nb = pow(3, -1, 7)\nc = operator.floordiv(7, 2)\n"
+    assert inexact(exact) == []

@@ -13,7 +13,6 @@ from subcart.cli import main
 from subcart.errors import FrameEvaluationError
 from subcart.frames import (
     FrameSection,
-    anchored_frame,
     common_pivot_exists,
     frame_at,
     verify,
@@ -21,10 +20,10 @@ from subcart.frames import (
 )
 from subcart.space import SpacePresentation, load_space, sample
 from subcart.stratify import stratify
-from subcart.tangent import analyse, jacobian
+from subcart.tangent import analyse
 from subcart.fixtures import NAMES, fixture_path
 
-from oracles import divided, minor_rank, per_anchor_triviality
+from oracles import divided, minor_rank, naive_jacobian, per_anchor_triviality
 from test_tangent import _rref_basis
 
 
@@ -38,11 +37,17 @@ def plane():
 # -- frame construction -----------------------------------------------------------
 
 
+def _frame(space, point):
+    """The frame anchored at a member point: its analysis's pivots frozen."""
+    a = analyse(space, point)
+    return FrameSection(a.point, a.pivots)
+
+
 def test_cone_frame_delta_pattern(cone):
-    frame = frame_at(cone, (F(1), F(0), F(1)))
+    frame = _frame(cone, (F(1), F(0), F(1)))
     assert frame.pivot_columns == (0,)
     assert frame.free_columns == (1, 2)
-    vectors = frame.evaluate((F(1), F(0), F(1)))
+    vectors = frame.evaluate(analyse(cone, (F(1), F(0), F(1))))
     assert vectors == ((F(0), F(1), F(0)), (F(1), F(0), F(1)))
     # dq_i(X_j) on the free coordinates is exactly the Kronecker delta
     for j, v in enumerate(vectors):
@@ -51,57 +56,62 @@ def test_cone_frame_delta_pattern(cone):
 
 
 def test_unconstrained_plane_frame_is_coordinate_basis(plane):
-    frame = frame_at(plane, (F(0), F(0)))
+    frame = _frame(plane, (F(0), F(0)))
     assert frame.pivot_columns == ()
-    assert frame.evaluate((F(1), F(2))) == ((F(1), F(0)), (F(0), F(1)))
+    assert frame.evaluate(analyse(plane, (F(1), F(2)))) == ((F(1), F(0)), (F(0), F(1)))
 
 
 def test_cone_frame_extends_exactly(cone):
-    frame = frame_at(cone, (F(1), F(0), F(1)))
-    vectors = frame.evaluate((F(3), F(4), F(5)))
+    frame = _frame(cone, (F(1), F(0), F(1)))
+    vectors = frame.evaluate(analyse(cone, (F(3), F(4), F(5))))
     assert vectors == ((F(-4, 3), F(1), F(0)), (F(5, 3), F(0), F(1)))
-    J = jacobian(cone, (F(3), F(4), F(5)))
+    J = naive_jacobian(cone, (F(3), F(4), F(5)))
     for v in vectors:
         assert all(x == 0 for x in linalg.matrix_vector(J, v))
 
 
 def test_frame_errors_on_pivot_pattern_change(cone):
-    frame = frame_at(cone, (F(1), F(0), F(1)))
+    frame = _frame(cone, (F(1), F(0), F(1)))
     with pytest.raises(FrameEvaluationError):
-        frame.evaluate((F(0), F(1), F(1)))  # gradient's first entry vanishes
+        frame.evaluate(analyse(cone, (F(0), F(1), F(1))))  # gradient's first entry vanishes
 
 
 def test_frame_errors_on_rank_change(cone):
-    frame = frame_at(cone, (F(1), F(0), F(1)))
+    frame = _frame(cone, (F(1), F(0), F(1)))
     with pytest.raises(FrameEvaluationError):
-        frame.evaluate((F(0), F(0), F(0)))  # apex: rank drops to 0
+        frame.evaluate(analyse(cone, (F(0), F(0), F(0))))  # apex: rank drops to 0
 
 
 def test_frame_at_is_deterministic(cone):
-    a = frame_at(cone, (F(3), F(4), F(5)))
-    b = frame_at(cone, (F(3), F(4), F(5)))
-    assert a == b
-    assert a.evaluate((F(3), F(4), F(5))) == b.evaluate((F(3), F(4), F(5)))
+    report = stratify(cone)
+    a, evaluations = frame_at(report, (F(3), F(4), F(5)))
+    b, again = frame_at(report, (F(3), F(4), F(5)))
+    assert a == b and evaluations == again
+    at = analyse(cone, (F(3), F(4), F(5)))
+    assert a.evaluate(at) == b.evaluate(at)
 
 
 def test_frame_annihilation_across_samples(cone):
-    frame = frame_at(cone, (F(1), F(0), F(1)))
+    frame = _frame(cone, (F(1), F(0), F(1)))
     for point in sample(cone):
-        if not frame.pivot_valid_at(point):
+        at = analyse(cone, point)
+        if not frame.pivot_valid_at(at):
             continue
-        J = jacobian(cone, point)
-        vectors = frame.evaluate(point)
+        J = naive_jacobian(cone, point)
+        vectors = frame.evaluate(at)
         assert len(vectors) == 2
         for v in vectors:
             assert all(x == 0 for x in linalg.matrix_vector(J, v))
 
 
 def test_common_pivot_chart_exists_across_cone_chart_boundary(cone):
-    assert common_pivot_exists(cone, (F(7, 4), F(6), F(25, 4)), (F(0), F(9, 2), F(9, 2)))
+    a, b = analyse(cone, (F(7, 4), F(6), F(25, 4))), analyse(cone, (F(0), F(9, 2), F(9, 2)))
+    assert common_pivot_exists(a, b)
 
 
 def test_no_common_pivot_chart_across_cross_branches(cross):
-    assert not common_pivot_exists(cross, (F(1, 4), F(0)), (F(0), F(1, 4)))
+    a, b = analyse(cross, (F(1, 4), F(0))), analyse(cross, (F(0), F(1, 4)))
+    assert not common_pivot_exists(a, b)
 
 
 def _analyse_matrix(m, ncols):
@@ -143,10 +153,11 @@ def test_chart_rule_matches_minor_enumeration(pair):
     x, y = _analyse_matrix(a, ncols), _analyse_matrix(b, ncols)
     charts_a, charts_b = _minor_charts(a, ncols), _minor_charts(b, ncols)
     assert x.charts == charts_a and y.charts == charts_b
-    assert x.shares_chart(y) == (minor_rank(a) == minor_rank(b) and bool(charts_a & charts_b))
+    shared = minor_rank(a) == minor_rank(b) and bool(charts_a & charts_b)
+    assert common_pivot_exists(x, y) == shared
     for m, analysis in ((a, x), (b, y)):
         for chart in analysis.charts:
-            basis = analysis.basis(chart)
+            basis = divided(*analysis.kernel(chart))
             assert basis == divided(*linalg.solve_with_pivots(m, ncols, chart))
             assert all(c == 0 for v in basis for c in linalg.matrix_vector(m, v))
 
@@ -158,7 +169,7 @@ def test_chart_probe_agrees_with_chart_sets(pair):
     # leaves both chart sets underived, and its True must be a shared chart
     a, b, ncols = pair
     x, y = _analyse_matrix(a, ncols), _analyse_matrix(b, ncols)
-    shared = x.shares_chart(y)
+    shared = common_pivot_exists(x, y)
     probed = "charts" not in vars(x) and "charts" not in vars(y)
     assert shared == (x.rank == y.rank and not x.charts.isdisjoint(y.charts))
     if probed and x.rank == y.rank:
@@ -171,7 +182,7 @@ def test_chart_probe_cancellation_falls_back_to_chart_sets():
     x = _analyse_matrix([[F(1), F(1), F(0)]], 3)
     y = _analyse_matrix([[F(3), F(-2), F(0)]], 3)
     assert (x.pivot_rows, y.pivot_rows) == (((1, 1, 0),), ((3, -2, 0),))
-    assert x.shares_chart(y)
+    assert common_pivot_exists(x, y)
     assert "charts" in vars(x) and x.charts == y.charts == {(0,), (1,)}
 
 
@@ -183,51 +194,54 @@ def test_chart_probe_cancellation_falls_back_to_chart_sets():
 
 def test_cone_frame_smoothness_along_both_parameters(cone):
     sampler = cone.samplers[0]
-    frame = frame_at(cone, sampler.image((F(1), F(1, 2))))
+    frame = _frame(cone, sampler.image((F(1), F(1, 2))))
     assert frame.pivot_columns == (0,)
     for h in (F(1, 8), F(1, 16), F(-1, 16), F(-1, 8)):
         for params in ((1 + h, F(1, 2)), (F(1), F(1, 2) + h)):
             point = sampler.image(params)
-            assert frame.pivot_valid_at(point)
-            assert frame.evaluate(point) == _rref_basis(jacobian(cone, point), 3, (0,))
+            at = analyse(cone, point)
+            assert frame.pivot_valid_at(at)
+            assert frame.evaluate(at) == _rref_basis(naive_jacobian(cone, point), 3, (0,))
 
 
 def test_constant_frame_is_the_same_at_every_grid_image(half_line):
-    frame = frame_at(half_line, half_line.samplers[0].image((F(1),)))
+    frame = _frame(half_line, half_line.samplers[0].image((F(1),)))
     points = sample(half_line)
     assert len(points) == 9
     for point in points:
-        assert frame.pivot_valid_at(point)
-        assert frame.evaluate(point) == ((F(1),),)
+        at = analyse(half_line, point)
+        assert frame.pivot_valid_at(at)
+        assert frame.evaluate(at) == ((F(1),),)
 
 
 def test_forced_wrong_pivot_fails_or_errors(cone):
     # deliberately discontinuous section: freeze a pivot column where the
     # Jacobian vanishes at the anchor
     broken = FrameSection(
-        space=cone,
         anchor=(F(1), F(0), F(1)),
         pivot_columns=(1,),  # gradient (2, 0, -2): column 2 is zero
     )
-    assert not broken.pivot_valid_at((F(1), F(0), F(1)))
+    at = analyse(cone, (F(1), F(0), F(1)))
+    assert not broken.pivot_valid_at(at)
     with pytest.raises(FrameEvaluationError):
-        broken.evaluate((F(1), F(0), F(1)))
+        broken.evaluate(at)
 
 
 def test_frame_is_exact_up_to_the_chart_boundary(cone):
     # the frame anchored at s(21/32, 1/2) freezes column 1, whose gradient
     # entry 2 x1 = 2 (u^2 - v^2) vanishes on the line u = v of parameters
     sampler = cone.samplers[0]
-    frame = frame_at(cone, sampler.image((F(21, 32), F(1, 2))))
+    frame = _frame(cone, sampler.image((F(21, 32), F(1, 2))))
     assert frame.pivot_columns == (0,)
     inside = sampler.image((F(17, 32), F(1, 2)))
-    assert frame.pivot_valid_at(inside)
-    assert frame.evaluate(inside) == _rref_basis(jacobian(cone, inside), 3, (0,))
+    assert frame.pivot_valid_at(analyse(cone, inside))
+    expected = _rref_basis(naive_jacobian(cone, inside), 3, (0,))
+    assert frame.evaluate(analyse(cone, inside)) == expected
     boundary = sampler.image((F(1, 2), F(1, 2)))
     assert boundary == (F(0), F(1, 2), F(1, 2))
-    assert not frame.pivot_valid_at(boundary)
+    assert not frame.pivot_valid_at(analyse(cone, boundary))
     with pytest.raises(FrameEvaluationError, match="pivot pattern"):
-        frame.evaluate(boundary)
+        frame.evaluate(analyse(cone, boundary))
 
 
 # -- local triviality ----------------------------------------------------------------
@@ -537,7 +551,7 @@ def test_chart_failure_and_kernel_failure_order_by_anchor(anchor):
 @pytest.mark.parametrize("scale", [1, 2])
 @pytest.mark.parametrize("name", NAMES)
 def test_anchored_frame_reads_each_anchors_targets(name, scale):
-    # every regular record as the anchor of ``frame``: it fails at the
+    # every regular record as the anchor of ``frame_at``: it fails at the
     # first target whose chart set misses the anchor's, and otherwise
     # returns the anchor's reads of ``_reads``, each basis the rational
     # elimination's at the anchor's pivots
@@ -556,14 +570,14 @@ def test_anchored_frame_reads_each_anchors_targets(name, scale):
         if missing:
             point = poly.format_point(report.records[missing[0]].point)
             with pytest.raises(FrameEvaluationError, match=re.escape(f"and {point}:")):
-                anchored_frame(report, record.point)
+                frame_at(report, record.point)
             continue
-        frame, evaluations = anchored_frame(report, record.point)
+        frame, evaluations = frame_at(report, record.point)
         assert frame.pivot_columns == anchor.pivots
         targets = reads.get(i, [])
         assert [p for p, _ in evaluations] == [report.records[j].point for j in targets]
         for j, (point, basis) in zip(targets, evaluations):
-            J = jacobian(space, point)
+            J = naive_jacobian(space, point)
             assert basis == _rref_basis(J, space.ambient_dim, anchor.pivots)
 
 
@@ -580,5 +594,5 @@ def test_anchored_frame_skips_targets_of_another_dimension():
     )
     report = stratify(space, F(1, 2))
     assert [r.label for r in report.records] == ["regular", "regular"]
-    frame, evaluations = anchored_frame(report, (F(0), F(1, 8)))
+    frame, evaluations = frame_at(report, (F(0), F(1, 8)))
     assert frame.pivot_columns == (0,) and evaluations == []

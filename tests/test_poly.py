@@ -295,6 +295,17 @@ def test_canonical_form_drops_zero_coefficients():
     assert p.terms == {(0, 1): F(2)}
 
 
+def test_a_polynomial_equals_no_other_type():
+    p = parse("x1", 1)
+    assert p.__eq__("x1") is NotImplemented
+    assert p != "x1" and p != 1 and parse("1", 1) != 1
+
+
+def test_repr_names_the_dimension_and_the_text():
+    p = parse("x1^2 - 1/2*x2", 2)
+    assert repr(p) == f"Polynomial(2, {str(p)!r})" == "Polynomial(2, 'x1^2 - 1/2*x2')"
+
+
 # -- printing round trip --------------------------------------------------------
 
 

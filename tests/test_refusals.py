@@ -3,9 +3,8 @@ loader's field checks as mutations of a shipped fixture (each a
 ``SpaceFormatError`` naming its field, and exit 2 through ``cli.main``),
 the checks of directly built samplers and presentations, the polynomial
 constructor and parser, and the few checks of the CLI and the report.
-
-A sampler resolution below 1 and a negative exponent raise a plain
-``ValueError``, not a ``SubcartError``; the tables pin that as it is.
+Every refusal is a ``SubcartError``, so a caller that catches the
+package's errors catches each of them.
 """
 
 import json
@@ -111,7 +110,7 @@ CONSTRUCTION_REFUSALS = {
         DimensionMismatchError, "must live in the parameter ring",
     ),
     "resolution 0": (
-        lambda: _sampler(param_resolution=0), ValueError, "param_resolution must be >= 1"
+        lambda: _sampler(param_resolution=0), SubcartError, "param_resolution must be >= 1"
     ),
     "equation of another dimension": (
         lambda: _space(equations=(parse("x2", 2),)),
@@ -141,7 +140,7 @@ CONSTRUCTION_REFUSALS = {
         DimensionMismatchError, "exponent vector (1,) has length 1, expected 2",
     ),
     "negative exponent": (
-        lambda: Polynomial(1, {(-1,): 1}), ValueError, "negative exponent in (-1,)"
+        lambda: Polynomial(1, {(-1,): 1}), SubcartError, "negative exponent in (-1,)"
     ),
     "variable out of range": (
         lambda: variable(3, 2), DimensionMismatchError, "variable index 3 out of range 1..2"

@@ -469,6 +469,35 @@ def test_reduced_generators_get_no_caveat(cone, umbrella):
     assert repeated_factor_caveats(umbrella) == []
 
 
+def test_a_zero_equation_loads_and_verifies_at_full_dimension(tmp_path, capsys):
+    # x1 - x1 parses to zero: it constrains nothing and gets no caveat, so
+    # the diagonal (t, t) on [0, 1] is 3 regular records of dimension 2
+    data = {
+        "name": "zero",
+        "ambient_dim": 2,
+        "equations": ["x1 - x1"],
+        "samplers": [
+            {
+                "param_dim": 1,
+                "numerators": ["x1", "x1"],
+                "denominator": "1",
+                "box": [["0", "1"]],
+                "resolution": 3,
+            }
+        ],
+    }
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    space = load_space(path)
+    assert space.equations[0].is_zero()
+    assert repeated_factor_caveats(space) == []
+    report = verify(space)
+    assert [(r.label, r.dim) for r in report.records] == [("regular", 2)] * 3
+    assert report.caveats == ()
+    assert cli.main(["verify", str(path), "--out", str(tmp_path / "out.json")]) == 0
+    capsys.readouterr()
+
+
 # -- space file format ----------------------------------------------------------------
 
 

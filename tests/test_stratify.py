@@ -83,7 +83,8 @@ def test_dim_matches_tangent_basis_count(cone, cross, umbrella):
     for space in (cone, cross, umbrella):
         for point in sample(space):
             a = tangent.analyse(space, point)
-            assert structural_dim(space, point) == len(a.basis(a.pivots))
+            vectors, _ = a.kernel(a.pivots)
+            assert structural_dim(space, point) == len(vectors)
 
 
 # -- classification -----------------------------------------------------------------
@@ -106,7 +107,7 @@ def test_classify_empty_neighbors_is_unknown(cone):
 
 def _frame_refused(space, report, point):
     try:
-        frames.anchored_frame(report, point)
+        frames.frame_at(report, point)
     except FrameEvaluationError:
         return False  # no shared chart with a target: not a refusal
     except SubcartError:
@@ -538,7 +539,7 @@ def test_dense_fails_without_nearby_regular_points():
 
 def test_verifiers_reject_empty_records():
     for verifier in (verify_usc, verify_open, verify_dense):
-        with pytest.raises(ValueError):
+        with pytest.raises(SubcartError, match="requires at least one record"):
             verifier([], index_of([], F(1)))
 
 
