@@ -37,8 +37,6 @@ from .stratify import (
     StratificationReport,
     Verdict,
     classify,
-    default_adjacency_radius,
-    integer_table,
     label,
     stratify,
     structural_dim,
@@ -70,9 +68,7 @@ __all__ = [
     "classify",
     "common_pivot_exists",
     "constant",
-    "default_adjacency_radius",
     "frame_at",
-    "integer_table",
     "is_member",
     "is_tangent",
     "label",

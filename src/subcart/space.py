@@ -18,12 +18,13 @@ rational point), which is canonical, so equal points have equal forms.
 The presentation caches these forms once (``cleared_samples``) and
 builds no Fraction point: ``stratify`` reads the forms through
 ``sample_forms``, and ``sample`` builds the points a / D on each call.
+It takes no common denominator of the forms: ``stratify.NeighbourIndex``
+puts them on one integer table, and bounds it.
 A presentation built directly is validated on its first
 ``sample_forms``, which reports a failure as a ``SamplerInvariantError``.
 A space file may have at most ``MAX_AMBIENT_DIM`` coordinates and
-parameters per sampler, ``MAX_GRID_POINTS`` grid and explicit sample
-points, and ``MAX_TABLE_BITS`` in its integer sample table (see
-``cleared_samples``); its equations and inequalities may have at most
+parameters per sampler and ``MAX_GRID_POINTS`` grid and explicit sample
+points; its equations and inequalities may have at most
 ``poly.MAX_TERMS`` terms together, as may each product in the
 composition of a sampler with an equation.
 
@@ -65,7 +66,6 @@ from .poly import Cleared, Point, Polynomial, divided, format_point
 Inequality = tuple[Polynomial, bool]  # (polynomial, strict?)
 
 MAX_GRID_POINTS = 100_000  # grid and explicit sample points of a space file
-MAX_TABLE_BITS = 100_000_000  # distinct samples times the bits of their denominators' lcm
 MAX_AMBIENT_DIM = 12  # of a space file: a point has at most C(12, 6) = 924 charts
 _SPACE_FIELDS = (
     "name", "ambient_dim", "equations", "inequalities", "samplers", "sample_points"
@@ -205,17 +205,8 @@ class SpacePresentation:
         """The least integer form (a, D) of every sampler's validated grid
         images in grid order, then of the explicit sample points,
         deduplicated keeping first occurrences; a SpaceFormatError naming
-        the space-file field at the first failure, and at the first sample
-        past MAX_TABLE_BITS (``stratify`` puts them over the lcm of the D's)."""
-        forms: dict[Cleared, None] = {}
-        scale = 1  # the lcm of the D's so far
-        for path, form in _validated_forms(self):
-            forms[form] = None
-            scale = math.lcm(scale, form[1])
-            if len(forms) * scale.bit_length() > MAX_TABLE_BITS:
-                message = f"{len(forms)} samples over a {scale.bit_length()}-bit denominator"
-                raise SpaceFormatError(path, f"{message} pass {MAX_TABLE_BITS} bits")
-        return tuple(forms)
+        the space-file field at the first failure."""
+        return tuple(dict.fromkeys(_validated_forms(self)))
 
 
 def is_member(space: SpacePresentation, point: Sequence[Fraction]) -> bool:
@@ -284,8 +275,8 @@ def _horner(
 
 def _sampler_images(
     space: SpacePresentation, sampler: Sampler, path: str
-) -> Iterator[tuple[str, Cleared]]:
-    """(``path``, least integer form) of each grid image, in grid order, after
+) -> Iterator[Cleared]:
+    """The least integer form of each grid image, in grid order, after
     composing the sampler with each equation once; each denominator and image
     is tested once, and the first failure is a SpaceFormatError naming ``path``."""
     for gi, g in enumerate(space.equations):
@@ -312,20 +303,20 @@ def _sampler_images(
                 "constraints",
             )
         common = math.gcd(den, *image)
-        yield path, (tuple(x // common for x in image), den // common)
+        yield tuple(x // common for x in image), den // common
 
 
-def _validated_forms(space: SpacePresentation) -> Iterator[tuple[str, Cleared]]:
-    """(space-file field, least integer form) of each sample in ``sample``
-    order before deduplication, validated one by one: a SpaceFormatError
-    naming the field at the first failure."""
+def _validated_forms(space: SpacePresentation) -> Iterator[Cleared]:
+    """The least integer form of each sample in ``sample`` order before
+    deduplication, validated one by one: a SpaceFormatError naming the
+    space-file field at the first failure."""
     for i, sampler in enumerate(space.samplers):
         yield from _sampler_images(space, sampler, f"samplers[{i}]")
     for i, point in enumerate(space.sample_points):
         form = poly.clear_denominators([Fraction(x) for x in point])
         if not is_member_cleared(space, *form):
             raise SpaceFormatError(f"sample_points[{i}]", "point is not a member")
-        yield f"sample_points[{i}]", form
+        yield form
 
 
 def sample_forms(space: SpacePresentation) -> tuple[Cleared, ...]:

@@ -25,21 +25,22 @@ asymmetrically, by the one rule ``label`` that ``stratify``,
 
 Every adjacency question (labels, usc, open, dense, the triviality
 targets, and classification of points that are not samples) is answered
-by one ``NeighbourIndex`` per radius over one ``integer_table`` of the
-forms: the scale is the lcm of the D's, each point a * (scale / D),
-multiplied further only where the radius's denominator, or a query's,
-does not divide the scale.  The index hashes the points into cells
-(``near`` needs only those; the samples' neighbour lists are found on
-the first ``neighbours`` call, each pair of points in adjacent cells
-compared once and only up to its first coordinate beyond the radius), so
-every comparison is between integers and exact: a pair at exactly the
-radius is a neighbour for the ``<=`` questions (labels, usc, open, and
-dense with epsilon) and not for the strict ``<`` of the triviality
-targets, which keeps the coordinate cross's branches apart.  Default
-radius and epsilon are the maximum nearest-neighbor gap of the sample set
-(computed once, on the same table), so the defaults scale with sampling
-density instead of being assumed.  A negative radius or epsilon, which
-would leave every point without evidence, is an input error; a radius that leaves some
+by one ``NeighbourIndex`` per distinct radius, built from the forms
+before any sample is analysed.  The index owns its integer table (the
+forms over the lcm of the D's and of the radius's denominator, refused
+past ``MAX_TABLE_BITS``) and hashes its points into cells (``near``
+needs only those; the samples' neighbour lists are found on the first
+``neighbours`` call, refused past ``MAX_NEIGHBOUR_PAIRS`` candidate
+pairs, each pair of points in adjacent cells compared once and only up
+to its first coordinate beyond the radius), so every comparison is
+between integers and exact: a pair at exactly the radius is a neighbour
+for the ``<=`` questions (labels, usc, open, and dense with epsilon) and
+not for the strict ``<`` of the triviality targets, which keeps the
+coordinate cross's branches apart.  Default radius and epsilon are the
+maximum nearest-neighbor gap of the sample set, which the index computes
+on its own table, so the defaults scale with sampling density instead of
+being assumed.  A negative radius or epsilon, which would leave every
+point without evidence, is an input error; a radius that leaves some
 sample without any other sample within it is reported as a caveat, since
 those labels rest on no neighbour evidence.
 
@@ -65,6 +66,9 @@ from .tangent import PointAnalysis, analyse, analyse_member
 
 Label = Literal["regular", "singular", "unknown"]
 IntegerTable = tuple[int, list[tuple[int, ...]]]  # (scale, each point times it)
+
+MAX_TABLE_BITS = 100_000_000  # points times the bits of their table's scale
+MAX_NEIGHBOUR_PAIRS = 1_000_000  # candidate pairs that one index may compare
 
 
 def sup_distance(
@@ -165,14 +169,6 @@ class StratificationReport:
         }
 
 
-def integer_table(forms: Sequence[Cleared]) -> IntegerTable:
-    """The lcm of the forms' denominators, and each point a / D times it,
-    a * (scale / D): integer tuples whose sup-norm distances are the
-    rational ones times the scale."""
-    scale = math.lcm(*(d for _, d in forms))
-    return scale, [tuple(x * (scale // d) for x in a) for a, d in forms]
-
-
 def _axes(points: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
     """At most three coordinate axes, those with the most distinct values
     first (ties by position): the sweep axis of the nearest-neighbour gap
@@ -227,24 +223,33 @@ def default_adjacency_radius(table: IntegerTable) -> Fraction:
 class NeighbourIndex:
     """Exact fixed-radius sup-norm neighbours of a point set.
 
-    The points come as an ``integer_table``, its scale and coordinates
-    multiplied by the least factor that makes the radius an integer at
-    that scale, so distances are compared as integers.  Points are hashed
-    into cells of side max(scaled radius, 1) along at most three axes
-    (Bentley, Stanat & Williams 1977): two points within the radius lie in
-    the same or adjacent cells, so only those pairs are compared.
-    ``near`` reads only the cells.  The first ``neighbours`` call stores
-    each point's neighbours as ascending indices, once within the closed
-    ball (``<=`` radius) and once within the open ball (``<``).
+    The points come as least integer forms (a, D) and are put on one
+    integer table: its scale is the lcm of the D's and of the radius's
+    denominator, each point a * (scale / D), so distances are compared as
+    integers.  A table of more than ``MAX_TABLE_BITS`` (the points times
+    the bits of the scale) is refused before any point is scaled.  With
+    no radius, the radius is ``default_adjacency_radius`` of that table.
+    Points are hashed into cells of side max(scaled radius, 1) along at
+    most three axes (Bentley, Stanat & Williams 1977): two points within
+    the radius lie in the same or adjacent cells, so only those pairs are
+    compared.  ``near`` reads only the cells.  The first ``neighbours``
+    call stores each point's neighbours as ascending indices, once within
+    the closed ball (``<=`` radius) and once within the open ball (``<``).
     """
 
-    def __init__(self, table: IntegerTable, radius: Fraction):
+    def __init__(self, forms: Sequence[Cleared], radius: Fraction | None = None):
+        scale = 1 if radius is None else radius.denominator
+        for d in dict.fromkeys(d for _, d in forms):
+            scale = math.lcm(scale, d)
+            if len(forms) * scale.bit_length() > MAX_TABLE_BITS:
+                message = f"{len(forms)} samples over a {scale.bit_length()}-bit denominator"
+                raise SubcartError(f"{message} pass {MAX_TABLE_BITS} bits")
+        self._scale = scale
+        self._points = [tuple(x * (scale // d) for x in a) for a, d in forms]
+        if radius is None:
+            radius = default_adjacency_radius((scale, self._points))
         self.radius = radius
-        scale, points = table
-        grow = radius.denominator // math.gcd(scale, radius.denominator)
-        self._scale = scale * grow
-        self._points = points if grow == 1 else [tuple(x * grow for x in p) for p in points]
-        self._reach = radius.numerator * (self._scale // radius.denominator)
+        self._reach = radius.numerator * (scale // radius.denominator)
         self._side = max(self._reach, 1)
         self._axes = _axes(self._points)
         self._offsets = tuple(product((-1, 0, 1), repeat=len(self._axes)))
@@ -259,14 +264,23 @@ class NeighbourIndex:
         cell's points are compared with its later points and with the
         points of the adjacent cells on one side (the offsets after the
         zero offset, whose negations are the ones before it), so each
-        pair is compared once."""
-        closed: list[list[int]] = [[] for _ in self._points]
-        strict: list[list[int]] = [[] for _ in self._points]
+        pair is compared once; past ``MAX_NEIGHBOUR_PAIRS`` pairs, none is."""
         forward = self._offsets[len(self._offsets) // 2 + 1 :]
+        blocks = []
         for key, members in self._cells.items():
             adjacent = []
             for offset in forward:
                 adjacent += self._cells.get(tuple(map(add, key, offset)), ())
+            blocks.append((members, adjacent))
+        pairs = sum(len(m) * (len(m) - 1) // 2 + len(m) * len(a) for m, a in blocks)
+        if pairs > MAX_NEIGHBOUR_PAIRS:
+            raise SubcartError(
+                f"radius {rational_text(self.radius)} leaves {pairs} sample pairs to "
+                f"compare, more than {MAX_NEIGHBOUR_PAIRS}; give a smaller --radius"
+            )
+        closed: list[list[int]] = [[] for _ in self._points]
+        strict: list[list[int]] = [[] for _ in self._points]
+        for members, adjacent in blocks:
             for k, i in enumerate(members):
                 candidates = members[k + 1 :] + adjacent
                 found = _within(self._points[i], self._points, candidates, self._reach)
@@ -397,21 +411,17 @@ def verify_dense(records: Sequence[PointRecord], index: NeighbourIndex) -> Verdi
     return Verdict("dense", True)
 
 
-def _radii(table: IntegerTable, **radii: Fraction | None) -> list[Fraction]:
-    """The given radii, by parameter name, with None replaced by the
-    default adjacency radius of the table, computed at most once.  A
-    radius that is not an int or a Fraction, or is negative, is an input
-    error naming it, and so is an adjacency radius 0 over more than one
+def _radii(points: int, **radii: Fraction | None) -> None:
+    """Refuse, by parameter name, a given radius that is not an int or a
+    Fraction, or is negative, and an adjacency radius 0 over more than one
     point, which leaves every point alone (over one it is the default)."""
     for name, r in radii.items():
         if r is not None and (isinstance(r, bool) or not isinstance(r, (int, Fraction))):
             raise SubcartError(f"{name} must be an int or a Fraction, got {r!r}")
         if r is not None and r < 0:
             raise SubcartError(f"{name} must be nonnegative, got {rational_text(r)}")
-    if radii.get("radius") == 0 and len(table[1]) > 1:
+    if radii.get("radius") == 0 and points > 1:
         raise SubcartError("radius must be positive, got 0")
-    default = default_adjacency_radius(table) if None in radii.values() else None
-    return [default if r is None else r for r in radii.values()]
 
 
 def classify(
@@ -424,11 +434,10 @@ def classify(
     query is analysed once, also when it is one of the samples."""
     x = analyse(space, point)
     forms = sample_forms(space)
-    table = integer_table(forms)
-    (radius,) = _radii(table, radius=radius)
+    _radii(len(forms), radius=radius)
     neighbor_dims = [
         x.dim if forms[j] == x.form else analyse_member(space, forms[j]).dim
-        for j, _ in NeighbourIndex(table, radius).near(x.form)
+        for j, _ in NeighbourIndex(forms, radius).near(x.form)
     ]
     return PointRecord(x.form, x.dim, label(x.dim, neighbor_dims))
 
@@ -438,16 +447,17 @@ def stratify(
     radius: Fraction | None = None,
     epsilon: Fraction | None = None,
 ) -> StratificationReport:
-    """Full pipeline: analyse each sample's integer form once, index the
-    neighbours once per distinct radius over one integer table, classify,
-    build strata, and run the usc / open / dense verifiers."""
+    """Full pipeline: index the samples once per distinct radius, analyse
+    each sample's integer form once, classify, build strata, and run the
+    usc / open / dense verifiers."""
     forms = sample_forms(space)
-    table = integer_table(forms)
-    radius, epsilon = _radii(table, radius=radius, epsilon=epsilon)
+    _radii(len(forms), radius=radius, epsilon=epsilon)
+    index = NeighbourIndex(forms, radius)
+    shared = epsilon == index.radius or epsilon is None and radius is None
+    dense_index = index if shared else NeighbourIndex(forms, epsilon)
+    radius, epsilon = index.radius, dense_index.radius
     analyses = tuple(map(analyse_member, repeat(space), forms))
     dims = [a.dim for a in analyses]
-    index = NeighbourIndex(table, radius)
-    dense_index = index if epsilon == radius else NeighbourIndex(table, epsilon)
     # a sample is evidence for itself, so isolated samples are regular
     # rather than unknown
     records = tuple(

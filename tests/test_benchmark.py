@@ -165,6 +165,10 @@ def test_traced_names_count_live_work(tmp_path, capsys):
             calls[key] = tracer.summarize(t.spans, first, len(t.spans))["calls"]
     report = json.loads((tmp_path / "umbrella.json").read_text(encoding="utf-8"))
     assert calls["umbrella"].get("tangent.jacobian") == report["counts"]["records"] == 218
+    # the neighbour index takes its default radius once, by a sweep of
+    # sup-norm distances
+    assert calls["umbrella"].get("stratify.default_radius") == 1
+    assert calls["umbrella"].get("stratify.sup_distance", 0) >= 1
     for name in ("frames.frame_at", "frames.pivot_valid", "frames.evaluate"):
         assert calls["frame"].get(name, 0) >= 1, name
     assert calls["cone"].get("frames.common_pivot", 0) >= 1

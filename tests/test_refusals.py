@@ -1,13 +1,17 @@
 """Every refusal of bad input, each pinned by the error it raises: the
 loader's field checks as mutations of a shipped fixture (each a
 ``SpaceFormatError`` naming its field, and exit 2 through ``cli.main``),
-the checks of directly built samplers and presentations, the polynomial
-constructor and parser, and the few checks of the CLI and the report.
+the neighbour index's bounds on its integer table and on its candidate
+pairs (exit 2 too, from a file that loads), the checks of directly built
+samplers and presentations, the polynomial constructor and parser, and
+the few checks of the CLI and the report.
 Every refusal is a ``SubcartError``, so a caller that catches the
 package's errors catches each of them.
 """
 
+import importlib
 import json
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -22,7 +26,8 @@ from subcart.errors import (
 )
 from subcart.fixtures import fixture_path
 from subcart.poly import Polynomial, parse, variable
-from subcart.space import Sampler, SpacePresentation, load_space
+from subcart.space import Sampler, SpacePresentation, load_space, space_from_dict
+from subcart.stratify import MAX_NEIGHBOUR_PAIRS, NeighbourIndex
 from subcart.tangent import is_tangent
 
 
@@ -82,6 +87,84 @@ def test_each_loader_refusal_names_its_field_and_exits_2(mutate, field, tmp_path
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {info.value}\n" and err.startswith(f"error: {field}: ")
+
+
+def _write(tmp_path, data):
+    path = tmp_path / f"{data['name']}.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return path
+
+
+def _exits_2_at_once(argv, capsys):
+    """The one ``error:`` line of a CLI call that must exit 2 in under 1 s."""
+    start = time.perf_counter()
+    assert cli.main(argv) == 2
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and err.startswith("error: ")
+    return err
+
+
+def test_a_table_past_its_bits_loads_and_is_refused_by_the_index(tmp_path, capsys):
+    # 400 points 1/(10^999 + i): the lcm of their denominators grows by
+    # 1,000 digits a point; 400 samples pass MAX_TABLE_BITS = 10^8 at the
+    # 76th new denominator, before any point is scaled
+    big = 10**999
+    data = {"name": "line", "ambient_dim": 1,
+            "sample_points": [[f"1/{big + i}"] for i in range(400)]}
+    path = _write(tmp_path, data)
+    forms = load_space(path).cleared_samples
+    assert len(forms) == 400
+    message = "400 samples over a 251895-bit denominator pass 100000000 bits"
+    with pytest.raises(SubcartError, match=f"^{message}$"):
+        NeighbourIndex(forms)
+    point = ["--point", f"1/{big}"]
+    for argv in (["verify"], ["stratify"], ["classify", *point], ["frame", *point]):
+        err = _exits_2_at_once([argv[0], str(path), *argv[1:]], capsys)
+        assert err == f"error: {message}\n", argv[0]
+
+
+def _wall(resolution):
+    """x2 = 0 in R^2, sampled on [0, 1/1000], and two far points that set
+    the default radius to 10: every sampled point is in one cell."""
+    sampler = {"param_dim": 1, "numerators": ["x1", "0"], "box": [["0", "1/1000"]],
+               "resolution": resolution}
+    return {"name": "wall", "ambient_dim": 2, "equations": ["x2"], "samplers": [sampler],
+            "sample_points": [["10", "0"], ["20", "0"]]}
+
+
+def _cube():
+    """R^12 with no equation, sampled at the 4,096 corners of the unit
+    cube: all of them within the default radius 1 of each other."""
+    sampler = {"param_dim": 12, "numerators": [f"x{i}" for i in range(1, 13)],
+               "box": [["0", "1"]] * 12, "resolution": 2}
+    return {"name": "cube", "ambient_dim": 12, "samplers": [sampler]}
+
+
+@pytest.mark.parametrize(
+    "data, radius, pairs",
+    [(_wall(2_000), "10", 2_001_001), (_cube(), "1", 8_386_560)],
+    ids=["wall", "cube"],
+)
+def test_too_many_neighbour_pairs_are_refused_before_any_is_compared(
+    data, radius, pairs, tmp_path, capsys
+):
+    path = _write(tmp_path, data)
+    expected = (
+        f"error: radius {radius} leaves {pairs} sample pairs to compare, more than "
+        f"{MAX_NEIGHBOUR_PAIRS}; give a smaller --radius\n"
+    )
+    for command in ("verify", "stratify"):
+        assert _exits_2_at_once([command, str(path)], capsys) == expected
+
+
+def test_the_wall_at_half_the_resolution_stays_under_the_pair_budget(monkeypatch):
+    # with no pair allowed, the refusal names the count before comparing
+    index = NeighbourIndex(space_from_dict(_wall(1_000)).cleared_samples)
+    monkeypatch.setattr(importlib.import_module("subcart.stratify"), "MAX_NEIGHBOUR_PAIRS", 0)
+    with pytest.raises(SubcartError, match="^radius 10 leaves 500501 sample pairs to compare, "):
+        index.neighbours(0)
+    assert 500_501 <= MAX_NEIGHBOUR_PAIRS
 
 
 def _sampler(**changes):

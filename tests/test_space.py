@@ -1,5 +1,5 @@
+import importlib
 import json
-import math
 import re
 import time
 from dataclasses import replace
@@ -14,6 +14,7 @@ from subcart.errors import (
     NoSampleSourceError,
     SamplerInvariantError,
     SpaceFormatError,
+    SubcartError,
 )
 from subcart.space import (
     MAX_AMBIENT_DIM,
@@ -28,6 +29,7 @@ from subcart.space import (
 )
 from subcart.fixtures import NAMES, fixture_path
 from subcart.poly import Polynomial
+from subcart.stratify import MAX_NEIGHBOUR_PAIRS, MAX_TABLE_BITS, NeighbourIndex
 
 from oracles import grid_points, naive_add, naive_compose_cleared, naive_eval
 
@@ -736,36 +738,51 @@ def test_explicit_points_count_toward_the_grid_cap():
     assert space_from_dict(data).sample_points[-1] == (F(11),)
 
 
-def test_the_integer_sample_table_is_bounded_at_load(tmp_path, capsys):
+def test_the_integer_sample_table_is_bounded_before_any_point_is_scaled():
     # 400 points 1/(10^999 + i): their common denominator grows by 1,000
-    # digits a point, so the table over it grows quadratically (400 points
-    # took about 12 s and 85 MB to verify)
+    # digits a point, so a table over it grows quadratically (400 points
+    # took about 12 s and 85 MB to verify before the table was bounded).
+    # The file loads; the neighbour index owns the table and refuses it
+    # from the count of points and the lcm, before it scales any point
     big = 10**999
     data = {"name": "line", "ambient_dim": 1,
             "sample_points": [[f"1/{big + i}"] for i in range(400)]}
-    path = tmp_path / "line.json"
-    path.write_text(json.dumps(data), encoding="utf-8")
     start = time.perf_counter()
-    assert cli.main(["verify", str(path)]) == 2
-    assert time.perf_counter() - start < 1
-    out, err = capsys.readouterr()
-    assert out == ""
+    forms = space_from_dict(data).cleared_samples
+    assert len(forms) == 400
     # k samples over about 3,322 k bits pass MAX_TABLE_BITS = 10^8 at k = 174
-    assert err == (
-        "error: sample_points[173]: 174 samples over a 576501-bit denominator pass "
-        "100000000 bits\n"
-    )
-    data["sample_points"] = data["sample_points"][:173]
-    assert len(space_from_dict(data).cleared_samples) == 173
+    with pytest.raises(SubcartError) as info:
+        NeighbourIndex(forms[:174])
+    assert str(info.value) == "174 samples over a 576501-bit denominator pass 100000000 bits"
+    assert time.perf_counter() - start < 1
+    index = NeighbourIndex(forms[:173])
+    assert 173 * index._scale.bit_length() <= MAX_TABLE_BITS
+
+
+# the bits of each fixture's table scale, and the candidate pairs of its
+# default radius, at resolution 99
+AT_RESOLUTION_99 = {
+    "sphere": (6_034, 676_548),
+    "whitney_umbrella": (12, 96_260),
+    "cone": (12, 71_403),
+}
 
 
 @pytest.mark.parametrize("name", ["sphere", "whitney_umbrella", "cone"])
-def test_fixtures_at_resolution_99_load_under_the_table_bound(name):
+def test_fixtures_at_resolution_99_load_under_the_table_bound(name, monkeypatch):
     # the sphere's common denominator has 1,817 digits (6,034 bits) at
-    # resolution 99, against at most 5 digits for each sample's
+    # resolution 99, against at most 5 digits for each sample's, and its
+    # default radius leaves the most candidate pairs
     data = json.loads(fixture_path(name).read_text(encoding="utf-8"))
     for sampler in data["samplers"]:
         sampler["resolution"] = 99
     forms = space_from_dict(data).cleared_samples
-    scale = math.lcm(*(d for _, d in forms))
-    assert len(forms) * scale.bit_length() <= space_module.MAX_TABLE_BITS
+    index = NeighbourIndex(forms)
+    bits, pairs = AT_RESOLUTION_99[name]
+    assert index._scale.bit_length() == bits
+    assert len(forms) * bits <= MAX_TABLE_BITS
+    # with no pair allowed, the refusal names the count before comparing
+    monkeypatch.setattr(importlib.import_module("subcart.stratify"), "MAX_NEIGHBOUR_PAIRS", 0)
+    with pytest.raises(SubcartError, match=f" leaves {pairs} sample pairs to compare, "):
+        index.neighbours(0)
+    assert pairs <= MAX_NEIGHBOUR_PAIRS

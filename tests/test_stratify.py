@@ -20,8 +20,6 @@ from subcart.stratify import (
     NeighbourIndex,
     PointRecord,
     classify,
-    default_adjacency_radius,
-    integer_table,
     label,
     stratify,
     structural_dim,
@@ -39,8 +37,8 @@ def form_of(point):
     return poly.clear_denominators([F(c) for c in point])
 
 
-def table_of(points):
-    return integer_table([form_of(p) for p in points])
+def forms_of(points):
+    return [form_of(p) for p in points]
 
 
 def record(point, dim, label="regular"):
@@ -48,7 +46,7 @@ def record(point, dim, label="regular"):
 
 
 def index_of(records, radius):
-    return NeighbourIndex(integer_table([r.form for r in records]), radius)
+    return NeighbourIndex([r.form for r in records], radius)
 
 
 def label_against(space, point, neighbors):
@@ -130,8 +128,7 @@ def test_stratify_classify_and_frame_agree_on_every_record(name):
 )
 def test_classify_point_analyses_each_point_once(cone, monkeypatch, query, neighbours):
     points = sample(cone)
-    table = integer_table(cone.cleared_samples)
-    near = NeighbourIndex(table, default_adjacency_radius(table)).near(form_of(query))
+    near = NeighbourIndex(cone.cleared_samples).near(form_of(query))
     assert len(near) == neighbours and query in [points[j] for j, _ in near]
     calls = []
     analyse_member = tangent.analyse_member
@@ -239,7 +236,7 @@ def test_higher_dimensional_neighbors_do_not_make_a_point_singular(cone):
 
 def test_default_radius_is_max_nearest_neighbor_gap(cone):
     points = sample(cone)
-    radius = default_adjacency_radius(integer_table(cone.cleared_samples))
+    radius = NeighbourIndex(cone.cleared_samples).radius
     assert radius == 2
     # every point then has at least one neighbor within the radius
     for i, p in enumerate(points):
@@ -249,8 +246,8 @@ def test_default_radius_is_max_nearest_neighbor_gap(cone):
 
 
 def test_default_radius_degenerates_to_zero():
-    assert default_adjacency_radius(table_of([(F(0),)])) == 0
-    assert default_adjacency_radius(table_of([])) == 0
+    assert NeighbourIndex(forms_of([(F(0),)])).radius == 0
+    assert NeighbourIndex([]).radius == 0
 
 
 # -- neighbour index ---------------------------------------------------------------
@@ -285,11 +282,13 @@ def neighbour_lists(index, count, strict):
 @given(point_sets())
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_integer_table_matches_the_fraction_reference(case):
-    # the table built from the integer forms, and the index's table once
-    # rescaled for the radius, are the Fraction points times the lcm
+    # the index's table, built from the integer forms over the lcm of
+    # their denominators and of the radius's (of theirs alone with the
+    # default radius), is the Fraction points times that lcm
     _, points, radius, _ = case
-    assert table_of(points) == integer_points(points)
-    index = NeighbourIndex(table_of(points), radius)
+    index = NeighbourIndex(forms_of(points))
+    assert (index._scale, index._points) == integer_points(points)
+    index = NeighbourIndex(forms_of(points), radius)
     assert (index._scale, index._points) == integer_points(points, radius)
 
 
@@ -297,7 +296,7 @@ def test_integer_table_matches_the_fraction_reference(case):
 @settings(max_examples=200, deadline=None)
 def test_neighbour_index_matches_all_pairs_oracle(case):
     _, points, radius, query = case
-    index = NeighbourIndex(table_of(points), radius)
+    index = NeighbourIndex(forms_of(points), radius)
     for strict in (False, True):
         assert neighbour_lists(index, len(points), strict) == naive_neighbours(
             points, radius, strict
@@ -308,27 +307,27 @@ def test_neighbour_index_matches_all_pairs_oracle(case):
                 for j, p in enumerate(points)
                 if (naive_sup(q, p) < radius if strict else naive_sup(q, p) <= radius)
             ]
-    assert default_adjacency_radius(table_of(points)) == naive_max_nearest_gap(points)
+    assert NeighbourIndex(forms_of(points)).radius == naive_max_nearest_gap(points)
 
 
 @given(point_sets(), RATIONALS.filter(bool), st.randoms(use_true_random=False))
 @settings(max_examples=100, deadline=None)
 def test_neighbour_lists_survive_scaling_and_coordinate_permutation(case, c, rng):
     dim, points, radius, _ = case
-    index = NeighbourIndex(table_of(points), radius)
+    index = NeighbourIndex(forms_of(points), radius)
     scaled = [tuple(c * x for x in p) for p in points]
     order = list(range(dim))
     rng.shuffle(order)
     permuted = [tuple(p[k] for k in order) for p in points]
     for strict in (False, True):
         expected = neighbour_lists(index, len(points), strict)
-        scaled_index = NeighbourIndex(table_of(scaled), abs(c) * radius)
+        scaled_index = NeighbourIndex(forms_of(scaled), abs(c) * radius)
         assert neighbour_lists(scaled_index, len(points), strict) == expected
-        permuted_index = NeighbourIndex(table_of(permuted), radius)
+        permuted_index = NeighbourIndex(forms_of(permuted), radius)
         assert neighbour_lists(permuted_index, len(points), strict) == expected
-    gap = default_adjacency_radius(table_of(points))
-    assert default_adjacency_radius(table_of(scaled)) == abs(c) * gap
-    assert default_adjacency_radius(table_of(permuted)) == gap
+    gap = NeighbourIndex(forms_of(points)).radius
+    assert NeighbourIndex(forms_of(scaled)).radius == abs(c) * gap
+    assert NeighbourIndex(forms_of(permuted)).radius == gap
 
 
 def test_neighbour_index_compares_points_only_when_asked(monkeypatch):
@@ -338,8 +337,6 @@ def test_neighbour_index_compares_points_only_when_asked(monkeypatch):
         sampler["resolution"] = 15
     space = space_from_dict(data)
     points = sample(space)
-    table = integer_table(space.cleared_samples)
-    radius = default_adjacency_radius(table)
     compared = []
     # the module, not the ``subcart.stratify`` function the package exports
     module = importlib.import_module("subcart.stratify")
@@ -351,7 +348,8 @@ def test_neighbour_index_compares_points_only_when_asked(monkeypatch):
         return within(p, scaled, candidates, reach)
 
     monkeypatch.setattr(module, "_within", counting)
-    index = NeighbourIndex(table, radius)
+    index = NeighbourIndex(space.cleared_samples)
+    radius = index.radius
     assert compared == []
     # a query is compared with the points of its own and the adjacent
     # cells only: every point within the radius, none two radii away
