@@ -11,7 +11,6 @@ from .errors import (
     NonMemberError,
     NoSampleSourceError,
     ParseError,
-    SamplerInvariantError,
     SpaceFormatError,
     SubcartError,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "PointRecord",
     "Polynomial",
     "Sampler",
-    "SamplerInvariantError",
     "SpaceFormatError",
     "SpacePresentation",
     "StratificationReport",

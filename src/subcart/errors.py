@@ -32,15 +32,12 @@ class NonMemberError(SubcartError):
 
 
 class SpaceFormatError(SubcartError):
-    """A space file violates the schema; message names the offending field."""
+    """A space file, or a presentation built directly, is invalid; the
+    message names the offending field."""
 
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
         self.field = field
-
-
-class SamplerInvariantError(SubcartError):
-    """A sampler fails its identity, denominator, or constraint invariant."""
 
 
 class NoSampleSourceError(SubcartError):

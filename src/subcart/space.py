@@ -7,21 +7,20 @@ rarely lie on a variety exactly, so sampling goes through rational
 parameterizations (samplers) whose images are on S by polynomial identity,
 plus optional explicit rational points.
 
-Sample sources are validated on one path, once per presentation: each
-sampler is composed with each equation once, and each grid image and
-explicit point is membership-tested once.  ``space_from_dict`` runs it at
-load, where a failure is a ``SpaceFormatError`` naming the offending
-field.  Samples are validated and deduplicated in integer form: each is
+Sample sources are validated on one path, once per presentation, when it
+is built: each sampler is composed with each equation once, and each grid
+image and explicit point is membership-tested once.  A presentation that
+is loaded, built directly or made by ``dataclasses.replace`` is refused
+the same way, by a ``SpaceFormatError`` naming the offending field.
+Samples are validated and deduplicated in integer form: each is
 kept as its least integer form (a, D), integer numerators a over the
 least positive common denominator D (``poly.clear_denominators`` of the
 rational point), which is canonical, so equal points have equal forms.
-The presentation caches these forms once (``cleared_samples``) and
+The presentation keeps these forms (``cleared_samples``) and
 builds no Fraction point: ``stratify`` reads the forms through
 ``sample_forms``, and ``sample`` builds the points a / D on each call.
 It takes no common denominator of the forms: ``stratify.NeighbourIndex``
 puts them on one integer table, and bounds it.
-A presentation built directly is validated on its first
-``sample_forms``, which reports a failure as a ``SamplerInvariantError``.
 A space file may have at most ``MAX_AMBIENT_DIM`` coordinates and
 parameters per sampler and ``MAX_GRID_POINTS`` grid and explicit sample
 points; its equations and inequalities may have at most
@@ -57,7 +56,6 @@ from . import poly
 from .errors import (
     DimensionMismatchError,
     NoSampleSourceError,
-    SamplerInvariantError,
     SpaceFormatError,
     SubcartError,
 )
@@ -137,21 +135,12 @@ class Sampler:
         *image, den = self._cleared.evaluate(numerators, denominator)
         return ([-x for x in image], -den) if den < 0 else (image, den)
 
-    def image(self, params: Sequence[Fraction]) -> Point:
-        """Exact image of one parameter point; denominator must not vanish."""
-        image, den = self._cleared_image(
-            *poly.clear_denominators([Fraction(x) for x in params])
-        )
-        if den == 0:
-            raise SamplerInvariantError(
-                f"sampler denominator vanishes at parameters {format_point(params)}"
-            )
-        return divided(image, den)
-
 
 @dataclass(frozen=True)
 class SpacePresentation:
-    """A subspace of R^n presented by generators and constraints."""
+    """A subspace of R^n presented by generators and constraints, valid
+    once built: a bad sample source is refused when it is built, by a
+    SpaceFormatError naming its field."""
 
     name: str
     ambient_dim: int
@@ -184,6 +173,7 @@ class SpacePresentation:
                 raise DimensionMismatchError(
                     f"sample point {p} has length {len(p)}, expected {self.ambient_dim}"
                 )
+        self.cleared_samples  # every sample source is validated once, here
 
     @cached_property
     def cleared_gradients(self) -> tuple[poly.ClearedRow, ...]:
@@ -321,26 +311,22 @@ def _validated_forms(space: SpacePresentation) -> Iterator[Cleared]:
 
 def sample_forms(space: SpacePresentation) -> tuple[Cleared, ...]:
     """The least integer form (a, D) of every sample point, in ``sample``
-    order, with ``sample``'s errors."""
+    order; a NoSampleSourceError for a space with no sample source."""
     if not space.samplers and not space.sample_points:
         raise NoSampleSourceError(
             f"space {space.name!r} has no samplers and no explicit sample points"
         )
-    try:
-        return space.cleared_samples
-    except SpaceFormatError as exc:  # only a presentation built directly fails here
-        raise SamplerInvariantError(f"space {space.name!r}: {exc}") from None
+    return space.cleared_samples
 
 
 def sample(space: SpacePresentation) -> list[Point]:
     """Deterministic exact sample points: sampler grids in order, then
     explicit points, deduplicated keeping first occurrences.
 
-    Every returned point is verified to be a member; a sampler whose
-    identity or denominator fails, or whose image is not a member (an
-    inequality violation, since equation vanishing is identical), raises
-    SamplerInvariantError.  Validation and deduplication happen once per
-    presentation (at load for a loaded one); each call builds new points.
+    Every returned point is a member: the presentation validated its
+    sample sources, and deduplicated them, when it was built.  Each call
+    builds new points; a space with no sample source is a
+    NoSampleSourceError.
     """
     return [divided(*form) for form in sample_forms(space)]
 
@@ -525,7 +511,7 @@ def space_from_dict(data: dict) -> SpacePresentation:
             tuple(_parse_rational(c, f"{path}[{j}]") for j, c in enumerate(coords))
         )
 
-    space = SpacePresentation(
+    return SpacePresentation(
         name=name,
         ambient_dim=ambient_dim,
         equations=equations,
@@ -533,9 +519,6 @@ def space_from_dict(data: dict) -> SpacePresentation:
         samplers=tuple(samplers),
         sample_points=tuple(explicit),
     )
-
-    space.cleared_samples  # validated once, here; kept for ``sample_forms``
-    return space
 
 
 def load_space(path: str | Path) -> SpacePresentation:

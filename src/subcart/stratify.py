@@ -4,8 +4,8 @@ verification of the stratification theorems.
 The structural dimension at a member point equals the dimension of the
 tangent space there, so it is computed exactly as
 ambient_dim - rank(Jacobian); ``stratify`` analyses each sample point
-once, on integers and without testing membership again (the samples were
-validated at load), from the integer form (a, D) the space stores for it
+once, on integers and without testing membership again (the space
+validated them), from the integer form (a, D) the space stores for it
 (``SpacePresentation.cleared_samples``).  Its record and its analysis
 hold that form and build the point a / D only when it is read (for JSON
 records, failure messages and frame output).  Kernel dimension is upper

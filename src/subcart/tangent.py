@@ -20,7 +20,7 @@ normalized bases and which vectors annihilate the rows.  ``analyse``
 puts the point over its least common denominator D once
 (``poly.clear_denominators``), tests membership on that integer form and
 analyses the point from it (``analyse_member``, which ``stratify`` and
-``classify`` call directly on the load-validated samples with the forms
+``classify`` call directly on the validated samples with the forms
 that the space stores, ``SpacePresentation.cleared_samples``, so no
 sample is cleared again); ``is_tangent`` tests membership the same way.
 Rank, leftmost pivots and pivot rows come from one fraction-free

@@ -112,6 +112,13 @@ def naive_eval(a: dict, point) -> Fraction:
     return total
 
 
+def naive_image(sampler, params) -> tuple:
+    """A sampler's image at the parameter point: each numerator over the
+    denominator, each evaluated by ``naive_eval`` on its term map."""
+    den = naive_eval(sampler.denominator.terms, params)
+    return tuple(naive_eval(n.terms, params) / den for n in sampler.numerators)
+
+
 def naive_partial(a: dict, index0: int) -> dict:
     out: dict = {}
     for e, c in a.items():

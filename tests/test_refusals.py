@@ -12,6 +12,7 @@ package's errors catches each of them.
 import importlib
 import json
 import time
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -20,7 +21,6 @@ from subcart import cli, stratify
 from subcart.errors import (
     DimensionMismatchError,
     ParseError,
-    SamplerInvariantError,
     SpaceFormatError,
     SubcartError,
 )
@@ -178,6 +178,9 @@ def _sampler(**changes):
     return Sampler(**{**fields, **changes})
 
 
+ONE = parse("1", 1)
+
+
 def _space(**changes):
     return SpacePresentation(**{"name": "line", "ambient_dim": 1, **changes})
 
@@ -211,9 +214,32 @@ CONSTRUCTION_REFUSALS = {
         lambda: _space(sample_points=((F(0), F(0)),)),
         DimensionMismatchError, "has length 2, expected 1",
     ),
-    "image where the denominator vanishes": (
-        lambda: _sampler().image((F(0),)),
-        SamplerInvariantError, "sampler denominator vanishes at parameters (0)",
+    # a presentation validates its sample sources when it is built, with
+    # the loader's messages
+    "off-variety sampler": (
+        lambda: _space(equations=(parse("x1 - 1", 1),), samplers=(_sampler(denominator=ONE),)),
+        SpaceFormatError, "samplers[0]: composition with equations[0] is not identically zero",
+    ),
+    "grid image violating an inequality": (
+        lambda: _space(
+            inequalities=((parse("x1", 1), True),), samplers=(_sampler(denominator=ONE),)
+        ),
+        SpaceFormatError, "samplers[0]: grid image at parameters (0) violates the constraints",
+    ),
+    "sampler denominator vanishing": (
+        lambda: _space(samplers=(_sampler(),)),
+        SpaceFormatError, "samplers[0].denominator: vanishes at grid parameters (0)",
+    ),
+    "sample point off the space": (
+        lambda: _space(equations=(parse("x1", 1),), sample_points=((F(1),),)),
+        SpaceFormatError, "sample_points[0]: point is not a member",
+    ),
+    "replace with a bad sampler": (
+        lambda: replace(
+            _space(samplers=(_sampler(denominator=ONE),)),
+            samplers=(_sampler(denominator=ONE), _sampler()),
+        ),
+        SpaceFormatError, "samplers[1].denominator: vanishes at grid parameters (0)",
     ),
     "no variables": (
         lambda: Polynomial(0, {}), DimensionMismatchError, "ambient_dim must be >= 1"
