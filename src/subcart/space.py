@@ -8,8 +8,12 @@ parameterizations (samplers) whose images are on S by polynomial identity,
 plus optional explicit rational points.
 
 Sample sources are validated on one path, once per presentation, when it
-is built: each sampler is composed with each equation once, and each grid
-image and explicit point is membership-tested once.  A presentation that
+is built.  Each sampler is composed with each equation once, and the
+composition D^d * g(N / D) must be the zero polynomial: that identity
+proves that every image N(t) / D(t) where D(t) != 0 satisfies every
+equation.  So each grid image is tested only for a nonzero denominator
+and against the inequalities (not at all for a space with none), and
+each explicit point is membership-tested once.  A presentation that
 is loaded, built directly or made by ``dataclasses.replace`` is refused
 the same way, by a ``SpaceFormatError`` naming the offending field.
 Samples are validated and deduplicated in integer form: each is
@@ -21,19 +25,23 @@ builds no Fraction point: ``stratify`` reads the forms through
 ``sample_forms``, and ``sample`` builds the points a / D on each call.
 It takes no common denominator of the forms: ``stratify.NeighbourIndex``
 puts them on one integer table, and bounds it.
-A space file may have at most ``MAX_AMBIENT_DIM`` coordinates and
+A presentation may have at most ``MAX_AMBIENT_DIM`` coordinates and
 parameters per sampler and ``MAX_GRID_POINTS`` grid and explicit sample
 points; its equations and inequalities may have at most
 ``poly.MAX_TERMS`` terms together, as may each product in the
-composition of a sampler with an equation.
+composition of a sampler with an equation.  The caps are checked when it
+is built, before any composition or grid image, by the helpers that the
+loader uses, so both give one message.
 
 Points are tested on integers, through ``poly.ClearedRow``s compiled
 once by their owners.  ``is_member`` puts a point over its least common
-denominator, and ``is_member_cleared`` reads the signs of one row at that
-integer form, ``cleared_constraints``.  A sampler's grid parameters are
-integers over one denominator, and its numerators and denominator are
-one row (``Sampler._cleared``), so each grid image is integer numerators
-over one denominator, tested as they are and then divided by their gcd.
+denominator.  ``is_member_cleared`` evaluates the equations row,
+``cleared_equations``, at that integer form, and ``_inequalities_hold``
+reads the signs of the inequalities row, ``cleared_inequalities``, for
+it and for each grid image.  A sampler's grid parameters are integers
+over one denominator, and its numerators and denominator are one row
+(``Sampler._cleared``), so each grid image is integer numerators over
+one denominator, tested as they are and then divided by their gcd.
 
 Caveat: when the presented generators generate a strictly smaller ideal
 than the full vanishing ideal of S (for example a generator with a
@@ -63,8 +71,8 @@ from .poly import Cleared, Point, Polynomial, divided, format_point
 
 Inequality = tuple[Polynomial, bool]  # (polynomial, strict?)
 
-MAX_GRID_POINTS = 100_000  # grid and explicit sample points of a space file
-MAX_AMBIENT_DIM = 12  # of a space file: a point has at most C(12, 6) = 924 charts
+MAX_GRID_POINTS = 100_000  # grid and explicit sample points of a presentation
+MAX_AMBIENT_DIM = 12  # of a presentation: a point has at most C(12, 6) = 924 charts
 _SPACE_FIELDS = (
     "name", "ambient_dim", "equations", "inequalities", "samplers", "sample_points"
 )
@@ -139,8 +147,11 @@ class Sampler:
 @dataclass(frozen=True)
 class SpacePresentation:
     """A subspace of R^n presented by generators and constraints, valid
-    once built: a bad sample source is refused when it is built, by a
-    SpaceFormatError naming its field."""
+    once built: a presentation past a size cap or with a bad sample
+    source is refused when it is built, by a SpaceFormatError naming its
+    field.  Each sampler's composition with each equation is proved zero
+    once; each grid image is then tested for its denominator and the
+    inequalities only, and each explicit point for membership."""
 
     name: str
     ambient_dim: int
@@ -150,6 +161,7 @@ class SpacePresentation:
     sample_points: tuple[Point, ...] = ()
 
     def __post_init__(self):
+        _check_ambient_dim(self.ambient_dim)
         for g in self.equations:
             if g.ambient_dim != self.ambient_dim:
                 raise DimensionMismatchError(
@@ -173,6 +185,17 @@ class SpacePresentation:
                 raise DimensionMismatchError(
                     f"sample point {p} has length {len(p)}, expected {self.ambient_dim}"
                 )
+        terms = sum(len(g.terms) for g in self.equations)
+        _check_terms(terms + sum(len(h.terms) for h, _ in self.inequalities))
+        points = 0
+        for i, s in enumerate(self.samplers):
+            _check_param_dim(s.param_dim, f"samplers[{i}].param_dim")
+            points = _counted_points(
+                points + s.param_resolution**s.param_dim, f"samplers[{i}].resolution"
+            )
+        # named as the loader names it: the first explicit point past the cap
+        first_past = f"sample_points[{MAX_GRID_POINTS - points}]"
+        _counted_points(points + len(self.sample_points), first_past)
         self.cleared_samples  # every sample source is validated once, here
 
     @cached_property
@@ -185,10 +208,14 @@ class SpacePresentation:
         )
 
     @cached_property
-    def cleared_constraints(self) -> poly.ClearedRow:
-        """The equations, then the inequalities, over one positive scale."""
-        inequalities = (h for h, _ in self.inequalities)
-        return poly.ClearedRow(self.ambient_dim, (*self.equations, *inequalities))
+    def cleared_equations(self) -> poly.ClearedRow:
+        """The equations, over one positive scale."""
+        return poly.ClearedRow(self.ambient_dim, self.equations)
+
+    @cached_property
+    def cleared_inequalities(self) -> poly.ClearedRow:
+        """The inequalities' polynomials, over one positive scale."""
+        return poly.ClearedRow(self.ambient_dim, [h for h, _ in self.inequalities])
 
     @cached_property
     def cleared_samples(self) -> tuple[Cleared, ...]:
@@ -211,16 +238,28 @@ def is_member_cleared(
 ) -> bool:
     """``is_member`` of the point a/D, for integer numerators a over a
     positive denominator D, by the integer evaluator: its values have the
-    signs of the rational ones.  A point of the wrong length is a
-    DimensionMismatchError."""
-    values = space.cleared_constraints.evaluate(numerators, denominator)
-    equations = len(space.equations)
-    if any(values[:equations]):
+    signs of the rational ones.  Every equation is evaluated, then every
+    inequality by ``_inequalities_hold``; the grid images of a validated
+    sampler skip the equations, which its composition identity proves.
+    A point of the wrong length is a DimensionMismatchError."""
+    if any(space.cleared_equations.evaluate(numerators, denominator)):
         return False
-    for value, (_, strict) in zip(values[equations:], space.inequalities):
-        if value < 0 or strict and value == 0:
-            return False
-    return True
+    return _inequalities_hold(space, numerators, denominator)
+
+
+def _inequalities_hold(
+    space: SpacePresentation, numerators: Sequence[int], denominator: int
+) -> bool:
+    """Whether every inequality holds at the point a/D (a integer, D > 0):
+    each value is nonnegative, and nonzero where the inequality is strict.
+    True, evaluating nothing, for a space with no inequality."""
+    if not space.inequalities:
+        return True
+    values = space.cleared_inequalities.evaluate(numerators, denominator)
+    return not any(
+        value < 0 or strict and value == 0
+        for value, (_, strict) in zip(values, space.inequalities)
+    )
 
 
 def compose_cleared(
@@ -267,8 +306,10 @@ def _sampler_images(
     space: SpacePresentation, sampler: Sampler, path: str
 ) -> Iterator[Cleared]:
     """The least integer form of each grid image, in grid order, after
-    composing the sampler with each equation once; each denominator and image
-    is tested once, and the first failure is a SpaceFormatError naming ``path``."""
+    proving once that the sampler's composition with each equation is zero,
+    so that every image with a nonzero denominator satisfies the equations.
+    Each image is tested for its denominator and against the inequalities
+    only, and the first failure is a SpaceFormatError naming ``path``."""
     for gi, g in enumerate(space.equations):
         try:
             composed = compose_cleared(g, sampler.numerators, sampler.denominator)
@@ -286,7 +327,7 @@ def _sampler_images(
                 f"{path}.denominator",
                 f"vanishes at grid parameters {format_point(divided(params, q))}",
             )
-        if not is_member_cleared(space, image, den):
+        if not _inequalities_hold(space, image, den):
             raise SpaceFormatError(
                 path,
                 f"grid image at parameters {format_point(divided(params, q))} violates the "
@@ -398,6 +439,28 @@ def _parse_rational(text, path: str) -> Fraction:
         raise SpaceFormatError(path, str(exc)) from None
 
 
+def _check_ambient_dim(ambient_dim: int) -> None:
+    if ambient_dim < 1:
+        raise SpaceFormatError("$.ambient_dim", "must be a positive integer")
+    if ambient_dim > MAX_AMBIENT_DIM:
+        raise SpaceFormatError("$.ambient_dim", f"must be at most {MAX_AMBIENT_DIM}")
+
+
+def _check_param_dim(param_dim: int, path: str) -> None:
+    if not 1 <= param_dim <= MAX_AMBIENT_DIM:
+        raise SpaceFormatError(path, f"must be in 1..{MAX_AMBIENT_DIM}")
+
+
+def _check_terms(terms: int) -> None:
+    """Each equation is composed with each sampler and every constraint is
+    evaluated at each sample, so their terms are capped together."""
+    if terms > poly.MAX_TERMS:
+        raise SpaceFormatError(
+            "equations",
+            f"the equations and inequalities have more than {poly.MAX_TERMS} terms together",
+        )
+
+
 def _counted_points(points: int, path: str) -> int:
     """``points``, refused naming ``path`` when more than MAX_GRID_POINTS."""
     if points > MAX_GRID_POINTS:
@@ -413,25 +476,14 @@ def space_from_dict(data: dict) -> SpacePresentation:
     _known_fields(data, _SPACE_FIELDS, "$")
     name = _want(data, "name", str, "$")
     ambient_dim = _want(data, "ambient_dim", int, "$")
-    if ambient_dim < 1:
-        raise SpaceFormatError("$.ambient_dim", "must be a positive integer")
-    if ambient_dim > MAX_AMBIENT_DIM:
-        raise SpaceFormatError("$.ambient_dim", f"must be at most {MAX_AMBIENT_DIM}")
+    _check_ambient_dim(ambient_dim)
 
-    # each equation is composed with each sampler and every constraint is
-    # evaluated at each sample, so their terms together are capped too,
-    # checked after each parse and before any composition
-    terms = 0
+    terms = 0  # checked after each parse, before the next one
 
     def counted(p: Polynomial) -> Polynomial:
         nonlocal terms
         terms += len(p.terms)
-        if terms > poly.MAX_TERMS:
-            raise SpaceFormatError(
-                "equations",
-                f"the equations and inequalities have more than {poly.MAX_TERMS} "
-                "terms together",
-            )
+        _check_terms(terms)
         return p
 
     equations = tuple(
@@ -460,8 +512,7 @@ def space_from_dict(data: dict) -> SpacePresentation:
             raise SpaceFormatError(path, "expected an object")
         _known_fields(entry, _SAMPLER_FIELDS, path)
         param_dim = _want(entry, "param_dim", int, path)
-        if not 1 <= param_dim <= MAX_AMBIENT_DIM:
-            raise SpaceFormatError(f"{path}.param_dim", f"must be in 1..{MAX_AMBIENT_DIM}")
+        _check_param_dim(param_dim, f"{path}.param_dim")
         numerators = _optional_list(entry, "numerators", path)
         if len(numerators) != ambient_dim:
             raise SpaceFormatError(

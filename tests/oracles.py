@@ -119,6 +119,22 @@ def naive_image(sampler, params) -> tuple:
     return tuple(naive_eval(n.terms, params) / den for n in sampler.numerators)
 
 
+def naive_violations(space) -> list:
+    """The samples of ``space`` (each cleared form a, D read as the
+    Fractions a / D) at which an equation, by ``naive_eval`` on its term
+    map, is nonzero, or an inequality's value is negative, or zero where
+    it is strict."""
+
+    def holds(point) -> bool:
+        if any(naive_eval(g.terms, point) != 0 for g in space.equations):
+            return False
+        values = [(naive_eval(h.terms, point), strict) for h, strict in space.inequalities]
+        return all(value > 0 or value == 0 and not strict for value, strict in values)
+
+    points = (tuple(Fraction(x, d) for x in a) for a, d in space.cleared_samples)
+    return [point for point in points if not holds(point)]
+
+
 def naive_partial(a: dict, index0: int) -> dict:
     out: dict = {}
     for e, c in a.items():

@@ -18,6 +18,10 @@ its own variables, so its Jacobian is block diagonal and the dimension at
 (p1, p2) is the dimension of S1 at p1 plus that of S2 at p2.  It is
 sampled by the product of each pair of their samplers, numerators N1 * D2
 and N2 * D1 over D1 * D2.
+
+Every space built here is also checked sample by sample: each equation
+and inequality is evaluated in Fractions, by the oracle, at each of its
+samples.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ from hypothesis import given, settings, strategies as st
 from subcart import frames, load_space, space_from_dict, stratify, structural_dim
 from subcart.fixtures import fixture_path
 from subcart.poly import Polynomial, parse
+
+from oracles import naive_violations
 
 RESOLUTION = 5
 
@@ -78,7 +84,9 @@ def graph_space(k: int, f: tuple[Polynomial, ...]) -> dict:
 @given(graphs())
 def test_every_point_of_a_graph_is_regular_of_its_parameter_dimension(graph):
     k, f = graph
-    report = frames.verify(space_from_dict(graph_space(k, f)))
+    space = space_from_dict(graph_space(k, f))
+    assert naive_violations(space) == []
+    report = frames.verify(space)
     assert len(report.records) == RESOLUTION**k
     assert {(r.dim, r.label) for r in report.records} == {(k, "regular")}
     assert [(v.name, v.passed) for v in report.verdicts] == [
@@ -115,7 +123,9 @@ def hyperplanes_space(n: int, i: int, j: int, resolution: int) -> dict:
 @given(hyperplane_pairs())
 def test_two_coordinate_hyperplanes_are_singular_exactly_where_they_meet(case):
     n, i, j, resolution = case
-    report = stratify(space_from_dict(hyperplanes_space(n, i, j, resolution)))
+    space = space_from_dict(hyperplanes_space(n, i, j, resolution))
+    assert naive_violations(space) == []
+    report = stratify(space)
     # each plane's grid, less the points on the intersection counted twice
     assert len(report.records) == 2 * resolution ** (n - 1) - resolution ** (n - 2)
     for r in report.records:
@@ -187,7 +197,9 @@ def test_the_dimension_of_a_product_is_the_sum_of_the_dimensions(name1, name2):
     assert all(s["param_dim"] <= 12 for s in data["samplers"])
     factors = load_space(fixture_path(name1)), load_space(fixture_path(name2))
     n1 = first["ambient_dim"]
-    report = stratify(space_from_dict(data))
+    space = space_from_dict(data)
+    assert naive_violations(space) == []
+    report = stratify(space)
     assert report.records
     for r in report.records:
         parts = r.point[:n1], r.point[n1:]

@@ -25,8 +25,14 @@ from subcart.errors import (
     SubcartError,
 )
 from subcart.fixtures import fixture_path
-from subcart.poly import Polynomial, parse, variable
-from subcart.space import Sampler, SpacePresentation, load_space, space_from_dict
+from subcart.poly import Polynomial, constant, parse, variable
+from subcart.space import (
+    MAX_GRID_POINTS,
+    Sampler,
+    SpacePresentation,
+    load_space,
+    space_from_dict,
+)
 from subcart.stratify import MAX_NEIGHBOUR_PAIRS, NeighbourIndex
 from subcart.tangent import is_tangent
 
@@ -185,6 +191,50 @@ def _space(**changes):
     return SpacePresentation(**{"name": "line", "ambient_dim": 1, **changes})
 
 
+def _ray(strict, lo):
+    """The line x2 = x1 over x1 >= 0 (> 0 if ``strict``), sampled on
+    [1, 2] and then on [lo, 1]."""
+    line = (parse("x1", 1), parse("x1", 1))
+    return SpacePresentation(
+        "ray", 2,
+        equations=(parse("x2 - x1", 2),),
+        inequalities=((parse("x1", 2), strict),),
+        samplers=(
+            _sampler(numerators=line, denominator=ONE, param_box=((F(1), F(2)),)),
+            _sampler(numerators=line, denominator=ONE, param_box=((F(lo), F(1)),)),
+        ),
+    )
+
+
+def _wide_sampler(param_dim):
+    """The line sampled by the first of ``param_dim`` parameters."""
+    return Sampler(
+        param_dim=param_dim,
+        numerators=(variable(1, param_dim),),
+        denominator=constant(1, param_dim),
+        param_box=((F(0), F(1)),) * param_dim,
+        param_resolution=1,
+    )
+
+
+def _terms(count):
+    """A polynomial in x1, x2 of ``count`` terms."""
+    return Polynomial(2, {(k // 50, k % 50): 1 for k in range(count)})
+
+
+def _cone_at(resolution):
+    """The shipped cone by ``dataclasses.replace``, its sampler at
+    ``resolution``: built with no size check of the loader's."""
+    cone = load_space(fixture_path("cone"))
+    (sampler,) = cone.samplers
+    return replace(cone, samplers=(replace(sampler, param_resolution=resolution),))
+
+
+GRID_CAP = (
+    f"the samplers' grids and sample points have more than {MAX_GRID_POINTS} points together"
+)
+
+
 # (build, the error it raises, a part of its message)
 CONSTRUCTION_REFUSALS = {
     "box of two entries": (
@@ -226,6 +276,16 @@ CONSTRUCTION_REFUSALS = {
         ),
         SpaceFormatError, "samplers[0]: grid image at parameters (0) violates the constraints",
     ),
+    # on the line x2 = x1 every image passes the equation by the
+    # composition identity, so only the inequality refuses samplers[1]
+    "grid image at zero of a strict inequality": (
+        lambda: _ray(True, 0), SpaceFormatError,
+        "samplers[1]: grid image at parameters (0) violates the constraints",
+    ),
+    "grid image below an inequality": (
+        lambda: _ray(False, -1), SpaceFormatError,
+        "samplers[1]: grid image at parameters (-1) violates the constraints",
+    ),
     "sampler denominator vanishing": (
         lambda: _space(samplers=(_sampler(),)),
         SpaceFormatError, "samplers[0].denominator: vanishes at grid parameters (0)",
@@ -240,6 +300,37 @@ CONSTRUCTION_REFUSALS = {
             samplers=(_sampler(denominator=ONE), _sampler()),
         ),
         SpaceFormatError, "samplers[1].denominator: vanishes at grid parameters (0)",
+    ),
+    # a presentation holds the loader's size caps, with its messages, and
+    # checks them before any composition or grid image
+    "ambient_dim 0": (lambda: _space(ambient_dim=0), SpaceFormatError,
+                      "$.ambient_dim: must be a positive integer"),
+    "ambient_dim 13": (lambda: _space(ambient_dim=13), SpaceFormatError,
+                       "$.ambient_dim: must be at most 12"),
+    "param_dim 13": (
+        lambda: _space(samplers=(_wide_sampler(1), _wide_sampler(13))),
+        SpaceFormatError, "samplers[1].param_dim: must be in 1..12",
+    ),
+    "grid past the cap": (
+        lambda: _space(samplers=(_sampler(denominator=ONE, param_resolution=100_001),)),
+        SpaceFormatError, f"samplers[0].resolution: {GRID_CAP}",
+    ),
+    "explicit point past the cap": (
+        lambda: _space(
+            samplers=(_sampler(denominator=ONE, param_resolution=99_999),),
+            sample_points=((F(2),), (F(3),), (F(4),)),
+        ),
+        SpaceFormatError, f"sample_points[1]: {GRID_CAP}",
+    ),
+    "terms past the cap": (
+        lambda: SpacePresentation(
+            "plane", 2, equations=(_terms(1_500),), inequalities=((_terms(501), False),)
+        ),
+        SpaceFormatError,
+        "equations: the equations and inequalities have more than 2000 terms together",
+    ),
+    "replace at resolution 330": (
+        lambda: _cone_at(330), SpaceFormatError, f"samplers[0].resolution: {GRID_CAP}",
     ),
     "no variables": (
         lambda: Polynomial(0, {}), DimensionMismatchError, "ambient_dim must be >= 1"
@@ -271,6 +362,31 @@ def test_each_construction_refusal_raises_its_error(build, error, message):
         build()
     assert type(info.value) is error
     assert message in str(info.value)
+
+
+def test_the_resolution_330_cone_is_refused_at_once_as_its_file_is(tmp_path, monkeypatch):
+    # 108,900 grid points, which took about a second to build and validate
+    # while only the loader held the cap; no cap composes or samples
+    data = json.loads(fixture_path("cone").read_text(encoding="utf-8"))
+    data["samplers"][0]["resolution"] = 330
+    with pytest.raises(SpaceFormatError) as loaded:
+        load_space(_write(tmp_path, data))
+    cone = load_space(fixture_path("cone"))
+    big = replace(cone.samplers[0], param_resolution=330)
+    calls = []
+    space_module = importlib.import_module("subcart.space")
+    monkeypatch.setattr(space_module, "compose_cleared", lambda *args: calls.append(args))
+    monkeypatch.setattr(Sampler, "_integer_grid", lambda *args: calls.append(args))
+    start = time.perf_counter()
+    with pytest.raises(SpaceFormatError) as built:
+        replace(cone, samplers=(big,))
+    assert time.perf_counter() - start < 0.1
+    assert str(built.value) == str(loaded.value)
+    assert built.value.field == loaded.value.field == "samplers[0].resolution"
+    for name in ("terms past the cap", "param_dim 13", "explicit point past the cap"):
+        with pytest.raises(SpaceFormatError):
+            CONSTRUCTION_REFUSALS[name][0]()
+    assert calls == []
 
 
 def test_a_polynomial_is_immutable():

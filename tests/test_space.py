@@ -30,7 +30,14 @@ from subcart.fixtures import NAMES, fixture_path
 from subcart.poly import Polynomial
 from subcart.stratify import MAX_NEIGHBOUR_PAIRS, MAX_TABLE_BITS, NeighbourIndex
 
-from oracles import grid_points, naive_add, naive_compose_cleared, naive_eval, naive_image
+from oracles import (
+    grid_points,
+    naive_add,
+    naive_compose_cleared,
+    naive_eval,
+    naive_image,
+    naive_violations,
+)
 
 
 def line_sampler(numerators, lo, hi, resolution):
@@ -216,6 +223,65 @@ def test_sampler_inequality_violation_raises():
             inequalities=((poly.parse("x1", 1), False),),
             samplers=(line_sampler(["x1"], -1, 1, 3),),
         )
+
+
+# the benchmark's scaled inputs: (fixture, resolution of every sampler)
+SCALED = [("whitney_umbrella", 15), ("sphere", 11)]
+
+
+@pytest.mark.parametrize("name, resolution", SCALED)
+def test_loading_a_sampled_space_tests_no_grid_image_for_membership(
+    name, resolution, tmp_path, member_calls
+):
+    # the composition identity puts every grid image on the equations,
+    # and these spaces have no inequality, so no image is evaluated again
+    space = load_space(_fixture_file(tmp_path, name, resolution))
+    assert len(space.cleared_samples) > resolution
+    assert member_calls == []
+
+
+@pytest.mark.parametrize("name", ["discontinuous_section", "openness_violation", "cone"])
+def test_loading_tests_each_explicit_point_once(name, member_calls):
+    data = json.loads(fixture_path(name).read_text(encoding="utf-8"))
+    if name == "cone":  # a grid of 81 images, then points, one on the grid
+        data["sample_points"] = [["3", "4", "5"], ["0", "0", "0"], ["6", "8", "-10"]]
+    space = space_from_dict(data)
+    assert len(space.sample_points) > 1
+    forms = [poly.clear_denominators(point) for point in space.sample_points]
+    assert [tuple(args[1:]) for args in member_calls] == forms
+
+
+def test_an_off_variety_sampler_is_refused_before_any_grid_image(monkeypatch, member_calls):
+    images = []
+    image = Sampler._cleared_image
+
+    def counting(self, *args):
+        images.append(args)
+        return image(self, *args)
+
+    monkeypatch.setattr(Sampler, "_cleared_image", counting)
+    data = json.loads(fixture_path("half_line").read_text(encoding="utf-8"))
+    data["equations"] = ["x1 - 1"]
+    message = r"^samplers\[0\]: composition with equations\[0\] is not identically zero$"
+    with pytest.raises(SpaceFormatError, match=message):
+        space_from_dict(data)
+    assert images == [] and member_calls == []
+
+
+@pytest.mark.parametrize(
+    "name, resolution",
+    [(name, None) for name in NAMES] + SCALED,
+    ids=[*NAMES, *(f"{name}-{resolution}" for name, resolution in SCALED)],
+)
+def test_every_sample_holds_every_constraint_by_the_oracle(name, resolution, tmp_path):
+    # the grid images skip the equations at load: the Fraction oracle
+    # checks every equation and inequality at every sample instead
+    path = fixture_path(name) if resolution is None else _fixture_file(
+        tmp_path, name, resolution
+    )
+    space = load_space(path)
+    assert space.cleared_samples
+    assert naive_violations(space) == []
 
 
 # -- sampler validation -----------------------------------------------------------
@@ -655,10 +721,12 @@ def test_unreadable_file_reports_input_error(tmp_path):
         load_space(garbled)
 
 
-def _cone_file(tmp_path, resolution):
-    data = json.loads(fixture_path("cone").read_text(encoding="utf-8"))
-    data["samplers"][0]["resolution"] = resolution
-    path = tmp_path / "cone.json"
+def _fixture_file(tmp_path, name, resolution):
+    """The fixture's space file with every sampler at ``resolution``."""
+    data = json.loads(fixture_path(name).read_text(encoding="utf-8"))
+    for sampler in data["samplers"]:
+        sampler["resolution"] = resolution
+    path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     return path
 
@@ -702,9 +770,9 @@ def test_grid_size_is_capped_per_file(tmp_path):
 
 
 def test_grid_size_is_capped_at_load(tmp_path):
-    _, grid = load_space(_cone_file(tmp_path, 49)).samplers[0]._integer_grid()
+    _, grid = load_space(_fixture_file(tmp_path, "cone", 49)).samplers[0]._integer_grid()
     assert sum(1 for _ in grid) == 2401
-    path = _cone_file(tmp_path, 317)  # 317^2 = 100,489 grid points
+    path = _fixture_file(tmp_path, "cone", 317)  # 317^2 = 100,489 grid points
     start = time.perf_counter()
     with pytest.raises(SpaceFormatError, match=r"samplers\[0\]\.resolution"):
         load_space(path)
