@@ -38,11 +38,15 @@ with integer numerators a (``clear_denominators``).  A row compiles its
 polynomials once, over one positive scale S (the lcm of all their
 coefficients' denominators) and one degree d (their largest total
 degree), and ``ClearedRow.evaluate`` gives the integer S * D^d * p(a/D)
-for each p.  The factor is positive and shared, so the values have the
-signs and zero sets of the rational ones and keep their ratios: the rows
-of a Jacobian, the numerators over the denominator of a sampler, and a
-space's equations and inequalities.  ``Polynomial.evaluate`` evaluates a
-one-polynomial row and divides once.
+for each p at one point.  ``ClearedRow.evaluate_columns`` gives the same
+integers at many points at once, from one column per coordinate and a
+column of denominators, in one pass of C-level ``map`` per term; a
+sampler's grid is evaluated that way, a block at a time.  The factor is
+positive and shared, so the values have the signs and zero sets of the
+rational ones and keep their ratios: the rows of a Jacobian, the
+numerators over the denominator of a sampler, and a space's equations
+and inequalities.  ``Polynomial.evaluate`` evaluates a one-polynomial
+row and divides once.
 """
 
 from __future__ import annotations
@@ -51,7 +55,8 @@ import math
 import re
 import sys
 from fractions import Fraction
-from operator import add
+from itertools import repeat
+from operator import add, mul
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import DimensionMismatchError, ParseError, SubcartError
@@ -268,7 +273,10 @@ class ClearedRow:
     evaluation over one positive scale S = ``scale`` (the lcm of all their
     coefficients' denominators) and one degree d = ``degree`` (their
     largest total degree): each term is kept as (S * coefficient, d - |e|,
-    the (variable, exponent) pairs with a nonzero exponent)."""
+    the (variable, exponent) pairs with a nonzero exponent).  ``evaluate``
+    reads the terms at one point; ``evaluate_columns`` reads each term
+    once for a whole column of points, which beats ``evaluate`` point by
+    point from about eight points on and is several times slower at one."""
 
     __slots__ = ("ambient_dim", "scale", "degree", "_rows")
 
@@ -305,6 +313,45 @@ class ClearedRow:
                 for i, e in factors:
                     value *= numerators[i] ** e
                 total += value
+            values.append(total)
+        return values
+
+    def evaluate_columns(
+        self, numerators: Sequence[Sequence[int]], denominators: Sequence[int]
+    ) -> list[list[int]]:
+        """``evaluate`` at many points at once, given as columns: the column
+        ``numerators[i]`` holds each point's i-th integer numerator and
+        ``denominators`` each point's positive denominator.  Value column j
+        holds polynomial j's value at each point, in point order.  Each
+        term is one pass of C-level ``map`` over the points, and each power
+        column x_i^e (or D^e) is computed once and shared between terms."""
+        if len(numerators) != self.ambient_dim:
+            raise DimensionMismatchError(
+                f"point has length {len(numerators)}, expected {self.ambient_dim}"
+            )
+        count = len(denominators)
+        columns = (*numerators, denominators)
+        powers: dict[tuple[int, int], Sequence[int]] = {}
+        values = []
+        for terms in self._rows:
+            total = [0] * count
+            for position, (coeff, rest, factors) in enumerate(terms):
+                if rest:
+                    factors += ((self.ambient_dim, rest),)
+                product = None
+                for i, e in factors:
+                    column = powers.get((i, e))
+                    if column is None:
+                        column = columns[i]
+                        if e > 1:
+                            column = list(map(pow, column, repeat(e)))
+                        powers[i, e] = column
+                    product = column if product is None else map(mul, product, column)
+                if product is None:
+                    product = repeat(coeff, count)
+                elif coeff != 1:
+                    product = map(coeff.__mul__, product)
+                total = list(map(add, total, product)) if position else list(product)
             values.append(total)
         return values
 

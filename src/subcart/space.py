@@ -36,12 +36,18 @@ loader uses, so both give one message.
 Points are tested on integers, through ``poly.ClearedRow``s compiled
 once by their owners.  ``is_member`` puts a point over its least common
 denominator.  ``is_member_cleared`` evaluates the equations row,
-``cleared_equations``, at that integer form, and ``_inequalities_hold``
-reads the signs of the inequalities row, ``cleared_inequalities``, for
-it and for each grid image.  A sampler's grid parameters are integers
-over one denominator, and its numerators and denominator are one row
-(``Sampler._cleared``), so each grid image is integer numerators over
-one denominator, tested as they are and then divided by their gcd.
+``cleared_equations``, at that integer form, then the inequalities row,
+``cleared_inequalities``, whose signs ``_signs_hold`` reads: the one
+sign rule, for a point and for a block of grid images.  A sampler's grid
+parameters are integers over one denominator, and its numerators and
+denominator are one row (``Sampler._cleared``).  The grid is taken in
+blocks of at most ``GRID_BLOCK_POINTS`` points, one column of integers
+per parameter, which ``ClearedRow.evaluate_columns`` evaluates in one
+pass per term, not one interpreted evaluation per point.  Each block's
+images are then tested and divided by their gcds as columns
+(``_sampler_images``), and the first failure in grid order is refused
+as a point-by-point test would refuse it.  Blocks keep the columns small
+at any grid size.
 
 Caveat: when the presented generators generate a strictly smaller ideal
 than the full vanishing ideal of S (for example a generator with a
@@ -58,7 +64,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator, Sequence
+from operator import floordiv, mul
+from typing import Iterable, Iterator, Sequence
 
 from . import poly
 from .errors import (
@@ -73,6 +80,7 @@ Inequality = tuple[Polynomial, bool]  # (polynomial, strict?)
 
 MAX_GRID_POINTS = 100_000  # grid and explicit sample points of a presentation
 MAX_AMBIENT_DIM = 12  # of a presentation: a point has at most C(12, 6) = 924 charts
+GRID_BLOCK_POINTS = 1024  # grid points evaluated together, as columns, at load
 _SPACE_FIELDS = (
     "name", "ambient_dim", "equations", "inequalities", "samplers", "sample_points"
 )
@@ -132,16 +140,6 @@ class Sampler:
     def _cleared(self) -> poly.ClearedRow:
         """The numerators, then the denominator, over one positive scale."""
         return poly.ClearedRow(self.param_dim, (*self.numerators, self.denominator))
-
-    def _cleared_image(
-        self, numerators: Sequence[int], denominator: int
-    ) -> tuple[list[int], int]:
-        """The image of the parameter point a/D (a the integer
-        ``numerators``, D > 0) as integer numerators over one common
-        denominator, which is positive, or 0 where the sampler's
-        denominator vanishes."""
-        *image, den = self._cleared.evaluate(numerators, denominator)
-        return ([-x for x in image], -den) if den < 0 else (image, den)
 
 
 @dataclass(frozen=True)
@@ -239,23 +237,19 @@ def is_member_cleared(
     """``is_member`` of the point a/D, for integer numerators a over a
     positive denominator D, by the integer evaluator: its values have the
     signs of the rational ones.  Every equation is evaluated, then every
-    inequality by ``_inequalities_hold``; the grid images of a validated
-    sampler skip the equations, which its composition identity proves.
-    A point of the wrong length is a DimensionMismatchError."""
+    inequality, whose signs ``_signs_hold`` reads; the grid images of a
+    validated sampler skip the equations, which its composition identity
+    proves.  A point of the wrong length is a DimensionMismatchError."""
     if any(space.cleared_equations.evaluate(numerators, denominator)):
         return False
-    return _inequalities_hold(space, numerators, denominator)
+    return _signs_hold(space, space.cleared_inequalities.evaluate(numerators, denominator))
 
 
-def _inequalities_hold(
-    space: SpacePresentation, numerators: Sequence[int], denominator: int
-) -> bool:
-    """Whether every inequality holds at the point a/D (a integer, D > 0):
-    each value is nonnegative, and nonzero where the inequality is strict.
-    True, evaluating nothing, for a space with no inequality."""
-    if not space.inequalities:
-        return True
-    values = space.cleared_inequalities.evaluate(numerators, denominator)
+def _signs_hold(space: SpacePresentation, values: Iterable[int]) -> bool:
+    """Whether the inequalities' values pass the sign rule: each value is
+    nonnegative, and nonzero where the inequality is strict.  Given each
+    inequality's value at one point, whether they hold there; given each
+    one's least value over many points, whether they hold at all."""
     return not any(
         value < 0 or strict and value == 0
         for value, (_, strict) in zip(values, space.inequalities)
@@ -308,8 +302,10 @@ def _sampler_images(
     """The least integer form of each grid image, in grid order, after
     proving once that the sampler's composition with each equation is zero,
     so that every image with a nonzero denominator satisfies the equations.
-    Each image is tested for its denominator and against the inequalities
-    only, and the first failure is a SpaceFormatError naming ``path``."""
+    Each block of grid points is evaluated as columns; its images' signs
+    are fixed, their denominators and the inequalities are tested, and
+    each image is divided by its gcd, in passes over the columns.  The
+    first failure in grid order is a SpaceFormatError naming ``path``."""
     for gi, g in enumerate(space.equations):
         try:
             composed = compose_cleared(g, sampler.numerators, sampler.denominator)
@@ -320,21 +316,29 @@ def _sampler_images(
                 path, f"composition with equations[{gi}] is not identically zero"
             )
     q, grid = sampler._integer_grid()
-    for params in grid:
-        image, den = sampler._cleared_image(params, q)
-        if den == 0:
-            raise SpaceFormatError(
-                f"{path}.denominator",
-                f"vanishes at grid parameters {format_point(divided(params, q))}",
-            )
-        if not _inequalities_hold(space, image, den):
-            raise SpaceFormatError(
-                path,
-                f"grid image at parameters {format_point(divided(params, q))} violates the "
-                "constraints",
-            )
-        common = math.gcd(den, *image)
-        yield tuple(x // common for x in image), den // common
+    while columns := list(zip(*itertools.islice(grid, GRID_BLOCK_POINTS))):
+        *images, dens = sampler._cleared.evaluate_columns(columns, [q] * len(columns[0]))
+        if min(dens) < 0:
+            signs = [-1 if den < 0 else 1 for den in dens]
+            images = [list(map(mul, column, signs)) for column in images]
+            dens = list(map(mul, dens, signs))
+        values = space.cleared_inequalities.evaluate_columns(images, dens)
+        if 0 in dens or not _signs_hold(space, map(min, values)):
+            for k, params in enumerate(zip(*columns)):
+                if dens[k] == 0:
+                    raise SpaceFormatError(
+                        f"{path}.denominator",
+                        f"vanishes at grid parameters {format_point(divided(params, q))}",
+                    )
+                if not _signs_hold(space, [column[k] for column in values]):
+                    raise SpaceFormatError(
+                        path,
+                        f"grid image at parameters {format_point(divided(params, q))} "
+                        "violates the constraints",
+                    )
+        commons = list(map(math.gcd, dens, *images))
+        reduced = [map(floordiv, column, commons) for column in images]
+        yield from zip(zip(*reduced), map(floordiv, dens, commons))
 
 
 def _validated_forms(space: SpacePresentation) -> Iterator[Cleared]:

@@ -203,8 +203,9 @@ def _nearest_gap(
 
 
 def default_adjacency_radius(table: IntegerTable) -> Fraction:
-    """Maximum over the points of an ``integer_table`` of the distance to
-    the nearest other point; 0 when fewer than two points exist.
+    """Maximum over the points of an integer table (scale, each point
+    times it), as ``NeighbourIndex`` builds it, of the distance to the
+    nearest other point; 0 when fewer than two points exist.
 
     Computed exactly on the table's integer coordinates by a sweep along
     the axis with the most distinct values; a point's search stops as soon

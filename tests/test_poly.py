@@ -474,6 +474,47 @@ def test_integer_evaluator_matches_rational_evaluation(p, numerators, denominato
     assert [F(x, least) for x in cleared] == point
 
 
+@st.composite
+def column_cases(draw):
+    """A row of 0-3 polynomials of degree at most 4 in 1-3 variables, with
+    int and Fraction coefficients (constants and the zero polynomial
+    among them), and 0-40 points a/D, each with its own D >= 1."""
+    dim = draw(st.integers(1, 3))
+    row = []
+    for _ in range(draw(st.integers(0, 3))):
+        terms = {}
+        for _ in range(draw(st.integers(0, 4))):
+            exponent = []
+            for _ in range(dim):
+                exponent.append(draw(st.integers(0, 4 - sum(exponent))))
+            terms[tuple(exponent)] = draw(mixed_coefficients)
+        row.append(Polynomial(dim, terms))
+    numerators = st.lists(st.integers(-30, 30), min_size=dim, max_size=dim)
+    cleared = draw(st.lists(st.tuples(numerators, st.integers(1, 12)), max_size=40))
+    return poly.ClearedRow(dim, row), cleared
+
+
+@settings(deadline=None, max_examples=300)
+@given(column_cases())
+def test_column_evaluation_matches_evaluation_at_every_point(case):
+    row, cleared = case
+    columns = [[a[i] for a, _ in cleared] for i in range(row.ambient_dim)]
+    values = row.evaluate_columns(columns, [d for _, d in cleared])
+    assert len(values) == len(row._rows)
+    assert all(len(column) == len(cleared) for column in values)
+    for k, (a, d) in enumerate(cleared):
+        at_point = [column[k] for column in values]
+        assert at_point == row.evaluate(a, d)
+        assert all(type(v) is int for v in at_point)
+    # a wrong column count is evaluate's error, with its message
+    for wrong in (row.ambient_dim - 1, row.ambient_dim + 1):
+        with pytest.raises(DimensionMismatchError) as scalar:
+            row.evaluate([0] * wrong, 1)
+        with pytest.raises(DimensionMismatchError) as column:
+            row.evaluate_columns([[0]] * wrong, [1])
+        assert str(column.value) == str(scalar.value)
+
+
 @settings(deadline=None, max_examples=150)
 @given(st.lists(polynomials(dim=2), min_size=1, max_size=3), points)
 def test_cleared_row_keeps_the_ratios_of_its_values(row, point):

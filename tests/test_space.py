@@ -252,20 +252,104 @@ def test_loading_tests_each_explicit_point_once(name, member_calls):
 
 
 def test_an_off_variety_sampler_is_refused_before_any_grid_image(monkeypatch, member_calls):
-    images = []
-    image = Sampler._cleared_image
+    # every grid image is evaluated in a block of columns, so no block may
+    # be evaluated before the composition check refuses the sampler
+    blocks = []
+    evaluate_columns = poly.ClearedRow.evaluate_columns
 
     def counting(self, *args):
-        images.append(args)
-        return image(self, *args)
+        blocks.append(args)
+        return evaluate_columns(self, *args)
 
-    monkeypatch.setattr(Sampler, "_cleared_image", counting)
+    monkeypatch.setattr(poly.ClearedRow, "evaluate_columns", counting)
     data = json.loads(fixture_path("half_line").read_text(encoding="utf-8"))
+    space_from_dict(data)
+    assert blocks, "the counter must see the grid of a valid sampler"
+    blocks.clear()
     data["equations"] = ["x1 - 1"]
     message = r"^samplers\[0\]: composition with equations\[0\] is not identically zero$"
     with pytest.raises(SpaceFormatError, match=message):
         space_from_dict(data)
-    assert images == [] and member_calls == []
+    assert blocks == [] and member_calls == []
+
+
+def test_block_boundaries_do_not_change_the_samples(monkeypatch, tmp_path):
+    # blocks of 7 grid points split every grid at a point that no
+    # resolution puts at a row's end
+    paths = [
+        _fixture_file(tmp_path, "whitney_umbrella", 15),
+        _fixture_file(tmp_path, "sphere", 11),
+        *(fixture_path(name) for name in NAMES if load_space(fixture_path(name)).samplers),
+    ]
+    expected = [load_space(path).cleared_samples for path in paths]
+    blocks = []
+    evaluate_columns = poly.ClearedRow.evaluate_columns
+
+    def counting(self, numerators, denominators):
+        blocks.append(len(denominators))
+        return evaluate_columns(self, numerators, denominators)
+
+    monkeypatch.setattr(poly.ClearedRow, "evaluate_columns", counting)
+    monkeypatch.setattr(space_module, "GRID_BLOCK_POINTS", 7)
+    assert [load_space(path).cleared_samples for path in paths] == expected
+    assert max(blocks) == 7 and 225 // 7 < blocks.count(7)
+
+
+def _line_space(numerator, denominator, inequalities=()):
+    """A space in R^1 sampled at the integers 0..20 by numerator/denominator."""
+    return {
+        "name": "line",
+        "ambient_dim": 1,
+        "inequalities": [{"poly": h, "strict": strict} for h, strict in inequalities],
+        "samplers": [
+            {
+                "param_dim": 1,
+                "numerators": [numerator],
+                "denominator": denominator,
+                "box": [["0", "20"]],
+                "resolution": 21,
+            }
+        ],
+    }
+
+
+def _refusal(data):
+    with pytest.raises(SpaceFormatError) as caught:
+        space_from_dict(data)
+    return str(caught.value)
+
+
+VANISHES = "samplers[0].denominator: vanishes at grid parameters ({})"
+VIOLATES = "samplers[0]: grid image at parameters ({}) violates the constraints"
+
+
+@pytest.mark.parametrize(
+    "numerator, denominator, inequalities, expected",
+    [
+        # a vanishing denominator at the end of the first block of 7, at the
+        # start of the second and in the third
+        ("1", "x1 - 6", (), VANISHES.format(6)),
+        ("1", "x1 - 7", (), VANISHES.format(7)),
+        ("1", "x1 - 17", (), VANISHES.format(17)),
+        # x1 = (t - 9) / (t - 11): zero, so strictly violated, before its
+        # denominator vanishes in the same block; then the reverse
+        ("x1 - 9", "x1 - 11", [("x1^2", True)], VIOLATES.format(9)),
+        ("x1 - 11", "x1 - 9", [("x1^2", True)], VANISHES.format(9)),
+        # x1 = 1 / (t - 11) and 2 * x1 + 1 >= 0: zero at 9, which holds, and
+        # negative at 10, before the denominator vanishes at 11; then with
+        # x1 = 1 / (9 - t), the denominator vanishes at 9 before 2 * x1 + 1
+        # is negative at 10
+        ("1", "x1 - 11", [("2*x1 + 1", False)], VIOLATES.format(10)),
+        ("1", "9 - x1", [("2*x1 + 1", False)], VANISHES.format(9)),
+    ],
+)
+def test_the_first_failure_in_grid_order_is_refused_at_any_block_size(
+    monkeypatch, numerator, denominator, inequalities, expected
+):
+    data = _line_space(numerator, denominator, inequalities)
+    whole = _refusal(data)
+    monkeypatch.setattr(space_module, "GRID_BLOCK_POINTS", 7)
+    assert _refusal(data) == whole == expected
 
 
 @pytest.mark.parametrize(
