@@ -13,9 +13,16 @@ composition D^d * g(N / D) must be the zero polynomial: that identity
 proves that every image N(t) / D(t) where D(t) != 0 satisfies every
 equation.  So each grid image is tested only for a nonzero denominator
 and against the inequalities (not at all for a space with none), and
-each explicit point is membership-tested once.  A presentation that
+each explicit point is membership-tested once.
+Every rule on a presentation's shape and size is one module helper with
+one field and one message (``_check_*`` and ``_counted_*``), and no
+message prints a point or a polynomial.  ``SpacePresentation`` calls
+every helper when it is built, naming fields as its space file does
+(``samplers[i].box[j]``, ``sample_points[i]``), so a presentation that
 is loaded, built directly or made by ``dataclasses.replace`` is refused
-the same way, by a ``SpaceFormatError`` naming the offending field.
+by one ``SpaceFormatError`` for one defect.  The loader checks the JSON
+shapes, and calls a helper itself only where the rule must run before a
+parse to bound that parse's cost.
 Samples are validated and deduplicated in integer form: each is
 kept as its least integer form (a, D), integer numerators a over the
 least positive common denominator D (``poly.clear_denominators`` of the
@@ -30,8 +37,7 @@ parameters per sampler and ``MAX_GRID_POINTS`` grid and explicit sample
 points; its equations and inequalities may have at most
 ``poly.MAX_TERMS`` terms together, as may each product in the
 composition of a sampler with an equation.  The caps are checked when it
-is built, before any composition or grid image, by the helpers that the
-loader uses, so both give one message.
+is built, before any composition or grid image.
 
 Points are tested on integers, through ``poly.ClearedRow``s compiled
 once by their owners.  ``is_member`` puts a point over its least common
@@ -46,8 +52,9 @@ per parameter, which ``ClearedRow.evaluate_columns`` evaluates in one
 pass per term, not one interpreted evaluation per point.  Each block's
 images are then tested and divided by their gcds as columns
 (``_sampler_images``), and the first failure in grid order is refused
-as a point-by-point test would refuse it.  Blocks keep the columns small
-at any grid size.
+as a point-by-point test would refuse it.  ``cleared_samples`` adds each
+block's forms to one dictionary, which deduplicates them.  Blocks keep
+the columns small at any grid size.
 
 Caveat: when the presented generators generate a strictly smaller ideal
 than the full vanishing ideal of S (for example a generator with a
@@ -68,12 +75,7 @@ from operator import floordiv, mul
 from typing import Iterable, Iterator, Sequence
 
 from . import poly
-from .errors import (
-    DimensionMismatchError,
-    NoSampleSourceError,
-    SpaceFormatError,
-    SubcartError,
-)
+from .errors import NoSampleSourceError, SpaceFormatError, SubcartError
 from .poly import Cleared, Point, Polynomial, divided, format_point
 
 Inequality = tuple[Polynomial, bool]  # (polynomial, strict?)
@@ -94,7 +96,8 @@ class Sampler:
     Maps an axis-aligned rational grid in parameter space through
     numerators/denominator; ``param_box`` holds one (lo, hi) pair per
     parameter and ``param_resolution`` grid values are taken per axis,
-    endpoints included.
+    endpoints included.  A sampler is checked as part of the presentation
+    that holds it, under the fields of its space file.
     """
 
     param_dim: int
@@ -102,19 +105,6 @@ class Sampler:
     denominator: Polynomial
     param_box: tuple[tuple[Fraction, Fraction], ...]
     param_resolution: int
-
-    def __post_init__(self):
-        if len(self.param_box) != self.param_dim:
-            raise DimensionMismatchError(
-                f"param_box has {len(self.param_box)} entries, expected {self.param_dim}"
-            )
-        for p in (*self.numerators, self.denominator):
-            if p.ambient_dim != self.param_dim:
-                raise DimensionMismatchError(
-                    "sampler polynomials must live in the parameter ring"
-                )
-        if self.param_resolution < 1:
-            raise SubcartError("param_resolution must be >= 1")
 
     def _integer_grid(self) -> tuple[int, Iterator[tuple[int, ...]]]:
         """The common denominator q of all grid parameters, and an iterator
@@ -145,9 +135,10 @@ class Sampler:
 @dataclass(frozen=True)
 class SpacePresentation:
     """A subspace of R^n presented by generators and constraints, valid
-    once built: a presentation past a size cap or with a bad sample
-    source is refused when it is built, by a SpaceFormatError naming its
-    field.  Each sampler's composition with each equation is proved zero
+    once built: a presentation, or one of its samplers, with a shape
+    defect, past a size cap or with a bad sample source is refused when
+    it is built, by a SpaceFormatError naming the field of its space
+    file.  Each sampler's composition with each equation is proved zero
     once; each grid image is then tested for its denominator and the
     inequalities only, and each explicit point for membership."""
 
@@ -159,41 +150,30 @@ class SpacePresentation:
     sample_points: tuple[Point, ...] = ()
 
     def __post_init__(self):
-        _check_ambient_dim(self.ambient_dim)
-        for g in self.equations:
-            if g.ambient_dim != self.ambient_dim:
-                raise DimensionMismatchError(
-                    f"equation {g} has ambient_dim {g.ambient_dim}, "
-                    f"expected {self.ambient_dim}"
-                )
-        for h, _ in self.inequalities:
-            if h.ambient_dim != self.ambient_dim:
-                raise DimensionMismatchError(
-                    f"inequality {h} has ambient_dim {h.ambient_dim}, "
-                    f"expected {self.ambient_dim}"
-                )
-        for s in self.samplers:
-            if len(s.numerators) != self.ambient_dim:
-                raise DimensionMismatchError(
-                    f"sampler has {len(s.numerators)} numerators, "
-                    f"expected {self.ambient_dim}"
-                )
-        for p in self.sample_points:
-            if len(p) != self.ambient_dim:
-                raise DimensionMismatchError(
-                    f"sample point {p} has length {len(p)}, expected {self.ambient_dim}"
-                )
-        terms = sum(len(g.terms) for g in self.equations)
-        _check_terms(terms + sum(len(h.terms) for h, _ in self.inequalities))
+        n = self.ambient_dim
+        _check_ambient_dim(n)
+        for i, g in enumerate(self.equations):
+            _check_ring(g, n, f"equations[{i}]")
+        for i, (h, _) in enumerate(self.inequalities):
+            _check_ring(h, n, f"inequalities[{i}].poly")
+        _check_terms(_term_count((*self.equations, *(h for h, _ in self.inequalities))))
         points = 0
         for i, s in enumerate(self.samplers):
-            _check_param_dim(s.param_dim, f"samplers[{i}].param_dim")
-            points = _counted_points(
-                points + s.param_resolution**s.param_dim, f"samplers[{i}].resolution"
-            )
-        # named as the loader names it: the first explicit point past the cap
-        first_past = f"sample_points[{MAX_GRID_POINTS - points}]"
-        _counted_points(points + len(self.sample_points), first_past)
+            path = f"samplers[{i}]"
+            _check_param_dim(s.param_dim, f"{path}.param_dim")
+            _check_length(len(s.numerators), n, f"{path}.numerators")
+            for j, p in enumerate(s.numerators):
+                _check_ring(p, s.param_dim, f"{path}.numerators[{j}]")
+            _check_ring(s.denominator, s.param_dim, f"{path}.denominator")
+            _check_length(len(s.param_box), s.param_dim, f"{path}.box")
+            for j, (lo, hi) in enumerate(s.param_box):
+                _check_box(lo, hi, f"{path}.box[{j}]")
+            _check_resolution(s.param_resolution, f"{path}.resolution")
+            grid = s.param_resolution**s.param_dim
+            points = _counted_points(points + grid, f"{path}.resolution")
+        for i, p in enumerate(self.sample_points):
+            points = _counted_points(points + 1, f"sample_points[{i}]")
+            _check_length(len(p), n, f"sample_points[{i}]")
         self.cleared_samples  # every sample source is validated once, here
 
     @cached_property
@@ -221,7 +201,16 @@ class SpacePresentation:
         images in grid order, then of the explicit sample points,
         deduplicated keeping first occurrences; a SpaceFormatError naming
         the space-file field at the first failure."""
-        return tuple(dict.fromkeys(_validated_forms(self)))
+        forms: dict[Cleared, None] = {}
+        for i, sampler in enumerate(self.samplers):
+            for block in _sampler_images(self, sampler, f"samplers[{i}]"):
+                forms.update(dict.fromkeys(block))
+        for i, point in enumerate(self.sample_points):
+            form = poly.clear_denominators([Fraction(x) for x in point])
+            if not is_member_cleared(self, *form):
+                raise SpaceFormatError(f"sample_points[{i}]", "point is not a member")
+            forms[form] = None
+        return tuple(forms)
 
 
 def is_member(space: SpacePresentation, point: Sequence[Fraction]) -> bool:
@@ -298,10 +287,11 @@ def _horner(
 
 def _sampler_images(
     space: SpacePresentation, sampler: Sampler, path: str
-) -> Iterator[Cleared]:
-    """The least integer form of each grid image, in grid order, after
-    proving once that the sampler's composition with each equation is zero,
-    so that every image with a nonzero denominator satisfies the equations.
+) -> Iterator[Iterator[Cleared]]:
+    """The least integer forms of the grid images, a block at a time in
+    grid order, after proving once that the sampler's composition with
+    each equation is zero, so that every image with a nonzero denominator
+    satisfies the equations.
     Each block of grid points is evaluated as columns; its images' signs
     are fixed, their denominators and the inequalities are tested, and
     each image is divided by its gcd, in passes over the columns.  The
@@ -338,20 +328,7 @@ def _sampler_images(
                     )
         commons = list(map(math.gcd, dens, *images))
         reduced = [map(floordiv, column, commons) for column in images]
-        yield from zip(zip(*reduced), map(floordiv, dens, commons))
-
-
-def _validated_forms(space: SpacePresentation) -> Iterator[Cleared]:
-    """The least integer form of each sample in ``sample`` order before
-    deduplication, validated one by one: a SpaceFormatError naming the
-    space-file field at the first failure."""
-    for i, sampler in enumerate(space.samplers):
-        yield from _sampler_images(space, sampler, f"samplers[{i}]")
-    for i, point in enumerate(space.sample_points):
-        form = poly.clear_denominators([Fraction(x) for x in point])
-        if not is_member_cleared(space, *form):
-            raise SpaceFormatError(f"sample_points[{i}]", "point is not a member")
-        yield form
+        yield zip(zip(*reduced), map(floordiv, dens, commons))
 
 
 def sample_forms(space: SpacePresentation) -> tuple[Cleared, ...]:
@@ -455,6 +432,33 @@ def _check_param_dim(param_dim: int, path: str) -> None:
         raise SpaceFormatError(path, f"must be in 1..{MAX_AMBIENT_DIM}")
 
 
+def _check_length(length: int, expected: int, path: str) -> None:
+    """The numerators of a sampler, its box, or an explicit point."""
+    if length != expected:
+        raise SpaceFormatError(path, f"expected {expected} entries, got {length}")
+
+
+def _check_ring(p: Polynomial, ambient_dim: int, path: str) -> None:
+    if p.ambient_dim != ambient_dim:
+        raise SpaceFormatError(
+            path, f"expected a polynomial in x1..x{ambient_dim}, got one in x1..x{p.ambient_dim}"
+        )
+
+
+def _check_box(lo: Fraction, hi: Fraction, path: str) -> None:
+    if lo > hi:
+        raise SpaceFormatError(path, "lo must be <= hi")
+
+
+def _check_resolution(resolution: int, path: str) -> None:
+    if resolution < 1:
+        raise SpaceFormatError(path, "must be >= 1")
+
+
+def _term_count(polynomials: Iterable[Polynomial]) -> int:
+    return sum(len(p.terms) for p in polynomials)
+
+
 def _check_terms(terms: int) -> None:
     """Each equation is composed with each sampler and every constraint is
     evaluated at each sample, so their terms are capped together."""
@@ -474,7 +478,9 @@ def _counted_points(points: int, path: str) -> int:
 
 
 def space_from_dict(data: dict) -> SpacePresentation:
-    """Build and fully validate a presentation from the JSON schema."""
+    """Parse a presentation from the JSON schema; it is validated when it
+    is built.  Each size rule that bounds the cost of a later parse is
+    checked here first, by the presentation's own helper."""
     if not isinstance(data, dict):
         raise SpaceFormatError("$", "expected a JSON object")
     _known_fields(data, _SPACE_FIELDS, "$")
@@ -518,33 +524,24 @@ def space_from_dict(data: dict) -> SpacePresentation:
         param_dim = _want(entry, "param_dim", int, path)
         _check_param_dim(param_dim, f"{path}.param_dim")
         numerators = _optional_list(entry, "numerators", path)
-        if len(numerators) != ambient_dim:
-            raise SpaceFormatError(
-                f"{path}.numerators",
-                f"expected {ambient_dim} entries, got {len(numerators)}",
-            )
+        _check_length(len(numerators), ambient_dim, f"{path}.numerators")
         nums = tuple(
             _parse_poly(text, param_dim, f"{path}.numerators[{j}]")
             for j, text in enumerate(numerators)
         )
         den = _parse_poly(entry.get("denominator", "1"), param_dim, f"{path}.denominator")
         box_entries = _want(entry, "box", list, path)
-        if len(box_entries) != param_dim:
-            raise SpaceFormatError(
-                f"{path}.box", f"expected {param_dim} entries, got {len(box_entries)}"
-            )
+        _check_length(len(box_entries), param_dim, f"{path}.box")
         box = []
         for j, pair in enumerate(box_entries):
             if not isinstance(pair, list) or len(pair) != 2:
                 raise SpaceFormatError(f"{path}.box[{j}]", "expected [lo, hi]")
-            lo = _parse_rational(pair[0], f"{path}.box[{j}][0]")
-            hi = _parse_rational(pair[1], f"{path}.box[{j}][1]")
-            if lo > hi:
-                raise SpaceFormatError(f"{path}.box[{j}]", "lo must be <= hi")
-            box.append((lo, hi))
+            box.append(
+                tuple(_parse_rational(c, f"{path}.box[{j}][{k}]") for k, c in enumerate(pair))
+            )
         resolution = _want(entry, "resolution", int, path)
-        if resolution < 1:
-            raise SpaceFormatError(f"{path}.resolution", "must be >= 1")
+        # the running total bounds later parses only over positive resolutions
+        _check_resolution(resolution, f"{path}.resolution")
         points = _counted_points(points + resolution**param_dim, f"{path}.resolution")
         samplers.append(
             Sampler(
@@ -560,8 +557,9 @@ def space_from_dict(data: dict) -> SpacePresentation:
     for i, coords in enumerate(_optional_list(data, "sample_points", "$")):
         path = f"sample_points[{i}]"
         points = _counted_points(points + 1, path)
-        if not isinstance(coords, list) or len(coords) != ambient_dim:
+        if not isinstance(coords, list):
             raise SpaceFormatError(path, f"expected {ambient_dim} rational strings")
+        _check_length(len(coords), ambient_dim, path)
         explicit.append(
             tuple(_parse_rational(c, f"{path}[{j}]") for j, c in enumerate(coords))
         )

@@ -237,32 +237,37 @@ GRID_CAP = (
 
 # (build, the error it raises, a part of its message)
 CONSTRUCTION_REFUSALS = {
+    # a sampler is checked as part of its presentation; each shape defect
+    # of a direct build is refused with the loader's field
     "box of two entries": (
-        lambda: _sampler(param_box=((F(0), F(1)),) * 2),
-        DimensionMismatchError, "param_box has 2 entries, expected 1",
+        lambda: _space(samplers=(_sampler(param_box=((F(0), F(1)),) * 2),)),
+        SpaceFormatError, "samplers[0].box: expected 1 entries, got 2",
     ),
     "numerator off the parameter ring": (
-        lambda: _sampler(numerators=(parse("x1", 2),)),
-        DimensionMismatchError, "must live in the parameter ring",
+        lambda: _space(samplers=(_sampler(numerators=(parse("x1", 2),)),)),
+        SpaceFormatError,
+        "samplers[0].numerators[0]: expected a polynomial in x1..x1, got one in x1..x2",
     ),
     "resolution 0": (
-        lambda: _sampler(param_resolution=0), SubcartError, "param_resolution must be >= 1"
+        lambda: _space(samplers=(_sampler(param_resolution=0),)),
+        SpaceFormatError, "samplers[0].resolution: must be >= 1",
     ),
     "equation of another dimension": (
         lambda: _space(equations=(parse("x2", 2),)),
-        DimensionMismatchError, "equation x2 has ambient_dim 2, expected 1",
+        SpaceFormatError, "equations[0]: expected a polynomial in x1..x1, got one in x1..x2",
     ),
     "inequality of another dimension": (
         lambda: _space(inequalities=((parse("x2", 2), True),)),
-        DimensionMismatchError, "inequality x2 has ambient_dim 2, expected 1",
+        SpaceFormatError,
+        "inequalities[0].poly: expected a polynomial in x1..x1, got one in x1..x2",
     ),
     "sampler of two numerators": (
         lambda: _space(samplers=(_sampler(numerators=(parse("x1", 1),) * 2),)),
-        DimensionMismatchError, "sampler has 2 numerators, expected 1",
+        SpaceFormatError, "samplers[0].numerators: expected 1 entries, got 2",
     ),
     "sample point of length 2": (
         lambda: _space(sample_points=((F(0), F(0)),)),
-        DimensionMismatchError, "has length 2, expected 1",
+        SpaceFormatError, "sample_points[0]: expected 1 entries, got 2",
     ),
     # a presentation validates its sample sources when it is built, with
     # the loader's messages
