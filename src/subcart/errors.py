@@ -24,7 +24,11 @@ class ParseError(SubcartError):
 
 
 class DimensionMismatchError(SubcartError):
-    """Operands disagree on ambient dimension, length, or index range."""
+    """Operands disagree on ambient dimension, length, or index range.
+
+    Raised by polynomials, their evaluators and tangent vectors; a space
+    presentation refuses its own shape defects by a SpaceFormatError
+    naming the field."""
 
 
 class NonMemberError(SubcartError):

@@ -34,7 +34,8 @@ It takes no common denominator of the forms: ``stratify.NeighbourIndex``
 puts them on one integer table, and bounds it.
 A presentation may have at most ``MAX_AMBIENT_DIM`` coordinates and
 parameters per sampler and ``MAX_GRID_POINTS`` grid and explicit sample
-points; its equations and inequalities may have at most
+points, whose validation may take at most ``MAX_TERM_EVALUATIONS`` term
+evaluations; its equations and inequalities may have at most
 ``poly.MAX_TERMS`` terms together, as may each product in the
 composition of a sampler with an equation.  The caps are checked when it
 is built, before any composition or grid image.
@@ -81,6 +82,7 @@ from .poly import Cleared, Point, Polynomial, divided, format_point
 Inequality = tuple[Polynomial, bool]  # (polynomial, strict?)
 
 MAX_GRID_POINTS = 100_000  # grid and explicit sample points of a presentation
+MAX_TERM_EVALUATIONS = 2_000_000  # that validating the samples of a presentation takes
 MAX_AMBIENT_DIM = 12  # of a presentation: a point has at most C(12, 6) = 924 charts
 GRID_BLOCK_POINTS = 1024  # grid points evaluated together, as columns, at load
 _SPACE_FIELDS = (
@@ -156,8 +158,10 @@ class SpacePresentation:
             _check_ring(g, n, f"equations[{i}]")
         for i, (h, _) in enumerate(self.inequalities):
             _check_ring(h, n, f"inequalities[{i}].poly")
-        _check_terms(_term_count((*self.equations, *(h for h, _ in self.inequalities))))
-        points = 0
+        inequality_terms = _term_count(h for h, _ in self.inequalities)
+        constraint_terms = _term_count(self.equations) + inequality_terms
+        _check_terms(constraint_terms)
+        points = work = 0
         for i, s in enumerate(self.samplers):
             path = f"samplers[{i}]"
             _check_param_dim(s.param_dim, f"{path}.param_dim")
@@ -171,8 +175,11 @@ class SpacePresentation:
             _check_resolution(s.param_resolution, f"{path}.resolution")
             grid = s.param_resolution**s.param_dim
             points = _counted_points(points + grid, f"{path}.resolution")
+            cost = _term_count((*s.numerators, s.denominator)) + inequality_terms
+            work = _counted_work(work + grid * cost, f"{path}.resolution")
         for i, p in enumerate(self.sample_points):
             points = _counted_points(points + 1, f"sample_points[{i}]")
+            work = _counted_work(work + constraint_terms, f"sample_points[{i}]")
             _check_length(len(p), n, f"sample_points[{i}]")
         self.cleared_samples  # every sample source is validated once, here
 
@@ -477,6 +484,17 @@ def _counted_points(points: int, path: str) -> int:
     return points
 
 
+def _counted_work(work: int, path: str) -> int:
+    """``work``, the term evaluations that validating the samples takes,
+    refused naming ``path`` when more than MAX_TERM_EVALUATIONS.  A grid
+    point evaluates its sampler's numerators and denominator and the
+    inequalities; an explicit point, the equations and the inequalities."""
+    if work > MAX_TERM_EVALUATIONS:
+        message = f"the samplers' grids and sample points take more than {MAX_TERM_EVALUATIONS}"
+        raise SpaceFormatError(path, message + " term evaluations together")
+    return work
+
+
 def space_from_dict(data: dict) -> SpacePresentation:
     """Parse a presentation from the JSON schema; it is validated when it
     is built.  Each size rule that bounds the cost of a later parse is
@@ -513,9 +531,10 @@ def space_from_dict(data: dict) -> SpacePresentation:
         if not isinstance(strict, bool):
             raise SpaceFormatError(f"inequalities[{i}].strict", "expected a boolean")
         inequalities.append((h, strict))
+    inequality_terms = _term_count(h for h, _ in inequalities)
 
     samplers = []
-    points = 0  # grid and explicit sample points, checked before any grid is built
+    points = work = 0  # of the samples, checked before any grid is built
     for i, entry in enumerate(_optional_list(data, "samplers", "$")):
         path = f"samplers[{i}]"
         if not isinstance(entry, dict):
@@ -542,7 +561,10 @@ def space_from_dict(data: dict) -> SpacePresentation:
         resolution = _want(entry, "resolution", int, path)
         # the running total bounds later parses only over positive resolutions
         _check_resolution(resolution, f"{path}.resolution")
-        points = _counted_points(points + resolution**param_dim, f"{path}.resolution")
+        grid = resolution**param_dim
+        points = _counted_points(points + grid, f"{path}.resolution")
+        cost = _term_count((*nums, den)) + inequality_terms
+        work = _counted_work(work + grid * cost, f"{path}.resolution")
         samplers.append(
             Sampler(
                 param_dim=param_dim,
@@ -557,6 +579,7 @@ def space_from_dict(data: dict) -> SpacePresentation:
     for i, coords in enumerate(_optional_list(data, "sample_points", "$")):
         path = f"sample_points[{i}]"
         points = _counted_points(points + 1, path)
+        work = _counted_work(work + terms, path)
         if not isinstance(coords, list):
             raise SpaceFormatError(path, f"expected {ambient_dim} rational strings")
         _check_length(len(coords), ambient_dim, path)
@@ -578,7 +601,7 @@ def load_space(path: str | Path) -> SpacePresentation:
     """Load and validate a space presentation from a JSON file."""
     try:
         raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SpaceFormatError("$", f"cannot read {path}: {exc}") from None
     try:
         data = json.loads(raw)

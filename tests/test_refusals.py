@@ -1,9 +1,11 @@
 """Every refusal of bad input, each pinned by the error it raises: the
 loader's field checks as mutations of a shipped fixture (each a
 ``SpaceFormatError`` naming its field, and exit 2 through ``cli.main``),
-the neighbour index's bounds on its integer table and on its candidate
-pairs (exit 2 too, from a file that loads), the checks of directly built
-samplers and presentations, the polynomial constructor and parser, and
+each with the same field and message when the presentation is built
+directly, the neighbour index's bounds on its integer table and on its
+candidate pairs (exit 2 too, from a file that loads), the checks of
+directly built presentations (a sampler is checked as part of the
+presentation that holds it), the polynomial constructor and parser, and
 the few checks of the CLI and the report.
 Every refusal is a ``SubcartError``, so a caller that catches the
 package's errors catches each of them.
@@ -24,10 +26,11 @@ from subcart.errors import (
     SpaceFormatError,
     SubcartError,
 )
-from subcart.fixtures import fixture_path
+from subcart.fixtures import NAMES, fixture_path
 from subcart.poly import Polynomial, constant, parse, variable
 from subcart.space import (
     MAX_GRID_POINTS,
+    MAX_TERM_EVALUATIONS,
     Sampler,
     SpacePresentation,
     load_space,
@@ -93,6 +96,58 @@ def test_each_loader_refusal_names_its_field_and_exits_2(mutate, field, tmp_path
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {info.value}\n" and err.startswith(f"error: {field}: ")
+
+
+def _with_sampler(cone, **changes):
+    return replace(cone, samplers=(replace(cone.samplers[0], **changes),))
+
+
+# each semantic case of LOADER_REFUSALS, built directly from the loaded cone
+DIRECT_BUILDS = {
+    "ambient_dim 0": lambda cone: replace(cone, ambient_dim=0),
+    "two numerators": lambda cone: _with_sampler(
+        cone, numerators=(parse("x1", 2), parse("x2", 2))
+    ),
+    "one box entry": lambda cone: _with_sampler(cone, param_box=((F(-2), F(2)),)),
+    "box lo above hi": lambda cone: _with_sampler(
+        cone, param_box=((F(2), F(-2)), (F(-2), F(2)))
+    ),
+    "resolution 0": lambda cone: _with_sampler(cone, param_resolution=0),
+    "denominator vanishes": lambda cone: _with_sampler(cone, denominator=parse("x1", 2)),
+    "short sample point": lambda cone: replace(cone, sample_points=((F(0), F(0)),)),
+}
+
+
+@pytest.mark.parametrize("name", list(DIRECT_BUILDS))
+def test_a_direct_build_gets_the_loaders_field_and_message(name, cone, tmp_path):
+    mutate, field = LOADER_REFUSALS[name]
+    data = mutate(json.loads(fixture_path("cone").read_text(encoding="utf-8")))
+    with pytest.raises(SpaceFormatError) as loaded:
+        load_space(_write(tmp_path, data))
+    with pytest.raises(SpaceFormatError) as built:
+        DIRECT_BUILDS[name](cone)
+    assert built.value.field == loaded.value.field == field
+    assert str(built.value) == str(loaded.value)
+
+
+def test_a_shape_message_prints_no_point_and_no_polynomial(cone):
+    # each raised a ValueError from str() of a 5,000-digit integer
+    huge = 10**4999
+    with pytest.raises(SpaceFormatError) as info:
+        replace(cone, equations=(Polynomial(2, {(1, 0): huge}),))
+    assert str(info.value) == "equations[0]: expected a polynomial in x1..x3, got one in x1..x2"
+    with pytest.raises(SpaceFormatError) as info:
+        replace(cone, sample_points=((F(huge), F(0)),))
+    assert str(info.value) == "sample_points[0]: expected 3 entries, got 2"
+
+
+def test_a_space_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"name": "caf\xff", "ambient_dim": 1}')
+    with pytest.raises(SpaceFormatError) as info:
+        load_space(path)
+    assert info.value.field == "$"
+    assert _exits_2_at_once(["verify", str(path)], capsys) == f"error: {info.value}\n"
 
 
 def _write(tmp_path, data):
@@ -392,6 +447,66 @@ def test_the_resolution_330_cone_is_refused_at_once_as_its_file_is(tmp_path, mon
         with pytest.raises(SpaceFormatError):
             CONSTRUCTION_REFUSALS[name][0]()
     assert calls == []
+
+
+def _heavy(where, resolution):
+    """The plane sampled over [0, 1]^2 at ``resolution``, with the
+    1,953-term (x1 + x2 + 1)^61 as its sampler's first numerator, or as
+    an inequality over an identity sampler."""
+    heavy = "(x1+x2+1)^61"
+    sampler = {"param_dim": 2, "numerators": ["x1", "x2"], "box": [["0", "1"]] * 2,
+               "resolution": resolution}
+    data = {"name": f"heavy_{where}", "ambient_dim": 2, "samplers": [sampler]}
+    if where == "numerator":
+        sampler["numerators"][0] = heavy
+    else:
+        data["inequalities"] = [{"poly": heavy}]
+    return data
+
+
+@pytest.mark.parametrize("where", ["numerator", "inequality"])
+def test_the_term_evaluations_of_a_load_are_capped_before_any_grid_image(
+    where, tmp_path, monkeypatch
+):
+    # about 1.96 * 10^7 term evaluations at resolution 100, which took
+    # 13.9 s and 10.4 s to load before the cap
+    start = time.perf_counter()
+    with pytest.raises(SpaceFormatError) as loaded:
+        load_space(_write(tmp_path, _heavy(where, 100)))
+    assert time.perf_counter() - start < 1
+    space = load_space(_write(tmp_path, _heavy(where, 2)))
+    calls = []
+    space_module = importlib.import_module("subcart.space")
+    monkeypatch.setattr(space_module, "compose_cleared", lambda *args: calls.append(args))
+    monkeypatch.setattr(Sampler, "_integer_grid", lambda *args: calls.append(args))
+    start = time.perf_counter()
+    with pytest.raises(SpaceFormatError) as built:
+        _with_sampler(space, param_resolution=100)
+    assert time.perf_counter() - start < 1
+    assert calls == []
+    assert built.value.field == loaded.value.field == "samplers[0].resolution"
+    assert str(built.value) == str(loaded.value) == (
+        "samplers[0].resolution: the samplers' grids and sample points take more than "
+        f"{MAX_TERM_EVALUATIONS} term evaluations together"
+    )
+
+
+def test_every_sampled_fixture_at_its_largest_grid_is_under_the_caps(monkeypatch):
+    # the caps only: no sample is validated.  The sphere at resolution 316
+    # is the heaviest, 8 terms at each of 99,856 points
+    monkeypatch.setattr(SpacePresentation, "cleared_samples", ())
+    for name in NAMES:
+        space = load_space(fixture_path(name))
+        if space.samplers:
+            resolution = 1
+            while sum((resolution + 1) ** s.param_dim for s in space.samplers) <= MAX_GRID_POINTS:
+                resolution += 1
+            grids = tuple(replace(s, param_resolution=resolution) for s in space.samplers)
+            replace(space, samplers=grids)
+            with pytest.raises(SpaceFormatError, match=r"\.resolution: .* points together$"):
+                replace(space, samplers=tuple(
+                    replace(s, param_resolution=resolution + 1) for s in space.samplers
+                ))
 
 
 def test_a_polynomial_is_immutable():
