@@ -497,8 +497,8 @@ def _counted_work(work: int, path: str) -> int:
 
 def space_from_dict(data: dict) -> SpacePresentation:
     """Parse a presentation from the JSON schema; it is validated when it
-    is built.  Each size rule that bounds the cost of a later parse is
-    checked here first, by the presentation's own helper."""
+    is built.  Each rule that bounds the cost of a later parse is checked
+    here first, by the presentation's own helper."""
     if not isinstance(data, dict):
         raise SpaceFormatError("$", "expected a JSON object")
     _known_fields(data, _SPACE_FIELDS, "$")
@@ -555,9 +555,9 @@ def space_from_dict(data: dict) -> SpacePresentation:
         for j, pair in enumerate(box_entries):
             if not isinstance(pair, list) or len(pair) != 2:
                 raise SpaceFormatError(f"{path}.box[{j}]", "expected [lo, hi]")
-            box.append(
-                tuple(_parse_rational(c, f"{path}.box[{j}][{k}]") for k, c in enumerate(pair))
-            )
+            lo = _parse_rational(pair[0], f"{path}.box[{j}][0]")
+            hi = _parse_rational(pair[1], f"{path}.box[{j}][1]")
+            box.append((lo, hi))
         resolution = _want(entry, "resolution", int, path)
         # the running total bounds later parses only over positive resolutions
         _check_resolution(resolution, f"{path}.resolution")
