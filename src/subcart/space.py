@@ -14,15 +14,18 @@ proves that every image N(t) / D(t) where D(t) != 0 satisfies every
 equation.  So each grid image is tested only for a nonzero denominator
 and against the inequalities (not at all for a space with none), and
 each explicit point is membership-tested once.
-Every rule on a presentation's shape and size is one module helper with
-one field and one message (``_check_*`` and ``_counted_*``), and no
-message prints a point or a polynomial.  ``SpacePresentation`` calls
-every helper when it is built, naming fields as its space file does
-(``samplers[i].box[j]``, ``sample_points[i]``), so a presentation that
-is loaded, built directly or made by ``dataclasses.replace`` is refused
-by one ``SpaceFormatError`` for one defect.  The loader checks the JSON
-shapes, and calls a helper itself only where the rule must run before a
-parse to bound that parse's cost.
+The rules on a presentation's shape and size, and the running totals
+behind its caps, have one owner, ``_Rules``, which is fed one source at
+a time: an equation or inequality, a sampler, an explicit point.  Each
+rule has one field and one message, and no message prints a point or a
+polynomial.  ``SpacePresentation`` feeds every source to its rules when
+it is built, naming fields as its space file does (``samplers[i].box[j]``,
+``sample_points[i]``), so a presentation that is loaded, built directly
+or made by ``dataclasses.replace`` is refused by one ``SpaceFormatError``
+for one defect.  The loader checks the JSON shapes and the sizes that
+bound a parse (``param_dim``, the numerator count, the box length), and
+feeds each source to rules of its own as soon as it is parsed, so a cap
+bounds every later parse.
 Samples are validated and deduplicated in integer form: each is
 kept as its least integer form (a, D), integer numerators a over the
 least positive common denominator D (``poly.clear_denominators`` of the
@@ -152,35 +155,15 @@ class SpacePresentation:
     sample_points: tuple[Point, ...] = ()
 
     def __post_init__(self):
-        n = self.ambient_dim
-        _check_ambient_dim(n)
+        rules = _Rules(self.ambient_dim)
         for i, g in enumerate(self.equations):
-            _check_ring(g, n, f"equations[{i}]")
+            rules.constraint(g, f"equations[{i}]", False)
         for i, (h, _) in enumerate(self.inequalities):
-            _check_ring(h, n, f"inequalities[{i}].poly")
-        inequality_terms = _term_count(h for h, _ in self.inequalities)
-        constraint_terms = _term_count(self.equations) + inequality_terms
-        _check_terms(constraint_terms)
-        points = work = 0
+            rules.constraint(h, f"inequalities[{i}].poly", True)
         for i, s in enumerate(self.samplers):
-            path = f"samplers[{i}]"
-            _check_param_dim(s.param_dim, f"{path}.param_dim")
-            _check_length(len(s.numerators), n, f"{path}.numerators")
-            for j, p in enumerate(s.numerators):
-                _check_ring(p, s.param_dim, f"{path}.numerators[{j}]")
-            _check_ring(s.denominator, s.param_dim, f"{path}.denominator")
-            _check_length(len(s.param_box), s.param_dim, f"{path}.box")
-            for j, (lo, hi) in enumerate(s.param_box):
-                _check_box(lo, hi, f"{path}.box[{j}]")
-            _check_resolution(s.param_resolution, f"{path}.resolution")
-            grid = s.param_resolution**s.param_dim
-            points = _counted_points(points + grid, f"{path}.resolution")
-            cost = _term_count((*s.numerators, s.denominator)) + inequality_terms
-            work = _counted_work(work + grid * cost, f"{path}.resolution")
+            rules.sampler(s, f"samplers[{i}]")
         for i, p in enumerate(self.sample_points):
-            points = _counted_points(points + 1, f"sample_points[{i}]")
-            work = _counted_work(work + constraint_terms, f"sample_points[{i}]")
-            _check_length(len(p), n, f"sample_points[{i}]")
+            rules.point(p, f"sample_points[{i}]")
         self.cleared_samples  # every sample source is validated once, here
 
     @cached_property
@@ -427,13 +410,6 @@ def _parse_rational(text, path: str) -> Fraction:
         raise SpaceFormatError(path, str(exc)) from None
 
 
-def _check_ambient_dim(ambient_dim: int) -> None:
-    if ambient_dim < 1:
-        raise SpaceFormatError("$.ambient_dim", "must be a positive integer")
-    if ambient_dim > MAX_AMBIENT_DIM:
-        raise SpaceFormatError("$.ambient_dim", f"must be at most {MAX_AMBIENT_DIM}")
-
-
 def _check_param_dim(param_dim: int, path: str) -> None:
     if not 1 <= param_dim <= MAX_AMBIENT_DIM:
         raise SpaceFormatError(path, f"must be in 1..{MAX_AMBIENT_DIM}")
@@ -452,89 +428,100 @@ def _check_ring(p: Polynomial, ambient_dim: int, path: str) -> None:
         )
 
 
-def _check_box(lo: Fraction, hi: Fraction, path: str) -> None:
-    if lo > hi:
-        raise SpaceFormatError(path, "lo must be <= hi")
+class _Rules:
+    """The shape and size rules of one presentation in ``ambient_dim``
+    coordinates, fed its sources in order.  Each method checks one source,
+    adds it to the running totals and refuses it past a cap, naming the
+    field of its space file."""
 
+    def __init__(self, ambient_dim: int):
+        if ambient_dim < 1:
+            raise SpaceFormatError("$.ambient_dim", "must be a positive integer")
+        if ambient_dim > MAX_AMBIENT_DIM:
+            raise SpaceFormatError("$.ambient_dim", f"must be at most {MAX_AMBIENT_DIM}")
+        self.ambient_dim = ambient_dim
+        self.terms = {False: 0, True: 0}  # of the equations, of the inequalities
+        self.points = self.work = 0
 
-def _check_resolution(resolution: int, path: str) -> None:
-    if resolution < 1:
-        raise SpaceFormatError(path, "must be >= 1")
+    def constraint(self, p: Polynomial, path: str, inequality: bool) -> None:
+        """An equation, or an inequality's polynomial.  Each equation is
+        composed with each sampler and every constraint is evaluated at
+        each sample, so their terms are capped together."""
+        _check_ring(p, self.ambient_dim, path)
+        self.terms[inequality] += len(p.terms)
+        if sum(self.terms.values()) > poly.MAX_TERMS:
+            raise SpaceFormatError(
+                "equations",
+                f"the equations and inequalities have more than {poly.MAX_TERMS} terms together",
+            )
 
+    def sampler(self, s: Sampler, path: str) -> None:
+        """A grid point evaluates the sampler's numerators and denominator,
+        then the inequalities."""
+        _check_param_dim(s.param_dim, f"{path}.param_dim")
+        _check_length(len(s.numerators), self.ambient_dim, f"{path}.numerators")
+        for j, p in enumerate(s.numerators):
+            _check_ring(p, s.param_dim, f"{path}.numerators[{j}]")
+        _check_ring(s.denominator, s.param_dim, f"{path}.denominator")
+        _check_length(len(s.param_box), s.param_dim, f"{path}.box")
+        for j, (lo, hi) in enumerate(s.param_box):
+            if lo > hi:
+                raise SpaceFormatError(f"{path}.box[{j}]", "lo must be <= hi")
+        if s.param_resolution < 1:
+            raise SpaceFormatError(f"{path}.resolution", "must be >= 1")
+        grid = s.param_resolution**s.param_dim
+        cost = sum(len(p.terms) for p in (*s.numerators, s.denominator)) + self.terms[True]
+        self._count(grid, grid * cost, f"{path}.resolution")
 
-def _term_count(polynomials: Iterable[Polynomial]) -> int:
-    return sum(len(p.terms) for p in polynomials)
+    def point(self, p: Point, path: str) -> None:
+        """An explicit point evaluates the equations and the inequalities."""
+        self._count(1, sum(self.terms.values()), path)
+        _check_length(len(p), self.ambient_dim, path)
 
-
-def _check_terms(terms: int) -> None:
-    """Each equation is composed with each sampler and every constraint is
-    evaluated at each sample, so their terms are capped together."""
-    if terms > poly.MAX_TERMS:
-        raise SpaceFormatError(
-            "equations",
-            f"the equations and inequalities have more than {poly.MAX_TERMS} terms together",
-        )
-
-
-def _counted_points(points: int, path: str) -> int:
-    """``points``, refused naming ``path`` when more than MAX_GRID_POINTS."""
-    if points > MAX_GRID_POINTS:
-        message = f"the samplers' grids and sample points have more than {MAX_GRID_POINTS}"
-        raise SpaceFormatError(path, message + " points together")
-    return points
-
-
-def _counted_work(work: int, path: str) -> int:
-    """``work``, the term evaluations that validating the samples takes,
-    refused naming ``path`` when more than MAX_TERM_EVALUATIONS.  A grid
-    point evaluates its sampler's numerators and denominator and the
-    inequalities; an explicit point, the equations and the inequalities."""
-    if work > MAX_TERM_EVALUATIONS:
-        message = f"the samplers' grids and sample points take more than {MAX_TERM_EVALUATIONS}"
-        raise SpaceFormatError(path, message + " term evaluations together")
-    return work
+    def _count(self, points: int, work: int, path: str) -> None:
+        """Adds ``points`` samples whose validation takes ``work`` term
+        evaluations, refused naming ``path`` past MAX_GRID_POINTS or
+        MAX_TERM_EVALUATIONS."""
+        self.points += points
+        if self.points > MAX_GRID_POINTS:
+            message = f"the samplers' grids and sample points have more than {MAX_GRID_POINTS}"
+            raise SpaceFormatError(path, message + " points together")
+        self.work += work
+        if self.work > MAX_TERM_EVALUATIONS:
+            message = f"the samplers' grids and sample points take more than {MAX_TERM_EVALUATIONS}"
+            raise SpaceFormatError(path, message + " term evaluations together")
 
 
 def space_from_dict(data: dict) -> SpacePresentation:
-    """Parse a presentation from the JSON schema; it is validated when it
-    is built.  Each rule that bounds the cost of a later parse is checked
-    here first, by the presentation's own helper."""
+    """Parse a presentation from the JSON schema.  Each source is fed to
+    the presentation's rules as soon as it is parsed, so a cap bounds every
+    later parse; the presentation checks them all again when it is built."""
     if not isinstance(data, dict):
         raise SpaceFormatError("$", "expected a JSON object")
     _known_fields(data, _SPACE_FIELDS, "$")
     name = _want(data, "name", str, "$")
     ambient_dim = _want(data, "ambient_dim", int, "$")
-    _check_ambient_dim(ambient_dim)
+    rules = _Rules(ambient_dim)
 
-    terms = 0  # checked after each parse, before the next one
-
-    def counted(p: Polynomial) -> Polynomial:
-        nonlocal terms
-        terms += len(p.terms)
-        _check_terms(terms)
-        return p
-
-    equations = tuple(
-        counted(_parse_poly(text, ambient_dim, f"equations[{i}]"))
-        for i, text in enumerate(_optional_list(data, "equations", "$"))
-    )
+    equations = []
+    for i, text in enumerate(_optional_list(data, "equations", "$")):
+        equations.append(_parse_poly(text, ambient_dim, f"equations[{i}]"))
+        rules.constraint(equations[-1], f"equations[{i}]", False)
 
     inequalities = []
     for i, entry in enumerate(_optional_list(data, "inequalities", "$")):
         if not isinstance(entry, dict):
             raise SpaceFormatError(f"inequalities[{i}]", "expected an object")
         _known_fields(entry, ("poly", "strict"), f"inequalities[{i}]")
-        h = counted(
-            _parse_poly(entry.get("poly"), ambient_dim, f"inequalities[{i}].poly")
-        )
+        path = f"inequalities[{i}].poly"
+        h = _parse_poly(entry.get("poly"), ambient_dim, path)
+        rules.constraint(h, path, True)
         strict = entry.get("strict", False)
         if not isinstance(strict, bool):
             raise SpaceFormatError(f"inequalities[{i}].strict", "expected a boolean")
         inequalities.append((h, strict))
-    inequality_terms = _term_count(h for h, _ in inequalities)
 
     samplers = []
-    points = work = 0  # of the samples, checked before any grid is built
     for i, entry in enumerate(_optional_list(data, "samplers", "$")):
         path = f"samplers[{i}]"
         if not isinstance(entry, dict):
@@ -558,39 +545,30 @@ def space_from_dict(data: dict) -> SpacePresentation:
             lo = _parse_rational(pair[0], f"{path}.box[{j}][0]")
             hi = _parse_rational(pair[1], f"{path}.box[{j}][1]")
             box.append((lo, hi))
-        resolution = _want(entry, "resolution", int, path)
-        # the running total bounds later parses only over positive resolutions
-        _check_resolution(resolution, f"{path}.resolution")
-        grid = resolution**param_dim
-        points = _counted_points(points + grid, f"{path}.resolution")
-        cost = _term_count((*nums, den)) + inequality_terms
-        work = _counted_work(work + grid * cost, f"{path}.resolution")
-        samplers.append(
-            Sampler(
-                param_dim=param_dim,
-                numerators=nums,
-                denominator=den,
-                param_box=tuple(box),
-                param_resolution=resolution,
-            )
+        sampler = Sampler(
+            param_dim=param_dim,
+            numerators=nums,
+            denominator=den,
+            param_box=tuple(box),
+            param_resolution=_want(entry, "resolution", int, path),
         )
+        rules.sampler(sampler, path)
+        samplers.append(sampler)
 
     explicit = []
     for i, coords in enumerate(_optional_list(data, "sample_points", "$")):
         path = f"sample_points[{i}]"
-        points = _counted_points(points + 1, path)
-        work = _counted_work(work + terms, path)
         if not isinstance(coords, list):
             raise SpaceFormatError(path, f"expected {ambient_dim} rational strings")
-        _check_length(len(coords), ambient_dim, path)
         explicit.append(
             tuple(_parse_rational(c, f"{path}[{j}]") for j, c in enumerate(coords))
         )
+        rules.point(explicit[-1], path)
 
     return SpacePresentation(
         name=name,
         ambient_dim=ambient_dim,
-        equations=equations,
+        equations=tuple(equations),
         inequalities=tuple(inequalities),
         samplers=tuple(samplers),
         sample_points=tuple(explicit),
