@@ -38,7 +38,8 @@ puts them on one integer table, and bounds it.
 A presentation may have at most ``MAX_AMBIENT_DIM`` coordinates and
 parameters per sampler and ``MAX_GRID_POINTS`` grid and explicit sample
 points, whose validation may take at most ``MAX_TERM_EVALUATIONS`` term
-evaluations; its equations and inequalities may have at most
+evaluations, each charged by the size of the integers it multiplies
+(``_evaluations``); its equations and inequalities may have at most
 ``poly.MAX_TERMS`` terms together, as may each product in the
 composition of a sampler with an equation.  The caps are checked when it
 is built, before any composition or grid image.
@@ -140,12 +141,13 @@ class Sampler:
 @dataclass(frozen=True)
 class SpacePresentation:
     """A subspace of R^n presented by generators and constraints, valid
-    once built: a presentation, or one of its samplers, with a shape
-    defect, past a size cap or with a bad sample source is refused when
-    it is built, by a SpaceFormatError naming the field of its space
-    file.  Each sampler's composition with each equation is proved zero
-    once; each grid image is then tested for its denominator and the
-    inequalities only, and each explicit point for membership."""
+    once built.  Its equations, inequalities, samplers and explicit
+    points are fed in that order to one ``_Rules``, which refuses the
+    first shape defect or passed cap by a SpaceFormatError naming the
+    field of its space file; then the sample sources are validated.  Each
+    sampler's composition with each equation is proved zero once; each
+    grid image is then tested for its denominator and the inequalities
+    only, and each explicit point for membership."""
 
     name: str
     ambient_dim: int
@@ -428,6 +430,24 @@ def _check_ring(p: Polynomial, ambient_dim: int, path: str) -> None:
         )
 
 
+def _form_bits(coordinates: Iterable[Fraction], denominator: int) -> int:
+    """A bound on the bit lengths of the integers a and D of the form a / D,
+    over D = ``denominator``, of a point whose coordinates are no larger
+    in absolute value than the largest of ``coordinates``."""
+    excess = [abs(x.numerator).bit_length() + 1 - x.denominator.bit_length() for x in coordinates]
+    return denominator.bit_length() + max([0, *excess])
+
+
+def _evaluations(terms: int, degree: int, bits: int) -> int:
+    """What evaluating ``terms`` terms of a row of ``degree`` at one point
+    whose integers have ``bits`` bits is charged, in evaluations of a term
+    on small integers.  Each term's product has up to w = degree * bits /
+    64 words, and a product or gcd of such integers takes up to about w^2
+    word steps, so each term costs 1 + w^2 // 64 (1 below 512 bits)."""
+    words = degree * bits // 64
+    return terms * (1 + words * words // 64)
+
+
 class _Rules:
     """The shape and size rules of one presentation in ``ambient_dim``
     coordinates, fed its sources in order.  Each method checks one source,
@@ -441,6 +461,7 @@ class _Rules:
             raise SpaceFormatError("$.ambient_dim", f"must be at most {MAX_AMBIENT_DIM}")
         self.ambient_dim = ambient_dim
         self.terms = {False: 0, True: 0}  # of the equations, of the inequalities
+        self.degree = {False: 0, True: 0}
         self.points = self.work = 0
 
     def constraint(self, p: Polynomial, path: str, inequality: bool) -> None:
@@ -449,6 +470,7 @@ class _Rules:
         each sample, so their terms are capped together."""
         _check_ring(p, self.ambient_dim, path)
         self.terms[inequality] += len(p.terms)
+        self.degree[inequality] = max(self.degree[inequality], p.total_degree())
         if sum(self.terms.values()) > poly.MAX_TERMS:
             raise SpaceFormatError(
                 "equations",
@@ -456,8 +478,10 @@ class _Rules:
             )
 
     def sampler(self, s: Sampler, path: str) -> None:
-        """A grid point evaluates the sampler's numerators and denominator,
-        then the inequalities."""
+        """A grid point evaluates the sampler's numerators and denominator
+        at its integer form over the grid's denominator q, then the
+        inequalities at its image, whose integers have at most the
+        sampler's degree times as many bits."""
         _check_param_dim(s.param_dim, f"{path}.param_dim")
         _check_length(len(s.numerators), self.ambient_dim, f"{path}.numerators")
         for j, p in enumerate(s.numerators):
@@ -469,27 +493,40 @@ class _Rules:
                 raise SpaceFormatError(f"{path}.box[{j}]", "lo must be <= hi")
         if s.param_resolution < 1:
             raise SpaceFormatError(f"{path}.resolution", "must be >= 1")
+        row = (*s.numerators, s.denominator)
+        degree = max(p.total_degree() for p in row)
+        ends = [end for pair in s.param_box for end in pair]
+        # a multiple of the grid's denominator q
+        q = math.lcm(*(end.denominator for end in ends)) * max(s.param_resolution - 1, 1)
+        bits = _form_bits(ends, q)
+        cost = _evaluations(sum(len(p.terms) for p in row), degree, bits)
+        cost += _evaluations(self.terms[True], self.degree[True], degree * bits)
         grid = s.param_resolution**s.param_dim
-        cost = sum(len(p.terms) for p in (*s.numerators, s.denominator)) + self.terms[True]
         self._count(grid, grid * cost, f"{path}.resolution")
 
     def point(self, p: Point, path: str) -> None:
-        """An explicit point evaluates the equations and the inequalities."""
-        self._count(1, sum(self.terms.values()), path)
+        """An explicit point evaluates the equations and the inequalities
+        at its least integer form."""
+        bits = _form_bits(p, math.lcm(*(x.denominator for x in p)))
+        work = sum(_evaluations(self.terms[k], self.degree[k], bits) for k in (False, True))
+        self._count(1, work, path)
         _check_length(len(p), self.ambient_dim, path)
 
     def _count(self, points: int, work: int, path: str) -> None:
-        """Adds ``points`` samples whose validation takes ``work`` term
+        """Adds ``points`` samples whose validation costs ``work`` term
         evaluations, refused naming ``path`` past MAX_GRID_POINTS or
         MAX_TERM_EVALUATIONS."""
+        sources = "the samplers' grids and sample points"
         self.points += points
         if self.points > MAX_GRID_POINTS:
-            message = f"the samplers' grids and sample points have more than {MAX_GRID_POINTS}"
-            raise SpaceFormatError(path, message + " points together")
+            raise SpaceFormatError(
+                path, f"{sources} have more than {MAX_GRID_POINTS} points together"
+            )
         self.work += work
         if self.work > MAX_TERM_EVALUATIONS:
-            message = f"the samplers' grids and sample points take more than {MAX_TERM_EVALUATIONS}"
-            raise SpaceFormatError(path, message + " term evaluations together")
+            raise SpaceFormatError(
+                path, f"{sources} take more than {MAX_TERM_EVALUATIONS} term evaluations together"
+            )
 
 
 def space_from_dict(data: dict) -> SpacePresentation:

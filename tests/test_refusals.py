@@ -2,11 +2,12 @@
 loader's field checks as mutations of a shipped fixture (each a
 ``SpaceFormatError`` naming its field, and exit 2 through ``cli.main``),
 each with the same field and message when the presentation is built
-directly, the neighbour index's bounds on its integer table and on its
-candidate pairs (exit 2 too, from a file that loads), the checks of
-directly built presentations (a sampler is checked as part of the
-presentation that holds it), the polynomial constructor and parser, and
-the few checks of the CLI and the report.
+directly, as are drawn presentations near the caps; the neighbour
+index's bounds on its integer table and on its candidate pairs (exit 2
+too, from a file that loads), the checks of directly built presentations
+(a sampler is checked as part of the presentation that holds it), the
+polynomial constructor and parser, and the few checks of the CLI and the
+report.
 Every refusal is a ``SubcartError``, so a caller that catches the
 package's errors catches each of them.
 """
@@ -18,6 +19,7 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from subcart import cli, stratify
 from subcart.errors import (
@@ -27,7 +29,7 @@ from subcart.errors import (
     SubcartError,
 )
 from subcart.fixtures import NAMES, fixture_path
-from subcart.poly import Polynomial, constant, parse, variable
+from subcart.poly import Polynomial, constant, parse, parse_rational, variable
 from subcart.space import (
     MAX_GRID_POINTS,
     MAX_TERM_EVALUATIONS,
@@ -38,6 +40,7 @@ from subcart.space import (
 )
 from subcart.stratify import MAX_NEIGHBOUR_PAIRS, NeighbourIndex
 from subcart.tangent import is_tangent
+from test_cli import _long_integers
 
 
 def _set(path, value):
@@ -491,6 +494,91 @@ def test_the_term_evaluations_of_a_load_are_capped_before_any_grid_image(
     )
 
 
+def _built(data):
+    """The arguments of ``SpacePresentation`` for a space file of the
+    right shapes, parsed as the loader parses them."""
+    n = data["ambient_dim"]
+
+    def sampler(entry):
+        k = entry["param_dim"]
+        return Sampler(
+            k,
+            tuple(parse(text, k) for text in entry["numerators"]),
+            parse(entry.get("denominator", "1"), k),
+            tuple((parse_rational(lo), parse_rational(hi)) for lo, hi in entry["box"]),
+            entry["resolution"],
+        )
+
+    return {
+        "name": data["name"],
+        "ambient_dim": n,
+        "equations": tuple(parse(g, n) for g in data.get("equations", [])),
+        "inequalities": tuple(
+            (parse(h["poly"], n), h.get("strict", False)) for h in data.get("inequalities", [])
+        ),
+        "samplers": tuple(map(sampler, data.get("samplers", []))),
+        "sample_points": tuple(
+            tuple(map(parse_rational, p)) for p in data.get("sample_points", [])
+        ),
+    }
+
+
+def _big_integers(kind):
+    """A small file of valid samples whose validation multiplies integers
+    of about 10^5 digits: 16 explicit points over 2,000-digit denominators
+    on a 1,650-term equation of degree 20, or the plane sampled by the
+    1,953-term (x1 + x2 + 1)^61 over a box with 999-digit denominators."""
+    big = 10**999
+    if kind == "points":
+        points = [[f"1/{big + 7 + 2 * i}"] * 2 + [f"1/{big + 13}"] for i in range(16)]
+        return {"name": "points", "ambient_dim": 3,
+                "equations": ["(x1-x2)*(x1+x2+x3+1)^19"], "sample_points": points}
+    sampler = {"param_dim": 2, "numerators": ["(x1+x2+1)^61", "x2"],
+               "box": [[f"1/{'7' * 999}", "1"], [f"1/{'3' * 999}", "1"]], "resolution": 2}
+    return {"name": "box", "ambient_dim": 2, "samplers": [sampler]}
+
+
+@pytest.mark.parametrize(
+    "kind, field", [("points", "sample_points[0]"), ("box", "samplers[0].resolution")]
+)
+def test_the_term_evaluations_are_charged_by_the_size_of_their_integers(
+    kind, field, tmp_path
+):
+    # the points took 38.1 s to load and the box 17.7 s while the cap
+    # counted terms only; a term of either costs more than the cap alone
+    data = _big_integers(kind)
+    start = time.perf_counter()
+    with pytest.raises(SpaceFormatError) as loaded:
+        load_space(_write(tmp_path, data))
+    assert time.perf_counter() - start < 1
+    parts = _built(data)
+    start = time.perf_counter()
+    with pytest.raises(SpaceFormatError) as built:
+        SpacePresentation(**parts)
+    assert time.perf_counter() - start < 1
+    assert built.value.field == loaded.value.field == field
+    assert str(built.value) == str(loaded.value) == (
+        f"{field}: the samplers' grids and sample points take more than "
+        f"{MAX_TERM_EVALUATIONS} term evaluations together"
+    )
+
+
+def test_long_integers_that_validate_quickly_still_load(tmp_path):
+    # the long-integer files of the CLI tests, 400 points 1/(10^999 + i)
+    # on a line, every fixture and the sphere at resolution 316
+    big = 10**999
+    files = [json.loads(_long_integers(kind)[0]) for kind in ("verify", "frame")]
+    files.append({"name": "line", "ambient_dim": 1,
+                  "sample_points": [[f"1/{big + i}"] for i in range(400)]})
+    for name in NAMES:
+        files.append(json.loads(fixture_path(name).read_text(encoding="utf-8")))
+    sphere = json.loads(fixture_path("sphere").read_text(encoding="utf-8"))
+    sphere["samplers"][0]["resolution"] = 316
+    for data in [*files, sphere]:
+        space = load_space(_write(tmp_path, data))
+        assert space.cleared_samples == SpacePresentation(**_built(data)).cleared_samples
+
+
 def test_every_sampled_fixture_at_its_largest_grid_is_under_the_caps(monkeypatch):
     # the caps only: no sample is validated.  The sphere at resolution 316
     # is the heaviest, 8 terms at each of 99,856 points
@@ -507,6 +595,81 @@ def test_every_sampled_fixture_at_its_largest_grid_is_under_the_caps(monkeypatch
                 replace(space, samplers=tuple(
                     replace(s, param_resolution=resolution + 1) for s in space.samplers
                 ))
+
+
+def _polynomials(dim, max_terms, positive=False):
+    """Polynomial strings in x1..x{dim} of up to ``max_terms`` terms; if
+    ``positive``, with positive coefficients and even exponents."""
+    coefficients = st.integers(1, 3) if positive else st.integers(-3, 3).filter(bool)
+    exponents = st.integers(0, 3).map(lambda e: 2 * e) if positive else st.integers(0, 7)
+    monomial = st.tuples(coefficients, st.lists(exponents, min_size=dim, max_size=dim))
+    sums = st.integers(1, max_terms).flatmap(lambda k: st.lists(monomial, min_size=k, max_size=k))
+    return sums.map(
+        lambda terms: " + ".join(
+            str(c) + "".join(f"*x{i + 1}^{e}" for i, e in enumerate(exps) if e)
+            for c, exps in terms
+        )
+    )
+
+
+_RATIONALS = st.fractions(min_value=-2, max_value=2, max_denominator=6)
+
+
+@st.composite
+def _space_files(draw):
+    """A space file of the right shapes near the caps: 1-3 samplers with
+    up to 160,000 grid points each, numerators and constraints of up to 40
+    terms, and up to 5 explicit points.  A box is reversed one time in ten;
+    an inequality is often positive, so that some presentations hold."""
+    n = draw(st.integers(1, 3))
+    data = {"name": "drawn", "ambient_dim": n}
+    if draw(st.integers(0, 2)) == 0:
+        data["equations"] = [draw(_polynomials(n, 40))]
+    if draw(st.booleans()):
+        h = draw(_polynomials(n, 40, positive=draw(st.booleans())))
+        data["inequalities"] = [{"poly": h, "strict": draw(st.booleans())}]
+    data["samplers"] = []
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(1, 2))
+        box = [sorted(draw(st.tuples(_RATIONALS, _RATIONALS))) for _ in range(k)]
+        if draw(st.integers(0, 9)) == 0:
+            box[0].reverse()
+        data["samplers"].append({
+            "param_dim": k,
+            "numerators": [draw(_polynomials(k, 3 if n > 1 else 40)) for _ in range(n)],
+            "denominator": draw(st.sampled_from(["1", "x1^2 + 1", "x1"])),
+            "box": [[str(lo), str(hi)] for lo, hi in box],
+            "resolution": draw(st.integers(1, 400)),
+        })
+    points = st.lists(st.lists(_RATIONALS.map(str), min_size=n, max_size=n), max_size=5)
+    data["sample_points"] = draw(points)
+    return data
+
+
+def _outcome(build):
+    """A presentation's samples, or the field and message of its refusal."""
+    try:
+        return "built", build().cleared_samples
+    except SpaceFormatError as exc:
+        return "refused", exc.field, str(exc)
+
+
+# 62,500 grid points and 5 explicit ones: within the point cap if each
+# source is counted once
+_NEAR_THE_POINT_CAP = {
+    "name": "plane", "ambient_dim": 2, "samplers": [
+        {"param_dim": 2, "numerators": ["x1", "x2"], "box": [["0", "1"]] * 2, "resolution": 250}
+    ], "sample_points": [["3", "3"]] * 5,
+}
+
+
+@settings(deadline=None, max_examples=15, derandomize=True)
+@example(_NEAR_THE_POINT_CAP)
+@given(_space_files())
+def test_the_loader_and_a_direct_build_refuse_alike(data):
+    assert _outcome(lambda: space_from_dict(data)) == _outcome(
+        lambda: SpacePresentation(**_built(data))
+    )
 
 
 def test_a_polynomial_is_immutable():
