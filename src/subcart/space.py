@@ -38,11 +38,11 @@ puts them on one integer table, and bounds it.
 A presentation may have at most ``MAX_AMBIENT_DIM`` coordinates and
 parameters per sampler and ``MAX_GRID_POINTS`` grid and explicit sample
 points, whose validation may take at most ``MAX_TERM_EVALUATIONS`` term
-evaluations, each charged by the size of the integers it multiplies
-(``_evaluations``); its equations and inequalities may have at most
-``poly.MAX_TERMS`` terms together, as may each product in the
-composition of a sampler with an equation.  The caps are checked when it
-is built, before any composition or grid image.
+evaluations, each charged by the size of the integers it multiplies,
+coefficients included (``_Row.evaluations``); its equations and
+inequalities may have at most ``poly.MAX_TERMS`` terms together, as may
+each product in the composition of a sampler with an equation.  The caps
+are checked when it is built, before any composition or grid image.
 
 Points are tested on integers, through ``poly.ClearedRow``s compiled
 once by their owners.  ``is_member`` puts a point over its least common
@@ -438,14 +438,45 @@ def _form_bits(coordinates: Iterable[Fraction], denominator: int) -> int:
     return denominator.bit_length() + max([0, *excess])
 
 
-def _evaluations(terms: int, degree: int, bits: int) -> int:
-    """What evaluating ``terms`` terms of a row of ``degree`` at one point
-    whose integers have ``bits`` bits is charged, in evaluations of a term
-    on small integers.  Each term's product has up to w = degree * bits /
-    64 words, and a product or gcd of such integers takes up to about w^2
-    word steps, so each term costs 1 + w^2 // 64 (1 below 512 bits)."""
-    words = degree * bits // 64
-    return terms * (1 + words * words // 64)
+class _Row:
+    """The size of a row of polynomials as ``poly.ClearedRow`` compiles it,
+    known before it is compiled: its terms, its degree, and a bound on the
+    bits of its coefficients over the row's scale, the lcm of their
+    denominators, which is at most the product of the distinct ones."""
+
+    def __init__(self, polynomials: Iterable[Polynomial] = ()):
+        self.terms = self.degree = self.numerator_bits = self.scale_bits = 0
+        self._denominators: set[int] = set()
+        for p in polynomials:
+            self.add(p)
+
+    def add(self, p: Polynomial) -> None:
+        terms = p.terms
+        self.terms += len(terms)
+        self.degree = max(self.degree, p.total_degree())
+        for c in terms.values():
+            self.numerator_bits = max(self.numerator_bits, abs(c.numerator).bit_length())
+            if c.denominator not in self._denominators:
+                self._denominators.add(c.denominator)
+                self.scale_bits += c.denominator.bit_length()
+
+    def value_bits(self, bits: int) -> int:
+        """A bound on the bit lengths of the row's values at a point whose
+        integers have ``bits`` bits: each is a sum of its terms."""
+        return self.numerator_bits + self.scale_bits + self.degree * bits + self.terms.bit_length()
+
+    def evaluations(self, bits: int) -> int:
+        """What evaluating the row at a point whose integers have ``bits``
+        bits is charged, in evaluations of a term on small integers.  Each
+        term multiplies up to ``degree`` integers of w = 1 + bits // 64 words
+        into a monomial of up to m = 1 + degree * bits // 64 words, in about
+        (m - w) * m word steps, then multiplies it by a coefficient of c
+        words and adds it to the sum, in about (c + 1) * m more: it costs 1,
+        and 1 more per 64 word steps."""
+        w = 1 + bits // 64
+        m = 1 + self.degree * bits // 64
+        c = (self.numerator_bits + self.scale_bits) // 64
+        return self.terms * (1 + (max(m - w, 0) + c + 1) * m // 64)
 
 
 class _Rules:
@@ -460,8 +491,7 @@ class _Rules:
         if ambient_dim > MAX_AMBIENT_DIM:
             raise SpaceFormatError("$.ambient_dim", f"must be at most {MAX_AMBIENT_DIM}")
         self.ambient_dim = ambient_dim
-        self.terms = {False: 0, True: 0}  # of the equations, of the inequalities
-        self.degree = {False: 0, True: 0}
+        self.rows = {False: _Row(), True: _Row()}  # the equations, the inequalities
         self.points = self.work = 0
 
     def constraint(self, p: Polynomial, path: str, inequality: bool) -> None:
@@ -469,9 +499,8 @@ class _Rules:
         composed with each sampler and every constraint is evaluated at
         each sample, so their terms are capped together."""
         _check_ring(p, self.ambient_dim, path)
-        self.terms[inequality] += len(p.terms)
-        self.degree[inequality] = max(self.degree[inequality], p.total_degree())
-        if sum(self.terms.values()) > poly.MAX_TERMS:
+        self.rows[inequality].add(p)
+        if self.rows[False].terms + self.rows[True].terms > poly.MAX_TERMS:
             raise SpaceFormatError(
                 "equations",
                 f"the equations and inequalities have more than {poly.MAX_TERMS} terms together",
@@ -480,8 +509,7 @@ class _Rules:
     def sampler(self, s: Sampler, path: str) -> None:
         """A grid point evaluates the sampler's numerators and denominator
         at its integer form over the grid's denominator q, then the
-        inequalities at its image, whose integers have at most the
-        sampler's degree times as many bits."""
+        inequalities at its image, the row's values there."""
         _check_param_dim(s.param_dim, f"{path}.param_dim")
         _check_length(len(s.numerators), self.ambient_dim, f"{path}.numerators")
         for j, p in enumerate(s.numerators):
@@ -493,24 +521,21 @@ class _Rules:
                 raise SpaceFormatError(f"{path}.box[{j}]", "lo must be <= hi")
         if s.param_resolution < 1:
             raise SpaceFormatError(f"{path}.resolution", "must be >= 1")
-        row = (*s.numerators, s.denominator)
-        degree = max(p.total_degree() for p in row)
+        row = _Row((*s.numerators, s.denominator))
         ends = [end for pair in s.param_box for end in pair]
         # a multiple of the grid's denominator q
         q = math.lcm(*(end.denominator for end in ends)) * max(s.param_resolution - 1, 1)
         bits = _form_bits(ends, q)
-        cost = _evaluations(sum(len(p.terms) for p in row), degree, bits)
-        cost += _evaluations(self.terms[True], self.degree[True], degree * bits)
+        cost = row.evaluations(bits) + self.rows[True].evaluations(row.value_bits(bits))
         grid = s.param_resolution**s.param_dim
         self._count(grid, grid * cost, f"{path}.resolution")
 
     def point(self, p: Point, path: str) -> None:
         """An explicit point evaluates the equations and the inequalities
         at its least integer form."""
-        bits = _form_bits(p, math.lcm(*(x.denominator for x in p)))
-        work = sum(_evaluations(self.terms[k], self.degree[k], bits) for k in (False, True))
-        self._count(1, work, path)
         _check_length(len(p), self.ambient_dim, path)
+        bits = _form_bits(p, math.lcm(*(x.denominator for x in p)))
+        self._count(1, sum(row.evaluations(bits) for row in self.rows.values()), path)
 
     def _count(self, points: int, work: int, path: str) -> None:
         """Adds ``points`` samples whose validation costs ``work`` term

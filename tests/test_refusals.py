@@ -40,7 +40,6 @@ from subcart.space import (
 )
 from subcart.stratify import MAX_NEIGHBOUR_PAIRS, NeighbourIndex
 from subcart.tangent import is_tangent
-from test_cli import _long_integers
 
 
 def _set(path, value):
@@ -524,28 +523,48 @@ def _built(data):
 
 
 def _big_integers(kind):
-    """A small file of valid samples whose validation multiplies integers
-    of about 10^5 digits: 16 explicit points over 2,000-digit denominators
-    on a 1,650-term equation of degree 20, or the plane sampled by the
-    1,953-term (x1 + x2 + 1)^61 over a box with 999-digit denominators."""
+    """A small file of valid samples whose validation multiplies long
+    integers: 16 explicit points over 2,000-digit denominators on a
+    1,650-term equation of degree 20; the plane sampled by the 1,953-term
+    (x1 + x2 + 1)^61 over a box with 999-digit denominators; the plane
+    sampled with 1,000-digit coefficients, under (x1 + x2 + 1)^61 as an
+    inequality; or the plane sampled at resolution 290, under an
+    inequality whose 20 terms have distinct 1,000-digit denominators, so
+    that each of its coefficients has about 66,000 bits over their lcm."""
     big = 10**999
     if kind == "points":
         points = [[f"1/{big + 7 + 2 * i}"] * 2 + [f"1/{big + 13}"] for i in range(16)]
         return {"name": "points", "ambient_dim": 3,
                 "equations": ["(x1-x2)*(x1+x2+x3+1)^19"], "sample_points": points}
-    sampler = {"param_dim": 2, "numerators": ["(x1+x2+1)^61", "x2"],
-               "box": [[f"1/{'7' * 999}", "1"], [f"1/{'3' * 999}", "1"]], "resolution": 2}
-    return {"name": "box", "ambient_dim": 2, "samplers": [sampler]}
+    sampler = {"param_dim": 2, "numerators": ["x1", "x2"], "box": [["1", "2"]] * 2,
+               "resolution": 2}
+    data = {"name": kind, "ambient_dim": 2, "samplers": [sampler]}
+    if kind == "box":
+        sampler["numerators"][0] = "(x1+x2+1)^61"
+        sampler["box"] = [[f"1/{'7' * 999}", "1"], [f"1/{'3' * 999}", "1"]]
+    elif kind == "coefficients":
+        sampler["numerators"] = [f"{'7' * 1000}*x1", f"{'7' * 1000}*x2"]
+        data["inequalities"] = [{"poly": "(x1+x2+1)^61"}]
+    else:
+        terms = [f"1/{big + 2 * k + 1}*x1^{k % 5}*x2^{k // 5}" for k in range(20)]
+        data["inequalities"] = [{"poly": " + ".join(terms)}]
+        sampler["resolution"] = 290
+    return data
 
 
-@pytest.mark.parametrize(
-    "kind, field", [("points", "sample_points[0]"), ("box", "samplers[0].resolution")]
-)
+@pytest.mark.parametrize("kind, field", [
+    ("points", "sample_points[0]"),
+    ("box", "samplers[0].resolution"),
+    ("coefficients", "samplers[0].resolution"),
+    ("scale", "samplers[0].resolution"),
+])
 def test_the_term_evaluations_are_charged_by_the_size_of_their_integers(
     kind, field, tmp_path
 ):
     # the points took 38.1 s to load and the box 17.7 s while the cap
-    # counted terms only; a term of either costs more than the cap alone
+    # counted terms only, the coefficients 10.6-15.0 s and the scale 14.8 s
+    # while it charged the size of the samples' integers only; a term of
+    # the first three costs more than the cap alone
     data = _big_integers(kind)
     start = time.perf_counter()
     with pytest.raises(SpaceFormatError) as loaded:
@@ -563,20 +582,33 @@ def test_the_term_evaluations_are_charged_by_the_size_of_their_integers(
     )
 
 
-def test_long_integers_that_validate_quickly_still_load(tmp_path):
-    # the long-integer files of the CLI tests, 400 points 1/(10^999 + i)
-    # on a line, every fixture and the sphere at resolution 316
+def test_a_long_explicit_point_is_refused_by_its_length_at_once(tmp_path):
+    # 1,000 coordinates over distinct 1,000-digit denominators, whose lcm
+    # took 18.5 s when it was taken before the length was checked
     big = 10**999
-    files = [json.loads(_long_integers(kind)[0]) for kind in ("verify", "frame")]
-    files.append({"name": "line", "ambient_dim": 1,
-                  "sample_points": [[f"1/{big + i}"] for i in range(400)]})
-    for name in NAMES:
-        files.append(json.loads(fixture_path(name).read_text(encoding="utf-8")))
+    point = [f"1/{big + 2 * i + 1}" for i in range(1000)]
+    data = {"name": "long", "ambient_dim": 3, "equations": ["x1"], "sample_points": [point]}
+    start = time.perf_counter()
+    with pytest.raises(SpaceFormatError) as loaded:
+        load_space(_write(tmp_path, data))
+    assert time.perf_counter() - start < 1
+    parts = _built(data)
+    start = time.perf_counter()
+    with pytest.raises(SpaceFormatError) as built:
+        SpacePresentation(**parts)
+    assert time.perf_counter() - start < 1
+    assert str(built.value) == str(loaded.value) == (
+        "sample_points[0]: expected 3 entries, got 1000"
+    )
+
+
+def test_the_sphere_at_resolution_316_still_loads(tmp_path):
+    # its 99,856 grid points of small integers cost one evaluation a term
     sphere = json.loads(fixture_path("sphere").read_text(encoding="utf-8"))
     sphere["samplers"][0]["resolution"] = 316
-    for data in [*files, sphere]:
-        space = load_space(_write(tmp_path, data))
-        assert space.cleared_samples == SpacePresentation(**_built(data)).cleared_samples
+    space = load_space(_write(tmp_path, sphere))
+    assert len(space.cleared_samples) == 99_856
+    assert space.cleared_samples == SpacePresentation(**_built(sphere)).cleared_samples
 
 
 def test_every_sampled_fixture_at_its_largest_grid_is_under_the_caps(monkeypatch):
