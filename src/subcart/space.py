@@ -18,14 +18,15 @@ The rules on a presentation's shape and size, and the running totals
 behind its caps, have one owner, ``_Rules``, which is fed one source at
 a time: an equation or inequality, a sampler, an explicit point.  Each
 rule has one field and one message, and no message prints a point or a
-polynomial.  ``SpacePresentation`` feeds every source to its rules when
-it is built, naming fields as its space file does (``samplers[i].box[j]``,
+polynomial.  ``SpacePresentation`` alone feeds it, when it is built: it
+draws each source only once the one before it has passed, and names
+fields as its space file does (``samplers[i].box[j]``,
 ``sample_points[i]``), so a presentation that is loaded, built directly
 or made by ``dataclasses.replace`` is refused by one ``SpaceFormatError``
 for one defect.  The loader checks the JSON shapes and the sizes that
 bound a parse (``param_dim``, the numerator count, the box length), and
-feeds each source to rules of its own as soon as it is parsed, so a cap
-bounds every later parse.
+hands the presentation sources that are parsed as they are drawn, so a
+cap bounds every later parse.
 Samples are validated and deduplicated in integer form: each is
 kept as its least integer form (a, D), integer numerators a over the
 least positive common denominator D (``poly.clear_denominators`` of the
@@ -142,12 +143,13 @@ class Sampler:
 class SpacePresentation:
     """A subspace of R^n presented by generators and constraints, valid
     once built.  Its equations, inequalities, samplers and explicit
-    points are fed in that order to one ``_Rules``, which refuses the
-    first shape defect or passed cap by a SpaceFormatError naming the
-    field of its space file; then the sample sources are validated.  Each
-    sampler's composition with each equation is proved zero once; each
-    grid image is then tested for its denominator and the inequalities
-    only, and each explicit point for membership."""
+    points, given as any iterables and kept as tuples, are drawn in that
+    order, and each is fed to one ``_Rules`` before the next is drawn; it
+    refuses the first shape defect or passed cap by a SpaceFormatError
+    naming the field of its space file.  Then the sample sources are
+    validated.  Each sampler's composition with each equation is proved
+    zero once; each grid image is then tested for its denominator and the
+    inequalities only, and each explicit point for membership."""
 
     name: str
     ambient_dim: int
@@ -158,14 +160,11 @@ class SpacePresentation:
 
     def __post_init__(self):
         rules = _Rules(self.ambient_dim)
-        for i, g in enumerate(self.equations):
-            rules.constraint(g, f"equations[{i}]", False)
-        for i, (h, _) in enumerate(self.inequalities):
-            rules.constraint(h, f"inequalities[{i}].poly", True)
-        for i, s in enumerate(self.samplers):
-            rules.sampler(s, f"samplers[{i}]")
-        for i, p in enumerate(self.sample_points):
-            rules.point(p, f"sample_points[{i}]")
+        feeds = rules.equation, rules.inequality, rules.sampler, rules.point
+        for field, feed in zip(_SPACE_FIELDS[2:], feeds):
+            # a source is drawn only once the one before it has passed
+            sources = tuple(map(feed, itertools.count(), getattr(self, field)))
+            object.__setattr__(self, field, sources)
         self.cleared_samples  # every sample source is validated once, here
 
     @cached_property
@@ -481,9 +480,10 @@ class _Row:
 
 class _Rules:
     """The shape and size rules of one presentation in ``ambient_dim``
-    coordinates, fed its sources in order.  Each method checks one source,
-    adds it to the running totals and refuses it past a cap, naming the
-    field of its space file."""
+    coordinates, fed its sources in order.  Each method takes a source and
+    its index in its field, checks it, adds it to the running totals and
+    refuses it past a cap, naming the field of its space file, and
+    returns it."""
 
     def __init__(self, ambient_dim: int):
         if ambient_dim < 1:
@@ -494,10 +494,17 @@ class _Rules:
         self.rows = {False: _Row(), True: _Row()}  # the equations, the inequalities
         self.points = self.work = 0
 
-    def constraint(self, p: Polynomial, path: str, inequality: bool) -> None:
-        """An equation, or an inequality's polynomial.  Each equation is
-        composed with each sampler and every constraint is evaluated at
-        each sample, so their terms are capped together."""
+    def equation(self, i: int, g: Polynomial) -> Polynomial:
+        return self._constraint(g, f"equations[{i}]", False)
+
+    def inequality(self, i: int, inequality: Inequality) -> Inequality:
+        h, _ = inequality
+        self._constraint(h, f"inequalities[{i}].poly", True)
+        return inequality
+
+    def _constraint(self, p: Polynomial, path: str, inequality: bool) -> Polynomial:
+        """Each equation is composed with each sampler and every constraint
+        is evaluated at each sample, so their terms are capped together."""
         _check_ring(p, self.ambient_dim, path)
         self.rows[inequality].add(p)
         if self.rows[False].terms + self.rows[True].terms > poly.MAX_TERMS:
@@ -505,11 +512,13 @@ class _Rules:
                 "equations",
                 f"the equations and inequalities have more than {poly.MAX_TERMS} terms together",
             )
+        return p
 
-    def sampler(self, s: Sampler, path: str) -> None:
+    def sampler(self, i: int, s: Sampler) -> Sampler:
         """A grid point evaluates the sampler's numerators and denominator
         at its integer form over the grid's denominator q, then the
         inequalities at its image, the row's values there."""
+        path = f"samplers[{i}]"
         _check_param_dim(s.param_dim, f"{path}.param_dim")
         _check_length(len(s.numerators), self.ambient_dim, f"{path}.numerators")
         for j, p in enumerate(s.numerators):
@@ -529,13 +538,16 @@ class _Rules:
         cost = row.evaluations(bits) + self.rows[True].evaluations(row.value_bits(bits))
         grid = s.param_resolution**s.param_dim
         self._count(grid, grid * cost, f"{path}.resolution")
+        return s
 
-    def point(self, p: Point, path: str) -> None:
+    def point(self, i: int, p: Point) -> Point:
         """An explicit point evaluates the equations and the inequalities
         at its least integer form."""
+        path = f"sample_points[{i}]"
         _check_length(len(p), self.ambient_dim, path)
         bits = _form_bits(p, math.lcm(*(x.denominator for x in p)))
         self._count(1, sum(row.evaluations(bits) for row in self.rows.values()), path)
+        return p
 
     def _count(self, points: int, work: int, path: str) -> None:
         """Adds ``points`` samples whose validation costs ``work`` term
@@ -555,35 +567,42 @@ class _Rules:
 
 
 def space_from_dict(data: dict) -> SpacePresentation:
-    """Parse a presentation from the JSON schema.  Each source is fed to
-    the presentation's rules as soon as it is parsed, so a cap bounds every
-    later parse; the presentation checks them all again when it is built."""
+    """Parse a presentation from the JSON schema.  Its sources are parsed
+    as the presentation draws them, each after the one before it has
+    passed its rules, so a cap bounds every later parse."""
     if not isinstance(data, dict):
         raise SpaceFormatError("$", "expected a JSON object")
     _known_fields(data, _SPACE_FIELDS, "$")
     name = _want(data, "name", str, "$")
     ambient_dim = _want(data, "ambient_dim", int, "$")
-    rules = _Rules(ambient_dim)
+    return SpacePresentation(
+        name=name,
+        ambient_dim=ambient_dim,
+        equations=_equations(data, ambient_dim),
+        inequalities=_inequalities(data, ambient_dim),
+        samplers=_samplers(data, ambient_dim),
+        sample_points=_sample_points(data, ambient_dim),
+    )
 
-    equations = []
+
+def _equations(data: dict, ambient_dim: int) -> Iterator[Polynomial]:
     for i, text in enumerate(_optional_list(data, "equations", "$")):
-        equations.append(_parse_poly(text, ambient_dim, f"equations[{i}]"))
-        rules.constraint(equations[-1], f"equations[{i}]", False)
+        yield _parse_poly(text, ambient_dim, f"equations[{i}]")
 
-    inequalities = []
+
+def _inequalities(data: dict, ambient_dim: int) -> Iterator[Inequality]:
     for i, entry in enumerate(_optional_list(data, "inequalities", "$")):
         if not isinstance(entry, dict):
             raise SpaceFormatError(f"inequalities[{i}]", "expected an object")
         _known_fields(entry, ("poly", "strict"), f"inequalities[{i}]")
-        path = f"inequalities[{i}].poly"
-        h = _parse_poly(entry.get("poly"), ambient_dim, path)
-        rules.constraint(h, path, True)
+        h = _parse_poly(entry.get("poly"), ambient_dim, f"inequalities[{i}].poly")
         strict = entry.get("strict", False)
         if not isinstance(strict, bool):
             raise SpaceFormatError(f"inequalities[{i}].strict", "expected a boolean")
-        inequalities.append((h, strict))
+        yield h, strict
 
-    samplers = []
+
+def _samplers(data: dict, ambient_dim: int) -> Iterator[Sampler]:
     for i, entry in enumerate(_optional_list(data, "samplers", "$")):
         path = f"samplers[{i}]"
         if not isinstance(entry, dict):
@@ -607,34 +626,21 @@ def space_from_dict(data: dict) -> SpacePresentation:
             lo = _parse_rational(pair[0], f"{path}.box[{j}][0]")
             hi = _parse_rational(pair[1], f"{path}.box[{j}][1]")
             box.append((lo, hi))
-        sampler = Sampler(
+        yield Sampler(
             param_dim=param_dim,
             numerators=nums,
             denominator=den,
             param_box=tuple(box),
             param_resolution=_want(entry, "resolution", int, path),
         )
-        rules.sampler(sampler, path)
-        samplers.append(sampler)
 
-    explicit = []
+
+def _sample_points(data: dict, ambient_dim: int) -> Iterator[Point]:
     for i, coords in enumerate(_optional_list(data, "sample_points", "$")):
         path = f"sample_points[{i}]"
         if not isinstance(coords, list):
             raise SpaceFormatError(path, f"expected {ambient_dim} rational strings")
-        explicit.append(
-            tuple(_parse_rational(c, f"{path}[{j}]") for j, c in enumerate(coords))
-        )
-        rules.point(explicit[-1], path)
-
-    return SpacePresentation(
-        name=name,
-        ambient_dim=ambient_dim,
-        equations=tuple(equations),
-        inequalities=tuple(inequalities),
-        samplers=tuple(samplers),
-        sample_points=tuple(explicit),
-    )
+        yield tuple(_parse_rational(c, f"{path}[{j}]") for j, c in enumerate(coords))
 
 
 def load_space(path: str | Path) -> SpacePresentation:
