@@ -28,12 +28,11 @@ off the one ``near`` scan whose closed neighbours label the anchor, so
 that at the default radius the cross-branch pairs of the coordinate
 cross, exactly at the radius, are excluded.  It evaluates the frame at
 each target where its pivots are valid and asks ``common_pivot_exists``
-only where they are not.  ``verify_local_triviality`` asks the same
-questions target by target, grouping each target's anchors by their
-pivots: one kernel read and one integer check per group,
+only where they are not.  ``verify_local_triviality`` walks every
+regular record as an anchor in the same way, asking
 ``common_pivot_exists`` only where neither point's pivots are a chart of
-the other, and of several failures the one that the anchor-by-anchor
-walk meets first.  Both read the report's space and analyses.
+the other, and checks each (target, chart) kernel once on integers.
+Both read the report's space and analyses.
 ``verify`` is ``stratify`` with the local-triviality verdict appended.
 """
 
@@ -183,55 +182,40 @@ def verify_local_triviality(report: StratificationReport) -> Verdict:
     coordinate-cross branches fail the chart check when sampled across the
     removed origin.
 
-    The walk goes by target j: its anchors (its regular strict neighbours
-    of its dimension) are grouped by pivots, and j's kernel for a group's
-    chart is checked once and counts once per anchor.  Where it is None,
-    an anchor whose kernel at j's pivots (read anyway, with the anchor as
-    target) is None too is asked for a shared chart.  Of several failures
-    the least by (anchor, phase, target) is reported, phase 0 a missing
-    shared chart and phase 1 a failed check, owned by the group's least
-    anchor: the failure an anchor-by-anchor walk meets first.  The checks
-    run on the integer form (W, d) of the basis W / d: each w annihilates
-    the integer Jacobian rows and is d at its own free column and 0 at
-    the others, d positive.
+    The walk takes each regular record as the anchor, in ascending order,
+    and reads its targets (its regular strict neighbours of its dimension)
+    in ascending order.  Each must share a chart with it: the anchor's
+    pivots, the target's, or else one that ``common_pivot_exists`` finds.
+    Then each target whose kernel at the anchor's pivots exists counts
+    once, and is checked at its first read through that chart; the first
+    failure is reported.  The checks run on the integer form (W, d) of the
+    basis W / d: each w annihilates the integer Jacobian rows and is d at
+    its own free column and 0 at the others, d positive.
     """
-    analyses = report.analyses
-    charts = [
-        a.pivots if r.label == "regular" else None
-        for r, a in zip(report.records, analyses)
-    ]
-    checked = 0
-    failure = (len(charts), 0, 0, "")  # the least (anchor, phase, target, detail)
-    for j, own in enumerate(charts):
-        if own is None:
+    records, analyses = report.records, report.analyses
+    charts = [a.pivots if r.label == "regular" else None for r, a in zip(records, analyses)]
+    checked, verified = 0, {}  # each chart's checked targets
+    for i, chart in enumerate(charts):
+        if chart is None:
             continue
-        other = analyses[j]
-        near = report.index.neighbours(j, strict=True)
-        read = list(map(charts.__getitem__, near))
-        for chart in dict.fromkeys(read):  # by least anchor, ascending
-            first = near[read.index(chart)]
-            if first > failure[0]:
-                break
-            if chart is None or len(chart) != len(own):
+        anchor, read = analyses[i], []
+        for j in report.index.neighbours(i, strict=True):
+            own = charts[j]
+            if own is None or len(own) != len(chart):  # singular, or of another dimension
                 continue
-            kernel = other.kernel(chart)
-            if kernel is not None:
-                checked += read.count(chart)
-                detail = _kernel_failure(analyses[first], other, chart, kernel)
+            if own == chart or analyses[j].kernel(chart) is not None:
+                read.append(j)
+            elif anchor.kernel(own) is None and not common_pivot_exists(anchor, analyses[j]):
+                return Verdict("local_triviality", False, _no_common_chart(anchor, analyses[j]))
+        checked += len(read)
+        seen = verified.setdefault(chart, set())
+        for j in read:
+            if j not in seen:
+                seen.add(j)
+                other = analyses[j]
+                detail = _kernel_failure(anchor, other, chart, other.kernel(chart))
                 if detail:
-                    failure = min(failure, (first, 1, j, detail))
-                continue
-            for i, c in zip(near, read):
-                anchor = analyses[i]  # its kernel at j's pivots is read anyway, i as target
-                if (
-                    c == chart
-                    and anchor.kernel(own) is None
-                    and not common_pivot_exists(anchor, other)
-                ):
-                    failure = min(failure, (i, 0, j, _no_common_chart(anchor, other)))
-                    break
-    if failure[3]:
-        return Verdict("local_triviality", False, failure[3])
+                    return Verdict("local_triviality", False, detail)
     return Verdict("local_triviality", True, f"{checked} frame evaluations verified exactly")
 
 
