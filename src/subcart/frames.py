@@ -200,12 +200,12 @@ def verify_local_triviality(report: StratificationReport) -> Verdict:
             continue
         anchor, read = analyses[i], []
         for j in report.index.neighbours(i, strict=True):
-            own = charts[j]
-            if own is None or len(own) != len(chart):  # singular, or of another dimension
+            pivots = charts[j]
+            if pivots is None or len(pivots) != len(chart):  # singular, or of another dimension
                 continue
-            if own == chart or analyses[j].kernel(chart) is not None:
+            if pivots == chart or analyses[j].kernel(chart) is not None:
                 read.append(j)
-            elif anchor.kernel(own) is None and not common_pivot_exists(anchor, analyses[j]):
+            elif anchor.kernel(pivots) is None and not common_pivot_exists(anchor, analyses[j]):
                 return Verdict("local_triviality", False, _no_common_chart(anchor, analyses[j]))
         checked += len(read)
         seen = verified.setdefault(chart, set())

@@ -480,10 +480,9 @@ class _Row:
 
 class _Rules:
     """The shape and size rules of one presentation in ``ambient_dim``
-    coordinates, fed its sources in order.  Each method takes a source and
-    its index in its field, checks it, adds it to the running totals and
-    refuses it past a cap, naming the field of its space file, and
-    returns it."""
+    coordinates, fed its sources in order.  Each method takes source i of
+    its field, checks it, adds it to the running totals, refuses it past a
+    cap naming its space-file field, and returns it."""
 
     def __init__(self, ambient_dim: int):
         if ambient_dim < 1:
@@ -503,8 +502,9 @@ class _Rules:
         return inequality
 
     def _constraint(self, p: Polynomial, path: str, inequality: bool) -> Polynomial:
-        """Each equation is composed with each sampler and every constraint
-        is evaluated at each sample, so their terms are capped together."""
+        """An equation, or an inequality's polynomial.  Each equation is
+        composed with each sampler and every constraint is evaluated at
+        each sample, so their terms are capped together."""
         _check_ring(p, self.ambient_dim, path)
         self.rows[inequality].add(p)
         if self.rows[False].terms + self.rows[True].terms > poly.MAX_TERMS:
