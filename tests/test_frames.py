@@ -8,7 +8,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subcart import linalg, poly
+from subcart import frames, linalg, poly
 from subcart.cli import main
 from subcart.errors import FrameEvaluationError
 from subcart.frames import (
@@ -23,6 +23,7 @@ from subcart.stratify import stratify
 from subcart.tangent import analyse
 from subcart.fixtures import NAMES, fixture_path
 
+from conftest import _counted
 from oracles import divided, minor_rank, naive_image, naive_jacobian, per_anchor_triviality
 from test_tangent import _rref_basis
 
@@ -495,6 +496,27 @@ def test_triviality_solves_only_charts_off_the_pivots(tmp_path, solve_calls):
     assert len(solve_calls) == 60
     pivots = {a.jacobian: a.pivots for a in report.analyses}
     assert all(chart != pivots[matrix] for matrix, _, chart in solve_calls)
+
+
+def test_triviality_checks_each_kernel_once(tmp_path, circles, monkeypatch):
+    # a (target, chart) kernel is checked at its first read only, however
+    # many anchors read it (on the sphere, 172 checks for 2,588 reads), and
+    # every read counts as an evaluation
+    checks = _counted(monkeypatch, frames, "_kernel_failure")
+    for report in (
+        stratify(_scaled("sphere", 11, tmp_path)),
+        stratify(_scaled("whitney_umbrella", 15, tmp_path)),
+        stratify(circles, F(2)),
+    ):
+        checks.clear()
+        verdict = verify_local_triviality(report)
+        reads = list(_evaluations(report))
+        forms = [r.form for r in report.records]
+        assert [(other.form, chart) for _, other, chart, _ in checks] == [
+            (forms[j], chart) for j, chart in dict.fromkeys(reads)
+        ]
+        assert verdict.detail == f"{len(reads)} frame evaluations verified exactly"
+        assert verdict == per_anchor_triviality(report)
 
 
 def _first_middle_last(reads):

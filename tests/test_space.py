@@ -600,6 +600,75 @@ def test_constraint_terms_are_capped_before_composition(monkeypatch):
     assert len(calls) == 1
 
 
+_FEEDS = {
+    "equation": "equations",
+    "inequality": "inequalities",
+    "sampler": "samplers",
+    "point": "sample_points",
+}
+
+
+@pytest.mark.parametrize("extended", [False, True])
+@pytest.mark.parametrize("name, points", [
+    ("cone", [["0", "0", "0"], ["3", "4", "5"]]),
+    ("whitney_umbrella", [["0", "0", "0"], ["2", "1", "4"]]),
+])
+def test_loading_feeds_each_source_to_the_rules_once(name, points, extended, monkeypatch):
+    data = json.loads(fixture_path(name).read_text(encoding="utf-8"))
+    if extended:  # a source of every kind
+        data["inequalities"] = [{"poly": "x3^2 + 1", "strict": True}]
+        data["sample_points"] = points
+    fed = []
+    for method in _FEEDS:
+        feed = getattr(space_module._Rules, method)
+
+        def counting(rules, i, source, feed=feed, method=method):
+            fed.append((method, i))
+            return feed(rules, i, source)
+
+        monkeypatch.setattr(space_module._Rules, method, counting)
+    loaded = space_from_dict(data)
+    assert fed == [
+        (method, i)
+        for method, field in _FEEDS.items()
+        for i in range(len(getattr(loaded, field)))
+    ]
+    assert len(fed) == (5 if extended else 2)
+
+
+def test_a_build_draws_no_source_past_the_one_refused():
+    # each equation has 1,000 terms, so the third passes the 2,000-term cap,
+    # and the rules see it before the fourth is drawn
+    drawn = []
+
+    def equations():
+        for k in range(1, 7):
+            drawn.append(k)
+            monomials = (f"x1^{e // 100}*x2^{e // 10 % 10}*x3^{e % 10}" for e in range(1000))
+            yield poly.parse(" + ".join(f"{k}*{m}" for m in monomials), 3)
+
+    with pytest.raises(SpaceFormatError, match=r"^equations: .* more than 2000 terms together$"):
+        SpacePresentation(name="many", ambient_dim=3, equations=equations())
+    assert drawn == [1, 2, 3]
+
+
+def test_a_build_from_any_iterables_is_kept_as_tuples():
+    data = json.loads(fixture_path("cone").read_text(encoding="utf-8"))
+    data["inequalities"] = [{"poly": "x3^2 + 1", "strict": True}]
+    data["sample_points"] = [["0", "0", "0"], ["3", "4", "5"]]
+    loaded = space_from_dict(data)
+    parts = {"name": loaded.name, "ambient_dim": loaded.ambient_dim}
+    fields = {field: getattr(loaded, field) for field in _FEEDS.values()}
+    built = SpacePresentation(**parts, **fields)
+    from_lists = SpacePresentation(**parts, **{k: list(v) for k, v in fields.items()})
+    from_generators = SpacePresentation(**parts, **{k: iter(v) for k, v in fields.items()})
+    for other in (loaded, from_lists, from_generators):
+        assert all(type(getattr(other, field)) is tuple for field in fields)
+        assert other == built
+        assert hash(other) == hash(built)
+        assert other.cleared_samples == built.cleared_samples
+
+
 # -- caveat heuristic ---------------------------------------------------------------
 
 
