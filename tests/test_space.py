@@ -661,7 +661,7 @@ def test_a_build_from_any_iterables_is_kept_as_tuples():
     fields = {field: getattr(loaded, field) for field in _FEEDS.values()}
     built = SpacePresentation(**parts, **fields)
     from_lists = SpacePresentation(**parts, **{k: list(v) for k, v in fields.items()})
-    from_generators = SpacePresentation(**parts, **{k: iter(v) for k, v in fields.items()})
+    from_generators = SpacePresentation(**parts, **{k: (x for x in v) for k, v in fields.items()})
     for other in (loaded, from_lists, from_generators):
         assert all(type(getattr(other, field)) is tuple for field in fields)
         assert other == built
