@@ -51,8 +51,10 @@ denominator.  ``is_member_cleared`` evaluates the equations row,
 ``cleared_equations``, at that integer form, then the inequalities row,
 ``cleared_inequalities``, whose signs ``_signs_hold`` reads: the one
 sign rule, for a point and for a block of grid images.  A sampler's grid
-parameters are integers over one denominator, and its numerators and
-denominator are one row (``Sampler._cleared``).  The grid is taken in
+parameters are integers over one denominator q, the lcm of its box ends'
+denominators times its steps (``Sampler._grid_denominator``), which the
+load caps also charge; its numerators and denominator are one row
+(``Sampler._cleared``).  The grid is taken in
 blocks of at most ``GRID_BLOCK_POINTS`` points, one column of integers
 per parameter, which ``ClearedRow.evaluate_columns`` evaluates in one
 pass per term, not one interpreted evaluation per point.  Each block's
@@ -113,25 +115,26 @@ class Sampler:
     param_box: tuple[tuple[Fraction, Fraction], ...]
     param_resolution: int
 
+    @cached_property
+    def _grid_denominator(self) -> int:
+        """The grid's denominator q: the lcm of the box ends' denominators,
+        times the steps between an axis's first and last values."""
+        ends = [end.denominator for pair in self.param_box for end in pair]
+        return math.lcm(*ends) * max(self.param_resolution - 1, 1)
+
     def _integer_grid(self) -> tuple[int, Iterator[tuple[int, ...]]]:
-        """The common denominator q of all grid parameters, and an iterator
-        over each grid point's integer numerators over q, first axis
-        slowest (row-major).  An axis's values lo + (hi - lo) k / steps are
-        integers over its endpoints' common denominator times steps,
-        divided by their gcd with it, so q is the lcm of their least
-        denominators."""
-        resolution = self.param_resolution
-        steps = max(resolution - 1, 1)
+        """The grid's denominator q, and an iterator over each grid point's
+        integer numerators over q, first axis slowest (row-major).  An
+        axis from lo to hi takes the integers a + k (b - a) / steps, for
+        a = lo q and b = hi q; q is a multiple of steps and of lo's and
+        hi's denominators, so each is exact."""
+        q = self._grid_denominator
+        steps = max(self.param_resolution - 1, 1)
         axes = []
         for lo, hi in self.param_box:
-            common = math.lcm(lo.denominator, hi.denominator) * steps
-            a, b = (c.numerator * (common // c.denominator) for c in (lo, hi))
-            step = (b - a) // steps if resolution > 1 else 0
-            g = math.gcd(common, a, step)
-            axes.append((common // g, [(a + step * k) // g for k in range(resolution)]))
-        q = math.lcm(*(d for d, _ in axes))
-        scaled = [[x * (q // d) for x in values] for d, values in axes]
-        return q, itertools.product(*scaled)
+            a, b = (c.numerator * (q // c.denominator) for c in (lo, hi))
+            axes.append([a + (b - a) // steps * k for k in range(self.param_resolution)])
+        return q, itertools.product(*axes)
 
     @cached_property
     def _cleared(self) -> poly.ClearedRow:
@@ -531,10 +534,7 @@ class _Rules:
         if s.param_resolution < 1:
             raise SpaceFormatError(f"{path}.resolution", "must be >= 1")
         row = _Row((*s.numerators, s.denominator))
-        ends = [end for pair in s.param_box for end in pair]
-        # a multiple of the grid's denominator q
-        q = math.lcm(*(end.denominator for end in ends)) * max(s.param_resolution - 1, 1)
-        bits = _form_bits(ends, q)
+        bits = _form_bits([end for pair in s.param_box for end in pair], s._grid_denominator)
         cost = row.evaluations(bits) + self.rows[True].evaluations(row.value_bits(bits))
         grid = s.param_resolution**s.param_dim
         self._count(grid, grid * cost, f"{path}.resolution")
