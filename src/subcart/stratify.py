@@ -121,20 +121,13 @@ class Verdict:
 @dataclass(frozen=True)
 class StratificationReport:
     space: SpacePresentation = field(repr=False, compare=False)  # the analysed space
-    records: tuple[PointRecord, ...]
+    records: tuple[PointRecord, ...]  # their dims give the strata sizes of ``to_json``
     analyses: tuple[PointAnalysis, ...]  # analyses[i] is the point of records[i]
     index: NeighbourIndex = field(repr=False, compare=False)  # records' points, radius
-    radius: Fraction
-    epsilon: Fraction
-    strata: tuple[tuple[int, ...], ...]  # strata[i] = record indices with dim <= i
-    verdicts: tuple[Verdict, ...]
+    radius: Fraction  # of the labels and the usc and open verdicts
+    epsilon: Fraction  # of the dense verdict
+    verdicts: tuple[Verdict, ...]  # usc, open, dense
     caveats: tuple[str, ...] = ()
-
-    def verdict(self, name: str) -> Verdict:
-        for v in self.verdicts:
-            if v.name == name:
-                return v
-        raise KeyError(name)
 
     def all_pass(self) -> bool:
         return all(v.passed for v in self.verdicts)
@@ -148,11 +141,15 @@ class StratificationReport:
         }
 
     def to_json(self) -> dict:
-        """The full view: every record, the strata sizes and the verdicts."""
+        """The full view: every record, the strata sizes and the verdicts.
+        Stratum i holds the records of dimension at most i."""
+        dims = [r.dim for r in self.records]
         return {
             "space": self.space.name,
             "records": [r.to_json() for r in self.records],
-            "strata": {str(i): len(members) for i, members in enumerate(self.strata)},
+            "strata": {
+                str(i): sum(d <= i for d in dims) for i in range(self.space.ambient_dim + 1)
+            },
             "verdicts": {v.name: v.to_json() for v in self.verdicts},
             "params": dict(radius=rational_text(self.radius), epsilon=rational_text(self.epsilon)),
             "caveats": list(self.caveats),
@@ -449,8 +446,8 @@ def stratify(
     epsilon: Fraction | None = None,
 ) -> StratificationReport:
     """Full pipeline: index the samples once per distinct radius, analyse
-    each sample's integer form once, classify, build strata, and run the
-    usc / open / dense verifiers."""
+    each sample's integer form once, classify, and run the usc / open /
+    dense verifiers."""
     forms = sample_forms(space)
     _radii(len(forms), radius=radius, epsilon=epsilon)
     index = NeighbourIndex(forms, radius)
@@ -468,11 +465,6 @@ def stratify(
             label(dims[i], [dims[i]] + [dims[j] for j in index.neighbours(i)]),
         )
         for i, form in enumerate(forms)
-    )
-
-    strata = tuple(
-        tuple(i for i, r in enumerate(records) if r.dim <= level)
-        for level in range(space.ambient_dim + 1)
     )
     verdicts = (
         verify_usc(records, index),
@@ -493,7 +485,6 @@ def stratify(
         index=index,
         radius=radius,
         epsilon=epsilon,
-        strata=strata,
         verdicts=verdicts,
         caveats=tuple(caveats),
     )

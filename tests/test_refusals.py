@@ -21,7 +21,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from subcart import cli, stratify
+from subcart import cli
 from subcart.errors import (
     DimensionMismatchError,
     ParseError,
@@ -718,10 +718,3 @@ def test_a_point_of_the_wrong_length_is_refused(cone, capsys):
     assert capsys.readouterr() == ("", "error: --point has 2 coordinates, expected 3\n")
     with pytest.raises(DimensionMismatchError, match="components have length 2, expected 3"):
         is_tangent(cone, (F(1), F(0), F(1)), (F(0), F(1)))
-
-
-def test_an_unknown_verdict_is_a_key_error(cone):
-    report = stratify(cone)
-    assert report.verdict("usc").passed
-    with pytest.raises(KeyError, match="local_triviality"):
-        report.verdict("local_triviality")
