@@ -38,9 +38,10 @@ It takes no common denominator of the forms: ``stratify.NeighbourIndex``
 puts them on one integer table, and bounds it.
 A presentation may have at most ``MAX_AMBIENT_DIM`` coordinates and
 parameters per sampler and ``MAX_GRID_POINTS`` grid and explicit sample
-points, whose validation may take at most ``MAX_TERM_EVALUATIONS`` term
-evaluations, each charged by the size of the integers it multiplies,
-coefficients included (``_Row.evaluations``); its equations and
+points, whose validation, and the equations' gradients that analysis
+evaluates at each of them, may take at most ``MAX_TERM_EVALUATIONS``
+term evaluations, each charged by the size of the integers it
+multiplies, coefficients included (``_Row.evaluations``); its equations and
 inequalities may have at most ``poly.MAX_TERMS`` terms together, as may
 each product in the composition of a sampler with an equation.  The caps
 are checked when it is built, before any composition or grid image.
@@ -52,12 +53,12 @@ denominator.  ``is_member_cleared`` evaluates the equations row,
 ``cleared_inequalities``, whose signs ``_signs_hold`` reads: the one
 sign rule, for a point and for a block of grid images.  A sampler's grid
 parameters are integers over one denominator q, the lcm of its box ends'
-denominators times its steps (``Sampler._grid_denominator``), which the
-load caps also charge; its numerators and denominator are one row
-(``Sampler._cleared``).  The grid is taken in
-blocks of at most ``GRID_BLOCK_POINTS`` points, one column of integers
-per parameter, which ``ClearedRow.evaluate_columns`` evaluates in one
-pass per term, not one interpreted evaluation per point.  Each block's
+denominators times its steps (``Sampler._grid_denominator``), whose
+size the caps charge, and its numerators and denominator are one row
+(``Sampler._cleared``).  The grid is taken in blocks of at most
+``GRID_BLOCK_POINTS`` points, one column of integers per parameter,
+which ``ClearedRow.evaluate_columns`` evaluates in one pass per term,
+not one interpreted evaluation per point.  Each block's
 images are then tested and divided by their gcds as columns
 (``_sampler_images``), and the first failure in grid order is refused
 as a point-by-point test would refuse it.  ``cleared_samples`` adds each
@@ -89,7 +90,7 @@ from .poly import Cleared, Point, Polynomial, divided, format_point
 Inequality = tuple[Polynomial, bool]  # (polynomial, strict?)
 
 MAX_GRID_POINTS = 100_000  # grid and explicit sample points of a presentation
-MAX_TERM_EVALUATIONS = 2_000_000  # that validating the samples of a presentation takes
+MAX_TERM_EVALUATIONS = 2_000_000  # that validating the samples and their Jacobians take
 MAX_AMBIENT_DIM = 12  # of a presentation: a point has at most C(12, 6) = 924 charts
 GRID_BLOCK_POINTS = 1024  # grid points evaluated together, as columns, at load
 _SPACE_FIELDS = (
@@ -452,12 +453,18 @@ class _Row:
         for p in polynomials:
             self.add(p)
 
-    def add(self, p: Polynomial) -> None:
+    def add(self, p: Polynomial, partials: bool = False) -> None:
+        """Adds ``p``, or with ``partials`` a bound on its partials, which
+        are not built: a term c x^e has the partial c e_k x^(e - 1_k) for
+        each e_k > 0, of one degree less, with e_k at most p's degree, over
+        a denominator that divides c's."""
         terms = p.terms
-        self.terms += len(terms)
-        self.degree = max(self.degree, p.total_degree())
+        degree = p.total_degree()
+        self.terms += sum(len(e) - e.count(0) for e in terms) if partials else len(terms)
+        self.degree = max(self.degree, degree - partials)
+        grow = degree.bit_length() if partials else 0
         for c in terms.values():
-            self.numerator_bits = max(self.numerator_bits, abs(c.numerator).bit_length())
+            self.numerator_bits = max(self.numerator_bits, abs(c.numerator).bit_length() + grow)
             if c.denominator not in self._denominators:
                 self._denominators.add(c.denominator)
                 self.scale_bits += c.denominator.bit_length()
@@ -494,10 +501,13 @@ class _Rules:
             raise SpaceFormatError("$.ambient_dim", f"must be at most {MAX_AMBIENT_DIM}")
         self.ambient_dim = ambient_dim
         self.rows = {False: _Row(), True: _Row()}  # the equations, the inequalities
+        self.gradients = _Row()  # the equations' partials, which analysis evaluates
         self.points = self.work = 0
 
     def equation(self, i: int, g: Polynomial) -> Polynomial:
-        return self._constraint(g, f"equations[{i}]", False)
+        self._constraint(g, f"equations[{i}]", False)
+        self.gradients.add(g, partials=True)
+        return g
 
     def inequality(self, i: int, inequality: Inequality) -> Inequality:
         h, _ = inequality
@@ -520,7 +530,8 @@ class _Rules:
     def sampler(self, i: int, s: Sampler) -> Sampler:
         """A grid point evaluates the sampler's numerators and denominator
         at its integer form over the grid's denominator q, then the
-        inequalities at its image, the row's values there."""
+        inequalities and the equations' gradients at its image, the row's
+        values there."""
         path = f"samplers[{i}]"
         _check_param_dim(s.param_dim, f"{path}.param_dim")
         _check_length(len(s.numerators), self.ambient_dim, f"{path}.numerators")
@@ -535,18 +546,21 @@ class _Rules:
             raise SpaceFormatError(f"{path}.resolution", "must be >= 1")
         row = _Row((*s.numerators, s.denominator))
         bits = _form_bits([end for pair in s.param_box for end in pair], s._grid_denominator)
-        cost = row.evaluations(bits) + self.rows[True].evaluations(row.value_bits(bits))
+        image = row.value_bits(bits)
+        cost = row.evaluations(bits) + self.rows[True].evaluations(image)
+        cost += self.gradients.evaluations(image)
         grid = s.param_resolution**s.param_dim
         self._count(grid, grid * cost, f"{path}.resolution")
         return s
 
     def point(self, i: int, p: Point) -> Point:
-        """An explicit point evaluates the equations and the inequalities
-        at its least integer form."""
+        """An explicit point evaluates the equations, the inequalities and
+        the equations' gradients at its least integer form."""
         path = f"sample_points[{i}]"
         _check_length(len(p), self.ambient_dim, path)
         bits = _form_bits(p, math.lcm(*(x.denominator for x in p)))
-        self._count(1, sum(row.evaluations(bits) for row in self.rows.values()), path)
+        rows = (*self.rows.values(), self.gradients)
+        self._count(1, sum(row.evaluations(bits) for row in rows), path)
         return p
 
     def _count(self, points: int, work: int, path: str) -> None:

@@ -493,6 +493,46 @@ def test_the_term_evaluations_of_a_load_are_capped_before_any_grid_image(
     )
 
 
+def _jacobian_heavy(resolution=None, points=0):
+    """One equation of 1,540 terms whose three partials hold 1,430-1,440
+    terms each, sampled as (t1, t1, t2) over [0, 1]^2 at ``resolution``,
+    or at ``points`` explicit points on the plane x1 = x2."""
+    data = {"name": "jacobian_heavy", "ambient_dim": 3,
+            "equations": ["(x1-x2)*(x1+x2+x3+1)^19"]}
+    if resolution is not None:
+        data["samplers"] = [{"param_dim": 2, "numerators": ["x1", "x1", "x2"],
+                             "box": [["0", "1"]] * 2, "resolution": resolution}]
+    data["sample_points"] = [[f"{k}/{points}"] * 2 + ["0"] for k in range(points)]
+    return data
+
+
+@pytest.mark.parametrize("resolution", [30, 100])
+def test_the_jacobians_of_the_grid_are_charged_at_load(resolution, tmp_path):
+    # verify took 1.5-2.0 s at resolution 30 and 19-25 s at 100 before the
+    # load charged the equation's partials at every grid image
+    start = time.perf_counter()
+    with pytest.raises(SpaceFormatError) as loaded:
+        load_space(_write(tmp_path, _jacobian_heavy(resolution)))
+    assert time.perf_counter() - start < 1
+    assert str(loaded.value) == (
+        "samplers[0].resolution: the samplers' grids and sample points take more than "
+        f"{MAX_TERM_EVALUATIONS} term evaluations together"
+    )
+
+
+def test_a_grid_whose_jacobians_are_cheap_enough_still_loads(tmp_path):
+    space = load_space(_write(tmp_path, _jacobian_heavy(18)))
+    assert len(space.cleared_samples) == 18**2
+
+
+def test_the_jacobians_of_explicit_points_are_charged_at_load():
+    start = time.perf_counter()
+    with pytest.raises(SpaceFormatError, match=r"^sample_points\[\d+\]: the samplers' grids"):
+        space_from_dict(_jacobian_heavy(points=400))
+    assert time.perf_counter() - start < 1
+    assert len(space_from_dict(_jacobian_heavy(points=200)).sample_points) == 200
+
+
 def _built(data):
     """The arguments of ``SpacePresentation`` for a space file of the
     right shapes, parsed as the loader parses them."""
