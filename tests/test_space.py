@@ -189,6 +189,35 @@ def test_samples_are_deduplicated_in_least_integer_form():
             assert form == poly.clear_denominators(point)
 
 
+@st.composite
+def fractional_boxes(draw):
+    """A box in R^1 or R^2 whose ends have different denominators, an
+    axis with lo == hi allowed, and a resolution."""
+    ends = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+    box = []
+    for _ in range(draw(st.integers(1, 2))):
+        lo = draw(ends)
+        hi = draw(st.one_of(st.just(lo), ends.filter(lambda end: end >= lo)))
+        box.append((lo, hi))
+    return tuple(box), draw(st.integers(1, 6))
+
+
+@settings(deadline=None, max_examples=200)
+@given(fractional_boxes())
+def test_an_identity_sampler_samples_its_rational_grid(case):
+    box, resolution = case
+    n = len(box)
+    sampler = Sampler(
+        param_dim=n,
+        numerators=tuple(poly.variable(i + 1, n) for i in range(n)),
+        denominator=poly.constant(1, n),
+        param_box=box,
+        param_resolution=resolution,
+    )
+    space = SpacePresentation(name="box", ambient_dim=n, samplers=(sampler,))
+    assert sample(space) == list(dict.fromkeys(grid_points(box, resolution)))
+
+
 def test_sample_requires_a_source(plane):
     for run in (sample, stratify, verify):
         with pytest.raises(NoSampleSourceError):
