@@ -38,13 +38,14 @@ It takes no common denominator of the forms: ``stratify.NeighbourIndex``
 puts them on one integer table, and bounds it.
 A presentation may have at most ``MAX_AMBIENT_DIM`` coordinates and
 parameters per sampler and ``MAX_GRID_POINTS`` grid and explicit sample
-points, whose validation, and the equations' gradients that analysis
-evaluates at each of them, may take at most ``MAX_TERM_EVALUATIONS``
-term evaluations, each charged by the size of the integers it
-multiplies, coefficients included (``_Row.evaluations``); its equations and
-inequalities may have at most ``poly.MAX_TERMS`` terms together, as may
-each product in the composition of a sampler with an equation.  The caps
-are checked when it is built, before any composition or grid image.
+points; validating them, and evaluating the equations' gradients at
+each of them as analysis does, may take at most
+``MAX_TERM_EVALUATIONS`` term evaluations, each charged by the size of
+the integers it multiplies, coefficients included (``_Row.evaluations``);
+its equations and inequalities may have at most ``poly.MAX_TERMS`` terms
+together, as may each product in the composition of a sampler with an
+equation.  The caps are checked when it is built, before any composition
+or grid image.
 
 Points are tested on integers, through ``poly.ClearedRow``s compiled
 once by their owners.  ``is_member`` puts a point over its least common
@@ -58,12 +59,12 @@ size the caps charge, and its numerators and denominator are one row
 (``Sampler._cleared``).  The grid is taken in blocks of at most
 ``GRID_BLOCK_POINTS`` points, one column of integers per parameter,
 which ``ClearedRow.evaluate_columns`` evaluates in one pass per term,
-not one interpreted evaluation per point.  Each block's
-images are then tested and divided by their gcds as columns
-(``_sampler_images``), and the first failure in grid order is refused
-as a point-by-point test would refuse it.  ``cleared_samples`` adds each
-block's forms to one dictionary, which deduplicates them.  Blocks keep
-the columns small at any grid size.
+not one interpreted evaluation per point.  Each block's images are then
+tested and divided by their gcds as columns (``_sampler_images``), and
+the first failure in grid order is refused as a point-by-point test
+would refuse it.  ``cleared_samples`` adds each block's forms to one
+dictionary, which deduplicates them.  Blocks keep the columns small at
+any grid size.
 
 Caveat: when the presented generators generate a strictly smaller ideal
 than the full vanishing ideal of S (for example a generator with a
@@ -90,7 +91,7 @@ from .poly import Cleared, Point, Polynomial, divided, format_point
 Inequality = tuple[Polynomial, bool]  # (polynomial, strict?)
 
 MAX_GRID_POINTS = 100_000  # grid and explicit sample points of a presentation
-MAX_TERM_EVALUATIONS = 2_000_000  # that validating the samples and their Jacobians take
+MAX_TERM_EVALUATIONS = 2_000_000  # that validating the samples and their gradients take
 MAX_AMBIENT_DIM = 12  # of a presentation: a point has at most C(12, 6) = 924 charts
 GRID_BLOCK_POINTS = 1024  # grid points evaluated together, as columns, at load
 _SPACE_FIELDS = (

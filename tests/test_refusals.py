@@ -6,8 +6,7 @@ directly, as are drawn presentations near the caps; the neighbour
 index's bounds on its integer table and on its candidate pairs (exit 2
 too, from a file that loads), the checks of directly built presentations
 (a sampler is checked as part of the presentation that holds it), the
-polynomial constructor and parser, and the few checks of the CLI and the
-report.
+polynomial constructor and parser, and the few checks of the CLI.
 Every refusal is a ``SubcartError``, so a caller that catches the
 package's errors catches each of them.
 """
@@ -494,7 +493,7 @@ def test_the_term_evaluations_of_a_load_are_capped_before_any_grid_image(
 
 
 def _jacobian_heavy(resolution=None, points=0):
-    """One equation of 1,540 terms whose three partials hold 1,430-1,440
+    """One equation of 1,650 terms whose three partials hold 1,430-1,440
     terms each, sampled as (t1, t1, t2) over [0, 1]^2 at ``resolution``,
     or at ``points`` explicit points on the plane x1 = x2."""
     data = {"name": "jacobian_heavy", "ambient_dim": 3,
