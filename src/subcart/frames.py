@@ -22,17 +22,19 @@ pivots' chart minor, so the frame is smooth exactly where
 basis there.  Both take the point's analysis, so no point is analysed
 twice.  ``common_pivot_exists`` is the one shared-chart test of two
 analysed points: a Cauchy-Binet probe, then the chart sets.
-``frame_at`` (the ``frame`` command) walks one anchor's targets: its
-strict (``<`` radius) neighbours in the report's ``NeighbourIndex``, read
-off the one ``near`` scan whose closed neighbours label the anchor, so
-that at the default radius the cross-branch pairs of the coordinate
-cross, exactly at the radius, are excluded.  It evaluates the frame at
-each target where its pivots are valid and asks ``common_pivot_exists``
-only where they are not.  ``verify_local_triviality`` walks every
-regular record as an anchor in the same way, asking
-``common_pivot_exists`` only where neither point's pivots are a chart of
-the other, and checks each (target, chart) kernel once on integers.
-Both read the report's space and analyses.
+One walk (``_walk``) answers for an anchor, and both the ``frame``
+command and the verdict take it.  Its targets are the regular records of
+the anchor's dimension among its strict (``<`` radius) neighbours in the
+report's ``NeighbourIndex``, so that at the default radius the
+cross-branch pairs of the coordinate cross, exactly at the radius, are
+excluded.  Each target must share a chart with the anchor, and
+``common_pivot_exists`` is asked only where neither point's pivots are a
+chart of the other.  The walk reads the targets where the anchor's
+pivots are valid and checks their kernels on integers.  ``frame_at``
+walks one anchor, whose neighbours it reads off the one ``near`` scan
+that labels it, and evaluates the frame at the targets it read, so every
+basis it returns is checked.  ``verify_local_triviality`` walks every
+regular record as an anchor, and checks each (target, chart) kernel once.
 ``verify`` is ``stratify`` with the local-triviality verdict appended.
 """
 
@@ -42,7 +44,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import FrameEvaluationError, SubcartError
 from .linalg import Kernel, bareiss
@@ -74,19 +76,21 @@ class FrameSection:
     def evaluate(self, analysis: PointAnalysis) -> Basis:
         """Exact frame vectors at the analysed member point, identity on
         free columns: W / d of the analysis's kernel for the frozen pivots.
+        Validity is tested by ``pivot_valid_at`` before the kernel is
+        read.  The kernel is not checked here: ``frame_at`` evaluates only
+        at targets whose kernels its walk has checked.
 
         Raises FrameEvaluationError when the rank or the frozen pivot
         pattern differs from the anchor: the point lies outside the
         rank-constant neighborhood this frame trivializes.
         """
-        kernel = analysis.kernel(self.pivot_columns)
-        if kernel is None:
+        if not self.pivot_valid_at(analysis):
             raise FrameEvaluationError(
                 f"rank or pivot pattern at {format_point(analysis.point)} differs "
                 f"from the anchor {format_point(self.anchor)} (pivot columns "
                 f"{[c + 1 for c in self.pivot_columns]})"
             )
-        vectors, d = kernel
+        vectors, d = analysis.kernel(self.pivot_columns)
         return tuple(divided(w, d) for w in vectors)
 
     def to_json(self, evaluations: Sequence[tuple[Point, Basis]]) -> dict:
@@ -132,19 +136,20 @@ def frame_at(
     report: StratificationReport, point: Sequence[Fraction]
 ) -> tuple[FrameSection, list[tuple[Point, Basis]]]:
     """The frame anchored at a member point, sample point or not, and its
-    exact bases at its targets (the regular records of its dimension
-    strictly within the report's radius, its own sample excluded) where
-    its frozen pivots are valid, as (point, basis) pairs.
+    exact bases at the targets that its frozen pivots read, as (point,
+    basis) pairs: the targets among the regular records strictly within
+    the report's radius, its own sample excluded, by the walk that local
+    triviality takes, so each basis is checked before it is returned.
 
     Pivot columns are the leftmost pivots that ``linalg.bareiss`` finds on
     the Jacobian's integer rows, those of its reduced row echelon form, so
-    the construction is deterministic.  Only at a target where they are
-    not valid are the points asked for a common chart.  Raises
-    SubcartError when the point is labelled singular against the report's
-    samples, by the same rule that labels the records (a sample at the
-    point counts as evidence, as it does for the record), and
-    FrameEvaluationError at the first target that shares no chart with
-    the anchor: no single trivialization covers the pair.
+    the construction is deterministic.  Raises SubcartError when the point
+    is labelled singular against the report's samples, by the same rule
+    that labels the records (a sample at the point counts as evidence, as
+    it does for the record), and FrameEvaluationError with the detail
+    that the verdict would report: at the first target that shares no
+    chart with the anchor (no single trivialization covers the pair), or
+    else at the first basis that fails its check.
     """
     anchor = analyse(report.space, point)
     near = report.index.near(anchor.form)
@@ -153,21 +158,9 @@ def frame_at(
             f"cannot anchor a frame at the singular point {format_point(anchor.point)}"
         )
     frame = FrameSection(anchor.point, anchor.pivots)
-    evaluations = []
-    for j, inside in near:
-        target, other = report.records[j], report.analyses[j]
-        if (
-            not inside
-            or target.form == anchor.form
-            or target.label != "regular"
-            or target.dim != anchor.dim
-        ):
-            continue
-        if frame.pivot_valid_at(other):
-            evaluations.append((target.point, frame.evaluate(other)))
-        elif not common_pivot_exists(anchor, other):
-            raise FrameEvaluationError(_no_common_chart(anchor, other))
-    return frame, evaluations
+    candidates = [j for j, inside in near if inside and report.records[j].form != anchor.form]
+    targets = _walk(report.analyses, _charts(report), anchor, candidates, set())
+    return frame, [(report.records[j].point, frame.evaluate(report.analyses[j])) for j in targets]
 
 
 def verify_local_triviality(report: StratificationReport) -> Verdict:
@@ -182,41 +175,71 @@ def verify_local_triviality(report: StratificationReport) -> Verdict:
     coordinate-cross branches fail the chart check when sampled across the
     removed origin.
 
-    The walk takes each regular record as the anchor, in ascending order,
-    and reads its targets (its regular strict neighbours of its dimension)
-    in ascending order.  Each must share a chart with it: the anchor's
-    pivots, the target's, or else one that ``common_pivot_exists`` finds.
-    Then each target whose kernel at the anchor's pivots exists counts
-    once, and is checked at its first read through that chart; the first
-    failure is reported.  The checks run on the integer form (W, d) of the
-    basis W / d: each w annihilates the integer Jacobian rows and is d at
-    its own free column and 0 at the others, d positive.
+    Each regular record is the anchor of one walk, in ascending order, on
+    its strict neighbours, which ``frame_at`` takes too.  Each target
+    whose kernel at the anchor's pivots exists counts once per read, and
+    is checked at its first read through that chart: one set of checked
+    targets is kept per chart.  The first failure is reported.
     """
-    records, analyses = report.records, report.analyses
-    charts = [a.pivots if r.label == "regular" else None for r, a in zip(records, analyses)]
+    analyses, charts = report.analyses, _charts(report)
     checked, verified = 0, {}  # each chart's checked targets
-    for i, chart in enumerate(charts):
-        if chart is None:
-            continue
-        anchor, read = analyses[i], []
-        for j in report.index.neighbours(i, strict=True):
-            pivots = charts[j]
-            if pivots is None or len(pivots) != len(chart):  # singular, or of another dimension
-                continue
-            if pivots == chart or analyses[j].kernel(chart) is not None:
-                read.append(j)
-            elif anchor.kernel(pivots) is None and not common_pivot_exists(anchor, analyses[j]):
-                return Verdict("local_triviality", False, _no_common_chart(anchor, analyses[j]))
-        checked += len(read)
-        seen = verified.setdefault(chart, set())
-        for j in read:
-            if j not in seen:
-                seen.add(j)
-                other = analyses[j]
-                detail = _kernel_failure(anchor, other, chart, other.kernel(chart))
-                if detail:
-                    return Verdict("local_triviality", False, detail)
+    try:
+        for i, chart in enumerate(charts):
+            if chart is not None:
+                targets = report.index.neighbours(i, strict=True)
+                seen = verified.setdefault(chart, set())
+                checked += len(_walk(analyses, charts, analyses[i], targets, seen))
+    except FrameEvaluationError as exc:
+        return Verdict("local_triviality", False, str(exc))
     return Verdict("local_triviality", True, f"{checked} frame evaluations verified exactly")
+
+
+def _charts(report: StratificationReport) -> list[tuple[int, ...] | None]:
+    """Each record's pivots if it is regular, else None: the list a walk
+    reads its targets' charts from."""
+    records, analyses = report.records, report.analyses
+    return [a.pivots if r.label == "regular" else None for r, a in zip(records, analyses)]
+
+
+def _walk(
+    analyses: Sequence[PointAnalysis],
+    charts: Sequence[tuple[int, ...] | None],
+    anchor: PointAnalysis,
+    candidates: Iterable[int],
+    seen: set[int],
+) -> list[int]:
+    """The targets among ``candidates`` that the anchor's frame reads, in
+    order: its targets are the regular records of its dimension, and it
+    reads those whose kernel at its pivots exists.
+
+    Every target must share a chart with the anchor: the anchor's pivots,
+    the target's, or else one that ``common_pivot_exists`` finds.  Then
+    each read target not yet in ``seen`` is added to it and checked on the
+    integer form (W, d) of its basis W / d: each w annihilates the integer
+    Jacobian rows and is d at its own free column and 0 at the others, d
+    positive.  Raises FrameEvaluationError at the first target that shares
+    no chart, else at the first check that fails.
+    """
+    chart, read = anchor.pivots, []
+    for j in candidates:
+        pivots, other = charts[j], analyses[j]
+        if pivots is None or len(pivots) != len(chart):  # singular, or of another dimension
+            continue
+        if pivots == chart or other.kernel(chart) is not None:
+            read.append(j)
+        elif anchor.kernel(pivots) is None and not common_pivot_exists(anchor, other):
+            raise FrameEvaluationError(
+                f"no common pivot chart covers {format_point(anchor.point)} and "
+                f"{format_point(other.point)}: the bundle is not trivializable over "
+                "this neighborhood"
+            )
+    for j in read:
+        if j not in seen:
+            seen.add(j)
+            detail = _kernel_failure(anchor, analyses[j], chart, analyses[j].kernel(chart))
+            if detail:
+                raise FrameEvaluationError(detail)
+    return read
 
 
 def _kernel_failure(
@@ -244,13 +267,6 @@ def _kernel_failure(
         else:
             return None
     return f"free-column submatrix is not the identity at {format_point(other.point)}"
-
-
-def _no_common_chart(anchor: PointAnalysis, other: PointAnalysis) -> str:
-    return (
-        f"no common pivot chart covers {format_point(anchor.point)} and "
-        f"{format_point(other.point)}: the bundle is not trivializable over this neighborhood"
-    )
 
 
 def verify(

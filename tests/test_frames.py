@@ -362,18 +362,30 @@ def _assert_fails_at(report, point, detail):
 )
 def test_local_triviality_checks_stored_bases(cone, corrupt, detail):
     report = stratify(cone)
-    j, chart = next(_evaluations(report))
+    i, j, chart = next(_reads(report))
     bad = _corrupted(report, j, chart, corrupt)
     _assert_fails_at(bad, report.records[j].point, detail)
+    _assert_frame_refuses_as_the_verdict(bad, i)
 
 
 def test_local_triviality_checks_the_vector_count(cone):
     report = stratify(cone)
-    j, chart = next(_evaluations(report))
-    verdict = verify_local_triviality(_corrupted(report, j, chart, _dropped))
+    i, j, chart = next(_reads(report))
+    bad = _corrupted(report, j, chart, _dropped)
+    verdict = verify_local_triviality(bad)
     assert not verdict.passed
     point = poly.format_point(report.records[j].point)
     assert verdict.detail.endswith(f"returned 1 vectors at {point}, expected 2")
+    _assert_frame_refuses_as_the_verdict(bad, i)
+
+
+def _assert_frame_refuses_as_the_verdict(report, i):
+    # ``frame`` at the anchor of the corrupted read checks the basis it
+    # would print, and refuses it with the failing verdict's detail
+    detail = verify_local_triviality(report).detail
+    with pytest.raises(FrameEvaluationError) as raised:
+        frame_at(report, report.records[i].point)
+    assert str(raised.value) == detail
 
 
 def test_local_triviality_checks_each_chart_of_a_target(cone):
