@@ -41,11 +41,15 @@ parameters per sampler and ``MAX_GRID_POINTS`` grid and explicit sample
 points; validating them, and evaluating the equations' gradients at
 each of them as analysis does, may take at most
 ``MAX_TERM_EVALUATIONS`` term evaluations, each charged by the size of
-the integers it multiplies, coefficients included (``_Row.evaluations``);
-its equations and inequalities may have at most ``poly.MAX_TERMS`` terms
-together, as may each product in the composition of a sampler with an
-equation.  The caps are checked when it is built, before any composition
-or grid image.
+the integers it multiplies, coefficients included (``_Row.evaluations``).
+Compiling each of these rows, which puts its coefficients over the lcm
+of their denominators, is charged to that cap too (``_Row.compiling``).
+The equations and inequalities may have at most ``poly.MAX_TERMS``
+terms together, as may each product in the composition of a sampler
+with an equation.  A polynomial with no terms, as "0" or "x1-x1",
+counts as one term, and each of an equation's n partials as at least
+one: each still has a value at every sample.  The caps are checked when
+a presentation is built, before any composition or grid image.
 
 Points are tested on integers, through ``poly.ClearedRow``s compiled
 once by their owners.  ``is_member`` puts a point over its least common
@@ -446,22 +450,28 @@ class _Row:
     """The size of a row of polynomials as ``poly.ClearedRow`` compiles it,
     known before it is compiled: its terms, its degree, and a bound on the
     bits of its coefficients over the row's scale, the lcm of their
-    denominators, which is at most the product of the distinct ones."""
+    denominators, which is at most the product of the distinct ones.  A
+    polynomial counts at least one term, even the zero one: it still has
+    a value, a Jacobian entry or a column, at every point."""
 
     def __init__(self, polynomials: Iterable[Polynomial] = ()):
         self.terms = self.degree = self.numerator_bits = self.scale_bits = 0
+        self.denominator_bits = 0  # of the largest denominator
         self._denominators: set[int] = set()
         for p in polynomials:
             self.add(p)
 
     def add(self, p: Polynomial, partials: bool = False) -> None:
-        """Adds ``p``, or with ``partials`` a bound on its partials, which
+        """Adds ``p``, or with ``partials`` a bound on its n partials, which
         are not built: a term c x^e has the partial c e_k x^(e - 1_k) for
         each e_k > 0, of one degree less, with e_k at most p's degree, over
         a denominator that divides c's."""
         terms = p.terms
         degree = p.total_degree()
-        self.terms += sum(len(e) - e.count(0) for e in terms) if partials else len(terms)
+        counts = [len(terms)]
+        if partials:
+            counts = [sum(e[k] > 0 for e in terms) for k in range(p.ambient_dim)]
+        self.terms += sum(max(count, 1) for count in counts)
         self.degree = max(self.degree, degree - partials)
         grow = degree.bit_length() if partials else 0
         for c in terms.values():
@@ -469,6 +479,7 @@ class _Row:
             if c.denominator not in self._denominators:
                 self._denominators.add(c.denominator)
                 self.scale_bits += c.denominator.bit_length()
+                self.denominator_bits = max(self.denominator_bits, c.denominator.bit_length())
 
     def value_bits(self, bits: int) -> int:
         """A bound on the bit lengths of the row's values at a point whose
@@ -487,6 +498,13 @@ class _Row:
         m = 1 + self.degree * bits // 64
         c = (self.numerator_bits + self.scale_bits) // 64
         return self.terms * (1 + (max(m - w, 0) + c + 1) * m // 64)
+
+    def compiling(self) -> int:
+        """What compiling the row is charged: ``poly.ClearedRow`` takes the
+        lcm of the coefficients' denominators, its scale, and divides it by
+        each of them, in about (scale words) x (denominator words) word
+        steps a term, each charged as one evaluation."""
+        return self.terms * (1 + self.scale_bits // 64) * (1 + self.denominator_bits // 64)
 
 
 class _Rules:
@@ -551,7 +569,7 @@ class _Rules:
         cost = row.evaluations(bits) + self.rows[True].evaluations(image)
         cost += self.gradients.evaluations(image)
         grid = s.param_resolution**s.param_dim
-        self._count(grid, grid * cost, f"{path}.resolution")
+        self._count(grid, grid * cost + row.compiling(), f"{path}.resolution")
         return s
 
     def point(self, i: int, p: Point) -> Point:
@@ -567,7 +585,11 @@ class _Rules:
     def _count(self, points: int, work: int, path: str) -> None:
         """Adds ``points`` samples whose validation costs ``work`` term
         evaluations, refused naming ``path`` past MAX_GRID_POINTS or
-        MAX_TERM_EVALUATIONS."""
+        MAX_TERM_EVALUATIONS.  The first sample source also pays for
+        compiling the constraints' rows and the gradients, which every
+        constraint has been fed to by then."""
+        if not self.points:  # every source adds at least one point
+            work += sum(row.compiling() for row in (*self.rows.values(), self.gradients))
         sources = "the samplers' grids and sample points"
         self.points += points
         if self.points > MAX_GRID_POINTS:

@@ -621,6 +621,68 @@ def test_the_term_evaluations_are_charged_by_the_size_of_their_integers(
     )
 
 
+def _refused_alike(data, tmp_path):
+    """The one SpaceFormatError that refuses ``data`` in under 1 s, both
+    when it is loaded and when it is built directly."""
+    start = time.perf_counter()
+    with pytest.raises(SpaceFormatError) as loaded:
+        load_space(_write(tmp_path, data))
+    assert time.perf_counter() - start < 1
+    parts = _built(data)
+    start = time.perf_counter()
+    with pytest.raises(SpaceFormatError) as built:
+        SpacePresentation(**parts)
+    assert time.perf_counter() - start < 1
+    assert built.value.field == loaded.value.field
+    assert str(built.value) == str(loaded.value)
+    return loaded.value
+
+
+def _cone_with(equations=0, inequalities=0, resolution=None):
+    """The shipped cone's file with ``equations`` extra equations "0" and
+    ``inequalities`` inequalities "0", its sampler at ``resolution``."""
+    data = json.loads(fixture_path("cone").read_text(encoding="utf-8"))
+    data["equations"] += ["0"] * equations
+    data["inequalities"] = [{"poly": "0"}] * inequalities
+    if resolution is not None:
+        data["samplers"][0]["resolution"] = resolution
+    return data
+
+
+@pytest.mark.parametrize("equations, inequalities", [(2000, 0), (0, 20_000)])
+def test_a_constraint_with_no_terms_counts_one(equations, inequalities, tmp_path):
+    # each "0" still costs a Jacobian row or a value column at every
+    # sample: with 2,000 such equations the cone at resolution 40 loaded in
+    # 0.03 s and verified in 3.4 s, and 20,000 such inequalities loaded in
+    # 1.25 s at 271 MB, while the caps charged them nothing
+    error = _refused_alike(_cone_with(equations, inequalities, resolution=40), tmp_path)
+    assert str(error) == (
+        "equations: the equations and inequalities have more than 2000 terms together"
+    )
+
+
+def test_the_cone_with_a_hundred_zero_equations_still_loads(tmp_path):
+    space = load_space(_write(tmp_path, _cone_with(equations=100)))
+    assert len(space.equations) == 101
+    assert space.cleared_samples == load_space(fixture_path("cone")).cleared_samples
+
+
+def test_compiling_a_row_is_charged(tmp_path):
+    # an inequality of 300 terms over distinct 1,000-digit denominators:
+    # putting its coefficients over their lcm, about 10^6 bits, took 3.1 s
+    # for the one explicit point while only the point's evaluation was
+    # charged
+    big = 10**999
+    terms = [f"1/{big + 2 * k + 1}*x1^{k % 20}*x2^{k // 20}" for k in range(300)]
+    data = {"name": "scale300", "ambient_dim": 2,
+            "inequalities": [{"poly": " + ".join(terms)}], "sample_points": [["1", "1"]]}
+    error = _refused_alike(data, tmp_path)
+    assert str(error) == (
+        "sample_points[0]: the samplers' grids and sample points take more than "
+        f"{MAX_TERM_EVALUATIONS} term evaluations together"
+    )
+
+
 def test_a_long_explicit_point_is_refused_by_its_length_at_once(tmp_path):
     # 1,000 coordinates over distinct 1,000-digit denominators, whose lcm
     # took 18.5 s when it was taken before the length was checked
