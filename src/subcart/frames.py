@@ -44,7 +44,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import FrameEvaluationError, SubcartError
 from .linalg import Kernel, bareiss
@@ -186,9 +186,9 @@ def verify_local_triviality(report: StratificationReport) -> Verdict:
     try:
         for i, chart in enumerate(charts):
             if chart is not None:
-                targets = report.index.neighbours(i, strict=True)
+                neighbours = report.index.neighbours(i, strict=True)
                 seen = verified.setdefault(chart, set())
-                checked += len(_walk(analyses, charts, analyses[i], targets, seen))
+                checked += len(_walk(analyses, charts, analyses[i], neighbours, seen))
     except FrameEvaluationError as exc:
         return Verdict("local_triviality", False, str(exc))
     return Verdict("local_triviality", True, f"{checked} frame evaluations verified exactly")
@@ -205,7 +205,7 @@ def _walk(
     analyses: Sequence[PointAnalysis],
     charts: Sequence[tuple[int, ...] | None],
     anchor: PointAnalysis,
-    candidates: Iterable[int],
+    candidates: Sequence[int],
     seen: set[int],
 ) -> list[int]:
     """The targets among ``candidates`` that the anchor's frame reads, in
