@@ -75,10 +75,8 @@ class FrameSection:
 
     def evaluate(self, analysis: PointAnalysis) -> Basis:
         """Exact frame vectors at the analysed member point, identity on
-        free columns: W / d of the analysis's kernel for the frozen pivots.
-        Validity is tested by ``pivot_valid_at`` before the kernel is
-        read.  The kernel is not checked here: ``frame_at`` evaluates only
-        at targets whose kernels its walk has checked.
+        free columns: W / d of the analysis's kernel for the frozen pivots,
+        read once ``pivot_valid_at`` holds; ``frame_at`` checks it first.
 
         Raises FrameEvaluationError when the rank or the frozen pivot
         pattern differs from the anchor: the point lies outside the
@@ -208,17 +206,16 @@ def _walk(
     candidates: Sequence[int],
     seen: set[int],
 ) -> list[int]:
-    """The targets among ``candidates`` that the anchor's frame reads, in
-    order: its targets are the regular records of its dimension, and it
-    reads those whose kernel at its pivots exists.
+    """The targets among ``candidates`` (the regular records of the
+    anchor's dimension) where the anchor's pivots are valid, in order.
 
     Every target must share a chart with the anchor: the anchor's pivots,
     the target's, or else one that ``common_pivot_exists`` finds.  Then
-    each read target not yet in ``seen`` is added to it and checked on the
-    integer form (W, d) of its basis W / d: each w annihilates the integer
-    Jacobian rows and is d at its own free column and 0 at the others, d
-    positive.  Raises FrameEvaluationError at the first target that shares
-    no chart, else at the first check that fails.
+    each target read and not yet in ``seen`` joins it and is checked on
+    the integer form (W, d) of its basis W / d: each w annihilates the
+    integer Jacobian rows and is d at its own free column and 0 at the
+    others, d positive.  Raises FrameEvaluationError at the first target
+    that shares no chart, else at the first check that fails.
     """
     chart, read = anchor.pivots, []
     for j in candidates:
