@@ -469,9 +469,10 @@ class _Row:
         terms = p.terms
         degree = p.total_degree()
         counts = [len(terms)]
-        if partials:
-            counts = [sum(e[k] > 0 for e in terms) for k in range(p.ambient_dim)]
-        self.terms += sum(max(count, 1) for count in counts)
+        if partials:  # the partial in x_k has a term for each e with e_k > 0
+            columns = zip(*terms) if terms else [()] * p.ambient_dim
+            counts = [len(column) - column.count(0) for column in columns]
+        self.terms += sum(counts) + counts.count(0)  # at least one term each
         self.degree = max(self.degree, degree - partials)
         grow = degree.bit_length() if partials else 0
         for c in terms.values():
