@@ -44,6 +44,10 @@ class SpaceFormatError(SubcartError):
         self.field = field
 
 
+class WorkBudgetError(SubcartError):
+    """The integer work of a build would pass its budget (``poly.MAX_WORK``)."""
+
+
 class NoSampleSourceError(SubcartError):
     """The presentation has neither samplers nor explicit sample points."""
 

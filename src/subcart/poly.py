@@ -47,6 +47,17 @@ rational ones and keep their ratios: the rows of a Jacobian, the
 numerators over the denominator of a sampler, and a space's equations
 and inequalities.  ``Polynomial.evaluate`` evaluates a one-polynomial
 row and divides once.
+
+Integer work is metered within a space presentation's build, which sets
+``_work_left`` to MAX_WORK steps; outside one nothing is charged, and a
+kernel pays one read of that variable a call.  Each kernel charges the
+steps it is about to take, from the bit lengths of its operands, so a
+WorkBudgetError refuses work that would pass the budget before it is
+done: ``Polynomial.__mul__`` row by row (the parser and compositions),
+``ClearedRow`` before its lcm and divisions, and its evaluators
+(``ClearedRow.charge``, which counts only the steps past one word an
+integer).  A product of an a-word and a b-word integer (64-bit words)
+costs a * b steps, plus ``PRODUCT_STEPS`` when the interpreter makes it.
 """
 
 from __future__ import annotations
@@ -54,12 +65,13 @@ from __future__ import annotations
 import math
 import re
 import sys
+from contextvars import ContextVar
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add, mul
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import DimensionMismatchError, ParseError, SubcartError
+from .errors import DimensionMismatchError, ParseError, SubcartError, WorkBudgetError
 
 Exponent = tuple[int, ...]
 Point = tuple[Fraction, ...]
@@ -69,6 +81,9 @@ MAX_DIGITS = 1000
 MAX_DEGREE = 64
 MAX_TERMS = 2000
 MAX_DEPTH = 100
+MAX_WORK = 65_000_000  # steps of one budget: about 0.25 s of work (Python 3.11, x86_64)
+PRODUCT_STEPS = 250  # a product made by the interpreter, beyond its words
+_work_left: ContextVar[list[int] | None] = ContextVar("_work_left", default=None)
 _COEFFICIENT_LIMIT = 10**MAX_DIGITS
 _TOKEN = re.compile(r"(\s+)|([-+*/^()])|(x)?([0-9]+)?")
 _RATIONAL = re.compile(r"\s*-?([0-9]+)(?:/([0-9]*[1-9][0-9]*))?\s*")
@@ -82,6 +97,20 @@ def rational_text(value: Fraction | int) -> str:
     except ValueError:
         limit = sys.get_int_max_str_digits()
         raise SubcartError(f"a rational has more than {limit} digits to print") from None
+
+
+def _charge(left: list[int] | None, steps: int) -> None:
+    """Spends ``steps`` of the steps ``left`` of a budget (None outside one)
+    before the work they price; a WorkBudgetError when fewer are left."""
+    if left is not None:
+        left[0] -= steps
+        if left[0] < 0:
+            raise WorkBudgetError(f"the integer work passes its budget of {MAX_WORK} steps")
+
+
+def _words(c: Fraction | int) -> int:
+    """The 64-bit words of a rational's numerator and denominator."""
+    return 1 + (c.numerator.bit_length() + c.denominator.bit_length() - 1) // 64
 
 
 def format_point(point: Sequence[Fraction]) -> str:
@@ -188,10 +217,16 @@ class Polynomial:
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         """The product; a SubcartError after the first row (one term of
         ``self`` times ``other``) at which the exponent sums so far, or the
-        least count len(self) + len(other) - 1, pass MAX_TERMS."""
+        least count len(self) + len(other) - 1, pass MAX_TERMS, and under a
+        budget a WorkBudgetError before the row that would pass it."""
         self._check_same_dim(other)
         out: dict[Exponent, Fraction | int] = {}
+        left = _work_left.get()
+        if left is not None:  # the words of a row's products are those of ca times ``width``
+            width = sum(map(_words, other._terms.values()))
         for ea, ca in self._terms.items():
+            if left is not None:
+                _charge(left, len(other._terms) * PRODUCT_STEPS + _words(ca) * width)
             for eb, cb in other._terms.items():
                 exponent = tuple(map(add, ea, eb))
                 out[exponent] = out[exponent] + ca * cb if exponent in out else ca * cb
@@ -282,8 +317,13 @@ class ClearedRow:
 
     def __init__(self, ambient_dim: int, polynomials: Sequence[Polynomial]):
         maps = [p._terms for p in polynomials]
+        coefficients = [c for m in maps for c in m.values()]
+        if (left := _work_left.get()) is not None:
+            # the lcm, a gcd and a product a step, then a quotient and a product a term
+            words = sum(map(_words, {c.denominator for c in coefficients}))
+            _charge(left, words * (2 * words + sum(map(_words, coefficients))))
         self.ambient_dim = ambient_dim
-        self.scale = math.lcm(*[c.denominator for m in maps for c in m.values()])
+        self.scale = math.lcm(*[c.denominator for c in coefficients])
         self.degree = max((sum(e) for m in maps for e in m), default=0)
         self._rows = tuple(
             tuple(
@@ -294,6 +334,17 @@ class ClearedRow:
             for m in maps
         )
 
+    def charge(self, points: int, bits: int) -> None:
+        """Charges the budget, if one is set, for evaluating the row at
+        ``points`` points of integers of at most ``bits`` bits: a term
+        builds a monomial of m = 1 + d * bits // 64 words in about m * m / 4
+        steps and multiplies it by its c-word coefficient in m * c, less the
+        one step its caller prices."""
+        coefficients = [c for terms in self._rows for c, _, _ in terms]
+        m, count = 1 + self.degree * bits // 64, len(coefficients)
+        steps = m * (count * (m // 4) + sum(map(_words, coefficients))) - count
+        _charge(_work_left.get(), points * steps)
+
     def evaluate(self, numerators: Sequence[int], denominator: int) -> list[int]:
         """The exact integers S * D^d * p(a/D) for integer numerators a and a
         positive integer denominator D; their signs and zero sets are
@@ -302,6 +353,8 @@ class ClearedRow:
             raise DimensionMismatchError(
                 f"point has length {len(numerators)}, expected {self.ambient_dim}"
             )
+        if _work_left.get() is not None and any(self._rows):
+            self.charge(1, max(map(int.bit_length, (denominator, *numerators))))
         powers = [1]
         for _ in range(self.degree):
             powers.append(powers[-1] * denominator)
@@ -330,6 +383,8 @@ class ClearedRow:
                 f"point has length {len(numerators)}, expected {self.ambient_dim}"
             )
         count = len(denominators)
+        if _work_left.get() is not None and any(self._rows):
+            self.charge(count, max(map(int.bit_length, chain(denominators, *numerators))))
         columns = (*numerators, denominators)
         powers: dict[tuple[int, int], Sequence[int]] = {}
         values = []

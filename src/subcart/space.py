@@ -36,20 +36,20 @@ builds no Fraction point: ``stratify`` reads the forms through
 ``sample_forms``, and ``sample`` builds the points a / D on each call.
 It takes no common denominator of the forms: ``stratify.NeighbourIndex``
 puts them on one integer table, and bounds it.
-A presentation may have at most ``MAX_AMBIENT_DIM`` coordinates and
-parameters per sampler and ``MAX_GRID_POINTS`` grid and explicit sample
-points; validating them, and evaluating the equations' gradients at
-each of them as analysis does, may take at most
-``MAX_TERM_EVALUATIONS`` term evaluations, each charged by the size of
-the integers it multiplies, coefficients included (``_Row.evaluations``).
-Compiling each of these rows, which puts its coefficients over the lcm
-of their denominators, is charged to that cap too (``_Row.compiling``).
-The equations and inequalities may have at most ``poly.MAX_TERMS``
-terms together, as may each product in the composition of a sampler
-with an equation.  A polynomial with no terms, as "0" or "x1-x1",
-counts as one term, and each of an equation's n partials as at least
-one: each still has a value at every sample.  The caps are checked when
-a presentation is built, before any composition or grid image.
+A presentation is bounded in two steps.  Before any composition or grid
+image, ``_Rules`` counts shapes and terms: at most ``MAX_AMBIENT_DIM``
+coordinates and parameters per sampler, ``MAX_GRID_POINTS`` grid and
+explicit sample points, ``poly.MAX_TERMS`` terms in the equations and
+inequalities together, and ``MAX_TERM_EVALUATIONS`` evaluations of a
+term at a sample, in validation and in the gradients that analysis
+evaluates there.  A polynomial with no terms, as "0" or "x1-x1", counts
+as one term, and each of an equation's n partials as at least one: each
+still has a value at every sample.  Then the build runs under one budget
+of integer work (``poly.MAX_WORK``), charged by the kernels that do it:
+parses, compositions, row compilation and evaluation past one word an
+integer, and the gradients at each block of samples past one word.  A
+spent budget is refused by a SpaceFormatError naming the source being
+parsed, composed or validated.
 
 Points are tested on integers, through ``poly.ClearedRow``s compiled
 once by their owners.  ``is_member`` puts a point over its least common
@@ -58,17 +58,16 @@ denominator.  ``is_member_cleared`` evaluates the equations row,
 ``cleared_inequalities``, whose signs ``_signs_hold`` reads: the one
 sign rule, for a point and for a block of grid images.  A sampler's grid
 parameters are integers over one denominator q, the lcm of its box ends'
-denominators times its steps (``Sampler._grid_denominator``), whose
-size the caps charge, and its numerators and denominator are one row
-(``Sampler._cleared``).  The grid is taken in blocks of at most
-``GRID_BLOCK_POINTS`` points, one column of integers per parameter,
-which ``ClearedRow.evaluate_columns`` evaluates in one pass per term,
-not one interpreted evaluation per point.  Each block's images are then
-tested and divided by their gcds as columns (``_sampler_images``), and
-the first failure in grid order is refused as a point-by-point test
-would refuse it.  ``cleared_samples`` adds each block's forms to one
-dictionary, which deduplicates them.  Blocks keep the columns small at
-any grid size.
+denominators times its steps (``Sampler._integer_grid``), and its
+numerators and denominator are compiled as one row.  The grid is taken
+in blocks of at most ``GRID_BLOCK_POINTS`` points, one column of
+integers per parameter, which ``ClearedRow.evaluate_columns`` evaluates
+in one pass per term, not one interpreted evaluation per point.  Each
+block's images are then tested and divided by their gcds as columns
+(``_sampler_images``), and the first failure in grid order is refused as
+a point-by-point test would refuse it.  ``cleared_samples`` adds each
+block's forms to one dictionary, which deduplicates them.  Blocks keep
+the columns small at any grid size.
 
 Caveat: when the presented generators generate a strictly smaller ideal
 than the full vanishing ideal of S (for example a generator with a
@@ -78,6 +77,7 @@ over-approximate the true ones.  See ``repeated_factor_caveats``.
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import json
 import math
@@ -89,7 +89,7 @@ from operator import floordiv, mul
 from typing import Iterable, Iterator, Sequence
 
 from . import poly
-from .errors import NoSampleSourceError, SpaceFormatError, SubcartError
+from .errors import NoSampleSourceError, SpaceFormatError, SubcartError, WorkBudgetError
 from .poly import Cleared, Point, Polynomial, divided, format_point
 
 Inequality = tuple[Polynomial, bool]  # (polynomial, strict?)
@@ -121,31 +121,20 @@ class Sampler:
     param_box: tuple[tuple[Fraction, Fraction], ...]
     param_resolution: int
 
-    @cached_property
-    def _grid_denominator(self) -> int:
-        """The grid's denominator q: the lcm of the box ends' denominators,
-        times the steps between an axis's first and last values."""
-        ends = [end.denominator for pair in self.param_box for end in pair]
-        return math.lcm(*ends) * max(self.param_resolution - 1, 1)
-
     def _integer_grid(self) -> tuple[int, Iterator[tuple[int, ...]]]:
-        """The grid's denominator q, and an iterator over each grid point's
-        integer numerators over q, first axis slowest (row-major).  An
-        axis from lo to hi takes the integers a + k (b - a) / steps, for
-        a = lo q and b = hi q; q is a multiple of steps and of lo's and
-        hi's denominators, so each is exact."""
-        q = self._grid_denominator
+        """The grid's denominator q, the lcm of the box ends' denominators
+        times the steps between an axis's first and last values, and an
+        iterator over each grid point's integer numerators over q, first
+        axis slowest (row-major).  An axis from lo to hi takes the integers
+        a + k (b - a) / steps, for a = lo q and b = hi q; q is a multiple of
+        steps and of lo's and hi's denominators, so each is exact."""
         steps = max(self.param_resolution - 1, 1)
+        q = math.lcm(*[end.denominator for pair in self.param_box for end in pair]) * steps
         axes = []
         for lo, hi in self.param_box:
             a, b = (c.numerator * (q // c.denominator) for c in (lo, hi))
             axes.append([a + (b - a) // steps * k for k in range(self.param_resolution)])
         return q, itertools.product(*axes)
-
-    @cached_property
-    def _cleared(self) -> poly.ClearedRow:
-        """The numerators, then the denominator, over one positive scale."""
-        return poly.ClearedRow(self.param_dim, (*self.numerators, self.denominator))
 
 
 @dataclass(frozen=True)
@@ -168,6 +157,12 @@ class SpacePresentation:
     sample_points: tuple[Point, ...] = ()
 
     def __post_init__(self):
+        contextvars.copy_context().run(self._build)
+
+    def _build(self) -> None:
+        """Feeds the sources to one ``_Rules`` and validates the sample
+        sources, under a budget of integer work held by the build's context."""
+        poly._work_left.set([poly.MAX_WORK])
         rules = _Rules(self.ambient_dim)
         feeds = rules.equation, rules.inequality, rules.sampler, rules.point
         for field, feed in zip(_SPACE_FIELDS[2:], feeds):
@@ -200,17 +195,32 @@ class SpacePresentation:
         """The least integer form (a, D) of every sampler's validated grid
         images in grid order, then of the explicit sample points,
         deduplicated keeping first occurrences; a SpaceFormatError naming
-        the space-file field at the first failure."""
+        the space-file field at the first failure, a spent budget included."""
         forms: dict[Cleared, None] = {}
-        for i, sampler in enumerate(self.samplers):
-            for block in _sampler_images(self, sampler, f"samplers[{i}]"):
-                forms.update(dict.fromkeys(block))
-        for i, point in enumerate(self.sample_points):
-            form = poly.clear_denominators([Fraction(x) for x in point])
-            if not is_member_cleared(self, *form):
-                raise SpaceFormatError(f"sample_points[{i}]", "point is not a member")
-            forms[form] = None
+        try:
+            for i, sampler in enumerate(self.samplers):
+                path = f"samplers[{i}]"
+                for block in _sampler_images(self, sampler, path):
+                    forms.update(dict.fromkeys(block))
+            for i, point in enumerate(self.sample_points):
+                path = f"sample_points[{i}]"
+                form = poly.clear_denominators([Fraction(x) for x in point])
+                if not is_member_cleared(self, *form):
+                    raise SpaceFormatError(path, "point is not a member")
+                _prepay(self, 1, max(map(int.bit_length, (form[1], *form[0]))))
+                forms[form] = None
+        except WorkBudgetError as exc:
+            raise SpaceFormatError(path, str(exc)) from None
         return tuple(forms)
+
+
+def _prepay(space: SpacePresentation, count: int, bits: int) -> None:
+    """Charges the budget for the equations' gradients, which analysis
+    evaluates at ``count`` samples of ``bits``-bit integers, once those
+    pass one word: the term cap prices evaluations on smaller ones."""
+    if bits > 64:
+        for row in space.cleared_gradients:
+            row.charge(count, bits)
 
 
 def is_member(space: SpacePresentation, point: Sequence[Fraction]) -> bool:
@@ -293,8 +303,9 @@ def _sampler_images(
     each equation is zero, so that every image with a nonzero denominator
     satisfies the equations.
     Each block of grid points is evaluated as columns; its images' signs
-    are fixed, their denominators and the inequalities are tested, and
-    each image is divided by its gcd, in passes over the columns.  The
+    are fixed, their denominators and the inequalities are tested, the
+    gradients there are prepaid, and each image is divided by its gcd, in
+    passes over the columns.  The
     first failure in grid order is a SpaceFormatError naming ``path``."""
     for gi, g in enumerate(space.equations):
         try:
@@ -305,9 +316,10 @@ def _sampler_images(
             raise SpaceFormatError(
                 path, f"composition with equations[{gi}] is not identically zero"
             )
+    row = poly.ClearedRow(sampler.param_dim, (*sampler.numerators, sampler.denominator))
     q, grid = sampler._integer_grid()
     while columns := list(zip(*itertools.islice(grid, GRID_BLOCK_POINTS))):
-        *images, dens = sampler._cleared.evaluate_columns(columns, [q] * len(columns[0]))
+        *images, dens = row.evaluate_columns(columns, [q] * len(columns[0]))
         if min(dens) < 0:
             signs = [-1 if den < 0 else 1 for den in dens]
             images = [list(map(mul, column, signs)) for column in images]
@@ -326,6 +338,7 @@ def _sampler_images(
                         f"grid image at parameters {format_point(divided(params, q))} "
                         "violates the constraints",
                     )
+        _prepay(space, len(dens), max(map(int.bit_length, itertools.chain(dens, *images))))
         commons = list(map(math.gcd, dens, *images))
         reduced = [map(floordiv, column, commons) for column in images]
         yield zip(zip(*reduced), map(floordiv, dens, commons))
@@ -438,74 +451,15 @@ def _check_ring(p: Polynomial, ambient_dim: int, path: str) -> None:
         )
 
 
-def _form_bits(coordinates: Iterable[Fraction], denominator: int) -> int:
-    """A bound on the bit lengths of the integers a and D of the form a / D,
-    over D = ``denominator``, of a point whose coordinates are no larger
-    in absolute value than the largest of ``coordinates``."""
-    excess = [abs(x.numerator).bit_length() + 1 - x.denominator.bit_length() for x in coordinates]
-    return denominator.bit_length() + max([0, *excess])
-
-
-class _Row:
-    """The size of a row of polynomials as ``poly.ClearedRow`` compiles it,
-    known before it is compiled: its terms, its degree, and a bound on the
-    bits of its coefficients over the row's scale, the lcm of their
-    denominators, which is at most the product of the distinct ones.  A
-    polynomial counts at least one term, even the zero one: it still has
-    a value, a Jacobian entry or a column, at every point."""
-
-    def __init__(self, polynomials: Iterable[Polynomial] = ()):
-        self.terms = self.degree = self.numerator_bits = self.scale_bits = 0
-        self.denominator_bits = 0  # of the largest denominator
-        self._denominators: set[int] = set()
-        for p in polynomials:
-            self.add(p)
-
-    def add(self, p: Polynomial, partials: bool = False) -> None:
-        """Adds ``p``, or with ``partials`` a bound on its n partials, which
-        are not built: a term c x^e has the partial c e_k x^(e - 1_k) for
-        each e_k > 0, of one degree less, with e_k at most p's degree, over
-        a denominator that divides c's."""
-        terms = p.terms
-        degree = p.total_degree()
-        counts = [len(terms)]
-        if partials:  # the partial in x_k has a term for each e with e_k > 0
-            columns = zip(*terms) if terms else [()] * p.ambient_dim
-            counts = [len(column) - column.count(0) for column in columns]
-        self.terms += sum(counts) + counts.count(0)  # at least one term each
-        self.degree = max(self.degree, degree - partials)
-        grow = degree.bit_length() if partials else 0
-        for c in terms.values():
-            self.numerator_bits = max(self.numerator_bits, abs(c.numerator).bit_length() + grow)
-            if c.denominator not in self._denominators:
-                self._denominators.add(c.denominator)
-                self.scale_bits += c.denominator.bit_length()
-                self.denominator_bits = max(self.denominator_bits, c.denominator.bit_length())
-
-    def value_bits(self, bits: int) -> int:
-        """A bound on the bit lengths of the row's values at a point whose
-        integers have ``bits`` bits: each is a sum of its terms."""
-        return self.numerator_bits + self.scale_bits + self.degree * bits + self.terms.bit_length()
-
-    def evaluations(self, bits: int) -> int:
-        """What evaluating the row at a point whose integers have ``bits``
-        bits is charged, in evaluations of a term on small integers.  Each
-        term multiplies up to ``degree`` integers of w = 1 + bits // 64 words
-        into a monomial of up to m = 1 + degree * bits // 64 words, in about
-        (m - w) * m word steps, then multiplies it by a coefficient of c
-        words and adds it to the sum, in about (c + 1) * m more: it costs 1,
-        and 1 more per 64 word steps."""
-        w = 1 + bits // 64
-        m = 1 + self.degree * bits // 64
-        c = (self.numerator_bits + self.scale_bits) // 64
-        return self.terms * (1 + (max(m - w, 0) + c + 1) * m // 64)
-
-    def compiling(self) -> int:
-        """What compiling the row is charged: ``poly.ClearedRow`` takes the
-        lcm of the coefficients' denominators, its scale, and divides it by
-        each of them, in about (scale words) x (denominator words) word
-        steps a term, each charged as one evaluation."""
-        return self.terms * (1 + self.scale_bits // 64) * (1 + self.denominator_bits // 64)
+def _term_count(p: Polynomial, partials: bool = False) -> int:
+    """The terms of ``p``, or with ``partials`` of its n partials, which
+    are not built: the partial in x_k has a term for each exponent e with
+    e_k > 0.  A polynomial counts at least one term, even the zero one: it
+    still has a value, a Jacobian entry or a column, at every point."""
+    counts = [len(p._terms)]
+    if partials:
+        counts = [len(c) - c.count(0) for c in list(zip(*p._terms)) or [()] * p.ambient_dim]
+    return sum(counts) + counts.count(0)
 
 
 class _Rules:
@@ -520,38 +474,33 @@ class _Rules:
         if ambient_dim > MAX_AMBIENT_DIM:
             raise SpaceFormatError("$.ambient_dim", f"must be at most {MAX_AMBIENT_DIM}")
         self.ambient_dim = ambient_dim
-        self.rows = {False: _Row(), True: _Row()}  # the equations, the inequalities
-        self.gradients = _Row()  # the equations' partials, which analysis evaluates
-        self.points = self.work = 0
+        self.terms = {False: 0, True: 0}  # of the equations, of the inequalities
+        self.gradient_terms = self.points = self.work = 0  # gradients: what analysis evaluates
 
     def equation(self, i: int, g: Polynomial) -> Polynomial:
         self._constraint(g, f"equations[{i}]", False)
-        self.gradients.add(g, partials=True)
+        self.gradient_terms += _term_count(g, partials=True)
         return g
 
     def inequality(self, i: int, inequality: Inequality) -> Inequality:
-        h, _ = inequality
-        self._constraint(h, f"inequalities[{i}].poly", True)
+        self._constraint(inequality[0], f"inequalities[{i}].poly", True)
         return inequality
 
-    def _constraint(self, p: Polynomial, path: str, inequality: bool) -> Polynomial:
+    def _constraint(self, p: Polynomial, path: str, inequality: bool) -> None:
         """An equation, or an inequality's polynomial.  Each equation is
         composed with each sampler and every constraint is evaluated at
         each sample, so their terms are capped together."""
         _check_ring(p, self.ambient_dim, path)
-        self.rows[inequality].add(p)
-        if self.rows[False].terms + self.rows[True].terms > poly.MAX_TERMS:
+        self.terms[inequality] += _term_count(p)
+        if sum(self.terms.values()) > poly.MAX_TERMS:
             raise SpaceFormatError(
                 "equations",
                 f"the equations and inequalities have more than {poly.MAX_TERMS} terms together",
             )
-        return p
 
     def sampler(self, i: int, s: Sampler) -> Sampler:
-        """A grid point evaluates the sampler's numerators and denominator
-        at its integer form over the grid's denominator q, then the
-        inequalities and the equations' gradients at its image, the row's
-        values there."""
+        """A grid point evaluates the sampler's numerators and denominator,
+        then the inequalities and the equations' gradients at its image."""
         path = f"samplers[{i}]"
         _check_param_dim(s.param_dim, f"{path}.param_dim")
         _check_length(len(s.numerators), self.ambient_dim, f"{path}.numerators")
@@ -564,13 +513,9 @@ class _Rules:
                 raise SpaceFormatError(f"{path}.box[{j}]", "lo must be <= hi")
         if s.param_resolution < 1:
             raise SpaceFormatError(f"{path}.resolution", "must be >= 1")
-        row = _Row((*s.numerators, s.denominator))
-        bits = _form_bits([end for pair in s.param_box for end in pair], s._grid_denominator)
-        image = row.value_bits(bits)
-        cost = row.evaluations(bits) + self.rows[True].evaluations(image)
-        cost += self.gradients.evaluations(image)
+        terms = sum(map(_term_count, (*s.numerators, s.denominator)), self.gradient_terms)
         grid = s.param_resolution**s.param_dim
-        self._count(grid, grid * cost + row.compiling(), f"{path}.resolution")
+        self._count(grid, grid * (terms + self.terms[True]), f"{path}.resolution")
         return s
 
     def point(self, i: int, p: Point) -> Point:
@@ -578,19 +523,13 @@ class _Rules:
         the equations' gradients at its least integer form."""
         path = f"sample_points[{i}]"
         _check_length(len(p), self.ambient_dim, path)
-        bits = _form_bits(p, math.lcm(*(x.denominator for x in p)))
-        rows = (*self.rows.values(), self.gradients)
-        self._count(1, sum(row.evaluations(bits) for row in rows), path)
+        self._count(1, sum(self.terms.values()) + self.gradient_terms, path)
         return p
 
     def _count(self, points: int, work: int, path: str) -> None:
         """Adds ``points`` samples whose validation costs ``work`` term
         evaluations, refused naming ``path`` past MAX_GRID_POINTS or
-        MAX_TERM_EVALUATIONS.  The first sample source also pays for
-        compiling the constraints' rows and the gradients, which every
-        constraint has been fed to by then."""
-        if not self.points:  # every source adds at least one point
-            work += sum(row.compiling() for row in (*self.rows.values(), self.gradients))
+        MAX_TERM_EVALUATIONS."""
         sources = "the samplers' grids and sample points"
         self.points += points
         if self.points > MAX_GRID_POINTS:

@@ -28,7 +28,7 @@ from subcart.errors import (
     SubcartError,
 )
 from subcart.fixtures import NAMES, fixture_path
-from subcart.poly import Polynomial, constant, parse, parse_rational, variable
+from subcart.poly import MAX_WORK, Polynomial, constant, parse, parse_rational, variable
 from subcart.space import (
     MAX_GRID_POINTS,
     MAX_TERM_EVALUATIONS,
@@ -593,9 +593,9 @@ def _big_integers(kind):
 
 @pytest.mark.parametrize("kind, field", [
     ("points", "sample_points[0]"),
-    ("box", "samplers[0].resolution"),
-    ("coefficients", "samplers[0].resolution"),
-    ("scale", "samplers[0].resolution"),
+    ("box", "samplers[0]"),
+    ("coefficients", "samplers[0]"),
+    ("scale", "samplers[0]"),
 ])
 def test_the_term_evaluations_are_charged_by_the_size_of_their_integers(
     kind, field, tmp_path
@@ -616,8 +616,7 @@ def test_the_term_evaluations_are_charged_by_the_size_of_their_integers(
     assert time.perf_counter() - start < 1
     assert built.value.field == loaded.value.field == field
     assert str(built.value) == str(loaded.value) == (
-        f"{field}: the samplers' grids and sample points take more than "
-        f"{MAX_TERM_EVALUATIONS} term evaluations together"
+        f"{field}: the integer work passes its budget of {MAX_WORK} steps"
     )
 
 
@@ -678,9 +677,71 @@ def test_compiling_a_row_is_charged(tmp_path):
             "inequalities": [{"poly": " + ".join(terms)}], "sample_points": [["1", "1"]]}
     error = _refused_alike(data, tmp_path)
     assert str(error) == (
-        "sample_points[0]: the samplers' grids and sample points take more than "
-        f"{MAX_TERM_EVALUATIONS} term evaluations together"
+        f"sample_points[0]: the integer work passes its budget of {MAX_WORK} steps"
     )
+
+
+def test_a_row_over_long_denominators_loads_at_resolution_56(tmp_path):
+    # the plane under the 20-term inequality of ``_big_integers("scale")``:
+    # its largest admitted resolution was 54 while compiling the row went
+    # uncharged, and 37 while it was charged at 30 times the evaluation rate
+    data = _big_integers("scale")
+    data["samplers"][0]["resolution"] = 56
+    assert len(load_space(_write(tmp_path, data)).cleared_samples) == 56**2
+
+
+def test_a_composition_is_charged_by_the_size_of_its_coefficients(tmp_path):
+    # the products of this 6-KB file's composition hold at most 861
+    # terms, but coefficients of about 40,000 digits: it took 21-31 s to
+    # load while only the terms were counted
+    c = "7" * 1000
+    numerator = f"{c}*x1+{c}*x2+{c}"
+    data = {"name": "compose40", "ambient_dim": 2, "equations": ["x1^40-x2^40"],
+            "samplers": [{"param_dim": 2, "numerators": [numerator] * 2,
+                          "box": [["0", "1"]] * 2, "resolution": 2}]}
+    error = _refused_alike(data, tmp_path)
+    assert str(error) == (
+        "samplers[0]: composition with equations[0]: "
+        f"the integer work passes its budget of {MAX_WORK} steps"
+    )
+
+
+_POWER = "(x1+x2+x3+1)^20"  # 1,771 terms
+
+
+def _many_powers(where, count):
+    """The cone with ``count`` more equations _POWER - _POWER, which
+    cancel, or a line with ``count`` samplers of the numerator _POWER over
+    the one-point box [0, 0]^3."""
+    if where == "equations":
+        data = json.loads(fixture_path("cone").read_text(encoding="utf-8"))
+        data["equations"] += [f"{_POWER}-{_POWER}"] * count
+        return data
+    sampler = {"param_dim": 3, "numerators": [_POWER], "box": [["0", "0"]] * 3,
+               "resolution": 1}
+    return {"name": "powers", "ambient_dim": 1, "samplers": [sampler] * count}
+
+
+@pytest.mark.parametrize("where, count, field, text", [
+    ("equations", 100, "equations[4]", f"{_POWER}-{_POWER}"),
+    ("samplers", 150, "samplers[7].numerators[0]", _POWER),
+])
+def test_the_parses_of_a_load_are_charged(where, count, field, text, tmp_path):
+    # 100 such equations loaded in 6.2-10.3 s, and 150 such samplers in
+    # 5.5-8.6 s at 136 MB, while no parse was charged
+    start = time.perf_counter()
+    with pytest.raises(SpaceFormatError) as loaded:
+        load_space(_write(tmp_path, _many_powers(where, count)))
+    assert time.perf_counter() - start < 1
+    assert loaded.value.field == field
+    position = len(text) - 3  # at the last power's '^'
+    assert str(loaded.value) == (
+        f"{field}: the integer work passes its budget of {MAX_WORK} steps "
+        f"(at position {position} in {text!r})"
+    )
+    assert load_space(_write(tmp_path, _many_powers(where, 1)))
+    # outside a build nothing is charged: these parses pass the budget
+    assert len({parse(_POWER, 3) for _ in range(8)}) == 1
 
 
 def test_a_long_explicit_point_is_refused_by_its_length_at_once(tmp_path):
