@@ -50,14 +50,16 @@ row and divides once.
 
 Integer work is metered within a space presentation's build, which sets
 ``_work_left`` to MAX_WORK steps; outside one nothing is charged, and a
-kernel pays one read of that variable a call.  Each kernel charges the
-steps it is about to take, from the bit lengths of its operands, so a
+kernel pays one read of that variable a call.  Each charge is the steps
+about to be taken, from the bit lengths of the operands, so a
 WorkBudgetError refuses work that would pass the budget before it is
-done: ``Polynomial.__mul__`` row by row (the parser and compositions),
-``ClearedRow`` before its lcm and divisions, and its evaluators
-(``ClearedRow.charge``, which counts only the steps past one word an
-integer).  A product of an a-word and a b-word integer (64-bit words)
-costs a * b steps, plus ``PRODUCT_STEPS`` when the interpreter makes it.
+done: ``Polynomial.__mul__`` charges row by row (the parser and
+compositions), and ``ClearedRow`` before its lcm and divisions.  An
+evaluation is charged by its caller, which knows the bit length of a
+whole block of points, through ``ClearedRow.charge``: the steps past one
+word an integer.  A product of an a-word and a b-word integer (64-bit
+words) costs a * b steps, plus ``PRODUCT_STEPS`` when the interpreter
+makes it.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ import re
 import sys
 from contextvars import ContextVar
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import repeat
 from operator import add, mul
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -313,7 +315,7 @@ class ClearedRow:
     once for a whole column of points, which beats ``evaluate`` point by
     point from about eight points on and is several times slower at one."""
 
-    __slots__ = ("ambient_dim", "scale", "degree", "_rows")
+    __slots__ = ("ambient_dim", "scale", "degree", "_rows", "_size")
 
     def __init__(self, ambient_dim: int, polynomials: Sequence[Polynomial]):
         maps = [p._terms for p in polynomials]
@@ -333,17 +335,18 @@ class ClearedRow:
             )
             for m in maps
         )
+        compiled = [c for terms in self._rows for c, _, _ in terms]
+        self._size = len(compiled), sum(map(_words, compiled))  # terms, coefficient words
 
     def charge(self, points: int, bits: int) -> None:
         """Charges the budget, if one is set, for evaluating the row at
         ``points`` points of integers of at most ``bits`` bits: a term
         builds a monomial of m = 1 + d * bits // 64 words in about m * m / 4
         steps and multiplies it by its c-word coefficient in m * c, less the
-        one step its caller prices."""
-        coefficients = [c for terms in self._rows for c, _, _ in terms]
-        m, count = 1 + self.degree * bits // 64, len(coefficients)
-        steps = m * (count * (m // 4) + sum(map(_words, coefficients))) - count
-        _charge(_work_left.get(), points * steps)
+        one step the term cap prices."""
+        terms, words = self._size
+        m = 1 + self.degree * bits // 64
+        _charge(_work_left.get(), points * (m * (terms * (m // 4) + words) - terms))
 
     def evaluate(self, numerators: Sequence[int], denominator: int) -> list[int]:
         """The exact integers S * D^d * p(a/D) for integer numerators a and a
@@ -353,8 +356,6 @@ class ClearedRow:
             raise DimensionMismatchError(
                 f"point has length {len(numerators)}, expected {self.ambient_dim}"
             )
-        if _work_left.get() is not None and any(self._rows):
-            self.charge(1, max(map(int.bit_length, (denominator, *numerators))))
         powers = [1]
         for _ in range(self.degree):
             powers.append(powers[-1] * denominator)
@@ -383,8 +384,6 @@ class ClearedRow:
                 f"point has length {len(numerators)}, expected {self.ambient_dim}"
             )
         count = len(denominators)
-        if _work_left.get() is not None and any(self._rows):
-            self.charge(count, max(map(int.bit_length, chain(denominators, *numerators))))
         columns = (*numerators, denominators)
         powers: dict[tuple[int, int], Sequence[int]] = {}
         values = []

@@ -45,11 +45,13 @@ term at a sample, in validation and in the gradients that analysis
 evaluates there.  A polynomial with no terms, as "0" or "x1-x1", counts
 as one term, and each of an equation's n partials as at least one: each
 still has a value at every sample.  Then the build runs under one budget
-of integer work (``poly.MAX_WORK``), charged by the kernels that do it:
-parses, compositions, row compilation and evaluation past one word an
-integer, and the gradients at each block of samples past one word.  A
-spent budget is refused by a SpaceFormatError naming the source being
-parsed, composed or validated.
+of integer work (``poly.MAX_WORK``): parses, compositions and row
+compilation are charged by the kernels that do them, the rows analysis
+reads among them, compiled at the first sample source.  Evaluation past
+one word an integer is charged once a block of samples, from one scan of
+its integers, for the rows validation evaluates and for the equations'
+gradients, which analysis evaluates.  A spent budget is refused by a
+SpaceFormatError naming the source being parsed, composed or validated.
 
 Points are tested on integers, through ``poly.ClearedRow``s compiled
 once by their owners.  ``is_member`` puts a point over its least common
@@ -205,22 +207,23 @@ class SpacePresentation:
             for i, point in enumerate(self.sample_points):
                 path = f"sample_points[{i}]"
                 form = poly.clear_denominators([Fraction(x) for x in point])
+                _charge(self, (self.cleared_equations,), 1, (form[1], *form[0]))
                 if not is_member_cleared(self, *form):
                     raise SpaceFormatError(path, "point is not a member")
-                _prepay(self, 1, max(map(int.bit_length, (form[1], *form[0]))))
                 forms[form] = None
         except WorkBudgetError as exc:
             raise SpaceFormatError(path, str(exc)) from None
         return tuple(forms)
 
 
-def _prepay(space: SpacePresentation, count: int, bits: int) -> None:
-    """Charges the budget for the equations' gradients, which analysis
-    evaluates at ``count`` samples of ``bits``-bit integers, once those
-    pass one word: the term cap prices evaluations on smaller ones."""
-    if bits > 64:
-        for row in space.cleared_gradients:
-            row.charge(count, bits)
+def _charge(space: SpacePresentation, rows: tuple, count: int, integers: Iterable[int]) -> None:
+    """Charges the build's budget for evaluating ``rows``, the inequalities
+    and the equations' gradients (which analysis evaluates, and which are
+    compiled here at the first sample) at ``count`` samples whose integers
+    are ``integers``, from one scan of their bit lengths."""
+    bits = max(map(int.bit_length, integers))
+    for row in (*rows, space.cleared_inequalities, *space.cleared_gradients):
+        row.charge(count, bits)
 
 
 def is_member(space: SpacePresentation, point: Sequence[Fraction]) -> bool:
@@ -303,10 +306,11 @@ def _sampler_images(
     each equation is zero, so that every image with a nonzero denominator
     satisfies the equations.
     Each block of grid points is evaluated as columns; its images' signs
-    are fixed, their denominators and the inequalities are tested, the
-    gradients there are prepaid, and each image is divided by its gcd, in
-    passes over the columns.  The
+    are fixed, their evaluation and the gradients there are charged, their
+    denominators and the inequalities are tested, and each image is
+    divided by its gcd, in passes over the columns.  The
     first failure in grid order is a SpaceFormatError naming ``path``."""
+    space.cleared_equations  # which analysis reads: compiled here, under the budget
     for gi, g in enumerate(space.equations):
         try:
             composed = compose_cleared(g, sampler.numerators, sampler.denominator)
@@ -318,12 +322,16 @@ def _sampler_images(
             )
     row = poly.ClearedRow(sampler.param_dim, (*sampler.numerators, sampler.denominator))
     q, grid = sampler._integer_grid()
+    # no grid integer is longer than q or an end of the box over q
+    ends = [abs(c.numerator) * (q // c.denominator) for pair in sampler.param_box for c in pair]
     while columns := list(zip(*itertools.islice(grid, GRID_BLOCK_POINTS))):
+        row.charge(len(columns[0]), max(q, *ends).bit_length())
         *images, dens = row.evaluate_columns(columns, [q] * len(columns[0]))
         if min(dens) < 0:
             signs = [-1 if den < 0 else 1 for den in dens]
             images = [list(map(mul, column, signs)) for column in images]
             dens = list(map(mul, dens, signs))
+        _charge(space, (), len(dens), itertools.chain(dens, *images))
         values = space.cleared_inequalities.evaluate_columns(images, dens)
         if 0 in dens or not _signs_hold(space, map(min, values)):
             for k, params in enumerate(zip(*columns)):
@@ -338,7 +346,6 @@ def _sampler_images(
                         f"grid image at parameters {format_point(divided(params, q))} "
                         "violates the constraints",
                     )
-        _prepay(space, len(dens), max(map(int.bit_length, itertools.chain(dens, *images))))
         commons = list(map(math.gcd, dens, *images))
         reduced = [map(floordiv, column, commons) for column in images]
         yield zip(zip(*reduced), map(floordiv, dens, commons))

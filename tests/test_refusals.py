@@ -602,8 +602,10 @@ def test_the_term_evaluations_are_charged_by_the_size_of_their_integers(
 ):
     # the points took 38.1 s to load and the box 17.7 s while the cap
     # counted terms only, the coefficients 10.6-15.0 s and the scale 14.8 s
-    # while it charged the size of the samples' integers only; a term of
-    # the first three costs more than the cap alone
+    # while it charged the size of the samples' integers only; evaluating
+    # the first point, or the first block of the box's or the coefficients'
+    # grid, costs more than the whole budget, and the scale's 84,100 grid
+    # images pass it together
     data = _big_integers(kind)
     start = time.perf_counter()
     with pytest.raises(SpaceFormatError) as loaded:
@@ -670,7 +672,7 @@ def test_compiling_a_row_is_charged(tmp_path):
     # an inequality of 300 terms over distinct 1,000-digit denominators:
     # putting its coefficients over their lcm, about 10^6 bits, took 3.1 s
     # for the one explicit point while only the point's evaluation was
-    # charged
+    # charged; the compile is charged about 7 * 10^8 steps before it starts
     big = 10**999
     terms = [f"1/{big + 2 * k + 1}*x1^{k % 20}*x2^{k // 20}" for k in range(300)]
     data = {"name": "scale300", "ambient_dim": 2,
@@ -679,6 +681,39 @@ def test_compiling_a_row_is_charged(tmp_path):
     assert str(error) == (
         f"sample_points[0]: the integer work passes its budget of {MAX_WORK} steps"
     )
+
+
+def test_compiling_the_gradients_is_charged_at_the_first_sample_source(tmp_path):
+    # x1 times a 300-term polynomial over distinct 1,000-digit
+    # denominators, sampled where x1 = 0, so that its composition is
+    # cheap: the file loaded in 0.14 s while the rows analysis reads were
+    # compiled outside the budget, and its first Jacobian then took 18.8 s
+    big = 10**999
+    h = " + ".join(f"1/{big + 2 * k + 1}*x2^{k % 20}*x3^{k // 20}" for k in range(300))
+    data = {"name": "gradients300", "ambient_dim": 3, "equations": [f"x1*({h})"],
+            "samplers": [{"param_dim": 2, "numerators": ["0", "x1", "x2"],
+                          "box": [["0", "1"]] * 2, "resolution": 2}]}
+    error = _refused_alike(data, tmp_path)
+    assert str(error) == f"samplers[0]: the integer work passes its budget of {MAX_WORK} steps"
+
+
+def _power_line(lo):
+    """The line x1^64 = x2^64 sampled as (t, t) at the 100,000 integers
+    from ``lo``."""
+    sampler = {"param_dim": 1, "numerators": ["x1", "x1"],
+               "box": [[str(lo), str(lo + 99_999)]], "resolution": 100_000}
+    return {"name": "power_line", "ambient_dim": 2, "equations": ["x1^64-x2^64"],
+            "samplers": [sampler]}
+
+
+def test_the_gradients_are_charged_at_samples_within_one_word(tmp_path):
+    # the gradient has degree 63, so at these 58-bit samples each of its
+    # terms builds a monomial of 58 words: the file loaded in 0.16 s while
+    # gradients were charged only at samples past 64 bits, and its Jacobians
+    # then took about 1.2 s, against 0.8 s at the 17-bit samples from 0
+    error = _refused_alike(_power_line(2**40), tmp_path)
+    assert str(error) == f"samplers[0]: the integer work passes its budget of {MAX_WORK} steps"
+    assert len(load_space(_write(tmp_path, _power_line(0))).cleared_samples) == 100_000
 
 
 def test_a_row_over_long_denominators_loads_at_resolution_56(tmp_path):
