@@ -207,7 +207,7 @@ class SpacePresentation:
             for i, point in enumerate(self.sample_points):
                 path = f"sample_points[{i}]"
                 form = poly.clear_denominators([Fraction(x) for x in point])
-                _charge(self, (self.cleared_equations,), 1, (form[1], *form[0]))
+                _charge(self, (self.cleared_equations,), 1, [(form[1], *form[0])])
                 if not is_member_cleared(self, *form):
                     raise SpaceFormatError(path, "point is not a member")
                 forms[form] = None
@@ -216,12 +216,12 @@ class SpacePresentation:
         return tuple(forms)
 
 
-def _charge(space: SpacePresentation, rows: tuple, count: int, integers: Iterable[int]) -> None:
+def _charge(space: SpacePresentation, rows: tuple, count: int, columns: list) -> None:
     """Charges the build's budget for evaluating ``rows``, the inequalities
     and the equations' gradients (which analysis evaluates, and which are
     compiled here at the first sample) at ``count`` samples whose integers
-    are ``integers``, from one scan of their bit lengths."""
-    bits = max(map(int.bit_length, integers))
+    are held in ``columns``, from one scan of their extremes."""
+    bits = max(max(map(max, columns)), -min(map(min, columns))).bit_length()
     for row in (*rows, space.cleared_inequalities, *space.cleared_gradients):
         row.charge(count, bits)
 
@@ -310,7 +310,7 @@ def _sampler_images(
     denominators and the inequalities are tested, and each image is
     divided by its gcd, in passes over the columns.  The
     first failure in grid order is a SpaceFormatError naming ``path``."""
-    space.cleared_equations  # which analysis reads: compiled here, under the budget
+    space.cleared_equations  # which a later point's membership reads: compiled here
     for gi, g in enumerate(space.equations):
         try:
             composed = compose_cleared(g, sampler.numerators, sampler.denominator)
@@ -331,7 +331,7 @@ def _sampler_images(
             signs = [-1 if den < 0 else 1 for den in dens]
             images = [list(map(mul, column, signs)) for column in images]
             dens = list(map(mul, dens, signs))
-        _charge(space, (), len(dens), itertools.chain(dens, *images))
+        _charge(space, (), len(dens), [dens, *images])
         values = space.cleared_inequalities.evaluate_columns(images, dens)
         if 0 in dens or not _signs_hold(space, map(min, values)):
             for k, params in enumerate(zip(*columns)):

@@ -683,17 +683,32 @@ def test_compiling_a_row_is_charged(tmp_path):
     )
 
 
-def test_compiling_the_gradients_is_charged_at_the_first_sample_source(tmp_path):
-    # x1 times a 300-term polynomial over distinct 1,000-digit
-    # denominators, sampled where x1 = 0, so that its composition is
-    # cheap: the file loaded in 0.14 s while the rows analysis reads were
-    # compiled outside the budget, and its first Jacobian then took 18.8 s
+def _analysed_rows(which):
+    """A sampler where x1 = 0, so that each composition is cheap, for
+    equations over distinct 1,000-digit denominators: one equation x1
+    times a 300-term polynomial, whose gradients analysis compiles, or 100
+    equations of three terms each, whose one row ``classify`` compiles."""
     big = 10**999
-    h = " + ".join(f"1/{big + 2 * k + 1}*x2^{k % 20}*x3^{k // 20}" for k in range(300))
-    data = {"name": "gradients300", "ambient_dim": 3, "equations": [f"x1*({h})"],
-            "samplers": [{"param_dim": 2, "numerators": ["0", "x1", "x2"],
-                          "box": [["0", "1"]] * 2, "resolution": 2}]}
-    error = _refused_alike(data, tmp_path)
+    if which == "gradients":
+        h = " + ".join(f"1/{big + 2 * k + 1}*x2^{k % 20}*x3^{k // 20}" for k in range(300))
+        equations, n = [f"x1*({h})"], 3
+    else:
+        equations, n = [
+            f"x1*(1/{big + 6 * k + 1} + 1/{big + 6 * k + 3}*x2 + 1/{big + 6 * k + 5}*x2^2)"
+            for k in range(100)
+        ], 2
+    sampler = {"param_dim": n - 1, "numerators": ["0"] + [f"x{i}" for i in range(1, n)],
+               "box": [["0", "1"]] * (n - 1), "resolution": 2}
+    return {"name": which, "ambient_dim": n, "equations": equations, "samplers": [sampler]}
+
+
+@pytest.mark.parametrize("which", ["gradients", "equations"])
+def test_compiling_the_rows_analysis_reads_is_charged_at_load(which, tmp_path):
+    # the gradients' file loaded in 0.14 s while they were compiled outside
+    # the budget, and its first Jacobian then took 18.8 s; the equations'
+    # file loads in 0.09 s without its row, which classify then compiles
+    # in 3.9 s at its first point
+    error = _refused_alike(_analysed_rows(which), tmp_path)
     assert str(error) == f"samplers[0]: the integer work passes its budget of {MAX_WORK} steps"
 
 
