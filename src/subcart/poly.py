@@ -153,7 +153,7 @@ class Polynomial:
                     f"exponent vector {exponent} has length {len(exponent)}, "
                     f"expected {ambient_dim}"
                 )
-            if any(e < 0 for e in exponent):
+            if min(exponent) < 0:
                 raise SubcartError(f"negative exponent in {exponent}")
             if type(coeff) is not int:
                 coeff = Fraction(coeff)
