@@ -545,8 +545,8 @@ class _Parser:
             self.advance()
             # a constant base counts as degree 1, so the exponent is capped too
             self.degree_at_most(max(base.total_degree(), 1) * exponent.value, caret)
-            result = constant(1, self.ambient_dim)
-            for _ in range(exponent.value):
+            result = base if exponent.value else constant(1, self.ambient_dim)
+            for _ in range(exponent.value - 1):
                 result = self.multiply(result, base, caret)
             return result
         return base

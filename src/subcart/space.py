@@ -291,7 +291,7 @@ def _horner(
         by_power.setdefault(exponent[0], {})[exponent[1:]] = coeff
     result = poly.zero(den_powers[0].ambient_dim)
     for e in range(max(by_power, default=-1), -1, -1):
-        result = result * numerators[0]
+        result = result if result.is_zero() else result * numerators[0]
         if e in by_power:
             inner = _horner(by_power[e], numerators[1:], den_powers, degree - e)
             result = result + inner
