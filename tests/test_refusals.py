@@ -704,10 +704,10 @@ def _analysed_rows(which):
 
 @pytest.mark.parametrize("which", ["gradients", "equations"])
 def test_compiling_the_rows_analysis_reads_is_charged_at_load(which, tmp_path):
-    # the gradients' file loaded in 0.14 s while they were compiled outside
-    # the budget, and its first Jacobian then took 18.8 s; the equations'
-    # file loads in 0.09 s without its row, which classify then compiles
-    # in 3.9 s at its first point
+    # while these rows were compiled outside the budget, the gradients'
+    # file loaded in 0.14 s and its first Jacobian then took 18.8 s, and
+    # the equations' file loaded in 0.03 s and classify then took 4.2 s at
+    # its first point
     error = _refused_alike(_analysed_rows(which), tmp_path)
     assert str(error) == f"samplers[0]: the integer work passes its budget of {MAX_WORK} steps"
 
